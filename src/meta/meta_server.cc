@@ -17,12 +17,14 @@ MetaServer::MetaServer(const Clock* clock) : clock_(clock) {
 
 PoolId MetaServer::CreatePool(std::vector<node::DataNode*> nodes) {
   pools_.push_back(std::move(nodes));
+  pool_versions_.push_back(0);
   return static_cast<PoolId>(pools_.size() - 1);
 }
 
 Status MetaServer::AddNodeToPool(PoolId pool, node::DataNode* node) {
   if (pool >= pools_.size()) return Status::InvalidArgument("no such pool");
   pools_[pool].push_back(node);
+  pool_versions_[pool]++;
   return Status::OK();
 }
 
@@ -36,6 +38,7 @@ Status MetaServer::RemoveNodeFromPool(PoolId pool, NodeId node) {
     return Status::InvalidArgument("node still hosts replicas");
   }
   nodes.erase(it);
+  pool_versions_[pool]++;
   return Status::OK();
 }
 
@@ -141,8 +144,8 @@ Status MetaServer::CreateTenant(const TenantConfig& config, PoolId pool) {
     }
     meta.partitions.push_back(std::move(placement));
   }
-  tenants_.emplace(config.id, std::move(meta));
-  routing_epoch_++;
+  TenantPlacementChanged(tenants_.emplace(config.id, std::move(meta))
+                             .first->second);
   return Status::OK();
 }
 
@@ -274,7 +277,7 @@ Status MetaServer::SplitPartitions(TenantId tenant) {
     meta.partitions.push_back(std::move(placement));
   }
   PushPartitionQuotas(meta);
-  routing_epoch_++;
+  TenantPlacementChanged(meta);
   return Status::OK();
 }
 
@@ -292,7 +295,9 @@ Status MetaServer::PrepareSplit(TenantId tenant) {
   pending.children = std::move(children).value();
   pending_splits_.emplace(tenant, std::move(pending));
   // No epoch bump and no partition-table change: the children are
-  // invisible to routing until CommitSplit.
+  // invisible to routing until CommitSplit. They do load their nodes
+  // (pinned in the rescheduler's model), so the pool version moves.
+  pool_versions_[meta.pool]++;
   return Status::OK();
 }
 
@@ -315,7 +320,7 @@ Status MetaServer::CommitSplit(TenantId tenant) {
   }
   pending_splits_.erase(pit);
   PushPartitionQuotas(meta);
-  routing_epoch_++;
+  TenantPlacementChanged(meta);
   return Status::OK();
 }
 
@@ -329,6 +334,7 @@ Status MetaServer::AbortSplit(TenantId tenant) {
   UnstagePlacements(it->second, pit->second.old_count,
                     pit->second.children);
   pending_splits_.erase(pit);
+  pool_versions_[it->second.pool]++;
   return Status::OK();
 }
 
@@ -370,7 +376,7 @@ Status MetaServer::MigrateReplica(TenantId tenant, PartitionId partition,
   }
   src->RemoveReplica(tenant, partition);
   *rit = to;
-  routing_epoch_++;
+  TenantPlacementChanged(meta);
   return Status::OK();
 }
 
@@ -410,7 +416,7 @@ Result<RecoveryReport> MetaServer::FailNode(
   // Placement mutation starts here; bump the epoch now so even an early
   // error return below (no survivor for some replica) leaves cached
   // routes able to chase a redirect into the partially rebuilt state.
-  routing_epoch_++;
+  PoolPlacementChanged(pool);
 
   std::map<NodeId, uint64_t> bytes_per_target;
   for (const LostReplica& lr : lost) {
@@ -474,6 +480,36 @@ Result<RecoveryReport> MetaServer::FailNode(
       static_cast<double>(report.bytes_rebuilt) /
       rebuild_bandwidth_bytes_per_sec;
   return report;
+}
+
+void MetaServer::TenantPlacementChanged(const TenantMeta& meta) {
+  routing_epoch_++;
+  pool_versions_[meta.pool]++;
+  if (placement_log_all_) return;
+  if (placement_log_.size() >= tenants_.size()) {
+    // Bounded: past one entry per tenant the log says nothing a full
+    // rebuild would not, and an undrained log must not grow forever.
+    placement_log_.clear();
+    placement_log_all_ = true;
+    return;
+  }
+  placement_log_.push_back(meta.config.id);
+}
+
+void MetaServer::PoolPlacementChanged(PoolId pool) {
+  routing_epoch_++;
+  if (pool < pool_versions_.size()) pool_versions_[pool]++;
+  placement_log_.clear();
+  placement_log_all_ = true;
+}
+
+bool MetaServer::TakePlacementChanges(std::vector<TenantId>* out) {
+  const bool recorded = !placement_log_all_;
+  if (recorded) out->insert(out->end(), placement_log_.begin(),
+                            placement_log_.end());
+  placement_log_.clear();
+  placement_log_all_ = false;
+  return recorded;
 }
 
 PoolId MetaServer::PoolOf(NodeId node) const {
@@ -574,7 +610,7 @@ Result<RecoveryReport> MetaServer::PromoteFailover(
   report.single_node_recovery_seconds =
       static_cast<double>(report.bytes_rebuilt) /
       rebuild_bandwidth_bytes_per_sec;
-  if (placement_changed) routing_epoch_++;
+  if (placement_changed) PoolPlacementChanged(pool);
   return report;
 }
 
@@ -630,7 +666,7 @@ Status MetaServer::ExecuteReReplication(TenantId tenant, PartitionId partition,
                  claims.end());
     if (claims.empty()) demoted_.erase(dit);
   }
-  routing_epoch_++;
+  TenantPlacementChanged(meta);
   return Status::OK();
 }
 
@@ -699,7 +735,7 @@ size_t MetaServer::RestorePrimary(NodeId node) {
           other_claims.end());
     }
   }
-  if (count > 0) routing_epoch_++;
+  if (count > 0) PoolPlacementChanged(pool);
   return count;
 }
 

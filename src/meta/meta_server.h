@@ -121,6 +121,15 @@ class MetaServer {
   /// Number of registered pools (pool ids are dense: 0..count-1).
   size_t PoolCount() const { return pools_.size(); }
 
+  /// Placement version of `pool`: bumped by every change to the pool's
+  /// node membership or to the partition table of a tenant placed in
+  /// it — wherever the routing epoch moves, plus staged split children
+  /// being placed or unstaged. Equal versions mean an identical
+  /// partition table for every tenant of the pool.
+  uint64_t PoolPlacementVersion(PoolId pool) const {
+    return pool < pool_versions_.size() ? pool_versions_[pool] : 0;
+  }
+
   // -- Tenants ----------------------------------------------------------------
 
   /// Creates a tenant: places num_partitions x replicas across the pool
@@ -157,6 +166,14 @@ class MetaServer {
   /// retry — when a forward observes a stale one; they never consult the
   /// MetaServer per request.
   uint64_t routing_epoch() const { return routing_epoch_; }
+
+  /// Drains the tenants whose placement moved the routing epoch since
+  /// the previous call, appending them to `out` in bump order (a tenant
+  /// may repeat). Returns false instead when the changed set was not
+  /// recorded — a node-level event (FailNode, PromoteFailover,
+  /// RestorePrimary) moved it, or the log outgrew the tenant count — and
+  /// the caller must treat every tenant as changed.
+  bool TakePlacementChanges(std::vector<TenantId>* out);
 
   // -- Scaling (invoked by the Autoscaler) -------------------------------------
 
@@ -321,12 +338,24 @@ class MetaServer {
   /// count) when absent from every pool.
   PoolId PoolOf(NodeId node) const;
 
+  /// Records one placement change of `meta`'s tenant: bumps the routing
+  /// epoch and the pool's placement version, and logs the tenant.
+  void TenantPlacementChanged(const TenantMeta& meta);
+
+  /// Records a node-level placement change in `pool` whose tenant set is
+  /// not logged: bumps the epoch and the pool's placement version.
+  void PoolPlacementChanged(PoolId pool);
+
   const Clock* clock_;
   std::vector<std::vector<node::DataNode*>> pools_;
   std::map<TenantId, TenantMeta> tenants_;
   /// Staged-but-uncommitted split placements (PrepareSplit).
   std::map<TenantId, PendingSplit> pending_splits_;
   uint64_t routing_epoch_ = 1;
+  std::vector<uint64_t> pool_versions_;  ///< Parallel to pools_.
+  /// TakePlacementChanges' log; `all` when the set was not recorded.
+  std::vector<TenantId> placement_log_;
+  bool placement_log_all_ = false;
   /// One partition a failed node was demoted from, stamped with a
   /// monotonic sequence so overlapping failures fail back in demotion
   /// order (oldest claim wins).

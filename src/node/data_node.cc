@@ -101,10 +101,21 @@ void DataNode::AddReplica(TenantId tenant, PartitionId partition,
     rep.cache_prefix_hash =
         Fnv1a64(std::string_view(buf, static_cast<size_t>(p - buf)));
   }
+  rep.engine->SetMutationCounter(&load_version_);
   uint64_t key = ReplicaKey(tenant, partition);
+  // A key past every hosted key extends the ordered fold by exactly one
+  // step, so `+=` equals the fresh recompute bit for bit. Registration
+  // adds keys in ascending order per node: O(log n) per add instead of
+  // a walk of every hosted replica.
+  const bool appends = replicas_.empty() || replicas_.rbegin()->first < key;
   PartitionReplica& stored = replicas_[key] = std::move(rep);
   replica_index_[key] = &stored;
-  RecomputeTotalQuota();
+  if (appends) {
+    total_partition_quota_ += partition_quota_ru;
+  } else {
+    RecomputeTotalQuota();
+  }
+  load_version_++;
 }
 
 bool DataNode::RemoveReplica(TenantId tenant, PartitionId partition) {
@@ -121,6 +132,7 @@ bool DataNode::RemoveReplica(TenantId tenant, PartitionId partition) {
   replicas_.erase(it);
   replica_index_.Erase(key);
   RecomputeTotalQuota();
+  load_version_++;
   return true;
 }
 
@@ -137,6 +149,7 @@ void DataNode::SetReplicaPrimary(TenantId tenant, PartitionId partition,
                                  bool is_primary) {
   if (PartitionReplica* rep = FindReplica(tenant, partition)) {
     rep->is_primary = is_primary;
+    load_version_++;
   }
 }
 
@@ -167,7 +180,9 @@ double DataNode::TotalPartitionQuota() const { return total_partition_quota_; }
 void DataNode::RecomputeTotalQuota() {
   // Fresh ordered sum (not an incremental +=/-=): float addition is not
   // associative, and the cached value must equal what a from-scratch walk
-  // of the ordered map would produce on every platform.
+  // of the ordered map would produce on every platform. The one exception
+  // is AddReplica's append past the last key, which is the fold's next
+  // step and so needs no walk.
   double total = 0;
   for (const auto& [key, rep] : replicas_) total += rep.partition_quota_ru;
   total_partition_quota_ = total;
@@ -193,6 +208,7 @@ storage::LsmEngine* DataNode::EngineFor(TenantId tenant,
 size_t DataNode::Fail() {
   if (state_ == NodeState::kFailed) return 0;
   state_ = NodeState::kFailed;
+  load_version_++;
   // The crash takes the request queue and every in-flight request with
   // it. The stranded ids live on in the simulator's in-flight table; it
   // resolves them as Unavailable from a serial section.
@@ -221,6 +237,7 @@ size_t DataNode::Fail() {
 void DataNode::StartRecovery() {
   if (state_ != NodeState::kFailed) return;
   state_ = NodeState::kRecovering;
+  load_version_++;
   for (auto& [key, rep] : replicas_) {
     rep.engine->CrashAndRecover();
   }
@@ -231,6 +248,7 @@ void DataNode::StartRecovery() {
 void DataNode::CompleteRecovery() {
   if (state_ != NodeState::kRecovering) return;
   state_ = NodeState::kAlive;
+  load_version_++;
 }
 
 // ---------------------------------------------------------------------------
@@ -914,6 +932,7 @@ void DataNode::Tick() {
   // ticks and the replica drops off the list. Fold order across replicas
   // does not matter: each fold touches only its own replica.
   constexpr double kRuEwmaAlpha = 0.2;
+  if (!ewma_active_.empty()) load_version_++;  // Rates move (or may).
   size_t kept = 0;
   for (size_t i = 0; i < ewma_active_.size(); ++i) {
     PartitionReplica** slot = replica_index_.Find(ewma_active_[i]);

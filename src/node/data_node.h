@@ -116,6 +116,9 @@ struct NodeTickStats {
 class DataNode {
  public:
   DataNode(NodeId id, DataNodeOptions options, const Clock* clock);
+  // Hosted engines point at load_version_: the node never moves.
+  DataNode(const DataNode&) = delete;
+  DataNode& operator=(const DataNode&) = delete;
 
   // -- Topology -------------------------------------------------------------
 
@@ -258,6 +261,13 @@ class DataNode {
   /// Sum of hosted partition quotas (denominator of wPartition).
   double TotalPartitionQuota() const;
 
+  /// Version of everything the rescheduler's load model reads from this
+  /// node: bumped by replica add/remove and role flips, lifecycle
+  /// transitions, nonzero EWMA folds, and every data mutation of a
+  /// hosted engine (direct engine writes included — each engine counts
+  /// into this version). Equal versions mean an identical model view.
+  uint64_t load_version() const { return load_version_; }
+
   /// All replicas hosted (for the rescheduler).
   std::vector<const PartitionReplica*> Replicas() const;
 
@@ -359,6 +369,7 @@ class DataNode {
   /// std::map guarantees the cached pointers stay stable.
   FlatMap64<PartitionReplica*> replica_index_;
   double total_partition_quota_ = 0;  ///< Cached wPartition denominator.
+  uint64_t load_version_ = 0;         ///< See load_version().
   ru::RuEstimator ru_model_;
   bool quota_enforcement_ = true;
   /// Stateless sampled service-time model (latency subsystem); inert

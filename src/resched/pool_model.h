@@ -50,6 +50,8 @@ class NodeModel {
   }
 
   void AddReplica(ReplicaLoad replica);
+  /// Reserves room for `n` replicas (model builds know the count).
+  void Reserve(size_t n) { replicas_.reserve(n); }
   /// Removes by (tenant, partition, replica_index); returns the removed
   /// load or NotFound.
   Result<ReplicaLoad> RemoveReplica(TenantId tenant, PartitionId partition,

@@ -1112,6 +1112,7 @@ resched::PoolModel ClusterSim::BuildPoolModel(PoolId pool) const {
     resched::NodeModel& nm = model.AddNode(
         n->id(), n->options().ru_capacity,
         static_cast<double>(n->options().storage_capacity));
+    nm.Reserve(n->replica_count());
     for (const node::PartitionReplica* rep : n->Replicas()) {
       const meta::TenantMeta* tm = meta_->GetTenant(rep->tenant);
       if (tm == nullptr) continue;
@@ -1575,6 +1576,11 @@ void ClusterSim::AdvanceSplits() {
         (void)entry;
         (void)src->Delete(key);
       }
+      // Direct engine writes outside the response path: the tombstones
+      // ship through the Replicate walk, which must visit the tenant.
+      if (!options_.dense_tick && !batch.entries.empty()) {
+        repl_active_.insert(tid);
+      }
       sp.purge_cursor = batch.next_cursor;
       sp.purge_done = batch.done;
       purge_done = purge_done && batch.done;
@@ -1612,10 +1618,33 @@ void ClusterSim::PlanRescheduling() {
   // imbalance twice; one wave drains before the next is planned.
   if (!migration_queue_.empty()) return;
   resched::IntraPoolRescheduler rescheduler;
+  plan_memo_.resize(meta_->PoolCount());
   for (PoolId pool = 0; pool < static_cast<PoolId>(meta_->PoolCount());
        pool++) {
+    PlanMemo& memo = plan_memo_[pool];
+    const auto& members = meta_->PoolNodes(pool);
+    const uint64_t placement = meta_->PoolPlacementVersion(pool);
+    if (memo.idle && memo.placement_version == placement &&
+        memo.node_versions.size() == members.size() &&
+        std::equal(members.begin(), members.end(),
+                   memo.node_versions.begin(),
+                   [](const node::DataNode* n, uint64_t v) {
+                     return n->load_version() == v;
+                   })) {
+      continue;
+    }
     resched::PoolModel model = BuildPoolModel(pool);
-    for (const resched::Migration& m : rescheduler.Run(&model)) {
+    resched_plans_built_++;
+    const std::vector<resched::Migration> plan = rescheduler.Run(&model);
+    memo.idle = plan.empty();
+    if (memo.idle) {
+      memo.placement_version = placement;
+      memo.node_versions.clear();
+      for (const node::DataNode* n : members) {
+        memo.node_versions.push_back(n->load_version());
+      }
+    }
+    for (const resched::Migration& m : plan) {
       PendingMigration pm;
       pm.migration = m;
       node::DataNode* src = FindNode(m.from);

@@ -580,6 +580,10 @@ class ClusterSim {
   /// Background migration copies still streaming or queued.
   size_t PendingMigrationCount() const { return migration_queue_.size(); }
 
+  /// Pool models built by background rescheduling so far (pools skipped
+  /// by the plan memo do not count).
+  uint64_t ReschedulingPlansBuilt() const { return resched_plans_built_; }
+
   // -- Experiment switches --------------------------------------------------------
 
   void SetProxyQuotaEnabled(TenantId tenant, bool enabled);
@@ -945,7 +949,9 @@ class ClusterSim {
 
   /// Snapshots every pool into the rescheduler's model and enqueues the
   /// planned moves as background copies. Skipped while copies are still
-  /// queued (the model would re-plan the same moves).
+  /// queued (the model would re-plan the same moves). A pool whose last
+  /// plan was empty and whose model inputs are unchanged (PlanMemo) is
+  /// skipped too: the plan is a pure function of the model.
   void PlanRescheduling();
 
   /// Records one migration disposition into migration_stats_.
@@ -976,7 +982,7 @@ class ClusterSim {
   std::unordered_map<uint64_t, ScanPartRef> scan_part_index_;
   /// Backing storage for this tick's scan sub-requests: node batches
   /// hold pointers into it, so addresses must be stable (deque) until
-  /// RouteSubmit moves them into the nodes. Cleared each Route pass.
+  /// RouteSubmit copies them into the nodes. Cleared each Route pass.
   std::deque<NodeRequest> scan_sub_scratch_;
   /// Sub-request id space: below refresh ids (1<<62), above client ids.
   uint64_t next_scan_sub_id_ = (1ull << 61);
@@ -1069,6 +1075,18 @@ class ClusterSim {
   };
   std::deque<PendingMigration> migration_queue_;
   MigrationStats migration_stats_;
+  /// Per-pool memo of the last empty rescheduling plan: the pool's
+  /// placement version (membership, partition tables) and each member
+  /// node's load version (replicas, roles, state, RU EWMA, engine
+  /// bytes) that BuildPoolModel read. While all of them still match, a
+  /// rebuilt model would be identical and plan nothing again.
+  struct PlanMemo {
+    bool idle = false;  ///< Last plan was empty; the versions are valid.
+    uint64_t placement_version = 0;
+    std::vector<uint64_t> node_versions;  ///< In PoolNodes() order.
+  };
+  std::vector<PlanMemo> plan_memo_;
+  uint64_t resched_plans_built_ = 0;
   // -- Latency subsystem state ----------------------------------------------
   latency::GrayFailureDetector gray_detector_;
   /// One settled response awaiting ordered delivery in the timed Settle
@@ -1131,11 +1149,11 @@ class ClusterSim {
   /// keep reporting (a zero report is what un-clamps them). Sorted,
   /// rebuilt at each report.
   std::vector<TenantId> clamped_tenants_;
-  /// Tenants with possibly non-quiescent replication streams. Rebuilt
-  /// from the full tenant map whenever the routing epoch moves (any
-  /// placement mutation), extended by every DataNode response and by
-  /// the preload/resync/split hooks; the Replicate walk erases a tenant
-  /// once all its partitions are quiescent.
+  /// Tenants with possibly non-quiescent replication streams. Extended
+  /// by the tenants whose placement moved the routing epoch (the whole
+  /// tenant map after a node-level event), by every DataNode response,
+  /// and by the preload/resync/split hooks; the Replicate walk erases a
+  /// tenant once all its partitions are quiescent.
   std::set<TenantId> repl_active_;
   uint64_t repl_seen_epoch_ = ~0ull;
   /// Tenants with a non-disabled autoscale mode (the control loop's

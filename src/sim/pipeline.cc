@@ -602,8 +602,9 @@ void RouteStage::Run(TickContext& ctx) {
   // Parallel pass: submission — partition-quota admission and WFQ
   // enqueue — touches only the destination node's state. Each node sees
   // its requests in the same order as a serial walk of ctx.forwards.
-  // Requests move into the node (their ctx.forwards slots are never
-  // read again this tick), so key/value strings transfer, not copy.
+  // DataNode::Submit copy-assigns each request's fields into a recycled
+  // slab slot (reusing the slot's string capacity); the forward keeps
+  // its own buffers for reuse next tick.
   sim.executor_->MorselFor(
       "RouteSubmit", batches.size(), 1,
       [&sim, &batches](size_t begin, size_t end, int) {
@@ -611,7 +612,7 @@ void RouteStage::Run(TickContext& ctx) {
           node::DataNode* n = sim.nodes_[i].get();
           assert(static_cast<size_t>(n->id()) == i);
           for (NodeRequest* req : batches[i]) {
-            n->Submit(std::move(*req));
+            n->Submit(*req);
           }
         }
       });
@@ -659,9 +660,10 @@ bool ReplicateStage::ShipTenantStreams(ClusterSim& sim, TenantId tid,
         reps.empty() ? nullptr : sim.FindNode(reps[0]);
     if (pn == nullptr || !pn->CanServe() || !pn->IsPrimaryFor(tid, p)) {
       // Primary dark: the stream head is frozen. Quiescent for the
-      // active-set walk too — any path out of darkness (promotion,
-      // failback, recovery) bumps the routing epoch, which rebuilds the
-      // walk's work list.
+      // active-set walk too — every path out of darkness re-activates
+      // the tenant: promotion and failback are node-level epoch bumps
+      // (the whole registry re-enters), and recovery's resync hook
+      // re-enters every tenant the node hosts.
       continue;
     }
     storage::LsmEngine* src = pn->EngineFor(tid, p);
@@ -802,18 +804,30 @@ void ReplicateStage::Run(TickContext& ctx) {
       ShipTenantStreams(sim, tid, lag);
     }
   } else {
-    // Active-set walk. The work list is conservative: rebuilt from the
-    // full tenant map whenever the routing epoch moved (any placement
-    // mutation — failover, recovery, migration, split cutover), and
-    // extended by every tenant with a data-plane response this tick
-    // (NodeSchedule already ran, so a write that advanced a primary's
-    // applied seq has its response in ctx.responses here). Tenants
+    // Active-set walk. The work list is conservative: whenever the
+    // routing epoch moved it gains every tenant whose placement changed
+    // (creation, migration, split, re-replication) — or the full tenant
+    // map after a node-level event (failure, promotion, failback), whose
+    // tenant set the MetaServer does not record — and it gains every
+    // tenant with a data-plane response this tick (NodeSchedule already
+    // ran, so a write that advanced a primary's applied seq has its
+    // response in ctx.responses here). A proven-quiescent tenant whose
+    // placement did not change would revisit as a state no-op. Tenants
     // drain from the list once every stream proves quiescent.
     if (sim.repl_seen_epoch_ != sim.meta_->routing_epoch()) {
       sim.repl_seen_epoch_ = sim.meta_->routing_epoch();
-      for (const auto& [tid, rt] : sim.tenants_) {
-        (void)rt;
-        sim.repl_active_.insert(tid);
+      std::vector<TenantId> changed;
+      if (sim.meta_->TakePlacementChanges(&changed)) {
+        for (TenantId tid : changed) {
+          if (sim.tenant_index_.Find(tid) != nullptr) {
+            sim.repl_active_.insert(tid);
+          }
+        }
+      } else {
+        for (const auto& [tid, rt] : sim.tenants_) {
+          (void)rt;
+          sim.repl_active_.insert(tid);
+        }
       }
     }
     for (const auto& node_responses : ctx.responses) {

@@ -307,8 +307,8 @@ class ReplicateStage final : public Stage {
   /// (acked-seq history, shipping floor, per-node shipment batches, log
   /// truncation). Returns true when every stream is quiescent — a
   /// revisit with unchanged inputs would be a state no-op — so the
-  /// active-set walk can drop the tenant until a response, a routing-
-  /// epoch move, or a preload/resync/split hook re-activates it.
+  /// active-set walk can drop the tenant until a response, a placement
+  /// change, or a preload/resync/split hook re-activates it.
   bool ShipTenantStreams(ClusterSim& sim, TenantId tid, int lag);
 
   ClusterSim* sim_;

@@ -20,6 +20,7 @@ LsmEngine::LsmEngine(LsmOptions options, const Clock* clock)
 // ---------------------------------------------------------------------------
 
 void LsmEngine::WriteEntry(const std::string& key, ValueEntry entry) {
+  NoteMutation();
   entry.seq = next_seq_++;
   if (options_.enable_wal || options_.enable_repl_log) {
     // One materialized copy feeds both logs (and, via the Replicate
@@ -510,6 +511,7 @@ void LsmEngine::MaybeFlush() {
 }
 
 void LsmEngine::Flush() {
+  NoteMutation();
   if (mem_.empty()) {
     MaybeCompact();
     return;
@@ -543,6 +545,7 @@ bool LsmEngine::MaybeCompact() {
 }
 
 void LsmEngine::CompactLevel(size_t level) {
+  NoteMutation();
   const bool is_bottom = level + 1 >= levels_.size();
   const size_t target = is_bottom ? level : level + 1;
 
@@ -612,6 +615,7 @@ Status LsmEngine::ApplyReplicated(const ReplRecordPtr& rec) {
     return Status::InvalidArgument("replication stream gap");
   }
   next_seq_ = rec->entry.seq + 1;
+  NoteMutation();
   // The shipped record is the primary's materialized copy; retaining it
   // in this replica's logs is two refcount bumps. Only the memtable —
   // the mutable store — takes its own copy.
@@ -628,6 +632,7 @@ Status LsmEngine::ApplyReplicated(const ReplRecord& rec) {
 }
 
 void LsmEngine::ResyncFrom(const LsmEngine& src) {
+  NoteMutation();
   mem_ = src.mem_;
   wal_ = src.wal_;
   repl_log_ = src.repl_log_;
@@ -645,6 +650,7 @@ void LsmEngine::ResyncFrom(const LsmEngine& src) {
 // ---------------------------------------------------------------------------
 
 void LsmEngine::CrashAndRecover() {
+  NoteMutation();
   mem_ = MemTable();
   if (!options_.enable_wal) return;
   // Replay preserves original sequence numbers so ordering against

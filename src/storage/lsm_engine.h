@@ -291,6 +291,13 @@ class LsmEngine {
     repl_log_.TruncateThrough(seq);
   }
 
+  /// Points the engine at a counter it increments on every change to
+  /// its data (writes, ingests, replicated applies, resync, crash
+  /// recovery, flush, compaction) — whatever ApproximateDataBytes reads.
+  /// The hosting DataNode passes its load version, so control-plane
+  /// memos see direct engine writes too. nullptr (the default) = none.
+  void SetMutationCounter(uint64_t* counter) { mutation_counter_ = counter; }
+
   // -- Introspection --------------------------------------------------------
 
   const LsmStats& stats() const { return stats_; }
@@ -312,6 +319,9 @@ class LsmEngine {
   const ValueEntry* FindEntry(std::string_view key, ReadIo* io);
 
   void WriteEntry(const std::string& key, ValueEntry entry);
+  void NoteMutation() {
+    if (mutation_counter_ != nullptr) ++*mutation_counter_;
+  }
   void MaybeFlush();
   void CompactLevel(size_t level);
 
@@ -330,6 +340,7 @@ class LsmEngine {
   uint64_t next_seq_ = 1;
   uint64_t next_sst_id_ = 1;
   LsmStats stats_;
+  uint64_t* mutation_counter_ = nullptr;  ///< See SetMutationCounter().
   /// MultiFind scratch (kept across calls to avoid re-allocation).
   std::vector<uint32_t> mfind_pending_;
   /// Per-key interned (view, hash) handles for the pending misses —

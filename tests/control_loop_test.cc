@@ -535,5 +535,83 @@ TEST(ControlLoopTest, BackgroundReschedulingThrottlesMigrationCopies) {
   EXPECT_GT(ok, 0u);
 }
 
+// ------------------------------------------------- Rescheduling plan memo --
+
+TEST(ControlLoopTest, ReschedulingPlanMemoRebuildsOnlyOnChangedInputs) {
+  sim::SimOptions opt;
+  opt.seed = 23;
+  opt.resched_interval_ticks = 1;  // A planning round every tick.
+  sim::ClusterSim sim(opt);
+  const PoolId pool = sim.AddPool(5);
+  for (TenantId t = 1; t <= 4; t++) {
+    meta::TenantConfig c = ControlTenant(t, 400, /*partitions=*/2);
+    c.replicas = 2;
+    ASSERT_TRUE(sim.AddTenant(c, pool).ok());
+  }
+
+  // An idle pool is planned once, then skipped round after round.
+  sim.RunTicks(4);
+  ASSERT_EQ(sim.PendingMigrationCount(), 0u);
+  EXPECT_EQ(sim.ReschedulingPlansBuilt(), 1u);
+
+  // Ticks until a round skips again (the memo re-armed); returns the
+  // plan count at that point.
+  auto settle = [&sim]() {
+    for (int i = 0; i < 20; i++) {
+      const uint64_t before = sim.ReschedulingPlansBuilt();
+      sim.Tick();
+      if (sim.ReschedulingPlansBuilt() == before) return before;
+    }
+    ADD_FAILURE() << "memo never re-armed";
+    return sim.ReschedulingPlansBuilt();
+  };
+  // Each changed input must force a rebuild on the very next round.
+  auto expect_rebuild = [&sim, &settle](const char* input, auto mutate) {
+    const uint64_t before = settle();
+    mutate();
+    sim.Tick();
+    EXPECT_GT(sim.ReschedulingPlansBuilt(), before) << input;
+  };
+
+  expect_rebuild("direct engine write", [&]() {
+    node::DataNode* n = sim.FindNode(sim.meta().PrimaryFor(1, 0));
+    ASSERT_TRUE(n->EngineFor(1, 0)->Put("k", "v").ok());
+  });
+  expect_rebuild("migration", [&]() {
+    const auto& reps = sim.meta().GetTenant(2)->partitions[0].replicas;
+    NodeId to = kInvalidNode;
+    for (const auto& n : sim.nodes()) {
+      if (!n->HasReplica(2, 0)) to = n->id();
+    }
+    resched::Migration m;
+    m.tenant = 2;
+    m.partition = 0;
+    m.from = reps[1];
+    m.to = to;
+    auto outcomes = sim.ApplyMigrations({m});
+    ASSERT_TRUE(outcomes[0].status.ok()) << outcomes[0].status.ToString();
+  });
+  expect_rebuild("split stage",
+                 [&]() { ASSERT_TRUE(sim.meta().PrepareSplit(3).ok()); });
+  expect_rebuild("split commit",
+                 [&]() { ASSERT_TRUE(sim.meta().CommitSplit(3).ok()); });
+  const NodeId victim = sim.meta().PrimaryFor(4, 1);
+  expect_rebuild("node failure", [&]() { sim.FailNode(victim); });
+  expect_rebuild("node recovery", [&]() { sim.RecoverNode(victim, 1); });
+  expect_rebuild("EWMA fold", [&]() {
+    ClientRequest req;
+    req.req_id = 99;
+    req.tenant = 4;
+    req.op = OpType::kGet;
+    req.key = "absent";
+    sim.InjectRequest(req);
+  });
+  // The served read's RU rate keeps decaying (nonzero) for many ticks:
+  // every round re-plans although no engine or placement changed.
+  const uint64_t before = sim.ReschedulingPlansBuilt();
+  sim.Tick();
+  EXPECT_EQ(sim.ReschedulingPlansBuilt(), before + 1);
+}
+
 }  // namespace
 }  // namespace abase

@@ -257,6 +257,78 @@ uint64_t RunMidRunSplitDigest(int workers) {
   return digest.value();
 }
 
+// ------------------------------------------- Scenario: background resched --
+
+/// Background rescheduling over two pools. The active pool holds one
+/// single-replica tenant under heavy zipf skew (a real RU imbalance, so
+/// migrations fire). The parked pool holds idle tenants that nothing
+/// touches until a direct engine write lands mid-run in the last one,
+/// whose tiny quota placed all its partitions on one node: a storage
+/// imbalance only that write creates, so parked-pool migrations fire
+/// only if the planner sees it. A parked node then fails and recovers.
+/// The digest covers the migration ledger and the final placement of
+/// every tenant.
+uint64_t RunReschedDigest(int workers) {
+  sim::SimOptions opt;
+  opt.seed = 777;
+  opt.data_plane_workers = workers;
+  opt.dense_tick = ForceDenseTick();
+  opt.resched_interval_ticks = 4;
+  opt.migration_bytes_per_tick = 64 << 10;
+  opt.node.ru_capacity = 500;
+  opt.node.storage_capacity = 4ull << 20;
+  sim::ClusterSim sim(opt);
+  const PoolId active = sim.AddPool(6);
+  const PoolId parked = sim.AddPool(6);
+
+  meta::TenantConfig hot = GoldenTenant(1, 20000, /*partitions=*/16);
+  hot.replicas = 1;
+  EXPECT_TRUE(sim.AddTenant(hot, active).ok());
+  sim.PreloadKeys(1, 600, 512);
+  sim::WorkloadProfile profile;
+  profile.base_qps = 600;
+  profile.read_ratio = 0.3;
+  profile.num_keys = 600;
+  profile.value_bytes = 512;
+  profile.zipf_theta = 0.99;
+  sim.SetWorkload(1, profile);
+
+  constexpr TenantId kLastTenant = 42;
+  for (TenantId t = 2; t < kLastTenant; t++) {
+    meta::TenantConfig c = GoldenTenant(t, 400, /*partitions=*/2);
+    c.replicas = 2;
+    EXPECT_TRUE(sim.AddTenant(c, parked).ok());
+  }
+  meta::TenantConfig tiny = GoldenTenant(kLastTenant, 8, /*partitions=*/8);
+  tiny.replicas = 1;
+  EXPECT_TRUE(sim.AddTenant(tiny, parked).ok());
+
+  const NodeId parked_victim = sim.meta().PrimaryFor(9, 1);
+  for (size_t tick = 0; tick < 60; tick++) {
+    if (tick == 18) sim.PreloadKeys(kLastTenant, 1500, 1024);
+    if (tick == 33) sim.FailNode(parked_victim);
+    if (tick == 41) sim.RecoverNode(parked_victim, 2);
+    sim.Tick();
+  }
+
+  Digest digest;
+  FoldHistory(digest, sim.History(1));
+  FoldHistory(digest, sim.History(kLastTenant));
+  const auto& stats = sim.migration_stats();
+  digest.U64(stats.planned);
+  digest.U64(stats.applied);
+  digest.U64(stats.skipped);
+  for (TenantId t = 1; t <= kLastTenant; t++) {
+    for (const meta::PartitionPlacement& p :
+         sim.meta().GetTenant(t)->partitions) {
+      digest.U64(p.replicas.size());
+      for (NodeId n : p.replicas) digest.U64(n);
+    }
+  }
+  for (const auto& n : sim.nodes()) digest.U64(n->StoredBytes());
+  return digest.value();
+}
+
 // ------------------------------------- Scenario: gray failure (timed path) --
 
 /// Extended fold for the timed Settle path: the 16 seed fields plus the
@@ -533,6 +605,9 @@ constexpr uint64_t kGoldenMidRunSplit = 0x50735ee6c2fe2b3cull;
 // Recorded when the sub-tick latency subsystem landed (timed Settle
 // path, extended fold): the seed pipeline never ran this scenario.
 constexpr uint64_t kGoldenGrayFailure = 0xdc64bf5c63d5da41ull;
+// Recorded before the rescheduling plan memo landed: every pool was
+// re-planned from a fresh model each round.
+constexpr uint64_t kGoldenResched = 0x980f166593a288c3ull;
 
 bool Recording() { return std::getenv("GOLDEN_RECORD") != nullptr; }
 
@@ -562,6 +637,10 @@ TEST(GoldenDigestTest, MidRunSplitMatchesSeedPipeline) {
 
 TEST(GoldenDigestTest, GrayFailureTimedSettleIsWorkerCountInvariant) {
   CheckScenario("gray_failure", &RunGrayFailureDigest, kGoldenGrayFailure);
+}
+
+TEST(GoldenDigestTest, BackgroundReschedulingMatchesUnmemoizedPlanner) {
+  CheckScenario("resched", &RunReschedDigest, kGoldenResched);
 }
 
 }  // namespace

@@ -468,6 +468,50 @@ TEST_F(MetaTest, RemoveNodeWithReplicasRefused) {
   EXPECT_FALSE(meta_.RemoveNodeFromPool(pool_, busy).ok());
 }
 
+TEST_F(MetaTest, PlacementChangesAreScopedToTheTenantsThatMoved) {
+  std::vector<TenantId> changed;
+  for (TenantId t = 1; t <= 3; t++) {
+    ASSERT_TRUE(meta_.CreateTenant(Config(t, 2, 2), pool_).ok());
+  }
+  EXPECT_TRUE(meta_.TakePlacementChanges(&changed));
+  EXPECT_EQ(changed, (std::vector<TenantId>{1, 2, 3}));
+
+  // A drained log stays empty until the next placement change.
+  changed.clear();
+  const uint64_t version = meta_.PoolPlacementVersion(pool_);
+  EXPECT_TRUE(meta_.TakePlacementChanges(&changed));
+  EXPECT_TRUE(changed.empty());
+
+  // Staging a split moves the pool version but not routing.
+  const uint64_t epoch = meta_.routing_epoch();
+  ASSERT_TRUE(meta_.PrepareSplit(2).ok());
+  EXPECT_EQ(meta_.routing_epoch(), epoch);
+  EXPECT_GT(meta_.PoolPlacementVersion(pool_), version);
+  EXPECT_TRUE(meta_.TakePlacementChanges(&changed));
+  EXPECT_TRUE(changed.empty());
+
+  // Tenant-scoped bumps log exactly the tenant that moved.
+  ASSERT_TRUE(meta_.CommitSplit(2).ok());
+  NodeId to = kInvalidNode;
+  for (auto& n : nodes_) {
+    if (!n->HasReplica(3, 0)) to = n->id();
+  }
+  ASSERT_TRUE(meta_.MigrateReplica(
+                       3, 0, meta_.GetTenant(3)->partitions[0].replicas[1], to)
+                  .ok());
+  EXPECT_TRUE(meta_.TakePlacementChanges(&changed));
+  EXPECT_EQ(changed, (std::vector<TenantId>{2, 3}));
+
+  // A node-level event does not record its tenant set.
+  changed.clear();
+  const NodeId victim = meta_.PrimaryFor(1, 0);
+  nodes_[victim]->Fail();
+  ASSERT_GT(meta_.PromoteFailover(victim).value().primaries_promoted, 0u);
+  EXPECT_FALSE(meta_.TakePlacementChanges(&changed));
+  EXPECT_TRUE(changed.empty());
+  EXPECT_TRUE(meta_.TakePlacementChanges(&changed));
+}
+
 }  // namespace
 }  // namespace meta
 }  // namespace abase

@@ -2,7 +2,11 @@
 // integration, cache behaviour, rejection cost, and replica management.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "common/clock.h"
+#include "common/rng.h"
 #include "node/data_node.h"
 
 namespace abase {
@@ -214,6 +218,103 @@ TEST_F(DataNodeTest, ReplicaRuEwmaUpdates) {
   auto replicas = node_.Replicas();
   ASSERT_EQ(replicas.size(), 1u);
   EXPECT_GT(replicas[0]->ru_rate, 0.0);
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// The from-scratch ordered left fold TotalPartitionQuota must equal.
+double FreshOrderedTotal(const DataNode& node) {
+  double total = 0;
+  for (const PartitionReplica* rep : node.Replicas()) {
+    total += rep->partition_quota_ru;
+  }
+  return total;
+}
+
+TEST(DataNodeQuotaTotalTest, MatchesFreshOrderedRecomputeBitForBit) {
+  SimClock clock(0);
+  DataNode node(7, SmallNodeOptions(), &clock);
+  Rng rng(20250607);
+  // Quotas spanning many magnitudes make float addition visibly
+  // non-associative: any reordered or incremental -= would drift.
+  auto quota = [&rng]() {
+    const double scales[] = {1e-3, 0.1, 1.0, 333.3, 1e6, 1e12};
+    return scales[rng.NextUint64(6)] * (1.0 + rng.NextDouble());
+  };
+  std::vector<std::pair<TenantId, PartitionId>> hosted;
+  TenantId next_tenant = 1;
+  for (int step = 0; step < 4000; step++) {
+    const uint64_t op = rng.NextUint64(10);
+    if (op < 4 || hosted.empty()) {
+      // Ascending: past every hosted key (the append path).
+      node.AddReplica(next_tenant, 0, quota(), true);
+      hosted.emplace_back(next_tenant, 0);
+      next_tenant += 1 + static_cast<TenantId>(rng.NextUint64(3));
+    } else if (op < 6) {
+      // Out of order: a key below the current maximum.
+      const auto [t, p] = hosted[rng.NextUint64(hosted.size())];
+      const PartitionId part = p + 1 + static_cast<PartitionId>(
+                                           rng.NextUint64(4));
+      if (!node.HasReplica(t, part)) hosted.emplace_back(t, part);
+      node.AddReplica(t, part, quota(), false);
+    } else if (op < 7) {
+      // Re-added key: replaces the hosted replica's quota.
+      const auto [t, p] = hosted[rng.NextUint64(hosted.size())];
+      node.AddReplica(t, p, quota(), true);
+    } else if (op < 9) {
+      const size_t i = rng.NextUint64(hosted.size());
+      EXPECT_TRUE(node.RemoveReplica(hosted[i].first, hosted[i].second));
+      hosted.erase(hosted.begin() + static_cast<long>(i));
+    } else {
+      const auto [t, p] = hosted[rng.NextUint64(hosted.size())];
+      node.SetPartitionQuota(t, p, quota());
+    }
+    ASSERT_EQ(node.replica_count(), hosted.size()) << "step " << step;
+    ASSERT_EQ(Bits(node.TotalPartitionQuota()),
+              Bits(FreshOrderedTotal(node)))
+        << "step " << step;
+  }
+}
+
+TEST_F(DataNodeTest, LoadVersionTracksRescheduleModelInputs) {
+  uint64_t v = node_.load_version();
+  auto moved = [&]() {
+    const bool changed = node_.load_version() != v;
+    v = node_.load_version();
+    return changed;
+  };
+  // Reads and empty ticks change nothing the model reads.
+  ASSERT_TRUE(node_.EngineFor(1, 0)->Get("k").status().IsNotFound());
+  node_.Tick();
+  EXPECT_FALSE(moved());
+  // Direct engine writes bypass the node, and still count.
+  ASSERT_TRUE(node_.EngineFor(1, 0)->Put("k", "v").ok());
+  EXPECT_TRUE(moved());
+  node_.EngineFor(1, 0)->Flush();
+  EXPECT_TRUE(moved());
+  node_.AddReplica(2, 0, 100, false);
+  EXPECT_TRUE(moved());
+  node_.SetReplicaPrimary(2, 0, true);
+  EXPECT_TRUE(moved());
+  // A served request folds a nonzero RU rate.
+  node_.Submit(MakeGet(1, 1, 0, "k"));
+  TickAndDrain();
+  EXPECT_TRUE(moved());
+  node_.Fail();
+  EXPECT_TRUE(moved());
+  node_.StartRecovery();
+  EXPECT_TRUE(moved());
+  node_.CompleteRecovery();
+  EXPECT_TRUE(moved());
+  EXPECT_TRUE(node_.RemoveReplica(2, 0));
+  EXPECT_TRUE(moved());
+  // Quota changes are not a model input.
+  node_.SetPartitionQuota(1, 0, 1234);
+  EXPECT_FALSE(moved());
 }
 
 }  // namespace
