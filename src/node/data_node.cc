@@ -264,12 +264,8 @@ bool DataNode::ApplyReplicated(TenantId tenant, PartitionId partition,
   // The replica serves reads from its engine; drop any node-cached value
   // the shipped write supersedes (same write-invalidation the primary
   // performs synchronously in ExecuteOnEngine).
-  NodeRequest key_probe;
-  key_probe.tenant = tenant;
-  key_probe.partition = partition;
-  key_probe.key = rec->key;
   cache_.EraseHashed(Fnv1a64Continue(rep->cache_prefix_hash, rec->key),
-                     CacheKeyFor(key_probe));
+                     CacheKeyFor(tenant, partition, rec->key));
   return true;
 }
 
@@ -291,18 +287,24 @@ bool DataNode::ResyncReplica(TenantId tenant, PartitionId partition,
 // Request path
 // ---------------------------------------------------------------------------
 
-const std::string& DataNode::CacheKeyFor(const NodeRequest& req) const {
+const std::string& DataNode::CacheKeyFor(TenantId tenant,
+                                        PartitionId partition,
+                                        std::string_view client_key) const {
   std::string& key = cache_key_;
   key.clear();
   char buf[24];
-  auto tenant_end = std::to_chars(buf, buf + sizeof(buf), req.tenant).ptr;
+  auto tenant_end = std::to_chars(buf, buf + sizeof(buf), tenant).ptr;
   key.append(buf, tenant_end);
   key += '|';
-  auto part_end = std::to_chars(buf, buf + sizeof(buf), req.partition).ptr;
+  auto part_end = std::to_chars(buf, buf + sizeof(buf), partition).ptr;
   key.append(buf, part_end);
   key += '|';
-  key += req.key;
+  key += client_key;
   return key;
+}
+
+const std::string& DataNode::CacheKeyFor(const NodeRequest& req) const {
+  return CacheKeyFor(req.tenant, req.partition, req.key);
 }
 
 namespace {

@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -335,6 +336,10 @@ class DataNode {
   /// is valid until the next CacheKeyFor call; node request paths run
   /// single-threaded per node, so one scratch suffices.
   const std::string& CacheKeyFor(const NodeRequest& req) const;
+  /// Same key from its parts (the replicated-apply invalidation has no
+  /// request to hand).
+  const std::string& CacheKeyFor(TenantId tenant, PartitionId partition,
+                                 std::string_view client_key) const;
 
   /// Hot-path replica lookup through the flat side index.
   PartitionReplica* FindReplica(TenantId tenant, PartitionId partition) {

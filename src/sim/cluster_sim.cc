@@ -475,10 +475,9 @@ void ClusterSim::ResolveStrandedOnNode(NodeId node) {
       // merged scan settles (with this leg's error) under the base id
       // once every other leg lands. No per-leg proxy refund: the quota
       // estimate is held against the base request alone.
-      auto pit = scan_part_index_.find(req_id);
-      if (pit != scan_part_index_.end()) {
-        ScanPartRef ref = pit->second;
-        scan_part_index_.erase(pit);
+      if (const ScanPartRef* slot = scan_part_index_.Find(req_id)) {
+        ScanPartRef ref = *slot;
+        scan_part_index_.Erase(req_id);
         FailScanPart(ref, Status::Unavailable("node failed"));
       }
       continue;
@@ -646,10 +645,9 @@ void ClusterSim::DeliverResponse(const NodeResponse& resp,
   // here under the base id once the last leg lands. The empty-map guard
   // keeps the non-scan hot path at one branch.
   if (!scan_part_index_.empty()) {
-    auto pit = scan_part_index_.find(resp.req_id);
-    if (pit != scan_part_index_.end()) {
-      ScanPartRef ref = pit->second;
-      scan_part_index_.erase(pit);
+    if (const ScanPartRef* slot = scan_part_index_.Find(resp.req_id)) {
+      ScanPartRef ref = *slot;
+      scan_part_index_.Erase(resp.req_id);
       AbsorbScanPart(ref, resp, timing);
       return;
     }
@@ -830,8 +828,8 @@ void ClusterSim::RouteScanFanout(
     leg_ctx.scan_part = true;
     leg_ctx.node = n->id();
     inflight_[sub.req_id] = leg_ctx;
-    scan_part_index_[sub.req_id] =
-        ScanPartRef{base_id, static_cast<uint32_t>(p)};
+    scan_part_index_.Insert(sub.req_id,
+                            ScanPartRef{base_id, static_cast<uint32_t>(p)});
     assert(static_cast<size_t>(n->id()) < batches.size());
     batches[static_cast<size_t>(n->id())].push_back(&sub);
   }

@@ -977,9 +977,11 @@ class ClusterSim {
   /// iteration is never needed, but cheap insurance costs nothing at
   /// scan volumes).
   std::map<uint64_t, ScanFanout> scan_fanouts_;
-  /// Leg req_id -> accumulator slot. Lookup/erase only — never iterated,
-  /// so the unordered map cannot perturb determinism.
-  std::unordered_map<uint64_t, ScanPartRef> scan_part_index_;
+  /// Leg req_id -> accumulator slot (open-addressed: DeliverResponse
+  /// probes it on every response while a scan is in flight). Lookup/
+  /// erase only — never iterated, so table order cannot perturb
+  /// determinism.
+  FlatMap64<ScanPartRef> scan_part_index_;
   /// Backing storage for this tick's scan sub-requests: node batches
   /// hold pointers into it, so addresses must be stable (deque) until
   /// RouteSubmit copies them into the nodes. Cleared each Route pass.

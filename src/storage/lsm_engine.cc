@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
 
 #include "common/hash.h"
 #include "common/keyspace.h"
@@ -22,15 +23,12 @@ LsmEngine::LsmEngine(LsmOptions options, const Clock* clock)
 void LsmEngine::WriteEntry(const std::string& key, ValueEntry entry) {
   NoteMutation();
   entry.seq = next_seq_++;
-  if (options_.enable_wal || options_.enable_repl_log) {
-    // One materialized copy feeds both logs (and, via the Replicate
-    // shipping path, every replica's logs): the second log is a
-    // refcount bump, not another key/value copy.
-    ReplRecordPtr rec = MakeReplRecord(key, entry);
-    if (options_.enable_wal) wal_.Append(rec);
-    if (options_.enable_repl_log) repl_log_.Append(std::move(rec));
-  }
-  mem_.Put(key, std::move(entry));
+  // The version's one materialized copy: both logs, the memtable and —
+  // via the Replicate shipping path — every replica share it.
+  ReplRecordPtr rec = MakeReplRecord(key, std::move(entry));
+  if (options_.enable_wal) wal_.Append(rec);
+  if (options_.enable_repl_log) repl_log_.Append(rec);
+  mem_.Put(std::move(rec));
   stats_.puts++;
   MaybeFlush();
 }
@@ -282,7 +280,9 @@ ScanResult LsmEngine::ScanRange(std::string_view start, std::string_view end,
       const auto& rows = (*rit)->rows();
       auto it = std::lower_bound(
           rows.begin(), rows.end(), start,
-          [](const auto& r, std::string_view k) { return r.first < k; });
+          [](const ReplRecordPtr& r, std::string_view k) {
+            return r->key < k;
+          });
       if (it == rows.end()) continue;
       ScanCursor c;
       c.sst_it = rows.data() + (it - rows.begin());
@@ -292,13 +292,12 @@ ScanResult LsmEngine::ScanRange(std::string_view start, std::string_view end,
     }
   }
 
-  auto key_of = [&](uint32_t i) -> const std::string& {
+  auto record_of = [&](uint32_t i) -> const ReplRecord& {
     const ScanCursor& c = scan_cursors_[i];
-    return c.mem_it != nullptr ? (*c.mem_it)->first : c.sst_it->first;
+    return c.mem_it != nullptr ? *(*c.mem_it)->second : **c.sst_it;
   };
-  auto entry_of = [&](uint32_t i) -> const ValueEntry& {
-    const ScanCursor& c = scan_cursors_[i];
-    return c.mem_it != nullptr ? (*c.mem_it)->second : c.sst_it->second;
+  auto key_of = [&](uint32_t i) -> const std::string& {
+    return record_of(i).key;
   };
   // Min-heap on (key, age): std::push/pop_heap keep the *greatest*
   // element at the front, so the comparator orders by "later key, or
@@ -317,7 +316,8 @@ ScanResult LsmEngine::ScanRange(std::string_view start, std::string_view end,
       ++c.mem_it;
       return c.mem_it != c.mem_end;
     }
-    c.sst_bytes += c.sst_it->first.size() + c.sst_it->second.PayloadBytes();
+    const ReplRecord& rec = **c.sst_it;
+    c.sst_bytes += rec.key.size() + rec.entry.PayloadBytes();
     ++c.sst_it;
     return c.sst_it != c.sst_end;
   };
@@ -334,9 +334,14 @@ ScanResult LsmEngine::ScanRange(std::string_view start, std::string_view end,
       break;
     }
     if (res.entries >= limit) {
-      // Limit reached with this key unexamined: resume point.
+      // Limit reached: resume at the first key not yet decided. An older
+      // duplicate of the last decided key resumes just past that key
+      // (key + '\0' is its immediate successor); resuming at the key
+      // itself would emit it a second time. The duplicates stay
+      // unconsumed, so the block charge is the same either way.
       res.done = false;
       res.next_key = key;
+      if (last_key != nullptr && key == *last_key) res.next_key += '\0';
       break;
     }
     if (last_key != nullptr && key == *last_key) {
@@ -348,7 +353,7 @@ ScanResult LsmEngine::ScanRange(std::string_view start, std::string_view end,
       }
       continue;
     }
-    const ValueEntry& entry = entry_of(i);
+    const ValueEntry& entry = record_of(i).entry;
     const bool visible = !entry.IsTombstone() && !entry.IsExpiredAt(now);
     if (visible) {
       ScanEntry& se = out.Append();
@@ -369,8 +374,8 @@ ScanResult LsmEngine::ScanRange(std::string_view start, std::string_view end,
     } else if (entry.IsExpiredAt(now)) {
       stats_.expired_dropped++;
     }
-    // Row storage (memtable nodes, SSTable rows) is stable across cursor
-    // advances, so the key reference survives into the next iteration's
+    // Records are immutable and held by their source for the whole
+    // scan, so the key reference survives into the next iteration's
     // duplicate check.
     last_key = &key;
     if (advance(i)) {
@@ -429,32 +434,33 @@ LsmEngine::HashRangeExport LsmEngine::ExportHashRange(
   // key across capped sources — below which the merged view is
   // complete. Keys beyond the horizon wait for the next batch.
   const uint64_t cap = max_bytes * 2 + (64ull << 10);
-  std::map<std::string, const ValueEntry*> merged;
+  // Keys view the shared records, which outlive this const call.
+  std::map<std::string_view, const ValueEntry*> merged;
   bool bounded = false;
-  std::string horizon;
-  // `deref` unifies the two row shapes: sstable runs iterate pair
-  // values, the memtable's sorted view iterates pair pointers.
-  auto collect = [&](auto it, auto end_it, auto deref) {
+  std::string_view horizon;
+  // `rec_of` unifies the two cursor shapes: the memtable's ordered view
+  // iterates row pointers, sstable runs iterate record handles.
+  auto collect = [&](auto it, auto end_it, auto rec_of) {
     uint64_t taken = 0;
-    std::string last;
+    std::string_view last;
     bool capped = false;
     for (; it != end_it; ++it) {
-      const auto& row = deref(it);
+      const ReplRecord& rec = rec_of(it);
       if (taken > cap) {
         capped = true;
         break;
       }
-      merged.emplace(row.first, &row.second);
-      taken += row.first.size() + row.second.PayloadBytes();
-      last = row.first;
+      merged.emplace(rec.key, &rec.entry);
+      taken += rec.key.size() + rec.entry.PayloadBytes();
+      last = rec.key;
     }
     if (capped) {
       bounded = true;
       if (horizon.empty() || last < horizon) horizon = last;
     }
   };
-  auto deref_ptr = [](auto it) -> const MemTable::Row& { return **it; };
-  auto deref_row = [](auto it) -> const auto& { return *it; };
+  auto mem_rec = [](auto it) -> const ReplRecord& { return *(*it)->second; };
+  auto run_rec = [](auto it) -> const ReplRecord& { return **it; };
   const auto& mem_rows = mem_.Sorted();
   collect(start_after.empty()
               ? mem_rows.begin()
@@ -464,15 +470,16 @@ LsmEngine::HashRangeExport LsmEngine::ExportHashRange(
                                     const MemTable::Row* r) {
                                    return k < r->first;
                                  }),
-          mem_rows.end(), deref_ptr);
+          mem_rows.end(), mem_rec);
   for (const auto& level : levels_) {
     for (auto rit = level.rbegin(); rit != level.rend(); ++rit) {
       const auto& rows = (*rit)->rows();
       collect(std::upper_bound(rows.begin(), rows.end(), start_after,
-                               [](std::string_view k, const auto& r) {
-                                 return k < r.first;
+                               [](std::string_view k,
+                                  const ReplRecordPtr& r) {
+                                 return k < r->key;
                                }),
-              rows.end(), deref_row);
+              rows.end(), run_rec);
     }
   }
 
@@ -487,7 +494,7 @@ LsmEngine::HashRangeExport LsmEngine::ExportHashRange(
     out.next_cursor = key;  // Examined (matching or not): never revisit.
     if (Fnv1a64(key) % modulus != residue) continue;
     if (entry->IsTombstone() || entry->IsExpiredAt(now)) continue;
-    out.entries.emplace_back(key, *entry);
+    out.entries.emplace_back(std::string(key), *entry);
     out.bytes += key.size() + entry->PayloadBytes();
   }
   if (bounded && !budget_hit) {
@@ -516,18 +523,16 @@ void LsmEngine::Flush() {
     MaybeCompact();
     return;
   }
-  std::vector<std::pair<std::string, ValueEntry>> rows;
-  rows.reserve(mem_.entry_count());
+  // The run takes over the memtable's record handles: no row is copied.
+  std::vector<ReplRecordPtr> rows = mem_.TakeSorted();
   uint64_t max_seq = 0;
-  for (const MemTable::Row* row : mem_.Sorted()) {
-    rows.emplace_back(row->first, row->second);
-    max_seq = std::max(max_seq, row->second.seq);
+  for (const ReplRecordPtr& rec : rows) {
+    max_seq = std::max(max_seq, rec->entry.seq);
   }
   auto sst = std::make_shared<SsTable>(next_sst_id_++, std::move(rows));
   stats_.flush_count++;
   stats_.flushed_bytes += sst->data_bytes();
   levels_[0].push_back(std::move(sst));
-  mem_ = MemTable();
   if (options_.enable_wal) wal_.TruncateThrough(max_seq);
   while (MaybeCompact()) {
   }
@@ -583,26 +588,61 @@ void LsmEngine::CompactLevel(size_t level) {
   stats_.compaction_read_bytes += read_bytes;
 }
 
-std::vector<std::pair<std::string, ValueEntry>> LsmEngine::MergeRuns(
+std::vector<ReplRecordPtr> LsmEngine::MergeRuns(
     const std::vector<SsTablePtr>& runs_newest_first, bool drop_deletes) {
-  // K-way merge by key; on ties the newest run (lowest input index) wins.
-  std::map<std::string, ValueEntry> merged;
+  // Streaming k-way merge: a min-heap of run cursors on (key, input
+  // index), so each key's newest version (lowest index — the ScanRange
+  // rule) pops first and its older duplicates are skipped.
+  struct Cursor {
+    const ReplRecordPtr* it;
+    const ReplRecordPtr* end;
+  };
+  std::vector<Cursor> cursors;
+  cursors.reserve(runs_newest_first.size());
+  size_t upper = 0;
   for (const auto& run : runs_newest_first) {
-    for (const auto& [key, entry] : run->rows()) {
-      merged.emplace(key, entry);  // No overwrite: first (newest) wins.
+    const auto& rows = run->rows();
+    upper += rows.size();
+    if (!rows.empty()) {
+      cursors.push_back({rows.data(), rows.data() + rows.size()});
     }
   }
-  std::vector<std::pair<std::string, ValueEntry>> rows;
-  rows.reserve(merged.size());
+  // std heap keeps the greatest element at the front, so "less" here
+  // means "later key, or equal key from an older run".
+  auto heap_less = [&](uint32_t a, uint32_t b) {
+    int cmp = (*cursors[a].it)->key.compare((*cursors[b].it)->key);
+    return cmp != 0 ? cmp > 0 : a > b;
+  };
+  std::vector<uint32_t> heap(cursors.size());
+  for (uint32_t i = 0; i < heap.size(); i++) heap[i] = i;
+  std::make_heap(heap.begin(), heap.end(), heap_less);
+
+  std::vector<ReplRecordPtr> rows;
+  rows.reserve(upper);
   const Micros now = clock_->NowMicros();
-  for (auto& [key, entry] : merged) {
-    if (drop_deletes &&
-        (entry.IsTombstone() || entry.IsExpiredAt(now))) {
-      stats_.expired_dropped += entry.IsExpiredAt(now) ? 1 : 0;
-      continue;
+  const std::string* last_key = nullptr;
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), heap_less);
+    Cursor& c = cursors[heap.back()];
+    const ReplRecordPtr& rec = *c.it;
+    if (last_key == nullptr || rec->key != *last_key) {
+      last_key = &rec->key;  // The input runs hold it for the merge.
+      const ValueEntry& entry = rec->entry;
+      if (drop_deletes && (entry.IsTombstone() || entry.IsExpiredAt(now))) {
+        stats_.expired_dropped += entry.IsExpiredAt(now) ? 1 : 0;
+      } else {
+        rows.push_back(rec);
+      }
     }
-    rows.emplace_back(key, std::move(entry));
+    if (++c.it != c.end) {
+      std::push_heap(heap.begin(), heap.end(), heap_less);
+    } else {
+      heap.pop_back();
+    }
   }
+  // Shadowed and dropped versions leave slack; a run lives for many
+  // compactions, so it should not keep it.
+  rows.shrink_to_fit();
   return rows;
 }
 
@@ -616,19 +656,18 @@ Status LsmEngine::ApplyReplicated(const ReplRecordPtr& rec) {
   }
   next_seq_ = rec->entry.seq + 1;
   NoteMutation();
-  // The shipped record is the primary's materialized copy; retaining it
-  // in this replica's logs is two refcount bumps. Only the memtable —
-  // the mutable store — takes its own copy.
+  // The shipped record is the primary's materialized copy; this
+  // replica's logs and memtable retain it as-is (refcount bumps).
   if (options_.enable_wal) wal_.Append(rec);
   if (options_.enable_repl_log) repl_log_.Append(rec);
-  mem_.Put(rec->key, rec->entry);
+  mem_.Put(rec);
   stats_.repl_applied++;
   MaybeFlush();
   return Status::OK();
 }
 
 Status LsmEngine::ApplyReplicated(const ReplRecord& rec) {
-  return ApplyReplicated(std::make_shared<const ReplRecord>(rec));
+  return ApplyReplicated(MakeReplRecord(rec.key, rec.entry));
 }
 
 void LsmEngine::ResyncFrom(const LsmEngine& src) {
@@ -651,11 +690,11 @@ void LsmEngine::ResyncFrom(const LsmEngine& src) {
 
 void LsmEngine::CrashAndRecover() {
   NoteMutation();
-  mem_ = MemTable();
+  mem_.clear();
   if (!options_.enable_wal) return;
   // Replay preserves original sequence numbers so ordering against
-  // flushed runs stays correct.
-  wal_.ForEach([this](const ReplRecord& rec) { mem_.Put(rec.key, rec.entry); });
+  // flushed runs stays correct; the memtable re-shares the WAL's records.
+  wal_.ForEach([this](const ReplRecordPtr& rec) { mem_.Put(rec); });
 }
 
 uint64_t LsmEngine::ApproximateDataBytes() const {

@@ -3,10 +3,21 @@
 // WAL → memtable → size-tiered levels of bloom-filtered SSTables, with TTL
 // expiry at read time and at compaction. Every data-block probe is counted
 // so the scheduling layer can charge realistic disk I/O.
+//
+// One materialized copy per write version: WriteEntry builds a single
+// immutable ReplRecord, and the WAL, the replication log, the memtable,
+// every replica's logs and memtable (ApplyReplicated), and every SSTable
+// run that flush or compaction produces share it by pointer. The
+// simulated byte accounting still charges each holder in full (each
+// replica models its own storage); only host memory is shared.
+//
+// Pointer lifetime: a `const ValueEntry*` the engine hands out (MultiFind,
+// FindEntry-backed reads) is valid until the next mutation of the same
+// engine — a write, replicated apply, ingest, flush, compaction, resync
+// or crash recovery may release the record it points into.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -162,7 +173,9 @@ class LsmEngine {
   /// amortized: one memtable pass, then per run a single sweep over the
   /// still-unresolved keys in ascending key order with a resumable
   /// binary-search hint, so a batch shares each run's bloom/index work.
-  /// Returned pointers are valid until the next mutation of this engine.
+  /// Returned pointers are valid until the next mutation of this engine;
+  /// they point into the shared records, so a primary and a replica that
+  /// applied the same write return the same address.
   void MultiFind(const std::string_view* keys, size_t n,
                  const ValueEntry** entries_out, ReadIo* ios_out);
 
@@ -268,8 +281,9 @@ class LsmEngine {
   /// otherwise InvalidArgument (the shipper must fall back to a snapshot
   /// resync). Writes through the WAL and this engine's own replication
   /// log, so a replica survives crashes and can itself be promoted.
-  /// Retaining the shared record in both logs costs refcount bumps, not
-  /// copies; only the memtable copy is materialized here.
+  /// The memtable and both logs retain the primary's record as-is —
+  /// refcount bumps, no key/value copy — and so do the runs a later
+  /// flush or compaction builds from it.
   Status ApplyReplicated(const ReplRecordPtr& rec);
 
   /// Convenience for callers holding a loose record (tests, mostly):
@@ -327,7 +341,10 @@ class LsmEngine {
 
   /// Merges runs (newest first) into one sorted row set, dropping shadowed
   /// versions, and — when `drop_deletes` — tombstones and expired entries.
-  std::vector<std::pair<std::string, ValueEntry>> MergeRuns(
+  /// A streaming k-way merge over the runs' cursors that emits the
+  /// surviving input records themselves: a compaction bumps refcounts
+  /// instead of copying keys and values.
+  std::vector<ReplRecordPtr> MergeRuns(
       const std::vector<SsTablePtr>& runs_newest_first, bool drop_deletes);
 
   LsmOptions options_;
@@ -347,15 +364,16 @@ class LsmEngine {
   /// hashed once per batch, reused by every run's bloom probe.
   std::vector<KeyRef> mfind_krefs_;
 
-  /// One merge source of a ScanRange call: the memtable's sorted view
-  /// (pointer rows) or one SSTable run (value rows). `age` orders
+  /// One merge source of a ScanRange call: the memtable's ordered view
+  /// (pointers to its rows) or one SSTable run (record handles). Either
+  /// way the cursor reads the shared records in place. `age` orders
   /// sources newest-first on equal keys (0 = memtable, then level order,
   /// within a level later runs first).
   struct ScanCursor {
     const MemTable::Row* const* mem_it = nullptr;
     const MemTable::Row* const* mem_end = nullptr;
-    const std::pair<std::string, ValueEntry>* sst_it = nullptr;
-    const std::pair<std::string, ValueEntry>* sst_end = nullptr;
+    const ReplRecordPtr* sst_it = nullptr;
+    const ReplRecordPtr* sst_end = nullptr;
     uint32_t age = 0;
     uint64_t sst_bytes = 0;  ///< Payload bytes consumed from this run.
   };

@@ -23,27 +23,31 @@
 namespace abase {
 namespace storage {
 
-/// One shipped mutation: the full key/value version as the primary
-/// applied it. `entry.seq` is the record's position in the stream.
+/// One write version: the key and full value as the primary applied
+/// it. `entry.seq` is the record's position in the stream. Built once
+/// (MakeReplRecord) and shared, never copied, by every log, memtable and
+/// SSTable run that holds this version.
 struct ReplRecord {
   std::string key;
   ValueEntry entry;
 };
 
-/// Records are immutable once appended, so the WAL, the primary's
-/// replication log, and every replica's logs all share ONE materialized
-/// copy: appending an already-materialized record to another log is a
-/// refcount bump, not a key/value copy. This is the write path's main
-/// allocation saver — a replicated write used to copy (key, entry) into
-/// six containers across the placement; now it is materialized once on
-/// the primary and once per replica memtable.
+/// Records are immutable, so one materialized copy per write version
+/// serves every holder across the placement: the primary's WAL,
+/// replication log and memtable, every replica's logs and memtable, and
+/// every SSTable run on every node that flushes or compacts it. Handing
+/// a record to another holder is a refcount bump, never a key/value
+/// copy; the record dies when its last holder (typically a compaction
+/// that drops the shadowed version) releases it. Nodes running on
+/// different workers share records through atomic refcounts only —
+/// nothing ever writes through a record after MakeReplRecord.
 using ReplRecordPtr = std::shared_ptr<const ReplRecord>;
 
-/// Builds the single shared copy of a mutation (the one allocation the
-/// log fan-out performs).
-inline ReplRecordPtr MakeReplRecord(const std::string& key,
-                                    const ValueEntry& entry) {
-  return std::make_shared<const ReplRecord>(ReplRecord{key, entry});
+/// Builds the single shared copy of a write version (the one allocation
+/// the write path performs for it).
+inline ReplRecordPtr MakeReplRecord(std::string key, ValueEntry entry) {
+  return std::make_shared<const ReplRecord>(
+      ReplRecord{std::move(key), std::move(entry)});
 }
 
 /// Append-only, contiguously-sequenced mutation log with prefix
@@ -59,9 +63,8 @@ class ReplicationLog {
   }
 
   /// Convenience for callers (tests, mostly) holding a loose key/entry.
-  void Append(std::string key, const ValueEntry& entry) {
-    Append(std::make_shared<const ReplRecord>(
-        ReplRecord{std::move(key), entry}));
+  void Append(std::string key, ValueEntry entry) {
+    Append(MakeReplRecord(std::move(key), std::move(entry)));
   }
 
   /// First retained sequence (first_seq() > 1 after truncation).

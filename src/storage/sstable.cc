@@ -5,16 +5,15 @@
 namespace abase {
 namespace storage {
 
-SsTable::SsTable(uint64_t id,
-                 std::vector<std::pair<std::string, ValueEntry>> rows)
+SsTable::SsTable(uint64_t id, std::vector<ReplRecordPtr> rows)
     : id_(id), rows_(std::move(rows)), bloom_(rows_.size()) {
-  for (const auto& [key, entry] : rows_) {
-    bloom_.Add(key);
-    data_bytes_ += key.size() + entry.PayloadBytes();
+  for (const ReplRecordPtr& rec : rows_) {
+    bloom_.Add(rec->key);
+    data_bytes_ += rec->key.size() + rec->entry.PayloadBytes();
   }
   if (!rows_.empty()) {
-    min_key_ = rows_.front().first;
-    max_key_ = rows_.back().first;
+    min_key_ = rows_.front()->key;
+    max_key_ = rows_.back()->key;
   }
 }
 
@@ -39,10 +38,12 @@ SstProbe SsTable::Get(const KeyRef& kref, size_t* hint) const {
   // binary search would.
   auto it = std::lower_bound(
       rows_.begin() + static_cast<ptrdiff_t>(*hint), rows_.end(), key,
-      [](const auto& row, std::string_view k) { return row.first < k; });
+      [](const ReplRecordPtr& row, std::string_view k) {
+        return row->key < k;
+      });
   *hint = static_cast<size_t>(it - rows_.begin());
-  if (it != rows_.end() && it->first == key) {
-    probe.entry = &it->second;
+  if (it != rows_.end() && (*it)->key == key) {
+    probe.entry = &(*it)->entry;
   }
   return probe;
 }

@@ -1,7 +1,10 @@
 // Immutable sorted run with a bloom filter and block-granular I/O
 // accounting. Data lives in memory (the simulator's "disk"), but every
 // probe that reaches the run's data blocks counts as one disk read so the
-// I/O-WFQ and DiskModel see realistic load.
+// I/O-WFQ and DiskModel see realistic load. Rows are the shared write
+// records (replication_log.h): a flush or compaction moves record
+// handles into the run instead of copying keys and values, while
+// data_bytes() still charges every row to this run as its own storage.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +16,7 @@
 
 #include "common/key_ref.h"
 #include "storage/bloom.h"
+#include "storage/replication_log.h"
 #include "storage/value.h"
 
 namespace abase {
@@ -28,8 +32,9 @@ struct SstProbe {
 /// compaction merge.
 class SsTable {
  public:
-  /// Builds from sorted (key, entry) pairs. `id` is unique per engine.
-  SsTable(uint64_t id, std::vector<std::pair<std::string, ValueEntry>> rows);
+  /// Builds from records sorted by key, one per key. `id` is unique per
+  /// engine.
+  SsTable(uint64_t id, std::vector<ReplRecordPtr> rows);
 
   /// Point lookup. Bloom-negative probes cost no block reads; positive
   /// probes cost one block read (the sparse index is assumed resident).
@@ -51,24 +56,24 @@ class SsTable {
   uint64_t id() const { return id_; }
   size_t entry_count() const { return rows_.size(); }
   uint64_t data_bytes() const { return data_bytes_; }
-  const std::string& min_key() const { return min_key_; }
-  const std::string& max_key() const { return max_key_; }
+  /// Key bounds; views into the first and last rows (empty for an
+  /// empty run).
+  std::string_view min_key() const { return min_key_; }
+  std::string_view max_key() const { return max_key_; }
 
   /// True if `key` falls in [min_key, max_key] (cheap pre-filter).
   bool KeyInRange(std::string_view key) const {
     return !rows_.empty() && key >= min_key_ && key <= max_key_;
   }
 
-  const std::vector<std::pair<std::string, ValueEntry>>& rows() const {
-    return rows_;
-  }
+  const std::vector<ReplRecordPtr>& rows() const { return rows_; }
 
  private:
   uint64_t id_;
-  std::vector<std::pair<std::string, ValueEntry>> rows_;
+  std::vector<ReplRecordPtr> rows_;
   BloomFilter bloom_;
   uint64_t data_bytes_ = 0;
-  std::string min_key_, max_key_;
+  std::string_view min_key_, max_key_;  ///< Into rows_' records.
 };
 
 using SsTablePtr = std::shared_ptr<const SsTable>;

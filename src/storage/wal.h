@@ -25,9 +25,9 @@ namespace storage {
 /// and flush-time truncation retires whole chunks in O(1).
 ///
 /// Records are the shared immutable ReplRecord copies (see
-/// replication_log.h): when the replication log retains the same write,
-/// the two logs hold one materialized record between them, and a
-/// replica's WAL append of a shipped record is a refcount bump.
+/// replication_log.h): the WAL holds the same record as the memtable and
+/// the replication log, and a replica's WAL append of a shipped record
+/// is a refcount bump.
 class WriteAheadLog {
  public:
   /// Shares an already-materialized record: no key/value copy.
@@ -39,12 +39,6 @@ class WriteAheadLog {
     }
     chunks_.back().push_back(std::move(rec));
     count_++;
-  }
-
-  /// Convenience for callers holding a loose key/entry.
-  void Append(std::string key, const ValueEntry& entry) {
-    Append(std::make_shared<const ReplRecord>(
-        ReplRecord{std::move(key), entry}));
   }
 
   /// Drops all records up to and including sequence `seq` (called after
@@ -77,11 +71,12 @@ class WriteAheadLog {
     if (count_ == 0) chunks_.clear();
   }
 
-  /// Visits every live record in append order.
+  /// Visits every live record in append order; `fn` receives the
+  /// shared handle so a recovering memtable can retain the record.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     for (const auto& chunk : chunks_) {
-      for (const ReplRecordPtr& rec : chunk) fn(*rec);
+      for (const ReplRecordPtr& rec : chunk) fn(rec);
     }
   }
 
