@@ -16,11 +16,11 @@
 // GOLDEN_RECORD=1 in the environment; the test prints the new digests
 // instead of asserting, and the constants below should be updated.
 //
-// ABASE_GOLDEN_DENSE=1 forces every fixed-golden scenario onto the
-// legacy dense tick (they default to the sparse active-set walk): the
-// recorded digests must reproduce under BOTH tick modes, which keeps
-// the dense oracle honest against the fused admit/route pass and the
-// active-set walks. CI runs the suite a second time this way.
+// The active-set and scan-workload constants were recorded on the
+// simulator's former dense tick walk, which visited every registered
+// tenant each tick. The active-set walk, which visits only tenants with
+// live work, must reproduce them bit for bit: these constants are the
+// oracle for every sparse walk.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -103,17 +103,10 @@ meta::TenantConfig GoldenTenant(TenantId id, double quota,
 /// 64 closed-loop async clients at pipeline depth 16 (the
 /// pipeline_test fleet scenario); digest covers every reply plus the
 /// tenant's metric history.
-/// See the file comment: CI sets ABASE_GOLDEN_DENSE=1 to assert the
-/// same goldens under legacy dense ticking.
-bool ForceDenseTick() {
-  return std::getenv("ABASE_GOLDEN_DENSE") != nullptr;
-}
-
 uint64_t RunAsyncClientDigest(int workers) {
   ClusterOptions copts;
   copts.sim.seed = 2025;
   copts.sim.data_plane_workers = workers;
-  copts.sim.dense_tick = ForceDenseTick();
   Cluster cluster(copts);
   PoolId pool = cluster.CreatePool(8);
   meta::TenantConfig cfg = GoldenTenant(1, /*quota=*/500000);
@@ -186,7 +179,6 @@ uint64_t RunFailoverDigest(int workers) {
   sim::SimOptions opt;
   opt.seed = 4321;
   opt.data_plane_workers = workers;
-  opt.dense_tick = ForceDenseTick();
   sim::ClusterSim sim(opt);
   PoolId pool = sim.AddPool(16);
 
@@ -231,7 +223,6 @@ uint64_t RunMidRunSplitDigest(int workers) {
   sim::SimOptions opt;
   opt.seed = 4242;
   opt.data_plane_workers = workers;
-  opt.dense_tick = ForceDenseTick();
   opt.split_bytes_per_tick = 8 << 10;
   sim::ClusterSim sim(opt);
   PoolId pool = sim.AddPool(8);
@@ -272,7 +263,6 @@ uint64_t RunReschedDigest(int workers) {
   sim::SimOptions opt;
   opt.seed = 777;
   opt.data_plane_workers = workers;
-  opt.dense_tick = ForceDenseTick();
   opt.resched_interval_ticks = 4;
   opt.migration_bytes_per_tick = 64 << 10;
   opt.node.ru_capacity = 500;
@@ -357,7 +347,6 @@ uint64_t RunGrayFailureDigest(int workers) {
   sim::SimOptions opt;
   opt.seed = 777;
   opt.data_plane_workers = workers;
-  opt.dense_tick = ForceDenseTick();
   opt.node.service_time.enabled = true;
   opt.node.service_time.dist = latency::DistKind::kLognormal;
   opt.node.service_time.mean_micros = 150;
@@ -403,9 +392,9 @@ uint64_t RunGrayFailureDigest(int workers) {
   return digest.value();
 }
 
-// ------------------------------- Scenario: active-set vs dense ticking --
+// ------------------------------------------- Scenario: active-set walks --
 
-/// Stresses every active-set walk against its dense twin: parked
+/// Stresses every active-set walk: parked
 /// generators on zero rate-schedule cells (wheel wake-ups), flat-idle
 /// tenants, mid-run workload mutation (unpark hook), a failover (epoch-
 /// triggered replication rebuild), the control loop with sparse usage
@@ -413,13 +402,11 @@ uint64_t RunGrayFailureDigest(int workers) {
 /// timed Settle path (hedge-threshold set), and abandoned tracked
 /// outcomes expiring through the wheel. The digest covers every tenant's
 /// full (backfilled) history, the usage/quota roll-ups, and the outcome
-/// table size — dense and sparse runs must agree bit for bit at every
-/// worker count.
-uint64_t RunActiveSetDigest(int workers, bool dense) {
+/// table size.
+uint64_t RunActiveSetDigest(int workers) {
   sim::SimOptions opt;
   opt.seed = 9091;
   opt.data_plane_workers = workers;
-  opt.dense_tick = dense;
   opt.meta_report_interval_ticks = 3;
   opt.outcome_ttl_ticks = 4;
   opt.control_interval_ticks = 5;
@@ -506,13 +493,11 @@ uint64_t RunActiveSetDigest(int workers, bool dense) {
 /// client submitting cross-partition ScanPrefix commands whose merged
 /// framed payloads are folded byte-for-byte into the digest. Pins the
 /// fan-out/merge path: leg routing, key-ordered dedup merge, RU
-/// settlement and the scan cache must be invisible to worker count and
-/// to active-set (sparse) ticking.
-uint64_t RunScanWorkloadDigest(int workers, bool dense) {
+/// settlement and the scan cache must be invisible to worker count.
+uint64_t RunScanWorkloadDigest(int workers) {
   ClusterOptions copts;
   copts.sim.seed = 6161;
   copts.sim.data_plane_workers = workers;
-  copts.sim.dense_tick = dense;
   copts.sim.split_bytes_per_tick = 8 << 10;
   copts.sim.split_invalidation = sim::ProxyInvalidationMode::kPrefixSubtree;
   Cluster cluster(copts);
@@ -574,26 +559,6 @@ uint64_t RunScanWorkloadDigest(int workers, bool dense) {
   return digest.value();
 }
 
-TEST(GoldenDigestTest, ScanWorkloadIsWorkerAndTickModeInvariant) {
-  const uint64_t reference = RunScanWorkloadDigest(1, /*dense=*/true);
-  for (int workers : {1, 2, 4}) {
-    EXPECT_EQ(RunScanWorkloadDigest(workers, /*dense=*/true), reference)
-        << "dense at " << workers << " workers";
-    EXPECT_EQ(RunScanWorkloadDigest(workers, /*dense=*/false), reference)
-        << "sparse at " << workers << " workers";
-  }
-}
-
-TEST(GoldenDigestTest, ActiveSetTickingMatchesDenseTicking) {
-  const uint64_t reference = RunActiveSetDigest(1, /*dense=*/true);
-  for (int workers : {1, 2, 4}) {
-    EXPECT_EQ(RunActiveSetDigest(workers, /*dense=*/true), reference)
-        << "dense at " << workers << " workers";
-    EXPECT_EQ(RunActiveSetDigest(workers, /*dense=*/false), reference)
-        << "sparse at " << workers << " workers";
-  }
-}
-
 // ------------------------------------------------------------- The goldens --
 
 // Recorded from the seed (request-at-a-time) pipeline at commit
@@ -608,6 +573,10 @@ constexpr uint64_t kGoldenGrayFailure = 0xdc64bf5c63d5da41ull;
 // Recorded before the rescheduling plan memo landed: every pool was
 // re-planned from a fresh model each round.
 constexpr uint64_t kGoldenResched = 0x980f166593a288c3ull;
+// Recorded on the dense tick walk (every tenant visited every tick)
+// before it was deleted; the active-set walk must reproduce them.
+constexpr uint64_t kGoldenActiveSet = 0x90c855d89e9286d3ull;
+constexpr uint64_t kGoldenScanWorkload = 0x0e83915a51e5135bull;
 
 bool Recording() { return std::getenv("GOLDEN_RECORD") != nullptr; }
 
@@ -641,6 +610,14 @@ TEST(GoldenDigestTest, GrayFailureTimedSettleIsWorkerCountInvariant) {
 
 TEST(GoldenDigestTest, BackgroundReschedulingMatchesUnmemoizedPlanner) {
   CheckScenario("resched", &RunReschedDigest, kGoldenResched);
+}
+
+TEST(GoldenDigestTest, ActiveSetTickingMatchesDenseRecording) {
+  CheckScenario("active_set", &RunActiveSetDigest, kGoldenActiveSet);
+}
+
+TEST(GoldenDigestTest, ScanWorkloadMatchesDenseRecording) {
+  CheckScenario("scan_workload", &RunScanWorkloadDigest, kGoldenScanWorkload);
 }
 
 }  // namespace
