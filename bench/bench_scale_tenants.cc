@@ -3,10 +3,9 @@
 // tenants. Two runs on the same 1000-node pool carry the identical live
 // workload (1000 trafficked tenants); the big run additionally registers
 // 999k parked tenants whose flat-zero schedules park their generators on
-// the event wheel after the first tick. Dense ticking pays
-// per-registered-tenant walk cost every tick (measured ~4 s/tick at 1M
-// registered on this container, vs ~0.3 s/tick sparse) and fails the 2x
-// exit-code gate; the sparse default holds it. A second gate bounds the
+// the event wheel after the first tick. An exit-code gate holds the big
+// run to at least half the small run's tick rate, which any tick walk
+// that visits every registered tenant fails. A second gate bounds the
 // 1M-tenant registration (setup_seconds): 191.5 s while every
 // AddReplica re-summed its node's hosted quotas, 39.0 s once the
 // ascending append became one `+=` (same 4-hardware-thread host).
@@ -16,7 +15,6 @@
 // it as an artifact for trend tracking).
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,14 +52,12 @@ meta::TenantConfig ScaleTenant(TenantId id) {
 }
 
 RunResult RunOnce(size_t num_nodes, size_t registered, size_t active,
-                  size_t warmup_ticks, size_t timed_ticks, size_t windows,
-                  bool dense_tick) {
+                  size_t warmup_ticks, size_t timed_ticks, size_t windows) {
   sim::SimOptions opt;
   opt.seed = 77;
   // Round-robin placement: hash-free striping keeps 1M single-replica
   // tenants uniform across the pool without a per-tenant RNG draw.
   opt.striped_placement = true;
-  opt.dense_tick = dense_tick;
   sim::ClusterSim sim(opt);
 
   auto setup_start = std::chrono::steady_clock::now();
@@ -130,17 +126,10 @@ int main() {
   using abase::bench::RunResult;
 
   const unsigned hw = std::thread::hardware_concurrency();
-  // ABASE_BENCH_DENSE=1 re-runs on the legacy dense per-tenant tick —
-  // the "before" column of the README scaling table. Dense mode is the
-  // baseline being measured against, so it skips the sparse-ticking
-  // gate (and its JSON should not be committed as the trend record).
-  const char* dense_env = std::getenv("ABASE_BENCH_DENSE");
-  const bool dense = dense_env != nullptr && dense_env[0] == '1';
   abase::bench::PrintHeader(
       "Tenant scaling: ticks/sec vs registered tenants at fixed active "
-      "work (" +
-      std::string(dense ? "DENSE legacy tick" : "sparse active-set tick") +
-      ", hardware threads: " + std::to_string(hw) + ")");
+      "work (hardware threads: " +
+      std::to_string(hw) + ")");
 
   constexpr size_t kNodes = 1000;
   constexpr size_t kActive = 1000;
@@ -157,8 +146,8 @@ int main() {
               "nodes", "ticks/sec", "reqs_ok", "gen_live", "setup_s");
   std::vector<RunResult> results;
   for (size_t registered : registered_counts) {
-    RunResult r = RunOnce(kNodes, registered, kActive, kWarmup, kTimed,
-                          kWindows, dense);
+    RunResult r =
+        RunOnce(kNodes, registered, kActive, kWarmup, kTimed, kWindows);
     std::printf("%12zu %8zu %8zu %12.2f %12llu %10zu %9.1fs\n", r.registered,
                 r.active, r.nodes, r.ticks_per_sec,
                 static_cast<unsigned long long>(r.requests_completed),
@@ -180,18 +169,16 @@ int main() {
   // lets consumers self-disable parallel expectations on small
   // containers; the sparse-ticking gate below is single-worker and
   // applies everywhere.
-  const std::string json_path = abase::bench::RepoRootPath(
-      dense ? "BENCH_scale_tenants_dense.json" : "BENCH_scale_tenants.json");
+  const std::string json_path =
+      abase::bench::RepoRootPath("BENCH_scale_tenants.json");
   FILE* f = std::fopen(json_path.c_str(), "w");
   if (f != nullptr) {
     std::fprintf(f,
-                 "{\"bench\":\"scale_tenants\",\"dense_tick\":%s,"
-                 "\"hardware_threads\":%u,"
+                 "{\"bench\":\"scale_tenants\",\"hardware_threads\":%u,"
                  "\"warmup_ticks\":%zu,\"timed_ticks\":%zu,"
                  "\"windows\":%zu,\"big_vs_small_tps_ratio\":%.3f,"
                  "\"results\":[",
-                 dense ? "true" : "false", hw, kWarmup, kTimed, kWindows,
-                 ratio);
+                 hw, kWarmup, kTimed, kWindows, ratio);
     for (size_t i = 0; i < results.size(); i++) {
       const RunResult& r = results[i];
       std::fprintf(
@@ -214,8 +201,8 @@ int main() {
   // — a parked tenant must contribute zero requests and an active one
   // must not be starved by its million idle neighbors. (2) The headline
   // sparse-ticking gate: registering 999k parked tenants may cost at
-  // most 2x in steady-state tick rate (the legacy dense tick measures
-  // 0.25x here and fails). (3) Registering 1M tenants stays within
+  // most 2x in steady-state tick rate (a walk over every registered
+  // tenant each tick fails it). (3) Registering 1M tenants stays within
   // kMaxBigSetupSeconds.
   int rc = 0;
   if (big.requests_completed != small.requests_completed) {
@@ -224,7 +211,7 @@ int main() {
                 static_cast<unsigned long long>(big.requests_completed));
     rc = 1;
   }
-  if (!dense && ratio < 0.5) {
+  if (ratio < 0.5) {
     std::printf(
         "FAIL: 1M-registered tick rate %.2f is %.2fx the 1k-run rate %.2f "
         "(gate: >= 0.5x)\n",

@@ -141,7 +141,7 @@ void ClusterSim::PreloadKeys(TenantId tenant, uint64_t num_keys,
                              uint64_t value_bytes, double value_sigma) {
   // Direct engine writes advance the primaries' streams outside the
   // response path: make sure the Replicate walk visits this tenant.
-  if (!options_.dense_tick) repl_active_.insert(tenant);
+  repl_active_.insert(tenant);
   Rng rng(977 * (static_cast<uint64_t>(tenant) + 1));
   for (uint64_t i = 0; i < num_keys; i++) {
     std::string key =
@@ -309,7 +309,7 @@ void ClusterSim::ResyncRecoveredNode(NodeId node) {
     // Resyncs mutate replica cursors without necessarily moving the
     // routing epoch (a pure-replica recovery has no failback): put the
     // affected tenants back on the Replicate walk's work list.
-    if (!options_.dense_tick) repl_active_.insert(rep->tenant);
+    repl_active_.insert(rep->tenant);
     const NodeId primary = meta_->PrimaryFor(rep->tenant, rep->partition);
     // Still this node's own partition (no survivor was promoted): its
     // WAL replay at StartRecovery already restored every acked write.
@@ -600,10 +600,12 @@ void ClusterSim::PublishOutcome(uint64_t req_id, ClientOutcome outcome) {
     return;
   }
   outcomes_[req_id] = TrackedOutcome{std::move(outcome), tick_count_};
-  if (!options_.dense_tick && options_.outcome_ttl_ticks > 0) {
-    // Sparse TTL: the expiry tick is known at park time, so the sweep
-    // pops exactly the due entries instead of scanning the table. The
-    // dense sweep fires when tick_count_ - recorded > ttl; the counter
+  if (options_.outcome_ttl_ticks > 0) {
+    // The expiry tick is known at park time, so the sweep pops exactly
+    // the due entries instead of scanning the table. An outcome expires
+    // once tick_count_ - recorded > ttl. Strict: outcomes are stamped
+    // before the tick counter increments in Settle, so `>=` would make
+    // ttl=1 sweep an outcome within the very tick it settled. The counter
     // increments before the sweep runs, so the first matching sweep is
     // at tick_count_ == recorded + ttl + 1.
     outcome_wheel_.ScheduleAt(
@@ -614,29 +616,14 @@ void ClusterSim::PublishOutcome(uint64_t req_id, ClientOutcome outcome) {
 
 void ClusterSim::SweepExpiredOutcomes() {
   if (options_.outcome_ttl_ticks <= 0) return;
-  if (!options_.dense_tick) {
-    outcome_wheel_.PopDue(tick_count_, [&](const OutcomeExpiry& e) {
-      auto it = outcomes_.find(e.req_id);
-      // Collected (TakeOutcome erased it) or re-recorded since: skip.
-      if (it != outcomes_.end() &&
-          it->second.recorded_tick == e.recorded_tick) {
-        outcomes_.erase(it);
-      }
-    });
-    return;
-  }
-  if (outcomes_.empty()) return;
-  const uint64_t ttl = static_cast<uint64_t>(options_.outcome_ttl_ticks);
-  for (auto it = outcomes_.begin(); it != outcomes_.end();) {
-    // Strict: outcomes are stamped before the tick counter increments in
-    // Settle, so `>=` would make ttl=1 sweep an outcome within the very
-    // tick it settled.
-    if (tick_count_ - it->second.recorded_tick > ttl) {
-      it = outcomes_.erase(it);
-    } else {
-      ++it;
+  outcome_wheel_.PopDue(tick_count_, [&](const OutcomeExpiry& e) {
+    auto it = outcomes_.find(e.req_id);
+    // Collected (TakeOutcome erased it) or re-recorded since: skip.
+    if (it != outcomes_.end() &&
+        it->second.recorded_tick == e.recorded_tick) {
+      outcomes_.erase(it);
     }
-  }
+  });
 }
 
 void ClusterSim::DeliverResponse(const NodeResponse& resp,
@@ -990,7 +977,6 @@ void ClusterSim::BeginTick() {
   touch_epoch_++;
   prev_touched_.swap(touched_);
   touched_.clear();
-  if (options_.dense_tick) return;
   // Wake parked generators whose rate schedule reaches a boundary this
   // tick. Stale wake-ups (the tenant unparked and re-parked since) are
   // recognized by their park generation and dropped.
@@ -1041,37 +1027,23 @@ const std::vector<TenantId>& ClusterSim::SortedUnion(
 
 void ClusterSim::FinalizeTickMetrics() {
   const bool timed = options_.latency.enabled;
-  if (!options_.dense_tick) {
-    // Only touched tenants can differ from an all-zero row; everyone
-    // else's row materializes lazily as TenantTickMetrics{} on next
-    // access (exactly what the dense loop would have pushed: an
-    // untouched tick_latency_hist is empty, so the percentile fold is
-    // skipped there too).
-    for (TenantId tid : touched_) {
-      TenantRuntime** slot = tenant_index_.Find(tid);
-      if (slot == nullptr) continue;
-      TenantRuntime& rt = **slot;
-      if (timed && rt.tick_latency_hist.count() > 0) {
-        rt.current.latency_p50 = rt.tick_latency_hist.P50();
-        rt.current.latency_p95 = rt.tick_latency_hist.Percentile(95);
-        rt.current.latency_p99 = rt.tick_latency_hist.P99();
-        rt.tick_latency_hist.Reset();
-      }
-      // tick_count_ already incremented in Settle: the row being pushed
-      // is for tick (tick_count_ - 1).
-      BackfillHistoryTo(rt, tick_count_ - rt.created_at_tick - 1);
-      rt.history.push_back(rt.current);
-      rt.current = TenantTickMetrics{};
-    }
-    return;
-  }
-  for (auto& [tid, rt] : tenants_) {
+  // Only touched tenants can differ from an all-zero row; everyone
+  // else's row materializes lazily as TenantTickMetrics{} on next access
+  // (an untouched tick_latency_hist is empty, so it has no percentiles
+  // to fold either).
+  for (TenantId tid : touched_) {
+    TenantRuntime** slot = tenant_index_.Find(tid);
+    if (slot == nullptr) continue;
+    TenantRuntime& rt = **slot;
     if (timed && rt.tick_latency_hist.count() > 0) {
       rt.current.latency_p50 = rt.tick_latency_hist.P50();
       rt.current.latency_p95 = rt.tick_latency_hist.Percentile(95);
       rt.current.latency_p99 = rt.tick_latency_hist.P99();
       rt.tick_latency_hist.Reset();
     }
+    // tick_count_ already incremented in Settle: the row being pushed
+    // is for tick (tick_count_ - 1).
+    BackfillHistoryTo(rt, tick_count_ - rt.created_at_tick - 1);
     rt.history.push_back(rt.current);
     rt.current = TenantTickMetrics{};
   }
@@ -1083,7 +1055,7 @@ const std::vector<TenantTickMetrics>& ClusterSim::History(
   ClusterSim* self = const_cast<ClusterSim*>(this);
   auto it = self->tenants_.find(tenant);
   if (it == self->tenants_.end()) return kEmpty;
-  if (!options_.dense_tick) SyncHistory(it->second);
+  SyncHistory(it->second);
   return it->second.history;
 }
 
@@ -1182,7 +1154,7 @@ void ClusterSim::EnableAutoscale(TenantId tenant, AutoscaleMode mode,
     // Fold any outstanding idle gap before the tenant joins the
     // standing control work list (enabled tenants fold every tick and
     // never fall behind again).
-    if (!options_.dense_tick) SyncControlUsage(tenant, rt);
+    SyncControlUsage(tenant, rt);
     autoscale_enabled_.insert(tenant);
   }
   rt.autoscale_mode = mode;
@@ -1194,7 +1166,7 @@ void ClusterSim::SeedUsageHistory(TenantId tenant, const TimeSeries& usage) {
   auto it = tenants_.find(tenant);
   if (it == tenants_.end()) return;
   TenantRuntime& rt = it->second;
-  if (!options_.dense_tick) SyncControlUsage(tenant, rt);
+  SyncControlUsage(tenant, rt);
   rt.usage_history = usage;
   const meta::TenantMeta* tm = meta_->GetTenant(tenant);
   const double quota =
@@ -1206,7 +1178,7 @@ const TimeSeries* ClusterSim::UsageHistory(TenantId tenant) const {
   ClusterSim* self = const_cast<ClusterSim*>(this);
   auto it = self->tenants_.find(tenant);
   if (it == self->tenants_.end()) return nullptr;
-  if (!options_.dense_tick) self->SyncControlUsage(tenant, it->second);
+  self->SyncControlUsage(tenant, it->second);
   return &it->second.usage_history;
 }
 
@@ -1220,12 +1192,14 @@ void ClusterSim::SyncControlUsage(TenantId tenant, TenantRuntime& rt) {
   (void)tenant;
   if (options_.control_interval_ticks <= 0) return;
   if (rt.ctrl_synced_tick >= tick_count_) return;
-  // Untouched ticks have all-zero metrics rows: materialize them, then
-  // run the exact dense fold over the gap. A zero tick folds the EWMA as
-  // 0.7*ewma + 0.0 (bit-exact against the dense zero fold) and advances
-  // the hour counter; the hour-boundary quota sample reads the *current*
-  // quota — for a disabled idle tenant whose quota changed mid-gap this
-  // can differ from a dense run, an accepted (undigested) divergence.
+  // Folds every tick since the last sync, in tick order. Untouched ticks
+  // have all-zero metrics rows: materialize them, then fold each one —
+  // a zero tick folds the EWMA as 0.7*ewma + 0.0 and advances the hour
+  // counter, so a lazily folded gap equals folding it tick by tick. The
+  // exception is the hour-boundary quota sample: it reads the quota in
+  // force when the gap is folded, not when the hour ended, so a
+  // disabled idle tenant whose quota changed mid-gap records the new
+  // quota for the earlier hours too.
   SyncHistory(rt);
   const double tick_seconds = static_cast<double>(options_.tick) /
                               static_cast<double>(kMicrosPerSecond);
@@ -1233,49 +1207,6 @@ void ClusterSim::SyncControlUsage(TenantId tenant, TenantRuntime& rt) {
   for (uint64_t t = rt.ctrl_synced_tick; t < tick_count_; t++) {
     const double tick_ru =
         rt.history[static_cast<size_t>(t - rt.created_at_tick)].ru_charged;
-    rt.hour_ru_accum += tick_ru;
-    rt.hour_ticks++;
-    constexpr double kEwmaAlpha = 0.3;
-    rt.ru_rate_ewma = (1.0 - kEwmaAlpha) * rt.ru_rate_ewma +
-                      kEwmaAlpha * (tick_ru / tick_seconds);
-    if (rt.hour_ticks >= tph) {
-      const double hour_seconds = static_cast<double>(tph) * tick_seconds;
-      rt.usage_history.Append(rt.hour_ru_accum / hour_seconds);
-      const meta::TenantMeta* tm = meta_->GetTenant(rt.config.id);
-      rt.quota_history.Append(tm != nullptr ? tm->tenant_quota_ru
-                                            : rt.config.tenant_quota_ru);
-      rt.hour_ru_accum = 0;
-      rt.hour_ticks = 0;
-    }
-  }
-  rt.ctrl_synced_tick = tick_count_;
-}
-
-void ClusterSim::AccumulateControlUsage() {
-  if (!options_.dense_tick) {
-    // Standing work list (autoscale-enabled tenants fold every tick so
-    // their scaler inputs are always current) plus this tick's touched
-    // tenants (the only ones whose row is not all-zero). Everyone else
-    // catches up lazily — the gap folds as zeros, which is exact.
-    for (TenantId tid : autoscale_enabled_) {
-      if (TenantRuntime** slot = tenant_index_.Find(tid)) {
-        SyncControlUsage(tid, **slot);
-      }
-    }
-    for (TenantId tid : touched_) {
-      if (TenantRuntime** slot = tenant_index_.Find(tid)) {
-        SyncControlUsage(tid, **slot);
-      }
-    }
-    return;
-  }
-  const double tick_seconds = static_cast<double>(options_.tick) /
-                              static_cast<double>(kMicrosPerSecond);
-  const int tph = std::max(1, options_.control_ticks_per_hour);
-  for (auto& [tid, rt] : tenants_) {
-    (void)tid;
-    if (rt.history.empty()) continue;
-    const double tick_ru = rt.history.back().ru_charged;
     rt.hour_ru_accum += tick_ru;
     rt.hour_ticks++;
     // Reactive "current usage": a light EWMA over the settled RU rate so
@@ -1293,23 +1224,33 @@ void ClusterSim::AccumulateControlUsage() {
       rt.hour_ticks = 0;
     }
   }
+  rt.ctrl_synced_tick = tick_count_;
+}
+
+void ClusterSim::AccumulateControlUsage() {
+  // Standing work list (autoscale-enabled tenants fold every tick so
+  // their scaler inputs are always current) plus this tick's touched
+  // tenants (the only ones whose row is not all-zero). Everyone else
+  // catches up lazily — the gap folds as zeros, which is exact.
+  for (TenantId tid : autoscale_enabled_) {
+    if (TenantRuntime** slot = tenant_index_.Find(tid)) {
+      SyncControlUsage(tid, **slot);
+    }
+  }
+  for (TenantId tid : touched_) {
+    if (TenantRuntime** slot = tenant_index_.Find(tid)) {
+      SyncControlUsage(tid, **slot);
+    }
+  }
 }
 
 void ClusterSim::RunAutoscalers() {
-  if (!options_.dense_tick) {
-    // The enabled set iterates in ascending tenant id — the same order
-    // the dense tenant-map walk visits them in, which matters because
-    // scaling decisions mutate shared MetaServer placement state.
-    for (TenantId tid : autoscale_enabled_) {
-      TenantRuntime** slot = tenant_index_.Find(tid);
-      if (slot == nullptr) continue;
-      RunAutoscalerFor(tid, **slot);
-    }
-    return;
-  }
-  for (auto& [tid, rt] : tenants_) {
-    if (rt.autoscale_mode == AutoscaleMode::kDisabled) continue;
-    RunAutoscalerFor(tid, rt);
+  // The enabled set iterates in ascending tenant id, which matters
+  // because scaling decisions mutate shared MetaServer placement state.
+  for (TenantId tid : autoscale_enabled_) {
+    TenantRuntime** slot = tenant_index_.Find(tid);
+    if (slot == nullptr) continue;
+    RunAutoscalerFor(tid, **slot);
   }
 }
 
@@ -1402,7 +1343,7 @@ Status ClusterSim::StartPartitionSplit(TenantId tenant) {
   active_splits_.emplace(tenant, std::move(op));
   // The split holds the parents' replication logs at the window floor;
   // the Replicate walk must keep visiting this tenant to honor them.
-  if (!options_.dense_tick) repl_active_.insert(tenant);
+  repl_active_.insert(tenant);
   return Status::OK();
 }
 
@@ -1576,9 +1517,7 @@ void ClusterSim::AdvanceSplits() {
       }
       // Direct engine writes outside the response path: the tombstones
       // ship through the Replicate walk, which must visit the tenant.
-      if (!options_.dense_tick && !batch.entries.empty()) {
-        repl_active_.insert(tid);
-      }
+      if (!batch.entries.empty()) repl_active_.insert(tid);
       sp.purge_cursor = batch.next_cursor;
       sp.purge_done = batch.done;
       purge_done = purge_done && batch.done;

@@ -171,13 +171,6 @@ struct SimOptions {
   /// seed did (golden digests unchanged). Enable together with
   /// node.service_time for non-degenerate service times.
   latency::LatencyOptions latency;
-  /// Legacy dense ticking: every per-tenant pipeline loop walks the full
-  /// tenant map every tick, as the seed did. Off by default — the
-  /// active-set data plane (DESIGN.md "Active-set ticking") iterates
-  /// only tenants with work due, which is bit-identical but makes tick
-  /// cost proportional to active tenants instead of registered tenants.
-  /// The flag exists for A/B digests and perf comparison.
-  bool dense_tick = false;
   /// Proxy content-store treatment at online split cutovers (the scan
   /// cache benchmark's A/B switch). kNone by default.
   ProxyInvalidationMode split_invalidation = ProxyInvalidationMode::kNone;
@@ -352,7 +345,7 @@ struct TenantRuntime {
   // -- Active-set bookkeeping (DESIGN.md "Active-set ticking") ---------------
 
   /// tick_count_ at AddTenant: `history` logically starts here, so the
-  /// sparse invariant is history.size() == tick_count_ - created_at_tick
+  /// invariant is history.size() == tick_count_ - created_at_tick
   /// once lazily backfilled with all-zero entries for untouched ticks.
   uint64_t created_at_tick = 0;
   /// Generator parked: the workload's rate-schedule cell is exactly 0
@@ -596,8 +589,7 @@ class ClusterSim {
   const TenantRuntime* Tenant(TenantId tenant) const;
   TenantRuntime* MutableTenant(TenantId tenant);
 
-  // -- Active-set introspection (tests and benches; meaningless counts in
-  //    dense mode, where the walks ignore the sets) -------------------------
+  // -- Active-set introspection (tests and benches) ---------------------------
 
   /// Tenants whose generators are not parked (the Generate walk's size).
   size_t ActiveGeneratorCount() const { return gen_active_.size(); }
@@ -756,7 +748,7 @@ class ClusterSim {
   }
 
   /// Appends all-zero metrics rows for the tenant's untouched ticks
-  /// until history.size() == `target` (an untouched tick's dense row is
+  /// until history.size() == `target` (an untouched tick's row is
   /// exactly TenantTickMetrics{}).
   static void BackfillHistoryTo(TenantRuntime& rt, uint64_t target) {
     while (rt.history.size() < target) {
@@ -785,12 +777,12 @@ class ClusterSim {
 
   /// Folds the tenant's control-plane usage forward through
   /// tick_count_ (catch-up over untouched ticks reads the backfilled
-  /// all-zero rows, so the EWMA / hour roll-up match a dense fold).
+  /// all-zero rows, so the EWMA / hour roll-up match a tick-by-tick
+  /// fold; see the definition for the quota sample).
   void SyncControlUsage(TenantId tenant, TenantRuntime& rt);
 
   /// Builds visit_scratch_ as the ascending-id union of the given
-  /// ledgers (dense iteration order is ascending tenant id, so sparse
-  /// walks over the union preserve dense ordering).
+  /// ledgers (walks over the union visit tenants in ascending id).
   const std::vector<TenantId>& SortedUnion(
       const std::vector<TenantId>& a, const std::vector<TenantId>& b);
 
@@ -926,7 +918,7 @@ class ClusterSim {
   /// partition quota exceeds UP).
   void RunAutoscalers();
 
-  /// One tenant's scaler pass (shared by the dense and active-set walks).
+  /// One tenant's scaler pass.
   void RunAutoscalerFor(TenantId tid, TenantRuntime& rt);
 
   /// Current control-plane time for the tenant: completed hours (seeded
@@ -1121,8 +1113,8 @@ class ClusterSim {
   // -- Active-set state (all serial-section-only; see BeginTick) -------------
 
   /// Tenants whose generators are not parked: the Generate stage builds
-  /// its slots from this set alone. Ordered — ascending tenant id
-  /// matches dense iteration order.
+  /// its slots from this set alone. Ordered: slots fill in ascending
+  /// tenant id.
   std::set<TenantId> gen_active_;
   /// Wake-up wheel for parked generators (next rate-schedule boundary).
   struct GenWake {
@@ -1130,8 +1122,8 @@ class ClusterSim {
     uint64_t seq = 0;  ///< TenantRuntime::wake_seq at park time.
   };
   EventWheel<GenWake> gen_wheel_;
-  /// Expiry wheel for abandoned tracked outcomes (sparse replacement of
-  /// the full-table TTL scan).
+  /// Expiry wheel for abandoned tracked outcomes: the TTL sweep pops
+  /// due entries instead of scanning the outcome table.
   struct OutcomeExpiry {
     uint64_t req_id = 0;
     uint64_t recorded_tick = 0;  ///< Skip if the entry was re-recorded.

@@ -160,15 +160,11 @@ void ClusterSim::SettleWithTiming(TickContext& ctx) {
   }
   // Hedge-threshold refreeze. A hedger that never observed a sample has
   // an all-zero histogram (Decay is a fixpoint) and a threshold pinned
-  // at 0, so the active-set walk visits only tenants that ever fed one —
-  // once observed, a tenant decays forever (the set never shrinks).
-  if (options_.dense_tick) {
-    for (auto& [tid, rt] : tenants_) rt.hedger.EndTick();
-  } else {
-    for (TenantId tid : hedge_observed_) {
-      if (TenantRuntime** slot = tenant_index_.Find(tid)) {
-        (*slot)->hedger.EndTick();
-      }
+  // at 0, so only tenants that ever fed one are visited — once
+  // observed, a tenant decays forever (the set never shrinks).
+  for (TenantId tid : hedge_observed_) {
+    if (TenantRuntime** slot = tenant_index_.Find(tid)) {
+      (*slot)->hedger.EndTick();
     }
   }
 }
@@ -198,9 +194,9 @@ void ClusterSim::DegradeNode(NodeId node, double factor) {
 double ClusterSim::SloBurnRate(TenantId tenant, size_t window_ticks) const {
   const TenantRuntime* rt = Tenant(tenant);
   if (rt == nullptr) return 0;
-  // Sparse histories backfill lazily; materialize the untouched (all-
-  // zero) rows so the window indexes the same ticks a dense run would.
-  if (!options_.dense_tick) SyncHistory(const_cast<TenantRuntime&>(*rt));
+  // Histories backfill lazily; materialize the untouched ticks' all-zero
+  // rows so the window ends at the current tick.
+  SyncHistory(const_cast<TenantRuntime&>(*rt));
   if (rt->history.empty() || window_ticks == 0) return 0;
   const size_t begin =
       rt->history.size() > window_ticks ? rt->history.size() - window_ticks

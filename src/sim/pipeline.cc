@@ -165,63 +165,52 @@ void FaultStage::Run(TickContext&) {
 
 void GenerateStage::Run(TickContext& ctx) {
   ClusterSim& sim = *sim_;
-  // Reconcile the persistent traffic slots against the tenant set in id
-  // order (tenants_ is an ordered map): surviving slots keep their
-  // request buffers — and the strings inside them — so steady-state
-  // generation reuses capacity instead of reallocating per tick.
-  // Generators then fill the slots concurrently — each owns a private
-  // RNG stream.
+  // Reconcile the persistent traffic slots against the unparked
+  // generators in ascending tenant id (gen_active_ is ordered):
+  // surviving slots keep their request buffers — and the strings inside
+  // them — so steady-state generation reuses capacity instead of
+  // reallocating per tick. Generators then fill the slots concurrently
+  // — each owns a private RNG stream.
+  //
+  // A generator whose effective rate cell is exactly 0 emits nothing and
+  // consumes no RNG (NextPoisson(0) is draw-free), so parking it — until
+  // the next rate-schedule boundary via the wheel, or forever for a flat
+  // zero profile — is bit-identical to giving it an empty slot.
   runtimes_.clear();
   size_t slots = 0;
   const Micros now = sim.clock_.NowMicros();
-  if (sim.options_.dense_tick) {
-    for (auto& [tid, rt] : sim.tenants_) {
-      if (rt.workload == nullptr) continue;
-      if (slots == ctx.traffic.size()) ctx.traffic.emplace_back();
-      ctx.traffic[slots].tenant = tid;
-      runtimes_.push_back(&rt);
-      slots++;
+  parked_scratch_.clear();
+  for (TenantId tid : sim.gen_active_) {
+    TenantRuntime** slot = sim.tenant_index_.Find(tid);
+    if (slot == nullptr) {
+      parked_scratch_.push_back(tid);
+      continue;
     }
-  } else {
-    // Active-set slot build: only unparked generators get slots. A
-    // generator whose effective rate cell is exactly 0 emits nothing and
-    // consumes no RNG (NextPoisson(0) is draw-free), so parking it —
-    // until the next rate-schedule boundary via the wheel, or forever
-    // for a flat zero profile — is bit-identical to the dense walk.
-    // gen_active_ is ordered, so slots still fill in tenant-id order.
-    parked_scratch_.clear();
-    for (TenantId tid : sim.gen_active_) {
-      TenantRuntime** slot = sim.tenant_index_.Find(tid);
-      if (slot == nullptr) {
-        parked_scratch_.push_back(tid);
-        continue;
-      }
-      TenantRuntime& rt = **slot;
-      if (rt.workload == nullptr) {
-        parked_scratch_.push_back(tid);
-        continue;
-      }
-      const WorkloadProfile& prof = rt.workload->profile();
-      double cell = prof.base_qps;
-      if (!prof.rate_schedule.empty() && prof.rate_schedule_step > 0) {
-        const size_t idx = static_cast<size_t>(
-            (now / prof.rate_schedule_step) %
-            static_cast<Micros>(prof.rate_schedule.size()));
-        cell = prof.rate_schedule[idx];
-      }
-      if (cell == 0.0) {
-        sim.ParkGenerator(tid, rt, now);
-        parked_scratch_.push_back(tid);
-        continue;
-      }
-      sim.TouchTenant(tid, rt);
-      if (slots == ctx.traffic.size()) ctx.traffic.emplace_back();
-      ctx.traffic[slots].tenant = tid;
-      runtimes_.push_back(&rt);
-      slots++;
+    TenantRuntime& rt = **slot;
+    if (rt.workload == nullptr) {
+      parked_scratch_.push_back(tid);
+      continue;
     }
-    for (TenantId tid : parked_scratch_) sim.gen_active_.erase(tid);
+    const WorkloadProfile& prof = rt.workload->profile();
+    double cell = prof.base_qps;
+    if (!prof.rate_schedule.empty() && prof.rate_schedule_step > 0) {
+      const size_t idx = static_cast<size_t>(
+          (now / prof.rate_schedule_step) %
+          static_cast<Micros>(prof.rate_schedule.size()));
+      cell = prof.rate_schedule[idx];
+    }
+    if (cell == 0.0) {
+      sim.ParkGenerator(tid, rt, now);
+      parked_scratch_.push_back(tid);
+      continue;
+    }
+    sim.TouchTenant(tid, rt);
+    if (slots == ctx.traffic.size()) ctx.traffic.emplace_back();
+    ctx.traffic[slots].tenant = tid;
+    runtimes_.push_back(&rt);
+    slots++;
   }
+  for (TenantId tid : parked_scratch_) sim.gen_active_.erase(tid);
   ctx.traffic.resize(slots);
   const Micros tick_len = sim.options_.tick;
   auto& runtimes = runtimes_;
@@ -418,41 +407,24 @@ void ProxyAdmitStage::Run(TickContext& ctx) {
 
   // AU-LRU active-update refresh fetches (background traffic) enter the
   // data plane behind all client traffic. Serial: refresh ids come from
-  // the sim-wide allocator in a deterministic order. Active-set mode
-  // walks only tenants touched this tick (admission above queues
-  // fetches via Proxy::Handle) or last tick (response cache fills queue
-  // them in Settle, drained here one tick later) — an untouched
-  // tenant's proxies cannot hold a pending fetch. SortedUnion iterates
-  // in ascending tenant id, the dense order.
-  if (sim.options_.dense_tick) {
-    for (auto& [tid, rt] : sim.tenants_) {
-      for (size_t p = 0; p < rt.proxies.size(); p++) {
-        for (NodeRequest& req : rt.proxies[p]->TakeRefreshFetches()) {
-          PendingForward fwd;
-          fwd.request = std::move(req);
-          fwd.ctx.tenant = tid;
-          fwd.ctx.proxy_index = p;
-          fwd.ctx.track_outcome = false;
-          fwd.ctx.background = true;
-          ctx.forwards.push_back(std::move(fwd));
-        }
-      }
-    }
-  } else {
-    for (TenantId tid : sim.SortedUnion(sim.touched_, sim.prev_touched_)) {
-      TenantRuntime** slot = sim.tenant_index_.Find(tid);
-      if (slot == nullptr) continue;
-      TenantRuntime& rt = **slot;
-      for (size_t p = 0; p < rt.proxies.size(); p++) {
-        for (NodeRequest& req : rt.proxies[p]->TakeRefreshFetches()) {
-          PendingForward fwd;
-          fwd.request = std::move(req);
-          fwd.ctx.tenant = tid;
-          fwd.ctx.proxy_index = p;
-          fwd.ctx.track_outcome = false;
-          fwd.ctx.background = true;
-          ctx.forwards.push_back(std::move(fwd));
-        }
+  // the sim-wide allocator in ascending tenant id (SortedUnion's order).
+  // Only tenants touched this tick (admission above queues fetches via
+  // Proxy::Handle) or last tick (response cache fills queue them in
+  // Settle, drained here one tick later) are walked — an untouched
+  // tenant's proxies cannot hold a pending fetch.
+  for (TenantId tid : sim.SortedUnion(sim.touched_, sim.prev_touched_)) {
+    TenantRuntime** slot = sim.tenant_index_.Find(tid);
+    if (slot == nullptr) continue;
+    TenantRuntime& rt = **slot;
+    for (size_t p = 0; p < rt.proxies.size(); p++) {
+      for (NodeRequest& req : rt.proxies[p]->TakeRefreshFetches()) {
+        PendingForward fwd;
+        fwd.request = std::move(req);
+        fwd.ctx.tenant = tid;
+        fwd.ctx.proxy_index = p;
+        fwd.ctx.track_outcome = false;
+        fwd.ctx.background = true;
+        ctx.forwards.push_back(std::move(fwd));
       }
     }
   }
@@ -798,49 +770,44 @@ void ReplicateStage::Run(TickContext& ctx) {
   // acked-seq history, derive the shipping floor under the configured
   // lag, batch per destination node, and truncate the primary's log
   // below the slowest replica cursor.
-  if (sim.options_.dense_tick) {
-    for (auto& [tid, rt] : sim.tenants_) {
-      (void)rt;
-      ShipTenantStreams(sim, tid, lag);
-    }
-  } else {
-    // Active-set walk. The work list is conservative: whenever the
-    // routing epoch moved it gains every tenant whose placement changed
-    // (creation, migration, split, re-replication) — or the full tenant
-    // map after a node-level event (failure, promotion, failback), whose
-    // tenant set the MetaServer does not record — and it gains every
-    // tenant with a data-plane response this tick (NodeSchedule already
-    // ran, so a write that advanced a primary's applied seq has its
-    // response in ctx.responses here). A proven-quiescent tenant whose
-    // placement did not change would revisit as a state no-op. Tenants
-    // drain from the list once every stream proves quiescent.
-    if (sim.repl_seen_epoch_ != sim.meta_->routing_epoch()) {
-      sim.repl_seen_epoch_ = sim.meta_->routing_epoch();
-      std::vector<TenantId> changed;
-      if (sim.meta_->TakePlacementChanges(&changed)) {
-        for (TenantId tid : changed) {
-          if (sim.tenant_index_.Find(tid) != nullptr) {
-            sim.repl_active_.insert(tid);
-          }
-        }
-      } else {
-        for (const auto& [tid, rt] : sim.tenants_) {
-          (void)rt;
+  //
+  // Only the work list repl_active_ (ascending tenant id) is walked. It
+  // is conservative: whenever the routing epoch moved it gains every
+  // tenant whose placement changed (creation, migration, split,
+  // re-replication) — or the full tenant map after a node-level event
+  // (failure, promotion, failback), whose tenant set the MetaServer does
+  // not record — and it gains every tenant with a data-plane response
+  // this tick (NodeSchedule already ran, so a write that advanced a
+  // primary's applied seq has its response in ctx.responses here). A
+  // proven-quiescent tenant whose placement did not change would revisit
+  // as a state no-op. Tenants drain from the list once every stream
+  // proves quiescent.
+  if (sim.repl_seen_epoch_ != sim.meta_->routing_epoch()) {
+    sim.repl_seen_epoch_ = sim.meta_->routing_epoch();
+    std::vector<TenantId> changed;
+    if (sim.meta_->TakePlacementChanges(&changed)) {
+      for (TenantId tid : changed) {
+        if (sim.tenant_index_.Find(tid) != nullptr) {
           sim.repl_active_.insert(tid);
         }
       }
-    }
-    for (const auto& node_responses : ctx.responses) {
-      for (const NodeResponse& resp : node_responses) {
-        sim.repl_active_.insert(resp.tenant);
+    } else {
+      for (const auto& [tid, rt] : sim.tenants_) {
+        (void)rt;
+        sim.repl_active_.insert(tid);
       }
     }
-    for (auto it = sim.repl_active_.begin(); it != sim.repl_active_.end();) {
-      if (ShipTenantStreams(sim, *it, lag)) {
-        it = sim.repl_active_.erase(it);
-      } else {
-        ++it;
-      }
+  }
+  for (const auto& node_responses : ctx.responses) {
+    for (const NodeResponse& resp : node_responses) {
+      sim.repl_active_.insert(resp.tenant);
+    }
+  }
+  for (auto it = sim.repl_active_.begin(); it != sim.repl_active_.end();) {
+    if (ShipTenantStreams(sim, *it, lag)) {
+      it = sim.repl_active_.erase(it);
+    } else {
+      ++it;
     }
   }
 
@@ -906,34 +873,25 @@ void SettleStage::Run(TickContext& ctx) {
         static_cast<double>(sim.options_.meta_report_interval_ticks) *
         static_cast<double>(sim.options_.tick) /
         static_cast<double>(kMicrosPerSecond);
-    if (sim.options_.dense_tick) {
-      for (auto& [tid, rt] : sim.tenants_) {
-        double total = 0;
-        for (auto& p : rt.proxies) total += p->ReportAndResetAdmittedRu();
-        bool clamp = sim.meta_->ReportProxyTraffic(tid, total / interval_sec);
-        for (auto& p : rt.proxies) p->SetClamped(clamp);
-      }
-    } else {
-      // Active-set report: tenants untouched since the last report
-      // admitted nothing, so their report would be 0 RU/s — a no-op for
-      // an unclamped tenant (the MetaServer's traffic monitor is
-      // stateless per report and SetClamped(false) on an unclamped
-      // proxy is idempotent). Clamped tenants must keep reporting: the
-      // zero report is exactly what un-clamps them. The union iterates
-      // in ascending tenant id — the dense report order.
-      const std::vector<TenantId>& visit =
-          sim.SortedUnion(sim.report_touched_, sim.clamped_tenants_);
-      sim.clamped_tenants_.clear();
-      for (TenantId tid : visit) {
-        TenantRuntime** slot = sim.tenant_index_.Find(tid);
-        if (slot == nullptr) continue;
-        TenantRuntime& rt = **slot;
-        double total = 0;
-        for (auto& p : rt.proxies) total += p->ReportAndResetAdmittedRu();
-        bool clamp = sim.meta_->ReportProxyTraffic(tid, total / interval_sec);
-        for (auto& p : rt.proxies) p->SetClamped(clamp);
-        if (clamp) sim.clamped_tenants_.push_back(tid);
-      }
+    // Active-set report: tenants untouched since the last report
+    // admitted nothing, so their report would be 0 RU/s — a no-op for
+    // an unclamped tenant (the MetaServer's traffic monitor is
+    // stateless per report and SetClamped(false) on an unclamped
+    // proxy is idempotent). Clamped tenants must keep reporting: the
+    // zero report is exactly what un-clamps them. The union iterates
+    // in ascending tenant id, the MetaServer's report order.
+    const std::vector<TenantId>& visit =
+        sim.SortedUnion(sim.report_touched_, sim.clamped_tenants_);
+    sim.clamped_tenants_.clear();
+    for (TenantId tid : visit) {
+      TenantRuntime** slot = sim.tenant_index_.Find(tid);
+      if (slot == nullptr) continue;
+      TenantRuntime& rt = **slot;
+      double total = 0;
+      for (auto& p : rt.proxies) total += p->ReportAndResetAdmittedRu();
+      bool clamp = sim.meta_->ReportProxyTraffic(tid, total / interval_sec);
+      for (auto& p : rt.proxies) p->SetClamped(clamp);
+      if (clamp) sim.clamped_tenants_.push_back(tid);
     }
     sim.report_touched_.clear();
     sim.report_epoch_++;
