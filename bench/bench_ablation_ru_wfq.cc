@@ -1,6 +1,7 @@
 // Ablations for the isolation mechanism (Sections 4.1 and 4.3):
 //  A. cache-aware RU estimation vs cache-blind estimation;
 //  B. dual-layer WFQ vs FIFO under a heavyweight/lightweight tenant mix.
+#include <algorithm>
 #include <cstdio>
 #include <deque>
 #include <map>
@@ -112,9 +113,10 @@ void RunWfqVsFifo() {
       wfq.Enqueue(r2);
     }
     wfq.RunTick(
-        [](const sched::SchedRequest&) {
-          return sched::CacheProbe{true, false, 0};
+        [](const sched::SchedRequest*, size_t n, sched::CacheProbe* out) {
+          std::fill(out, out + n, sched::CacheProbe{true, false, 0});
         },
+        [](const sched::SchedRequest&) { return false; },
         [&](const sched::SchedRequest& r, sched::SchedOutcome) {
           if (r.tenant == 2) {
             wfq_t2_served += r.cpu_cost_ru;

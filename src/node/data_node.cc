@@ -369,7 +369,7 @@ void DataNode::Submit(const NodeRequest& req) {
   sreq.quota_share =
       total_quota > 0 ? rep->partition_quota_ru / total_quota : 1.0;
   sreq.quota_share = std::max(sreq.quota_share, 1e-6);
-  // Cache-key hash for the batched scheduler's flush-on-repeated-key
+  // Cache-key hash for the scheduler's flush-on-repeated-key
   // rule and the node-cache probes; writes flush unconditionally, so
   // only reads need it. Continuing the replica's precomputed prefix
   // state over the client key equals HashString(CacheKeyFor(req)).
@@ -417,22 +417,14 @@ void DataNode::Submit(const NodeRequest& req) {
   wfq_.Enqueue(sreq);
 }
 
-sched::CacheProbe DataNode::ProbeRequest(const sched::SchedRequest& sreq) {
+sched::CacheProbe DataNode::ProbeWriteOrScan(PendingContext& ctx) {
   sched::CacheProbe probe;
-  PendingContext* pit = PendingAt(sreq);
-  if (pit == nullptr) {
-    // Timed out of the queue before the scheduler reached it.
-    probe.canceled = true;
-    return probe;
-  }
-  PendingContext& ctx = *pit;
   const NodeRequest& req = ctx.req;
 
   if (!IsReadOp(req.op)) {
     // Writes are absorbed by the WAL + memtable (CPU layer); flush and
     // compaction I/O is charged to the disk as background load below, in
     // ExecuteOnEngine.
-    probe.hit = false;
     probe.needs_io = false;
     return probe;
   }
@@ -441,121 +433,54 @@ sched::CacheProbe DataNode::ProbeRequest(const sched::SchedRequest& sreq) {
   // reads) and frame the result into the slab slot. Scans bypass the
   // node's point cache — a range result is not addressable by one cache
   // key, and the proxy's prefix-tree store is the scan-caching layer.
-  if (req.op == OpType::kScan) {
-    PartitionReplica& rep = *FindReplica(req.tenant, req.partition);
-    scan_buffer_.Clear();
-    storage::ScanResult res = rep.engine->ScanRange(
-        req.key, req.field, req.scan_limit, scan_buffer_);
-    ctx.probe_status = Status::OK();
-    ctx.probe_value.clear();
-    for (size_t k = 0; k < scan_buffer_.size(); k++) {
-      AppendScanEntry(ctx.probe_value, scan_buffer_[k].key,
-                      scan_buffer_[k].value);
-    }
-    ctx.probe_scan_entries = res.entries;
-    ctx.probed = true;
-    ctx.probe_io = storage::ReadIo{};
-    ctx.probe_io.block_reads = res.block_reads;
-    probe.hit = false;
-    probe.needs_io = res.block_reads > 0;
-    probe.io_blocks = std::max(res.block_reads, 0);
-    return probe;
-  }
-
-  // Reads: DataNode cache first (GET and HGETALL payloads are cached).
-  // The hit's value and TTL are retained so completion reuses them.
-  if (req.op == OpType::kGet || req.op == OpType::kHGetAll) {
-    Micros expire_at = 0;
-    // sreq.key_hash was prefix-continued at Submit; the probe skips
-    // re-hashing the cache key and only builds it for collision compare.
-    if (const std::string* v =
-            cache_.GetRefHashed(sreq.key_hash, CacheKeyFor(req), &expire_at)) {
-      ctx.probed = true;
-      ctx.probe_status = Status::OK();
-      ctx.probe_value.assign(*v);  // Reuses the slab slot's capacity.
-      ctx.probe_io.expire_at = expire_at;
-      probe.hit = true;
-      probe.needs_io = false;
-      return probe;
-    }
-  }
-
-  // Cache miss: execute the engine read now to learn the I/O footprint,
-  // and retain the outcome so completion does not re-execute it. The
-  // I/O-WFQ stage then models the disk service for the blocks read.
-  storage::ReadIo io;
   PartitionReplica& rep = *FindReplica(req.tenant, req.partition);
-  switch (req.op) {
-    case OpType::kGet: {
-      auto r = rep.engine->Get(req.key, &io);
-      ctx.probe_status = r.ok() ? Status::OK() : r.status();
-      if (r.ok()) ctx.probe_value = std::move(r).value();
-      break;
-    }
-    case OpType::kHGet: {
-      auto r = rep.engine->HGet(req.key, req.field, &io);
-      ctx.probe_status = r.ok() ? Status::OK() : r.status();
-      if (r.ok()) ctx.probe_value = std::move(r).value();
-      break;
-    }
-    case OpType::kHLen: {
-      auto r = rep.engine->HLen(req.key, &io);
-      ctx.probe_status = r.ok() ? Status::OK() : r.status();
-      if (r.ok()) {
-        ctx.probe_value = std::to_string(r.value());
-        ctx.probe_hash_fields = r.value();
-      }
-      break;
-    }
-    case OpType::kHGetAll: {
-      auto r = rep.engine->HGetAll(req.key, &io);
-      ctx.probe_status = r.ok() ? Status::OK() : r.status();
-      if (r.ok()) {
-        ctx.probe_hash_fields = r.value().size();
-        ctx.probe_value = SerializeHash(r.value());
-      }
-      break;
-    }
-    default:
-      break;
+  scan_buffer_.Clear();
+  storage::ScanResult res = rep.engine->ScanRange(
+      req.key, req.field, req.scan_limit, scan_buffer_);
+  ctx.probe_status = Status::OK();
+  ctx.probe_value.clear();
+  for (size_t k = 0; k < scan_buffer_.size(); k++) {
+    AppendScanEntry(ctx.probe_value, scan_buffer_[k].key,
+                    scan_buffer_[k].value);
   }
+  ctx.probe_scan_entries = res.entries;
   ctx.probed = true;
-  ctx.probe_io = io;
-  probe.hit = false;
-  probe.needs_io = io.block_reads > 0;
-  probe.io_blocks = std::max(io.block_reads, 0);
+  ctx.probe_io = storage::ReadIo{};
+  ctx.probe_io.block_reads = res.block_reads;
+  probe.needs_io = res.block_reads > 0;
+  probe.io_blocks = std::max(res.block_reads, 0);
   return probe;
 }
 
 void DataNode::ProbeBatch(const sched::SchedRequest* reqs, size_t n,
                           sched::CacheProbe* out) {
-  // Singletons (every write, and any lone read) take the serial path —
-  // identical by construction and skips the grouping scratch.
-  if (n == 1) {
-    out[0] = ProbeRequest(reqs[0]);
-    return;
-  }
-
-  // Pass 1 in pop order: node-cache probes (cache reads must observe pop
-  // order, matching the serial path); misses queue for the engine pass.
+  // Pass 1 in pop order: node-cache probes (a cache read observes every
+  // completion that precedes it in pop order); misses queue for the
+  // engine pass.
   batch_miss_.clear();
   for (size_t i = 0; i < n; i++) {
     out[i] = sched::CacheProbe{};
     PendingContext* pit = PendingAt(reqs[i]);
     if (pit == nullptr) {
-      // The scheduler cancel-checks at pop time; defensive all the same.
-      out[i].canceled = true;
+      // The scheduler cancel-checks at pop time, so a released slot never
+      // gets here; if one did, it would complete as a no-op at the CPU
+      // layer (CompleteRequest ignores released slots).
+      out[i].needs_io = false;
       continue;
     }
     PendingContext& ctx = *pit;
     const NodeRequest& req = ctx.req;
     if (!IsReadOp(req.op) || req.op == OpType::kScan) {
-      // Writes arrive as singleton batches (defensive fall-through);
-      // scans run their merge iterator in the serial probe — MultiFind's
-      // point-key grouping below does not apply to a range.
-      out[i] = ProbeRequest(reqs[i]);
+      // Writes arrive as one-request batches; scans run their merge
+      // iterator — MultiFind's point-key grouping below does not apply to
+      // a range.
+      out[i] = ProbeWriteOrScan(ctx);
       continue;
     }
+    // Reads: DataNode cache first (GET and HGETALL payloads are cached).
+    // The hit's value and TTL are retained so completion reuses them; the
+    // key_hash was prefix-continued at Submit, so the probe skips
+    // re-hashing the cache key and only builds it for collision compare.
     if (req.op == OpType::kGet || req.op == OpType::kHGetAll) {
       Micros expire_at = 0;
       if (const std::string* v = cache_.GetRefHashed(
@@ -573,8 +498,11 @@ void DataNode::ProbeBatch(const sched::SchedRequest* reqs, size_t n,
   }
   if (batch_miss_.empty()) return;
 
-  // Pass 2: group misses by hosting replica and resolve each group with
-  // one MultiFind. Ordering within the pass is immaterial — engine reads
+  // Pass 2: cache misses execute the engine read now to learn the I/O
+  // footprint, and retain the outcome so completion does not re-execute
+  // it; the I/O-WFQ then models the disk service for the blocks read.
+  // Misses group by hosting replica and each group resolves with one
+  // MultiFind. Ordering within the pass is immaterial — engine reads
   // mutate no data state and each request only touches its own slab
   // slot — but grouping by replica key keeps the walk deterministic.
   std::stable_sort(batch_miss_.begin(), batch_miss_.end(),

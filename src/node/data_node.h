@@ -301,12 +301,15 @@ class DataNode {
     return (static_cast<uint64_t>(tenant) << 32) | partition;
   }
 
-  sched::CacheProbe ProbeRequest(const sched::SchedRequest& sreq);
+  /// Probe of a write (served at the CPU layer) or a scan (runs its
+  /// merge iterator now and frames the result into the slab slot).
+  sched::CacheProbe ProbeWriteOrScan(PendingContext& ctx);
 
-  /// Batched probe (DualLayerWfq::BatchProbeFn): node-cache lookups in
-  /// pop order, then one LsmEngine::MultiFind per replica over the
-  /// misses. Produces the same per-request probe results and engine
-  /// counters as n serial ProbeRequest calls.
+  /// The scheduler's probe (DualLayerWfq::ProbeBatchFn) and the one code
+  /// path that resolves a point read: node-cache lookups in pop order,
+  /// then one LsmEngine::MultiFind per replica over the misses, with the
+  /// same status, value and I/O footprint as LsmEngine::Get / HGet / HLen
+  /// / HGetAll on that engine. Writes and scans go to ProbeWriteOrScan.
   void ProbeBatch(const sched::SchedRequest* reqs, size_t n,
                   sched::CacheProbe* out);
   void CompleteRequest(const sched::SchedRequest& sreq,

@@ -42,7 +42,8 @@ void DualLayerWfq::Clear() {
   }
 }
 
-TickStats DualLayerWfq::RunTick(const ProbeFn& probe,
+TickStats DualLayerWfq::RunTick(const ProbeBatchFn& probe,
+                                const CancelFn& canceled,
                                 const CompleteFn& complete) {
   TickStats stats;
   // O(1) idle skip: with nothing queued in either layer, both drain
@@ -50,121 +51,15 @@ TickStats DualLayerWfq::RunTick(const ProbeFn& probe,
   // for their scratch state. A thousand-node cluster at million-tenant
   // scale runs mostly idle nodes every tick.
   if (PendingCount() == 0) return stats;
-  RunCpuLayer(probe, complete, &stats);
+  RunCpuLayer(probe, canceled, complete, &stats);
   RunIoLayer(complete, &stats);
   return stats;
 }
 
-TickStats DualLayerWfq::RunTick(const BatchProbeFn& probe,
-                                const CancelFn& canceled,
-                                const CompleteFn& complete) {
-  TickStats stats;
-  if (PendingCount() == 0) return stats;
-  RunCpuLayerBatched(probe, canceled, complete, &stats);
-  RunIoLayer(complete, &stats);
-  return stats;
-}
-
-void DualLayerWfq::RunCpuLayer(const ProbeFn& probe,
+void DualLayerWfq::RunCpuLayer(const ProbeBatchFn& probe,
+                               const CancelFn& canceled,
                                const CompleteFn& complete, TickStats* stats) {
-  double ru_left = options_.cpu_budget_ru;
-  int reads_left = options_.read_concurrency;
-  int writes_left = options_.write_concurrency;
-  double write_ru_left = options_.write_ru_ceiling;
-  const double tenant_cap =
-      options_.single_tenant_cpu_cap * options_.cpu_budget_ru;
-
-  tenant_ru_.Clear();
-  std::vector<Deferral> deferred;
-
-  // Serve the globally smallest VFT across the four class queues (the
-  // class split exists so heavyweight requests never sit *in front of*
-  // lightweight ones within a queue; the cross-queue pick must still be
-  // work-fair, or a backlogged heavy class would starve light classes by
-  // pop count).
-  while (ru_left > 0) {
-    int c = -1;
-    double best_vft = 0;
-    for (int cand = 0; cand < kNumRequestClasses; cand++) {
-      WfqQueue& q = cpu_queues_[cand];
-      if (q.Empty()) continue;
-      // Rule 2: direction-level concurrency and write-RU ceilings.
-      if (IsReadClass(cand)) {
-        if (reads_left <= 0) continue;
-      } else {
-        if (writes_left <= 0 || write_ru_left <= 0) continue;
-      }
-      if (c < 0 || q.PeekVft() < best_vft) {
-        c = cand;
-        best_vft = q.PeekVft();
-      }
-    }
-    if (c < 0) break;  // Everything empty or rule-blocked.
-    WfqQueue& q = cpu_queues_[c];
-
-    // Rule 3: a single tenant may claim at most 90% of the tick's CPU.
-    TenantId head = q.PeekTenant();
-    const double* used = tenant_ru_.Find(head);
-    double head_used = used != nullptr ? *used : 0.0;
-    double vft;
-    if (head_used >= tenant_cap) {
-      SchedRequest r = q.PopWithVft(&vft);
-      deferred.push_back(Deferral{r, vft, c});
-      stats->rule3_deferrals++;
-      continue;
-    }
-
-    SchedRequest req = q.PopWithVft(&vft);
-    ru_left -= req.cpu_cost_ru;
-    tenant_ru_[req.tenant] += req.cpu_cost_ru;
-    stats->cpu_scheduled++;
-    stats->cpu_ru_used += req.cpu_cost_ru;
-    if (IsReadClass(c)) {
-      reads_left--;
-    } else {
-      writes_left--;
-      write_ru_left -= req.cpu_cost_ru;
-    }
-
-    CacheProbe pr = probe(req);
-    if (pr.canceled) {
-      // Refund: a canceled request must not eat the tick's budget.
-      ru_left += req.cpu_cost_ru;
-      tenant_ru_[req.tenant] -= req.cpu_cost_ru;
-      stats->cpu_scheduled--;
-      stats->cpu_ru_used -= req.cpu_cost_ru;
-      if (IsReadClass(c)) {
-        reads_left++;
-      } else {
-        writes_left++;
-        write_ru_left += req.cpu_cost_ru;
-      }
-      continue;
-    }
-    if (pr.hit) {
-      stats->cache_hits++;
-      complete(req, SchedOutcome::kServedFromCache);
-    } else if (!pr.needs_io) {
-      complete(req, SchedOutcome::kServedFromCpu);
-    } else {
-      SchedRequest io_req = req;
-      io_req.io_blocks = std::max(1, pr.io_blocks);
-      io_queues_[c].Push(io_req, static_cast<double>(io_req.io_blocks));
-    }
-  }
-
-  // Deferred requests keep their original VFT and run next tick.
-  for (const Deferral& d : deferred) {
-    cpu_queues_[d.queue_index].Reinsert(d.req, d.vft);
-  }
-}
-
-void DualLayerWfq::RunCpuLayerBatched(const BatchProbeFn& probe,
-                                      const CancelFn& canceled,
-                                      const CompleteFn& complete,
-                                      TickStats* stats) {
-  // Mirrors RunCpuLayer pop for pop: the only difference is that
-  // consecutive read pops defer their probe/completion into a batch. A
+  // Consecutive read pops defer their probe/completion into a batch. A
   // batch stays sound because nothing between its pops can change a
   // probe's answer — cache mutations happen only in completions, and the
   // flush triggers (write pop, repeated key hash, cap) put every
@@ -212,12 +107,18 @@ void DualLayerWfq::RunCpuLayerBatched(const BatchProbeFn& probe,
     return false;
   };
 
+  // Serve the globally smallest VFT across the four class queues (the
+  // class split exists so heavyweight requests never sit *in front of*
+  // lightweight ones within a queue; the cross-queue pick must still be
+  // work-fair, or a backlogged heavy class would starve light classes by
+  // pop count).
   while (ru_left > 0) {
     int c = -1;
     double best_vft = 0;
     for (int cand = 0; cand < kNumRequestClasses; cand++) {
       WfqQueue& q = cpu_queues_[cand];
       if (q.Empty()) continue;
+      // Rule 2: direction-level concurrency and write-RU ceilings.
       if (IsReadClass(cand)) {
         if (reads_left <= 0) continue;
       } else {
@@ -228,11 +129,12 @@ void DualLayerWfq::RunCpuLayerBatched(const BatchProbeFn& probe,
         best_vft = q.PeekVft();
       }
     }
-    if (c < 0) break;
+    if (c < 0) break;  // Everything empty or rule-blocked.
     WfqQueue& q = cpu_queues_[c];
 
-    // Rule 3 first, exactly like the serial path: even a canceled head
-    // defers when its tenant is capped.
+    // Rule 3: a single tenant may claim at most 90% of the tick's CPU.
+    // It is checked before cancellation, so even a canceled head defers
+    // when its tenant is capped.
     TenantId head = q.PeekTenant();
     const double* used = tenant_ru_.Find(head);
     double head_used = used != nullptr ? *used : 0.0;
@@ -245,7 +147,8 @@ void DualLayerWfq::RunCpuLayerBatched(const BatchProbeFn& probe,
     }
 
     SchedRequest req = q.PopWithVft(&vft);
-    if (canceled(req)) continue;  // == serial charge-then-refund (net 0).
+    // A canceled pop consumes no budget: it is dropped before any charge.
+    if (canceled(req)) continue;
 
     ru_left -= req.cpu_cost_ru;
     tenant_ru_[req.tenant] += req.cpu_cost_ru;
@@ -272,6 +175,7 @@ void DualLayerWfq::RunCpuLayerBatched(const BatchProbeFn& probe,
   }
   flush();
 
+  // Deferred requests keep their original VFT and run next tick.
   for (const Deferral& d : deferred) {
     cpu_queues_[d.queue_index].Reinsert(d.req, d.vft);
   }

@@ -58,9 +58,6 @@ struct CacheProbe {
   bool hit = false;      ///< DataNode cache hit (reads only).
   bool needs_io = true;  ///< False when the CPU layer fully served it.
   int io_blocks = 1;     ///< Disk blocks needed when needs_io.
-  /// The request was canceled (e.g., queue deadline exceeded) before the
-  /// scheduler reached it: its cost is refunded and complete() not called.
-  bool canceled = false;
 };
 
 /// Per-tick scheduler statistics.
@@ -78,20 +75,18 @@ struct TickStats {
 /// The four-class dual-layer WFQ engine.
 class DualLayerWfq {
  public:
-  /// `probe` checks the DataNode cache for a CPU-scheduled request.
   /// `complete` is invoked exactly once per request that finishes this
   /// tick, with where it was served from.
-  using ProbeFn = std::function<CacheProbe(const SchedRequest&)>;
   using CompleteFn = std::function<void(const SchedRequest&, SchedOutcome)>;
-  /// Batched probe: fills `out[i]` for `reqs[i]`, i in [0, n). The batch
-  /// is in pop order; none of its members are canceled (see CancelFn).
-  using BatchProbeFn =
+  /// Checks the DataNode cache for a batch of CPU-scheduled requests:
+  /// fills `out[i]` for `reqs[i]`, i in [0, n). The batch is in pop
+  /// order; none of its members are canceled (see CancelFn).
+  using ProbeBatchFn =
       std::function<void(const SchedRequest* reqs, size_t n, CacheProbe* out)>;
   /// True if the request was canceled (deadline-expired) before the
-  /// scheduler reached it. Checked at pop time on the batched path so a
-  /// canceled request never enters a batch; skipping its accounting
-  /// entirely equals the serial charge-then-refund (which nets zero
-  /// before any other request observes the budget).
+  /// scheduler reached it. Checked at pop time, after Rule 3: a canceled
+  /// pop never reaches the probe or `complete`, and consumes no CPU
+  /// budget, tenant share or read/write concurrency.
   using CancelFn = std::function<bool(const SchedRequest&)>;
 
   explicit DualLayerWfq(DualWfqOptions options = {});
@@ -99,17 +94,16 @@ class DualLayerWfq {
   /// Enqueues into the CPU-WFQ of the request's class.
   void Enqueue(const SchedRequest& req);
 
-  /// Runs one scheduling tick: drains CPU-WFQs under Rules 2-3 (probing
-  /// the cache per request), then drains I/O-WFQs under Rules 1 and 4.
-  /// Returns this tick's statistics.
-  TickStats RunTick(const ProbeFn& probe, const CompleteFn& complete);
-
-  /// Batched variant of RunTick: consecutive read pops accumulate into a
-  /// batch (flushed on a write pop, a repeated key hash, a size cap, or
-  /// loop exit) so the caller can amortize one storage-engine probe pass
-  /// over the whole batch. Pop order, budget accounting, rules 2-4, and
-  /// completion order are identical to the serial overload.
-  TickStats RunTick(const BatchProbeFn& probe, const CancelFn& canceled,
+  /// Runs one scheduling tick: drains CPU-WFQs under Rules 2-3, then
+  /// drains I/O-WFQs under Rules 1 and 4. Returns this tick's statistics.
+  ///
+  /// Consecutive read pops accumulate into a batch so the caller can
+  /// amortize one storage-engine probe pass over it. A batch flushes on a
+  /// write pop (the write is then probed alone), before a repeated key
+  /// hash, at 16 reads, and at loop exit. Budget accounting follows pop
+  /// order; completions follow probe order, and every completion a probe
+  /// could observe precedes that probe in pop order.
+  TickStats RunTick(const ProbeBatchFn& probe, const CancelFn& canceled,
                     const CompleteFn& complete);
 
   /// Requests still waiting (across both layers and all classes).
@@ -124,19 +118,16 @@ class DualLayerWfq {
   void set_options(const DualWfqOptions& o) { options_ = o; }
 
  private:
-  void RunCpuLayer(const ProbeFn& probe, const CompleteFn& complete,
-                   TickStats* stats);
-  void RunCpuLayerBatched(const BatchProbeFn& probe, const CancelFn& canceled,
-                          const CompleteFn& complete, TickStats* stats);
+  void RunCpuLayer(const ProbeBatchFn& probe, const CancelFn& canceled,
+                   const CompleteFn& complete, TickStats* stats);
   void RunIoLayer(const CompleteFn& complete, TickStats* stats);
 
   DualWfqOptions options_;
   WfqQueue cpu_queues_[kNumRequestClasses];
   WfqQueue io_queues_[kNumRequestClasses];
   /// Per-tick scratch (kept across ticks to avoid re-allocation; cleared
-  /// at use). `tenant_ru_` replaces the serial path's per-call map — it
-  /// is never iterated, only point-queried, so the container swap cannot
-  /// affect scheduling order.
+  /// at use). `tenant_ru_` is only point-queried, never iterated, so its
+  /// layout cannot affect scheduling order.
   FlatMap64<double> tenant_ru_;
   std::vector<SchedRequest> batch_reqs_;
   std::vector<int> batch_cls_;

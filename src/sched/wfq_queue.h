@@ -41,10 +41,10 @@ struct SchedRequest {
   PartitionId partition = 0;
   RequestClass cls = RequestClass::kSmallRead;
   bool is_read = true;
-  /// Hash of the storage key (FNV-1a of the cache-key string). The
-  /// batched execution path flushes a read batch when it sees the same
-  /// hash twice, so a cache fill from one completion is visible to the
-  /// next probe of that key exactly as in serial execution.
+  /// Hash of the storage key (FNV-1a of the cache-key string). The CPU
+  /// layer flushes a read batch before a pop that repeats a hash already
+  /// in it, so a cache fill from one completion is visible to the next
+  /// probe of that key.
   uint64_t key_hash = 0;
   double cpu_cost_ru = 1.0;    ///< Rule 1: CPU-WFQ cost is the RU.
   int io_blocks = 1;           ///< Rule 1: I/O-WFQ cost is the IOPS count.

@@ -410,23 +410,26 @@ node::DataNode* ClusterSim::PickReplicaForRead(TenantRuntime& rt,
   return nullptr;
 }
 
-void ClusterSim::FusedRoutePoint(TenantRuntime& rt, PendingForward& fwd,
-                                 TenantTickMetrics& m) {
-  // Mirror of RouteStage's serial non-scan resolve, byte for byte. The
-  // redirect chase mutates only the tenant's cached table (refreshing it
-  // is idempotent within a tick: placement is frozen until Control), so
-  // a morsel-time chase leaves exactly the state a serial chase would.
+void ClusterSim::RoutePoint(TenantRuntime& rt, PendingForward& fwd,
+                            TenantTickMetrics& m) {
+  // The redirect chase mutates only the tenant's cached table, and
+  // refreshing it is idempotent within a tick: placement is frozen until
+  // Control. So a chase at admit time and one at Route time leave
+  // identical state.
   NodeRequest& req = fwd.request;
   node::DataNode* n = nullptr;
   const bool eventual_read = req.consistency == Consistency::kEventual &&
                              IsReadOp(req.op) && !req.background_refresh;
   if (eventual_read) {
+    // Any alive replica serves an eventual read, stale ones included,
+    // picked by the tenant's round-robin cursor.
     n = PickReplicaForRead(rt, req.tenant, req.partition);
     if (n == nullptr && rt.route_epoch != meta_->routing_epoch()) {
       RefreshRoutingTable(rt);
       m.redirects++;
       n = PickReplicaForRead(rt, req.tenant, req.partition);
     }
+    // Arm a hedge replica; Settle fires it only past the hedge threshold.
     if (n != nullptr && options_.latency.enabled &&
         options_.latency.hedge.enabled) {
       if (node::DataNode* alt =
@@ -441,6 +444,8 @@ void ClusterSim::FusedRoutePoint(TenantRuntime& rt, PendingForward& fwd,
     };
     n = FindNode(CachedPrimary(rt, req.partition));
     if (!routable(n) && rt.route_epoch != meta_->routing_epoch()) {
+      // Stale epoch: refresh the cached table and retry once (the
+      // redirect chase).
       RefreshRoutingTable(rt);
       if (!req.background_refresh) m.redirects++;
       n = FindNode(CachedPrimary(rt, req.partition));
@@ -449,8 +454,8 @@ void ClusterSim::FusedRoutePoint(TenantRuntime& rt, PendingForward& fwd,
   }
   if (n == nullptr) {
     // Failure settlement (error counters, quota refund, outcome
-    // publication) happens in the serial Route walk, at this forward's
-    // position — quota refunds reorder FP state otherwise.
+    // publication) happens in the Route walk, at this forward's position
+    // — quota refunds reorder FP state otherwise.
     fwd.ctx.route_failed = true;
     return;
   }

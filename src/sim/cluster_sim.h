@@ -667,19 +667,20 @@ class ClusterSim {
       std::vector<std::pair<uint64_t, ClientOutcome>>* deferred,
       TenantTickMetrics& m);
 
-  /// Fused admit/route resolve, called from ProxyAdmit's per-tenant
-  /// morsels for non-scan forwards admitted before any scan this tick:
-  /// computes the same routing decision the Route stage's serial walk
-  /// would and writes it into fwd.ctx (node / hedge_node on success,
-  /// route_failed on failure — the serial walk performs failure
-  /// *settlement* at the forward's position, so quota refunds and
-  /// outcome publication keep their serial order). Touches only
-  /// tenant-private state (cached route table, RR cursors, `m`) plus
-  /// read-only node / meta state; placement is frozen between the Fault
-  /// and Control stages, so morsel-time resolution sees exactly the
-  /// state the serial walk would have.
-  void FusedRoutePoint(TenantRuntime& rt, PendingForward& fwd,
-                       TenantTickMetrics& m);
+  /// Resolves a point (non-scan) forward's destination and writes it
+  /// into fwd.ctx: node / hedge_node on success, route_failed on failure
+  /// (ctx.node stays kInvalidNode). The destination must be alive and
+  /// acknowledge itself primary for the partition, except that eventual
+  /// reads take any alive replica. Failure *settlement* is left to the
+  /// Route walk, at the forward's position, so quota refunds and outcome
+  /// publication keep admission order. Called from ProxyAdmit's
+  /// per-tenant morsels for forwards admitted before any scan this tick,
+  /// and from Route for the rest. Touches only tenant-private state
+  /// (cached route table, RR cursors, `m`) plus read-only node / meta
+  /// state; placement is frozen between the Fault and Control stages, so
+  /// both call sites see the same placement.
+  void RoutePoint(TenantRuntime& rt, PendingForward& fwd,
+                  TenantTickMetrics& m);
 
   /// Delivers a settled outcome: to its subscription callback if one is
   /// pending, otherwise into the table for TakeOutcome. Serial sections

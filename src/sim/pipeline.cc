@@ -268,7 +268,7 @@ void ProxyAdmitStage::AdmitOne(
       // must resolve serially, in order, to stay bit-identical.
       rt.route_fuse_stop_stamp = sim_->touch_epoch_;
     } else if (rt.route_fuse_stop_stamp != sim_->touch_epoch_) {
-      sim_->FusedRoutePoint(rt, fwd, m);
+      sim_->RoutePoint(rt, fwd, m);
     }
     out_count++;
   } else {
@@ -437,16 +437,14 @@ void ProxyAdmitStage::Run(TickContext& ctx) {
 void RouteStage::Run(TickContext& ctx) {
   ClusterSim& sim = *sim_;
 
-  // Serial pass: resolve primaries against each tenant's cached routing
-  // table, register the in-flight contexts (sim-wide table), and batch
-  // forwards per destination node. The destination must be alive AND
-  // acknowledge itself primary for the partition — the node-side check
-  // that stands in for a production MOVED reply. Most forwards arrive
-  // already resolved (the fused admit/route pass in ProxyAdmit); the
-  // serial walk then only registers them. Scans, fused failures, and
-  // unfused stragglers (anything admitted after a scan, plus background
-  // refresh fetches) resolve here, in admission order, exactly as the
-  // fully serial walk did.
+  // Serial pass: resolve destinations against each tenant's cached
+  // routing table (ClusterSim::RoutePoint), register the in-flight
+  // contexts (sim-wide table), and batch forwards per destination node.
+  // Most point forwards arrive already resolved by the same RoutePoint
+  // call in ProxyAdmit; the walk then only registers them. Scans, fused
+  // failures, and unfused stragglers (anything admitted after a scan,
+  // plus background refresh fetches) resolve or settle here, in
+  // admission order.
   if (ctx.node_batches.size() < sim.nodes_.size()) {
     ctx.node_batches.resize(sim.nodes_.size());
   }
@@ -474,14 +472,6 @@ void RouteStage::Run(TickContext& ctx) {
       // Finalize only seals touched tenants. Idempotent per tick.
       if (rt != nullptr) sim.TouchTenant(fwd.ctx.tenant, *rt);
     }
-    // Fused success: the admit pass already resolved the destination
-    // against the same frozen placement; just register and batch.
-    if (fwd.ctx.node != kInvalidNode) {
-      sim.inflight_[req.req_id] = fwd.ctx;
-      assert(static_cast<size_t>(fwd.ctx.node) < batches.size());
-      batches[static_cast<size_t>(fwd.ctx.node)].push_back(&req);
-      return;
-    }
     // Scans target a key RANGE: hash partitioning scatters any range
     // across every partition, so the forward expands into one leg per
     // partition (sim.RouteScanFanout) instead of resolving one primary.
@@ -497,50 +487,16 @@ void RouteStage::Run(TickContext& ctx) {
       sim.RouteScanFanout(fwd, *rt, batches);
       return;
     }
-    node::DataNode* n = nullptr;
-    if (rt != nullptr && !fwd.ctx.route_failed) {
-      const bool eventual_read = req.consistency == Consistency::kEventual &&
-                                 IsReadOp(req.op) && !req.background_refresh;
-      if (eventual_read) {
-        // Eventual reads accept any alive replica of the partition —
-        // including a stale one during a primary outage — balanced by a
-        // per-tenant round-robin cursor (serial pass: deterministic).
-        n = sim.PickReplicaForRead(*rt, req.tenant, req.partition);
-        if (n == nullptr && rt->route_epoch != sim.meta_->routing_epoch()) {
-          sim.RefreshRoutingTable(*rt);
-          rt->current.redirects++;
-          n = sim.PickReplicaForRead(*rt, req.tenant, req.partition);
-        }
-        // Hedged reads (latency subsystem): arm an alternate replica now,
-        // while routing state is hot; Settle fires it only if the primary
-        // leg's virtual time crosses the tenant's hedge threshold.
-        if (n != nullptr && sim.options_.latency.enabled &&
-            sim.options_.latency.hedge.enabled) {
-          if (node::DataNode* alt = sim.PickHedgeReplica(
-                  *rt, req.tenant, req.partition, n->id())) {
-            fwd.ctx.hedge_node = alt->id();
-          }
-        }
-      } else {
-        auto routable = [&](node::DataNode* dest) {
-          return dest != nullptr && dest->CanServe() &&
-                 dest->IsPrimaryFor(req.tenant, req.partition);
-        };
-        n = sim.FindNode(sim.CachedPrimary(*rt, req.partition));
-        if (!routable(n) && rt->route_epoch != sim.meta_->routing_epoch()) {
-          // Stale-epoch forward: chase the redirect — refresh the cached
-          // table from the MetaServer and retry once.
-          sim.RefreshRoutingTable(*rt);
-          if (!req.background_refresh) rt->current.redirects++;
-          n = sim.FindNode(sim.CachedPrimary(*rt, req.partition));
-        }
-        if (!routable(n)) n = nullptr;
-      }
+    // Point forwards the admit pass left unresolved (background refresh
+    // fetches, anything admitted after a scan) resolve now; a fused
+    // failure is not retried.
+    if (fwd.ctx.node == kInvalidNode && rt != nullptr &&
+        !fwd.ctx.route_failed) {
+      sim.RoutePoint(*rt, fwd, rt->current);
     }
-    if (n == nullptr) {
-      // Either the fused pass flagged route_failed, or the serial
-      // resolve above failed; settlement is identical and happens here,
-      // at the forward's position in admission order.
+    if (fwd.ctx.node == kInvalidNode) {
+      // Settlement of a failed resolve (fused or here) happens at the
+      // forward's position in admission order.
       if (req.background_refresh) return;  // Refresh silently dropped.
       if (rt != nullptr) {
         rt->current.errors++;
@@ -556,12 +512,11 @@ void RouteStage::Run(TickContext& ctx) {
       }
       return;
     }
-    fwd.ctx.node = n->id();
     sim.inflight_[req.req_id] = fwd.ctx;
     // Node ids are dense (assigned by the sim in creation order), so the
     // id indexes the batch table directly.
-    assert(static_cast<size_t>(n->id()) < batches.size());
-    batches[static_cast<size_t>(n->id())].push_back(&req);
+    assert(static_cast<size_t>(fwd.ctx.node) < batches.size());
+    batches[static_cast<size_t>(fwd.ctx.node)].push_back(&req);
   };
   // Generated forwards live in their traffic slots (tenant-id order —
   // the legacy merge order), then injected forwards and background

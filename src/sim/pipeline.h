@@ -203,7 +203,7 @@ class ProxyAdmitStage final : public Stage {
   /// caller passes rt.current (injected batches, preserving the legacy
   /// accumulation order) or a per-worker scratch merged once per batch
   /// (generated morsels). Non-scan forwards admitted before any scan
-  /// this tick are also *routed* here (ClusterSim::FusedRoutePoint),
+  /// this tick are also *routed* here (ClusterSim::RoutePoint),
   /// fusing the admit and route walks. Safe to run tenant-concurrently:
   /// every touched buffer is tenant-private.
   void AdmitOne(TenantRuntime& rt, const ClientRequest& req,

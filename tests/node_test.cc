@@ -1,8 +1,13 @@
 // Tests for the DataNode (Section 3.2 data plane): admission, WFQ
-// integration, cache behaviour, rejection cost, and replica management.
+// integration, cache behaviour, rejection cost, replica management, and
+// point-read resolution alone and in batches.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -315,6 +320,132 @@ TEST_F(DataNodeTest, LoadVersionTracksRescheduleModelInputs) {
   // Quota changes are not a model input.
   node_.SetPartitionQuota(1, 0, 1234);
   EXPECT_FALSE(moved());
+}
+
+// ----------------------------------------------- Point-read resolution --
+
+// A node whose replica (1, 0) holds a string and a two-field hash in
+// SSTables ("f:" keys) and a string and a one-field hash in the memtable
+// ("m:" keys).
+std::unique_ptr<DataNode> MakeSeededNode(SimClock* clock) {
+  auto node = std::make_unique<DataNode>(1, SmallNodeOptions(), clock);
+  node->AddReplica(1, 0, 1000, true);
+  storage::LsmEngine& e = *node->EngineFor(1, 0);
+  EXPECT_TRUE(e.Put("f:s", "flushed-string").ok());
+  EXPECT_TRUE(e.HSet("f:h", "a", "1").ok());
+  EXPECT_TRUE(e.HSet("f:h", "b", "2").ok());
+  e.Flush();
+  EXPECT_TRUE(e.Put("m:s", "mem-string").ok());
+  EXPECT_TRUE(e.HSet("m:h", "x", "9").ok());
+  return node;
+}
+
+NodeRequest MakeRead(uint64_t id, OpType op, const std::string& key,
+                     const std::string& field = "") {
+  NodeRequest r = MakeGet(id, 1, 0, key);
+  r.op = op;
+  r.field = field;
+  return r;
+}
+
+// What the engine's own read API returns for `req`, as (status, value).
+std::pair<Status, std::string> EngineRead(storage::LsmEngine& e,
+                                          const NodeRequest& req) {
+  switch (req.op) {
+    case OpType::kGet: {
+      auto r = e.Get(req.key);
+      return {r.status(), r.ok() ? r.value() : ""};
+    }
+    case OpType::kHGet: {
+      auto r = e.HGet(req.key, req.field);
+      return {r.status(), r.ok() ? r.value() : ""};
+    }
+    case OpType::kHLen: {
+      auto r = e.HLen(req.key);
+      return {r.status(), r.ok() ? std::to_string(r.value()) : ""};
+    }
+    case OpType::kHGetAll: {
+      auto r = e.HGetAll(req.key);
+      std::string wire;
+      if (r.ok()) {
+        for (const auto& [f, v] : r.value()) wire += f + "=" + v + "\n";
+      }
+      return {r.status(), wire};
+    }
+    default:
+      return {Status::Internal("not a point read"), ""};
+  }
+}
+
+TEST(DataNodePointReadTest, LoneAndBatchedReadsMatchTheEngine) {
+  // Every op on both residencies, with all three NotFound causes: key
+  // absent (GET of a missing or hash key), hash absent (hash ops on a
+  // missing or string key) and field absent. GET and HGETALL fill the
+  // node cache under the bare key, so each key's HGETALL comes last.
+  std::vector<NodeRequest> reqs;
+  uint64_t id = 1;
+  for (const std::string r : {"f:", "m:"}) {
+    const std::string hash_field = r == "f:" ? "b" : "x";
+    reqs.push_back(MakeRead(id++, OpType::kGet, r + "s"));
+    reqs.push_back(MakeRead(id++, OpType::kGet, r + "h"));
+    reqs.push_back(MakeRead(id++, OpType::kGet, r + "none"));
+    reqs.push_back(MakeRead(id++, OpType::kHGet, r + "h", hash_field));
+    reqs.push_back(MakeRead(id++, OpType::kHGet, r + "s", "a"));
+    reqs.push_back(MakeRead(id++, OpType::kHGet, r + "none", "a"));
+    reqs.push_back(MakeRead(id++, OpType::kHGet, r + "h", "zz"));
+    reqs.push_back(MakeRead(id++, OpType::kHLen, r + "h"));
+    reqs.push_back(MakeRead(id++, OpType::kHLen, r + "s"));
+    reqs.push_back(MakeRead(id++, OpType::kHLen, r + "none"));
+    reqs.push_back(MakeRead(id++, OpType::kHGetAll, r + "none"));
+    reqs.push_back(MakeRead(id++, OpType::kHGetAll, r + "h"));
+  }
+
+  SimClock lone_clock(0);
+  std::unique_ptr<DataNode> lone = MakeSeededNode(&lone_clock);
+  std::vector<NodeResponse> alone;
+  for (const NodeRequest& req : reqs) {
+    lone->Submit(req);
+    lone->Tick();
+    lone_clock.Advance(kMicrosPerSecond);
+    std::vector<NodeResponse> out = lone->TakeResponses();
+    ASSERT_EQ(out.size(), 1u);
+    alone.push_back(std::move(out[0]));
+  }
+
+  SimClock batch_clock(0);
+  std::unique_ptr<DataNode> batched = MakeSeededNode(&batch_clock);
+  for (const NodeRequest& req : reqs) batched->Submit(req);
+  batched->Tick();
+  std::vector<NodeResponse> together = batched->TakeResponses();
+  ASSERT_EQ(together.size(), reqs.size());
+  std::map<uint64_t, const NodeResponse*> by_id;
+  for (const NodeResponse& resp : together) by_id[resp.req_id] = &resp;
+
+  int not_found[3] = {0, 0, 0};  // key / hash / field absent.
+  int from_disk = 0;
+  for (size_t i = 0; i < reqs.size(); i++) {
+    const NodeRequest& req = reqs[i];
+    SCOPED_TRACE("req " + std::to_string(req.req_id) + " key " + req.key);
+    const NodeResponse& a = alone[i];
+    ASSERT_TRUE(by_id.count(req.req_id));
+    const NodeResponse& t = *by_id[req.req_id];
+    const auto [status, value] = EngineRead(*lone->EngineFor(1, 0), req);
+    EXPECT_EQ(a.status.ToString(), status.ToString());
+    EXPECT_EQ(a.value, value);
+    EXPECT_EQ(t.status.ToString(), a.status.ToString());
+    EXPECT_EQ(t.value, a.value);
+    EXPECT_EQ(t.served_by, a.served_by);
+    from_disk += a.served_by == ServedBy::kDisk;
+    if (status.IsNotFound()) {
+      not_found[0] += status.message() == "key absent";
+      not_found[1] += status.message() == "hash absent";
+      not_found[2] += status.message() == "field absent";
+    }
+  }
+  EXPECT_GT(not_found[0], 0);
+  EXPECT_GT(not_found[1], 0);
+  EXPECT_GT(not_found[2], 0);
+  EXPECT_GT(from_disk, 0);  // The flushed keys were read from SSTables.
 }
 
 }  // namespace

@@ -1,8 +1,13 @@
 // Tests for the dual-layer WFQ scheduler (Section 4.3): VFT math,
-// per-tenant fairness, the four class queues, and Rules 1-4.
+// per-tenant fairness, the four class queues, Rules 1-4, and the CPU
+// layer's read batching and cancellation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "sched/dual_layer_wfq.h"
 #include "sched/wfq_queue.h"
@@ -122,6 +127,17 @@ DualWfqOptions SmallWfqOptions() {
   return o;
 }
 
+// Runs one tick in which every probe answers `probe` and nothing is
+// canceled.
+TickStats RunTickWith(DualLayerWfq& wfq, CacheProbe probe,
+                      const DualLayerWfq::CompleteFn& complete) {
+  return wfq.RunTick(
+      [probe](const SchedRequest*, size_t n, CacheProbe* out) {
+        std::fill(out, out + n, probe);
+      },
+      [](const SchedRequest&) { return false; }, complete);
+}
+
 struct Recorder {
   std::map<uint64_t, SchedOutcome> outcomes;
   DualLayerWfq::CompleteFn Fn() {
@@ -135,11 +151,8 @@ TEST(DualLayerWfqTest, CacheHitCompletesAtCpuLayer) {
   DualLayerWfq wfq(SmallWfqOptions());
   wfq.Enqueue(MakeReq(1, 1, 1.0, 1.0));
   Recorder rec;
-  TickStats stats = wfq.RunTick(
-      [](const SchedRequest&) {
-        return CacheProbe{/*hit=*/true, /*needs_io=*/false, 0};
-      },
-      rec.Fn());
+  TickStats stats = RunTickWith(
+      wfq, CacheProbe{/*hit=*/true, /*needs_io=*/false, 0}, rec.Fn());
   EXPECT_EQ(rec.outcomes[1], SchedOutcome::kServedFromCache);
   EXPECT_EQ(stats.cache_hits, 1u);
   EXPECT_EQ(stats.io_scheduled, 0u);
@@ -149,11 +162,7 @@ TEST(DualLayerWfqTest, MissGoesThroughIoLayer) {
   DualLayerWfq wfq(SmallWfqOptions());
   wfq.Enqueue(MakeReq(1, 1, 1.0, 1.0));
   Recorder rec;
-  TickStats stats = wfq.RunTick(
-      [](const SchedRequest&) {
-        return CacheProbe{false, true, 3};
-      },
-      rec.Fn());
+  TickStats stats = RunTickWith(wfq, CacheProbe{false, true, 3}, rec.Fn());
   EXPECT_EQ(rec.outcomes[1], SchedOutcome::kServedFromDisk);
   EXPECT_EQ(stats.io_scheduled, 1u);
   EXPECT_EQ(stats.io_blocks_used, 3u);
@@ -164,11 +173,7 @@ TEST(DualLayerWfqTest, WriteCompletesAtCpuWithoutIo) {
   wfq.Enqueue(MakeReq(1, 1, 1.0, 1.0, /*is_read=*/false,
                       RequestClass::kSmallWrite));
   Recorder rec;
-  wfq.RunTick(
-      [](const SchedRequest&) {
-        return CacheProbe{false, false, 0};
-      },
-      rec.Fn());
+  RunTickWith(wfq, CacheProbe{false, false, 0}, rec.Fn());
   EXPECT_EQ(rec.outcomes[1], SchedOutcome::kServedFromCpu);
 }
 
@@ -178,20 +183,12 @@ TEST(DualLayerWfqTest, CpuBudgetDefersExcess) {
     wfq.Enqueue(MakeReq(i, 1, 10.0, 1.0));  // 300 RU total.
   }
   Recorder rec;
-  wfq.RunTick(
-      [](const SchedRequest&) {
-        return CacheProbe{true, false, 0};
-      },
-      rec.Fn());
+  RunTickWith(wfq, CacheProbe{true, false, 0}, rec.Fn());
   // ~10 requests fit in the 100-RU budget; the rest stay queued.
   EXPECT_LE(rec.outcomes.size(), 11u);
   EXPECT_GT(wfq.PendingCount(), 0u);
   // Next tick serves more.
-  wfq.RunTick(
-      [](const SchedRequest&) {
-        return CacheProbe{true, false, 0};
-      },
-      rec.Fn());
+  RunTickWith(wfq, CacheProbe{true, false, 0}, rec.Fn());
   EXPECT_GT(rec.outcomes.size(), 11u);
 }
 
@@ -203,11 +200,7 @@ TEST(DualLayerWfqTest, Rule2WriteRuCeiling) {
     wfq.Enqueue(MakeReq(i, 1, 10.0, 1.0, false, RequestClass::kSmallWrite));
   }
   Recorder rec;
-  wfq.RunTick(
-      [](const SchedRequest&) {
-        return CacheProbe{false, false, 0};
-      },
-      rec.Fn());
+  RunTickWith(wfq, CacheProbe{false, false, 0}, rec.Fn());
   // Only ceiling/cost = 2 writes may run this tick despite CPU headroom.
   EXPECT_LE(rec.outcomes.size(), 2u);
 }
@@ -218,11 +211,7 @@ TEST(DualLayerWfqTest, Rule2ConcurrencyLimits) {
   DualLayerWfq wfq(o);
   for (uint64_t i = 0; i < 20; i++) wfq.Enqueue(MakeReq(i, 1, 1.0, 1.0));
   Recorder rec;
-  wfq.RunTick(
-      [](const SchedRequest&) {
-        return CacheProbe{true, false, 0};
-      },
-      rec.Fn());
+  RunTickWith(wfq, CacheProbe{true, false, 0}, rec.Fn());
   EXPECT_EQ(rec.outcomes.size(), 5u);
 }
 
@@ -237,11 +226,7 @@ TEST(DualLayerWfqTest, Rule3SingleTenantCpuCap) {
     wfq.Enqueue(MakeReq(100 + i, 2, 1.0, 0.05));
   }
   Recorder rec;
-  TickStats stats = wfq.RunTick(
-      [](const SchedRequest&) {
-        return CacheProbe{true, false, 0};
-      },
-      rec.Fn());
+  TickStats stats = RunTickWith(wfq, CacheProbe{true, false, 0}, rec.Fn());
   // Tenant 1 capped at 90 RU (9 requests); tenant 2 fully served.
   double t1_ru = 0;
   int t2_served = 0;
@@ -271,11 +256,7 @@ TEST(DualLayerWfqTest, Rule4ExtraThreadsServeOtherTenants) {
     wfq.Enqueue(MakeReq(100 + i, 2, 1.0, 0.01));
   }
   Recorder rec;
-  TickStats stats = wfq.RunTick(
-      [](const SchedRequest&) {
-        return CacheProbe{false, true, 1};
-      },
-      rec.Fn());
+  TickStats stats = RunTickWith(wfq, CacheProbe{false, true, 1}, rec.Fn());
   // Tenant 2's requests are served via extra threads even though tenant 1
   // consumed the whole basic budget.
   EXPECT_TRUE(stats.extra_threads_active);
@@ -295,11 +276,7 @@ TEST(DualLayerWfqTest, NoMonopolyNoExtraThreads) {
     wfq.Enqueue(MakeReq(100 + i, 2, 1.0, 0.5));
   }
   Recorder rec;
-  TickStats stats = wfq.RunTick(
-      [](const SchedRequest&) {
-        return CacheProbe{false, true, 1};
-      },
-      rec.Fn());
+  TickStats stats = RunTickWith(wfq, CacheProbe{false, true, 1}, rec.Fn());
   EXPECT_FALSE(stats.extra_threads_active);
 }
 
@@ -314,12 +291,107 @@ TEST(DualLayerWfqTest, FourClassesIsolateSizes) {
   }
   wfq.Enqueue(MakeReq(500, 2, 1.0, 0.5, true, RequestClass::kSmallRead));
   Recorder rec;
-  wfq.RunTick(
-      [](const SchedRequest&) {
-        return CacheProbe{true, false, 0};
-      },
-      rec.Fn());
+  RunTickWith(wfq, CacheProbe{true, false, 0}, rec.Fn());
   EXPECT_TRUE(rec.outcomes.count(500));
+}
+
+// ------------------------------------------------------- Read batching --
+
+SchedRequest KeyedReq(uint64_t id, uint64_t key_hash, double cost = 1.0,
+                      bool is_read = true,
+                      RequestClass cls = RequestClass::kSmallRead) {
+  SchedRequest r = MakeReq(id, 1, cost, 1.0, is_read, cls);
+  r.key_hash = key_hash;
+  return r;
+}
+
+// Records the tick as a sequence of events: "probe:<ids>" per probe call
+// and "done:<id>" per completion. Every probe answers "served at the CPU
+// layer", so every completion happens within its batch's flush.
+struct BatchLog {
+  std::vector<std::string> events;
+  std::vector<size_t> sizes;
+  std::set<uint64_t> canceled_ids;
+
+  TickStats Run(DualLayerWfq& wfq) {
+    return wfq.RunTick(
+        [this](const SchedRequest* reqs, size_t n, CacheProbe* out) {
+          std::string e = "probe:";
+          for (size_t i = 0; i < n; i++) {
+            e += (i > 0 ? "," : "") + std::to_string(reqs[i].req_id);
+            out[i] = CacheProbe{false, false, 0};
+          }
+          events.push_back(e);
+          sizes.push_back(n);
+        },
+        [this](const SchedRequest& r) {
+          return canceled_ids.count(r.req_id) > 0;
+        },
+        [this](const SchedRequest& r, SchedOutcome) {
+          events.push_back("done:" + std::to_string(r.req_id));
+        });
+  }
+};
+
+TEST(DualLayerWfqBatchTest, RepeatedKeyFlushesBeforeTheRepeat) {
+  DualLayerWfq wfq(SmallWfqOptions());
+  // Pop order is id order (one tenant, one class). Request 4 repeats
+  // request 2's key, so it must be probed only after 2 completed.
+  const uint64_t keys[] = {11, 12, 13, 12, 14};
+  for (uint64_t i = 0; i < 5; i++) wfq.Enqueue(KeyedReq(i + 1, keys[i]));
+  BatchLog log;
+  log.Run(wfq);
+  EXPECT_EQ(log.sizes, (std::vector<size_t>{3, 2}));
+  EXPECT_EQ(log.events,
+            (std::vector<std::string>{"probe:1,2,3", "done:1", "done:2",
+                                      "done:3", "probe:4,5", "done:4",
+                                      "done:5"}));
+}
+
+TEST(DualLayerWfqBatchTest, WriteIsProbedAloneAfterPriorReadsFlush) {
+  DualLayerWfq wfq(SmallWfqOptions());
+  // Reads at VFT 1, 2, 3, 4; the write (its own class queue) at VFT 2.5,
+  // so the pop order is 1, 2, 9, 3, 4.
+  for (uint64_t i = 1; i <= 4; i++) wfq.Enqueue(KeyedReq(i, 100 + i));
+  wfq.Enqueue(KeyedReq(9, 200, 2.5, /*is_read=*/false,
+                       RequestClass::kSmallWrite));
+  BatchLog log;
+  log.Run(wfq);
+  EXPECT_EQ(log.sizes, (std::vector<size_t>{2, 1, 2}));
+  EXPECT_EQ(log.events,
+            (std::vector<std::string>{"probe:1,2", "done:1", "done:2",
+                                      "probe:9", "done:9", "probe:3,4",
+                                      "done:3", "done:4"}));
+}
+
+TEST(DualLayerWfqBatchTest, SeventeenDistinctReadsArriveAsSixteenPlusOne) {
+  DualLayerWfq wfq(SmallWfqOptions());
+  for (uint64_t i = 1; i <= 17; i++) wfq.Enqueue(KeyedReq(i, 100 + i));
+  BatchLog log;
+  TickStats stats = log.Run(wfq);
+  EXPECT_EQ(log.sizes, (std::vector<size_t>{16, 1}));
+  EXPECT_EQ(stats.cpu_scheduled, 17u);
+}
+
+TEST(DualLayerWfqBatchTest, CanceledPopsConsumeNothing) {
+  // Budget and read concurrency fit exactly four 10-RU reads. Of six
+  // queued reads, 2 and 4 are canceled: the four live ones must all run,
+  // which they can only if the canceled pops were never charged.
+  DualWfqOptions o = SmallWfqOptions();
+  o.cpu_budget_ru = 40;
+  o.read_concurrency = 4;
+  o.single_tenant_cpu_cap = 1.0;
+  DualLayerWfq wfq(o);
+  for (uint64_t i = 1; i <= 6; i++) wfq.Enqueue(KeyedReq(i, 100 + i, 10.0));
+  BatchLog log;
+  log.canceled_ids = {2, 4};
+  TickStats stats = log.Run(wfq);
+  EXPECT_EQ(log.events,
+            (std::vector<std::string>{"probe:1,3,5,6", "done:1", "done:3",
+                                      "done:5", "done:6"}));
+  EXPECT_EQ(stats.cpu_scheduled, 4u);
+  EXPECT_DOUBLE_EQ(stats.cpu_ru_used, 40.0);
+  EXPECT_EQ(wfq.PendingCount(), 0u);
 }
 
 // Property sweep: with two tenants at a quota ratio r and saturated
@@ -346,11 +418,7 @@ TEST_P(WfqFairnessTest, ServedRuMatchesQuotaRatio) {
       wfq.Enqueue(
           MakeReq(tick * 10000 + 5000 + i, 2, 1.0, share2));
     }
-    wfq.RunTick(
-        [](const SchedRequest&) {
-          return CacheProbe{true, false, 0};
-        },
-        complete);
+    RunTickWith(wfq, CacheProbe{true, false, 0}, complete);
   }
   double expected_ratio = share1 / share2;
   EXPECT_NEAR(served1 / served2, expected_ratio, expected_ratio * 0.15);
