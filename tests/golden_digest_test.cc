@@ -29,8 +29,10 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/abase.h"
 #include "sim/cluster_sim.h"
+#include "sim/workload.h"
 
 namespace abase {
 namespace {
@@ -559,6 +561,86 @@ uint64_t RunScanWorkloadDigest(int workers) {
   return digest.value();
 }
 
+// ------------------------------------ Scenario: predictive autoscaling --
+
+/// The predictive control loop (Algorithm 1 over the Section 5.2
+/// forecaster). Three tenants carry seeded 30-day diurnal histories at
+/// quotas that scale up (and split), scale down, and hold; a fourth has
+/// an aperiodic history, so ProphetLite detects the period of its own
+/// holdout fit; a fifth has a level shift, so the forecaster truncates
+/// at the change point and forecasts over a shorter series. Every
+/// control round folds each tenant's quota, partition count and
+/// scale-up/scale-down/split counters into the digest.
+uint64_t RunPredictiveDigest(int workers) {
+  sim::SimOptions opt;
+  opt.seed = 5150;
+  opt.data_plane_workers = workers;
+  opt.control_interval_ticks = 3;
+  opt.control_ticks_per_hour = 3;  // One control round per hour.
+  sim::ClusterSim sim(opt);
+  PoolId pool = sim.AddPool(8);
+
+  struct PredictiveTenant {
+    double quota;
+    double base_qps;
+    sim::SeriesSpec past;
+  };
+  std::vector<PredictiveTenant> specs(5);
+  for (size_t i = 0; i < 3; i++) {
+    specs[i].past.base = 25;
+    specs[i].past.seasons.push_back({24, 15});
+    specs[i].past.noise_sigma = 2;
+  }
+  specs[0].quota = 40;  // Forecast peak above the band: scale up, split.
+  specs[1].quota = 200;  // Far below the band: scale down.
+  specs[2].quota = 55;  // Inside the band.
+  specs[3].quota = 80;  // Aperiodic: noise only.
+  specs[3].past.base = 60;
+  specs[3].past.noise_sigma = 15;
+  specs[4].quota = 50;  // Level shift at hour 540.
+  specs[4].past.base = 20;
+  specs[4].past.seasons.push_back({24, 8});
+  specs[4].past.noise_sigma = 2;
+  specs[4].past.level_shift_at_hour = 540;
+  specs[4].past.level_shift_factor = 2.5;
+
+  const TenantId kTenants = static_cast<TenantId>(specs.size());
+  for (TenantId t = 1; t <= kTenants; t++) {
+    const PredictiveTenant& spec = specs[t - 1];
+    meta::TenantConfig c = GoldenTenant(t, spec.quota, /*partitions=*/2);
+    c.partition_quota_upper = 25;
+    c.partition_quota_lower = 5;
+    EXPECT_TRUE(sim.AddTenant(c, pool).ok());
+    sim.PreloadKeys(t, /*num_keys=*/100, /*value_bytes=*/64);
+    sim::WorkloadProfile p;
+    p.base_qps = 10 + 4.0 * t;
+    p.read_ratio = 0.8;
+    p.num_keys = 100;
+    p.value_bytes = 64;
+    sim.SetWorkload(t, p);
+    Rng rng(opt.seed * 1000003ull + t);
+    sim.SeedUsageHistory(t, sim::GenerateSeries(spec.past, rng));
+    sim.EnableAutoscale(t, sim::AutoscaleMode::kPredictive);
+  }
+
+  Digest digest;
+  for (int tick = 1; tick <= 45; tick++) {
+    sim.Tick();
+    if (tick % opt.control_interval_ticks != 0) continue;
+    for (TenantId t = 1; t <= kTenants; t++) {
+      const meta::TenantMeta* tm = sim.meta().GetTenant(t);
+      const sim::TenantRuntime* rt = sim.Tenant(t);
+      digest.F64(tm->tenant_quota_ru);
+      digest.U64(tm->partitions.size());
+      digest.U64(rt->scale_ups);
+      digest.U64(rt->scale_downs);
+      digest.U64(rt->splits_started);
+    }
+  }
+  for (TenantId t = 1; t <= kTenants; t++) FoldHistory(digest, sim.History(t));
+  return digest.value();
+}
+
 // ------------------------------------------------------------- The goldens --
 
 // Recorded from the seed (request-at-a-time) pipeline at commit
@@ -577,6 +659,10 @@ constexpr uint64_t kGoldenResched = 0x980f166593a288c3ull;
 // before it was deleted; the active-set walk must reproduce them.
 constexpr uint64_t kGoldenActiveSet = 0x90c855d89e9286d3ull;
 constexpr uint64_t kGoldenScanWorkload = 0x0e83915a51e5135bull;
+// Recorded on the direct-DFT periodogram and the per-point nth_element
+// denoise window, before the twiddle-table cache and the sliding sorted
+// window replaced them.
+constexpr uint64_t kGoldenPredictive = 0xa52b922c4d0772abull;
 
 bool Recording() { return std::getenv("GOLDEN_RECORD") != nullptr; }
 
@@ -618,6 +704,10 @@ TEST(GoldenDigestTest, ActiveSetTickingMatchesDenseRecording) {
 
 TEST(GoldenDigestTest, ScanWorkloadMatchesDenseRecording) {
   CheckScenario("scan_workload", &RunScanWorkloadDigest, kGoldenScanWorkload);
+}
+
+TEST(GoldenDigestTest, PredictiveAutoscalingMatchesDirectForecaster) {
+  CheckScenario("predictive", &RunPredictiveDigest, kGoldenPredictive);
 }
 
 }  // namespace
