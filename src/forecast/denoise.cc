@@ -9,40 +9,71 @@ namespace forecast {
 
 namespace {
 
-/// Median of a window of `series` centered at i (clamped to bounds).
-double LocalMedian(const std::vector<double>& v, size_t i, size_t window) {
-  size_t lo = i >= window / 2 ? i - window / 2 : 0;
-  size_t hi = std::min(v.size(), lo + window);
-  if (hi - lo == 0) return 0;
-  std::vector<double> w(v.begin() + static_cast<ptrdiff_t>(lo),
-                        v.begin() + static_cast<ptrdiff_t>(hi));
-  std::nth_element(w.begin(), w.begin() + static_cast<ptrdiff_t>(w.size() / 2),
-                   w.end());
-  return w[w.size() / 2];
+/// Robust location and spread of the window around one point.
+struct LocalStats {
+  double median = 0;
+  double mad = 0;  ///< Median absolute deviation scaled to sigma.
+};
+
+/// Median absolute deviation of a sorted, non-empty window: the m-th
+/// smallest (0-based) of |sorted[j] - med|, with m = size/2 and
+/// med = sorted[m]. The deviations form two ascending runs,
+/// med - sorted[m-1], med - sorted[m-2], ... and sorted[m] - med,
+/// sorted[m+1] - med, ...; merging their first m+1 values selects it.
+double SortedMad(const std::vector<double>& sorted) {
+  const size_t m = sorted.size() / 2;
+  const double med = sorted[m];
+  size_t below = m, above = m;  // Next unmerged index of each run.
+  double dev = 0;
+  for (size_t r = 0; r <= m; r++) {
+    if (below > 0 && (above == sorted.size() ||
+                      med - sorted[below - 1] <= sorted[above] - med)) {
+      dev = med - sorted[--below];
+    } else {
+      dev = sorted[above++] - med;
+    }
+  }
+  return dev;
 }
 
-/// Robust deviation estimate: median absolute deviation scaled to sigma.
-double LocalMad(const std::vector<double>& v, size_t i, size_t window,
-                double median) {
-  size_t lo = i >= window / 2 ? i - window / 2 : 0;
-  size_t hi = std::min(v.size(), lo + window);
-  std::vector<double> dev;
-  dev.reserve(hi - lo);
-  for (size_t j = lo; j < hi; j++) dev.push_back(std::fabs(v[j] - median));
-  if (dev.empty()) return 0;
-  std::nth_element(dev.begin(),
-                   dev.begin() + static_cast<ptrdiff_t>(dev.size() / 2),
-                   dev.end());
-  return dev[dev.size() / 2] * 1.4826;  // MAD -> sigma for Gaussian data.
+/// Median and MAD of the window [lo, hi) = [i - window/2, lo + window),
+/// clamped to the series, for every i. A sorted copy of the window
+/// slides with i, so each step inserts and erases one value instead of
+/// re-selecting the whole window. Any exact k-th order statistic has one
+/// value, and |a - b| equals whichever of a - b, b - a is non-negative
+/// exactly, so the results match per-point nth_element selection bit
+/// for bit.
+std::vector<LocalStats> SlidingLocalStats(const std::vector<double>& v,
+                                          size_t window) {
+  std::vector<LocalStats> stats(v.size());
+  std::vector<double> sorted;
+  sorted.reserve(std::min(window, v.size()));
+  size_t in_lo = 0, in_hi = 0;  // The window `sorted` currently holds.
+  for (size_t i = 0; i < v.size(); i++) {
+    const size_t lo = i >= window / 2 ? i - window / 2 : 0;
+    const size_t hi = std::min(v.size(), lo + window);
+    for (; in_hi < hi; in_hi++) {
+      sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), v[in_hi]),
+                    v[in_hi]);
+    }
+    for (; in_lo < lo; in_lo++) {
+      sorted.erase(std::lower_bound(sorted.begin(), sorted.end(), v[in_lo]));
+    }
+    if (sorted.empty()) continue;
+    stats[i].median = sorted[sorted.size() / 2];
+    stats[i].mad = SortedMad(sorted) * 1.4826;  // MAD -> sigma.
+  }
+  return stats;
 }
 
 /// Marks indices whose value exceeds local median + sigma * MAD.
 std::vector<bool> SpikeMask(const std::vector<double>& v,
+                            const std::vector<LocalStats>& stats,
                             const DenoiseOptions& options) {
   std::vector<bool> mask(v.size(), false);
   for (size_t i = 0; i < v.size(); i++) {
-    double med = LocalMedian(v, i, options.local_window);
-    double mad = LocalMad(v, i, options.local_window, med);
+    const double med = stats[i].median;
+    double mad = stats[i].mad;
     if (mad <= 0) mad = std::max(1e-9, 0.05 * std::fabs(med));
     if (v[i] > med + options.spike_sigma * mad) mask[i] = true;
   }
@@ -56,14 +87,19 @@ TimeSeries RemoveSimultaneousSpikes(const TimeSeries& usage,
                                     const DenoiseOptions& options) {
   TimeSeries out = usage;
   if (usage.size() != quota.size() || usage.empty()) return out;
-  auto usage_spikes = SpikeMask(usage.values(), options);
-  auto quota_spikes = SpikeMask(quota.values(), options);
+  const auto usage_stats =
+      SlidingLocalStats(usage.values(), options.local_window);
+  auto usage_spikes = SpikeMask(usage.values(), usage_stats, options);
+  auto quota_spikes =
+      SpikeMask(quota.values(),
+                SlidingLocalStats(quota.values(), options.local_window),
+                options);
   for (size_t i = 0; i < usage.size(); i++) {
     if (usage_spikes[i] && quota_spikes[i]) {
       // Both metrics spiking together is (per the paper) practically
       // impossible — treat as a recording artifact and replace with the
       // local median.
-      out[i] = LocalMedian(usage.values(), i, options.local_window);
+      out[i] = usage_stats[i].median;
     }
   }
   return out;
@@ -74,7 +110,8 @@ TimeSeries RemoveSporadicPeaks(const TimeSeries& usage,
   TimeSeries out = usage;
   if (usage.empty()) return out;
   const auto& v = usage.values();
-  auto spikes = SpikeMask(v, options);
+  const auto stats = SlidingLocalStats(v, options.local_window);
+  auto spikes = SpikeMask(v, stats, options);
   for (size_t i = 0; i < v.size(); i++) {
     if (!spikes[i]) continue;
     // Recurring peaks (another spike of comparable height within the
@@ -92,9 +129,8 @@ TimeSeries RemoveSporadicPeaks(const TimeSeries& usage,
       }
     }
     if (!recurring) {
-      double med = LocalMedian(v, i, options.local_window);
-      double mad = LocalMad(v, i, options.local_window, med);
-      out[i] = med + options.spike_sigma * std::max(mad, 0.0);
+      out[i] = stats[i].median +
+               options.spike_sigma * std::max(stats[i].mad, 0.0);
     }
   }
   return out;

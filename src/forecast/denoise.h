@@ -18,7 +18,11 @@ struct DenoiseOptions {
   /// A point is a spike when it exceeds `spike_sigma` standard deviations
   /// above the local median.
   double spike_sigma = 4.0;
-  /// Window (in samples) used for the local median/deviation.
+  /// Window (in samples) used for the local median/deviation. A sorted
+  /// copy of the window slides along the series (one insert and one
+  /// erase per point), so a pass costs O(n * window) moves with no
+  /// per-point allocation, and its median and MAD equal per-point
+  /// selection exactly.
   size_t local_window = 24;
   /// A spike is "sporadic" if no other spike of similar height occurs
   /// within `recurrence_window` samples on either side (10 days hourly =

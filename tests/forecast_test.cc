@@ -1,8 +1,19 @@
 // Tests for the forecasting stack (Section 5.2): PSD, change points,
 // denoising, ProphetLite, historical average, and the ensemble.
+//
+// The periodogram (twiddle table) and the denoise window (sliding sorted
+// copy) are checked bit for bit against the direct O(n^2) DFT and the
+// per-point nth_element selection they replaced; those references live
+// only here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "forecast/changepoint.h"
@@ -27,6 +38,176 @@ TimeSeries DailySeries(size_t hours, double base = 100, double amp = 30,
   Rng rng(seed);
   return sim::GenerateSeries(spec, rng);
 }
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool SameBits(const std::vector<PeriodComponent>& a,
+              const std::vector<PeriodComponent>& b) {
+  static_assert(sizeof(PeriodComponent) == 2 * sizeof(double),
+                "PeriodComponent must be two packed doubles");
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(),
+                                   a.size() * sizeof(PeriodComponent)) == 0);
+}
+
+bool SameForecast(const ForecastResult& a, const ForecastResult& b) {
+  return SameBits(a.prediction.values(), b.prediction.values()) &&
+         SameBits({a.predicted_max, a.prophet_weight, a.historical_weight,
+                   a.detected_period},
+                  {b.predicted_max, b.prophet_weight, b.historical_weight,
+                   b.detected_period}) &&
+         a.burst_fallback == b.burst_fallback &&
+         a.truncated_at == b.truncated_at;
+}
+
+/// Random series in the shapes the fast kernels must reproduce exactly:
+/// 0 = noisy diurnal with sporadic spikes, 1 = four levels (ties and
+/// repeated values everywhere), 2 = constant, 3 = all zero.
+std::vector<double> RandomSeries(Rng& rng, size_t n, int shape) {
+  std::vector<double> v(n, 0.0);
+  for (size_t i = 0; i < n; i++) {
+    switch (shape) {
+      case 0:
+        v[i] = 100 + 30 * std::sin(2 * M_PI * static_cast<double>(i) / 24) +
+               rng.NextGaussian(0, 8);
+        if (rng.NextDouble() < 0.03) v[i] += 500 + 900 * rng.NextDouble();
+        break;
+      case 1:
+        v[i] = static_cast<double>(rng.NextUint64(4));
+        break;
+      case 2:
+        v[i] = 42.5;
+        break;
+      default:
+        break;
+    }
+  }
+  return v;
+}
+
+// The replaced kernels, kept verbatim as oracles.
+namespace reference {
+
+std::vector<PeriodComponent> Periodogram(const TimeSeries& series) {
+  std::vector<PeriodComponent> out;
+  const size_t n = series.size();
+  if (n < 8) return out;
+  const double mean = series.Mean();
+  for (size_t k = 2; k <= n / 2; k++) {
+    double re = 0, im = 0;
+    const double w = 2.0 * M_PI * static_cast<double>(k) /
+                     static_cast<double>(n);
+    for (size_t t = 0; t < n; t++) {
+      double v = series[t] - mean;
+      re += v * std::cos(w * static_cast<double>(t));
+      im -= v * std::sin(w * static_cast<double>(t));
+    }
+    double power = (re * re + im * im) / static_cast<double>(n);
+    out.push_back(PeriodComponent{
+        static_cast<double>(n) / static_cast<double>(k), power});
+  }
+  std::sort(out.begin(), out.end(),
+            [](const PeriodComponent& a, const PeriodComponent& b) {
+              return a.power > b.power;
+            });
+  return out;
+}
+
+double LocalMedian(const std::vector<double>& v, size_t i, size_t window) {
+  size_t lo = i >= window / 2 ? i - window / 2 : 0;
+  size_t hi = std::min(v.size(), lo + window);
+  if (hi - lo == 0) return 0;
+  std::vector<double> w(v.begin() + static_cast<ptrdiff_t>(lo),
+                        v.begin() + static_cast<ptrdiff_t>(hi));
+  std::nth_element(w.begin(), w.begin() + static_cast<ptrdiff_t>(w.size() / 2),
+                   w.end());
+  return w[w.size() / 2];
+}
+
+double LocalMad(const std::vector<double>& v, size_t i, size_t window,
+                double median) {
+  size_t lo = i >= window / 2 ? i - window / 2 : 0;
+  size_t hi = std::min(v.size(), lo + window);
+  std::vector<double> dev;
+  for (size_t j = lo; j < hi; j++) dev.push_back(std::fabs(v[j] - median));
+  if (dev.empty()) return 0;
+  std::nth_element(dev.begin(),
+                   dev.begin() + static_cast<ptrdiff_t>(dev.size() / 2),
+                   dev.end());
+  return dev[dev.size() / 2] * 1.4826;
+}
+
+std::vector<bool> SpikeMask(const std::vector<double>& v,
+                            const DenoiseOptions& options) {
+  std::vector<bool> mask(v.size(), false);
+  for (size_t i = 0; i < v.size(); i++) {
+    double med = LocalMedian(v, i, options.local_window);
+    double mad = LocalMad(v, i, options.local_window, med);
+    if (mad <= 0) mad = std::max(1e-9, 0.05 * std::fabs(med));
+    if (v[i] > med + options.spike_sigma * mad) mask[i] = true;
+  }
+  return mask;
+}
+
+TimeSeries RemoveSimultaneousSpikes(const TimeSeries& usage,
+                                    const TimeSeries& quota,
+                                    const DenoiseOptions& options) {
+  TimeSeries out = usage;
+  if (usage.size() != quota.size() || usage.empty()) return out;
+  auto usage_spikes = SpikeMask(usage.values(), options);
+  auto quota_spikes = SpikeMask(quota.values(), options);
+  for (size_t i = 0; i < usage.size(); i++) {
+    if (usage_spikes[i] && quota_spikes[i]) {
+      out[i] = LocalMedian(usage.values(), i, options.local_window);
+    }
+  }
+  return out;
+}
+
+TimeSeries RemoveSporadicPeaks(const TimeSeries& usage,
+                               const DenoiseOptions& options) {
+  TimeSeries out = usage;
+  if (usage.empty()) return out;
+  const auto& v = usage.values();
+  auto spikes = SpikeMask(v, options);
+  for (size_t i = 0; i < v.size(); i++) {
+    if (!spikes[i]) continue;
+    bool recurring = false;
+    size_t lo = i >= options.recurrence_window ? i - options.recurrence_window
+                                               : 0;
+    size_t hi = std::min(v.size(), i + options.recurrence_window + 1);
+    for (size_t j = lo; j < hi && !recurring; j++) {
+      if (j == i || !spikes[j]) continue;
+      if (j + 3 < i || j > i + 3) {
+        if (v[j] > 0.5 * v[i]) recurring = true;
+      }
+    }
+    if (!recurring) {
+      double med = LocalMedian(v, i, options.local_window);
+      double mad = LocalMad(v, i, options.local_window, med);
+      out[i] = med + options.spike_sigma * std::max(mad, 0.0);
+    }
+  }
+  return out;
+}
+
+TimeSeries Denoise(const TimeSeries& usage, const TimeSeries& quota,
+                   const DenoiseOptions& options) {
+  return reference::RemoveSporadicPeaks(
+      reference::RemoveSimultaneousSpikes(usage, quota, options), options);
+}
+
+}  // namespace reference
+
+/// Lengths that hit the edges: below the periodogram's minimum of 8,
+/// odd, shorter than the default denoise window, and the 30-day window.
+const std::vector<size_t> kEdgeLengths = {0,  1,  2,  3,  5,   7,   8,
+                                          9,  11, 13, 23, 24,  25,  47,
+                                          100, 167, 333, 719, 720};
 
 // -------------------------------------------------------------------- PSD --
 
@@ -65,6 +246,27 @@ TEST(PsdTest, AperiodicSeriesDetectsNothing) {
 
 TEST(PsdTest, ShortSeriesReturnsEmpty) {
   EXPECT_TRUE(Periodogram(TimeSeries({1, 2, 3})).empty());
+}
+
+TEST(PsdTest, TwiddleTableMatchesDirectDftBitForBit) {
+  Rng rng(404);
+  size_t cases = 0;
+  for (size_t n : kEdgeLengths) {
+    for (int shape = 0; shape < 4; shape++) {
+      TimeSeries ts(RandomSeries(rng, n, shape));
+      EXPECT_TRUE(SameBits(Periodogram(ts), reference::Periodogram(ts)))
+          << "n=" << n << " shape=" << shape;
+      cases++;
+    }
+  }
+  for (int i = 0; i < 120; i++) {
+    const size_t n = 8 + rng.NextUint64(800);
+    TimeSeries ts(RandomSeries(rng, n, static_cast<int>(rng.NextUint64(2))));
+    EXPECT_TRUE(SameBits(Periodogram(ts), reference::Periodogram(ts)))
+        << "n=" << n;
+    cases++;
+  }
+  EXPECT_EQ(cases, kEdgeLengths.size() * 4 + 120);
 }
 
 // ------------------------------------------------------------ ChangePoint --
@@ -130,6 +332,68 @@ TEST(DenoiseTest, RecurringPeaksPreserved) {
   }
   TimeSeries cleaned = RemoveSporadicPeaks(TimeSeries(usage));
   EXPECT_DOUBLE_EQ(cleaned[10 + 24 * 5], 1000.0);
+}
+
+TEST(DenoiseTest, SlidingWindowMatchesPerPointSelectionBitForBit) {
+  // Windows of 0 and 1, odd and even, and wider than every series, so
+  // both clamp edges (lo at 0, hi at n) are crossed at every length. A
+  // half-sigma threshold with no recurrence check clips about half of
+  // all points to median + sigma * MAD, so every point's window
+  // statistics reach the output.
+  std::vector<DenoiseOptions> variants;
+  for (size_t window : {0, 1, 2, 7, 24, 25, 1000}) {
+    for (double sigma : {4.0, 0.5}) {
+      DenoiseOptions options;
+      options.local_window = window;
+      options.spike_sigma = sigma;
+      options.recurrence_window = sigma < 1 ? 0 : 5 + window;
+      variants.push_back(options);
+    }
+  }
+  Rng rng(505);
+  size_t changed = 0;
+  for (const DenoiseOptions& options : variants) {
+    for (size_t n : kEdgeLengths) {
+      for (int shape = 0; shape < 4; shape++) {
+        std::vector<double> u = RandomSeries(rng, n, shape);
+        std::vector<double> q = RandomSeries(rng, n, shape);
+        for (size_t i = 0; i < n; i++) {
+          // Co-spikes: most usage spikes are recorded in quota too.
+          if (shape == 0 && u[i] > 400 && rng.NextDouble() < 0.7) q[i] += 9e3;
+        }
+        const TimeSeries usage(u), quota(q);
+        const TimeSeries want = reference::Denoise(usage, quota, options);
+        const std::string where =
+            "window=" + std::to_string(options.local_window) +
+            " sigma=" + std::to_string(options.spike_sigma) +
+            " n=" + std::to_string(n) + " shape=" + std::to_string(shape);
+        EXPECT_TRUE(
+            SameBits(Denoise(usage, quota, options).values(), want.values()))
+            << where;
+        EXPECT_TRUE(SameBits(
+            RemoveSporadicPeaks(usage, options).values(),
+            reference::RemoveSporadicPeaks(usage, options).values()))
+            << where;
+        if (!SameBits(want.values(), u)) changed++;
+      }
+    }
+  }
+  // The references did replace points, so the match is not vacuous.
+  EXPECT_GT(changed, 200u);
+}
+
+TEST(DenoiseTest, RandomLengthsMatchPerPointSelectionBitForBit) {
+  Rng rng(606);
+  const DenoiseOptions options;
+  for (int i = 0; i < 200; i++) {
+    const size_t n = rng.NextUint64(800);
+    const int shape = static_cast<int>(rng.NextUint64(2));
+    const TimeSeries usage(RandomSeries(rng, n, shape));
+    const TimeSeries quota(RandomSeries(rng, n, shape));
+    EXPECT_TRUE(SameBits(Denoise(usage, quota, options).values(),
+                         reference::Denoise(usage, quota, options).values()))
+        << "n=" << n << " shape=" << shape;
+  }
 }
 
 // ------------------------------------------------------------ ProphetLite --
@@ -268,6 +532,48 @@ TEST(EnsembleTest, DenoisesSimultaneousSpikesBeforeForecasting) {
   ASSERT_TRUE(fc.ok());
   // The artifact must not inflate the forecast max.
   EXPECT_LT(fc.value().predicted_max, 500.0);
+}
+
+TEST(EnsembleTest, ConcurrentForecastsMatchSerialResults) {
+  // Two forecast lengths from four threads at once, interleaved with
+  // periodograms over more lengths than the table cache keeps, so tables
+  // are built and evicted while other threads are reading theirs.
+  const std::vector<TimeSeries> histories = {
+      DailySeries(30 * 24, 100, 30, 5, 21),
+      DailySeries(25 * 24, 80, 20, 4, 22)};
+  Rng rng(23);
+  std::vector<TimeSeries> others;
+  for (size_t n : {96, 181, 250, 333, 401, 512}) {
+    others.emplace_back(RandomSeries(rng, n, 0));
+  }
+  std::vector<ForecastResult> serial_fc;
+  for (const TimeSeries& h : histories) {
+    auto fc = EnsembleForecast(h, TimeSeries(), 7 * 24);
+    ASSERT_TRUE(fc.ok());
+    serial_fc.push_back(fc.value());
+  }
+  std::vector<std::vector<PeriodComponent>> serial_psd;
+  for (const TimeSeries& s : others) serial_psd.push_back(Periodogram(s));
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (size_t w = 0; w < 4; w++) {
+    threads.emplace_back([&, w] {
+      for (size_t round = 0; round < 2; round++) {
+        for (size_t j = 0; j < histories.size(); j++) {
+          const size_t h = (j + w) % histories.size();
+          auto fc = EnsembleForecast(histories[h], TimeSeries(), 7 * 24);
+          if (!fc.ok() || !SameForecast(fc.value(), serial_fc[h])) {
+            mismatches++;
+          }
+          const size_t o = (j + w + round) % others.size();
+          if (!SameBits(Periodogram(others[o]), serial_psd[o])) mismatches++;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace
