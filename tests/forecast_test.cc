@@ -250,13 +250,11 @@ TEST(PsdTest, ShortSeriesReturnsEmpty) {
 
 TEST(PsdTest, TwiddleTableMatchesDirectDftBitForBit) {
   Rng rng(404);
-  size_t cases = 0;
   for (size_t n : kEdgeLengths) {
     for (int shape = 0; shape < 4; shape++) {
       TimeSeries ts(RandomSeries(rng, n, shape));
       EXPECT_TRUE(SameBits(Periodogram(ts), reference::Periodogram(ts)))
           << "n=" << n << " shape=" << shape;
-      cases++;
     }
   }
   for (int i = 0; i < 120; i++) {
@@ -264,9 +262,7 @@ TEST(PsdTest, TwiddleTableMatchesDirectDftBitForBit) {
     TimeSeries ts(RandomSeries(rng, n, static_cast<int>(rng.NextUint64(2))));
     EXPECT_TRUE(SameBits(Periodogram(ts), reference::Periodogram(ts)))
         << "n=" << n;
-    cases++;
   }
-  EXPECT_EQ(cases, kEdgeLengths.size() * 4 + 120);
 }
 
 // ------------------------------------------------------------ ChangePoint --
