@@ -1,7 +1,7 @@
 // Data-plane scaling: ticks/sec vs node count and NodeSchedule worker
 // count. This is the perf trajectory for the parallel executor — the
 // refactor's payoff is that within a tick, DataNodes are independent
-// between Submit() and TakeResponses(), so their WFQ ticks fan out across
+// between Submit() and SwapResponses(), so their WFQ ticks fan out across
 // a worker pool while serial/parallel results stay bit-identical
 // (tests/pipeline_test.cc proves the identity).
 //

@@ -43,7 +43,8 @@ struct ScalingDecision {
 };
 
 /// Stateless Algorithm 1 evaluator; the caller owns quota application
-/// (MetaServer::SetTenantQuota performs the split).
+/// (ClusterSim::SetTenantQuota applies the quota and stages the online
+/// split).
 class Autoscaler {
  public:
   Autoscaler(ScalingPolicy policy, forecast::EnsembleOptions forecast_options)

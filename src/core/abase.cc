@@ -1,12 +1,10 @@
 #include "core/abase.h"
 
+#include "resched/rescheduler.h"
+
 namespace abase {
 
-Cluster::Cluster(ClusterOptions options)
-    : options_(options),
-      sim_(options.sim),
-      autoscaler_(options.scaling),
-      rescheduler_(options.resched) {}
+Cluster::Cluster(ClusterOptions options) : sim_(options.sim) {}
 
 PoolId Cluster::CreatePool(size_t num_nodes) {
   return sim_.AddPool(num_nodes);
@@ -87,7 +85,7 @@ size_t Cluster::Drain(size_t max_ticks) {
 
 size_t Cluster::RunRescheduling(PoolId pool) {
   resched::PoolModel model = sim_.BuildPoolModel(pool);
-  auto migrations = rescheduler_.Run(&model);
+  auto migrations = resched::IntraPoolRescheduler().Run(&model);
   size_t applied = 0;
   for (const auto& outcome : sim_.ApplyMigrations(migrations)) {
     if (outcome.status.ok()) applied++;
@@ -98,8 +96,12 @@ size_t Cluster::RunRescheduling(PoolId pool) {
 Result<autoscale::ScalingDecision> Cluster::RunAutoscaler(
     TenantId tenant, const TimeSeries& usage_history) {
   const meta::TenantMeta* meta = sim_.meta().GetTenant(tenant);
-  if (meta == nullptr) return Status::NotFound("no such tenant");
-  auto decision = autoscaler_.Decide(
+  const sim::TenantRuntime* rt = sim_.Tenant(tenant);
+  if (meta == nullptr || rt == nullptr) {
+    return Status::NotFound("no such tenant");
+  }
+  autoscale::Autoscaler scaler(rt->scaling_policy, rt->forecast_options);
+  auto decision = scaler.Decide(
       usage_history, TimeSeries(), meta->tenant_quota_ru,
       static_cast<uint32_t>(meta->partitions.size()),
       meta->config.partition_quota_upper, meta->config.partition_quota_lower,
@@ -107,7 +109,7 @@ Result<autoscale::ScalingDecision> Cluster::RunAutoscaler(
   ABASE_RETURN_IF_ERROR(decision.status());
   if (decision.value().action != autoscale::ScalingDecision::Action::kNone) {
     ABASE_RETURN_IF_ERROR(
-        sim_.meta().SetTenantQuota(tenant, decision.value().new_quota));
+        sim_.SetTenantQuota(tenant, decision.value().new_quota));
   }
   return decision;
 }

@@ -33,7 +33,6 @@
 #include "core/command.h"
 #include "core/future.h"
 #include "meta/meta_server.h"
-#include "resched/rescheduler.h"
 #include "sim/cluster_sim.h"
 
 namespace abase {
@@ -41,8 +40,6 @@ namespace abase {
 /// Cluster construction options.
 struct ClusterOptions {
   sim::SimOptions sim;
-  autoscale::ScalingPolicy scaling;
-  resched::ReschedOptions resched;
 };
 
 class Client;
@@ -119,12 +116,17 @@ class Cluster {
 
   // -- Operations ------------------------------------------------------------
 
-  /// Runs one intra-pool rescheduling round against live node loads and
-  /// applies the resulting migrations. Returns the number applied.
+  /// Runs one intra-pool rescheduling round (default ReschedOptions)
+  /// against live node loads and applies the resulting migrations.
+  /// Returns the number applied.
   size_t RunRescheduling(PoolId pool);
 
   /// Runs the predictive autoscaler for one tenant given an hourly usage
-  /// history (RU/s) and applies any quota change through the MetaServer.
+  /// history (RU/s), with the tenant's own scaling policy and forecast
+  /// options (ClusterSim::EnableAutoscale; defaults otherwise), and
+  /// applies any quota change through ClusterSim::SetTenantQuota. A
+  /// partition quota above UP stages an online split, which completes
+  /// as ticks run; call again after its cutover to split further.
   Result<autoscale::ScalingDecision> RunAutoscaler(
       TenantId tenant, const TimeSeries& usage_history);
 
@@ -142,10 +144,7 @@ class Cluster {
   /// bounded number of ticks). No-op if it already resolved.
   void AbandonPending(uint64_t req_id);
 
-  ClusterOptions options_;
   sim::ClusterSim sim_;
-  autoscale::Autoscaler autoscaler_;
-  resched::IntraPoolRescheduler rescheduler_;
   /// Next client-session slot per tenant (id sub-space allocation).
   std::map<TenantId, uint64_t> next_client_slot_;
   size_t pending_commands_ = 0;

@@ -194,8 +194,7 @@ void MetaServer::PushPartitionQuotas(TenantMeta& meta) {
   }
 }
 
-Status MetaServer::SetTenantQuota(TenantId tenant, double new_quota_ru,
-                                  bool allow_split) {
+Status MetaServer::SetTenantQuota(TenantId tenant, double new_quota_ru) {
   auto it = tenants_.find(tenant);
   if (it == tenants_.end()) return Status::NotFound("no such tenant");
   TenantMeta& meta = it->second;
@@ -206,15 +205,6 @@ Status MetaServer::SetTenantQuota(TenantId tenant, double new_quota_ru,
   }
   meta.tenant_quota_ru = new_quota_ru;
   meta.monitor.SetTenantQuota(new_quota_ru);
-
-  // Algorithm 1 lines 4-6: split when the partition quota exceeds UP.
-  // Skipped when the caller owns split pacing (the live control loop,
-  // which stages splits as online data operations), or while a staged
-  // split is already streaming — its cutover halves the quota anyway.
-  while (allow_split && pending_splits_.count(tenant) == 0 &&
-         meta.PartitionQuota() > meta.config.partition_quota_upper) {
-    ABASE_RETURN_IF_ERROR(SplitPartitions(tenant));
-  }
   PushPartitionQuotas(meta);
   return Status::OK();
 }
@@ -232,8 +222,13 @@ void MetaServer::UnstagePlacements(
   }
 }
 
-Result<std::vector<PartitionPlacement>> MetaServer::StageChildPlacements(
-    TenantMeta& meta) {
+Status MetaServer::PrepareSplit(TenantId tenant) {
+  auto it = tenants_.find(tenant);
+  if (it == tenants_.end()) return Status::NotFound("no such tenant");
+  if (pending_splits_.count(tenant) > 0) {
+    return Status::InvalidArgument("split already staged");
+  }
+  TenantMeta& meta = it->second;
   // Each partition p spawns a sibling p' = p + old_count, placed fresh
   // (least-loaded). Any failure rolls back every replica this call
   // already placed, so the pool and the placement metadata never
@@ -241,7 +236,8 @@ Result<std::vector<PartitionPlacement>> MetaServer::StageChildPlacements(
   const size_t old_count = meta.partitions.size();
   const double new_pq =
       meta.tenant_quota_ru / static_cast<double>(old_count * 2);
-  std::vector<PartitionPlacement> children;
+  PendingSplit pending;
+  pending.old_count = static_cast<uint32_t>(old_count);
   for (size_t p = 0; p < old_count; p++) {
     PartitionId child = static_cast<PartitionId>(old_count + p);
     PartitionPlacement placement;
@@ -251,48 +247,15 @@ Result<std::vector<PartitionPlacement>> MetaServer::StageChildPlacements(
       if (n == nullptr) {
         // Unwind the partial child too: one more (possibly incomplete)
         // entry in the staged list, then one shared removal pass.
-        children.push_back(std::move(placement));
-        UnstagePlacements(meta, static_cast<uint32_t>(old_count), children);
+        pending.children.push_back(std::move(placement));
+        UnstagePlacements(meta, pending.old_count, pending.children);
         return Status::ResourceExhausted("no placeable node for split");
       }
       n->AddReplica(meta.config.id, child, new_pq, r == 0);
       placement.replicas.push_back(n->id());
     }
-    children.push_back(std::move(placement));
+    pending.children.push_back(std::move(placement));
   }
-  return children;
-}
-
-Status MetaServer::SplitPartitions(TenantId tenant) {
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) return Status::NotFound("no such tenant");
-  if (pending_splits_.count(tenant) > 0) {
-    return Status::InvalidArgument("staged split in progress");
-  }
-  TenantMeta& meta = it->second;
-
-  auto children = StageChildPlacements(meta);
-  ABASE_RETURN_IF_ERROR(children.status());
-  for (PartitionPlacement& placement : children.value()) {
-    meta.partitions.push_back(std::move(placement));
-  }
-  PushPartitionQuotas(meta);
-  TenantPlacementChanged(meta);
-  return Status::OK();
-}
-
-Status MetaServer::PrepareSplit(TenantId tenant) {
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) return Status::NotFound("no such tenant");
-  if (pending_splits_.count(tenant) > 0) {
-    return Status::InvalidArgument("split already staged");
-  }
-  TenantMeta& meta = it->second;
-  auto children = StageChildPlacements(meta);
-  ABASE_RETURN_IF_ERROR(children.status());
-  PendingSplit pending;
-  pending.old_count = static_cast<uint32_t>(meta.partitions.size());
-  pending.children = std::move(children).value();
   pending_splits_.emplace(tenant, std::move(pending));
   // No epoch bump and no partition-table change: the children are
   // invisible to routing until CommitSplit. They do load their nodes

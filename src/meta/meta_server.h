@@ -175,23 +175,14 @@ class MetaServer {
   /// the caller must treat every tenant as changed.
   bool TakePlacementChanges(std::vector<TenantId>* out);
 
-  // -- Scaling (invoked by the Autoscaler) -------------------------------------
+  // -- Scaling (applied through ClusterSim::SetTenantQuota) --------------------
 
-  /// Applies a new tenant quota, propagating partition quotas to nodes.
-  /// With `allow_split` (the default), triggers an immediate partition
-  /// split when the per-partition quota exceeds the configured upper
-  /// bound (Algorithm 1 lines 4-6). The live control loop passes
-  /// `allow_split = false` and stages the split as an online data
-  /// operation instead (PrepareSplit / CommitSplit); a tenant with a
-  /// split already staged never splits inline.
-  Status SetTenantQuota(TenantId tenant, double new_quota_ru,
-                        bool allow_split = true);
-
-  /// Doubles the tenant's partition count, halving partition quotas.
-  /// All-or-nothing: if any child replica cannot be placed, every
-  /// replica staged by this call is removed again and the placement is
-  /// left exactly as it was (no metadata/node inconsistency).
-  Status SplitPartitions(TenantId tenant);
+  /// Applies a new tenant quota and pushes the new per-partition quota
+  /// to every hosting node. Never changes the partition count: a
+  /// partition quota above UP (Algorithm 1 lines 4-6) is the caller's
+  /// cue to stage an online split (PrepareSplit / CommitSplit), which
+  /// ClusterSim::SetTenantQuota does.
+  Status SetTenantQuota(TenantId tenant, double new_quota_ru);
 
   // -- Staged (online) partition split -----------------------------------------
   //
@@ -218,8 +209,12 @@ class MetaServer {
     std::vector<PartitionPlacement> children;
   };
 
-  /// Stages the child placements of a split (all-or-nothing, like
-  /// SplitPartitions, but without installing them). InvalidArgument if a
+  /// Stages the child placements of a split, doubling the partition
+  /// count once committed: child p + old_count of each partition p is
+  /// placed on the least-loaded live pool node, but not installed.
+  /// All-or-nothing: if any child replica cannot be placed
+  /// (ResourceExhausted), every replica staged by this call is removed
+  /// again and the pool is left exactly as it was. InvalidArgument if a
   /// split is already staged for the tenant.
   Status PrepareSplit(TenantId tenant);
 
@@ -318,13 +313,6 @@ class MetaServer {
   /// nullptr if no pool node can take the replica.
   node::DataNode* PickNodeStriped(PoolId pool, TenantId tenant,
                                   PartitionId partition, int replica) const;
-
-  /// Places one child placement per partition (children old_count + i)
-  /// with replicas on live pool nodes. All-or-nothing: on any placement
-  /// failure every replica staged by this call is removed from its node
-  /// again and the error is returned.
-  Result<std::vector<PartitionPlacement>> StageChildPlacements(
-      TenantMeta& meta);
 
   /// Removes every staged replica of `children` (child i = partition
   /// first_child + i) from its hosting node — the single unwind path of

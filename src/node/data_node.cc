@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <charconv>
-#include <iterator>
 
 #include "common/hash.h"
 #include "common/scan_codec.h"
@@ -904,13 +903,6 @@ std::vector<NodeResponse> DataNode::TakeResponses() {
   std::vector<NodeResponse> out;
   out.swap(responses_);
   return out;
-}
-
-void DataNode::DrainResponsesInto(std::vector<NodeResponse>& out) {
-  if (responses_.empty()) return;
-  out.insert(out.end(), std::make_move_iterator(responses_.begin()),
-             std::make_move_iterator(responses_.end()));
-  responses_.clear();
 }
 
 NodeTickStats DataNode::TakeTickStats() {

@@ -204,17 +204,14 @@ class DataNode {
   bool ResyncReplica(TenantId tenant, PartitionId partition,
                      const storage::LsmEngine& src);
 
-  /// Responses completed since the last drain.
+  /// Responses completed since the last drain, in a fresh vector (a
+  /// convenience for single-node tests; the pipeline uses
+  /// SwapResponses).
   std::vector<NodeResponse> TakeResponses();
 
-  /// Moves completed responses onto the back of `out` and clears the
-  /// internal buffer while keeping its capacity — the batch pipeline's
-  /// allocation-free alternative to TakeResponses().
-  void DrainResponsesInto(std::vector<NodeResponse>& out);
-
-  /// O(1) drain: swaps the filled response buffer with `buf` (which must
-  /// be empty; its capacity becomes the node's next accumulation
-  /// buffer). Avoids the per-response move of DrainResponsesInto.
+  /// The pipeline's O(1) drain: swaps the filled response buffer with
+  /// `buf` (which must be empty; its capacity becomes the node's next
+  /// accumulation buffer), so no response is moved or copied.
   void SwapResponses(std::vector<NodeResponse>& buf) {
     buf.swap(responses_);
   }

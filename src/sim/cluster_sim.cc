@@ -1282,27 +1282,36 @@ void ClusterSim::RunAutoscalerFor(TenantId tid, TenantRuntime& rt) {
 
   if (decision.action != autoscale::ScalingDecision::Action::kNone &&
       decision.new_quota != quota) {
-    // Inline splits stay off: an over-UP partition quota stages an
-    // online split below instead of re-sharding metadata instantly.
-    if (!meta_->SetTenantQuota(tid, decision.new_quota,
-                               /*allow_split=*/false)
-             .ok()) {
-      return;
-    }
+    if (!SetTenantQuota(tid, decision.new_quota).ok()) return;
     if (decision.action == autoscale::ScalingDecision::Action::kScaleUp) {
       rt.scale_ups++;
     } else {
       rt.scale_downs++;
       rt.last_scale_down_control = now_control;
     }
-    // The proxy fleet's autonomous quota follows the tenant quota.
-    const double proxy_quota =
-        decision.new_quota / static_cast<double>(rt.proxies.size());
-    for (auto& p : rt.proxies) p->SetBaseQuota(proxy_quota);
+  } else {
+    // No quota change, but a split that could not be staged earlier
+    // (a parent primary not serving) is retried every round.
+    StageSplitIfOverUpper(tid, rt);
   }
+}
 
+Status ClusterSim::SetTenantQuota(TenantId tenant, double quota_ru) {
+  TenantRuntime* rt = MutableTenant(tenant);
+  if (rt == nullptr) return Status::NotFound("no such tenant");
+  ABASE_RETURN_IF_ERROR(meta_->SetTenantQuota(tenant, quota_ru));
+  // The proxy fleet's autonomous quota follows the tenant quota.
+  const double proxy_quota =
+      quota_ru / static_cast<double>(rt->proxies.size());
+  for (auto& p : rt->proxies) p->SetBaseQuota(proxy_quota);
+  StageSplitIfOverUpper(tenant, *rt);
+  return Status::OK();
+}
+
+void ClusterSim::StageSplitIfOverUpper(TenantId tid, TenantRuntime& rt) {
   // Algorithm 1 lines 4-6, online: partition quota above UP starts a
   // staged split (unless one is already streaming).
+  const meta::TenantMeta* tm = meta_->GetTenant(tid);
   if (tm->PartitionQuota() > tm->config.partition_quota_upper &&
       !SplitInProgress(tid) && meta_->GetPendingSplit(tid) == nullptr) {
     if (StartPartitionSplit(tid).ok()) rt.splits_started++;

@@ -144,7 +144,7 @@ struct SimOptions {
   uint64_t catch_up_bytes_per_tick = 64ull << 20;
   /// Closed-loop control plane (the Control pipeline stage). Every this
   /// many ticks the per-tenant autoscalers run over the rolled-up usage
-  /// history and apply their decisions through MetaServer::
+  /// history and apply their decisions through ClusterSim::
   /// SetTenantQuota. 0 disables the autoscaling loop (usage is not
   /// accumulated either); staged splits and queued migrations still
   /// advance every tick.
@@ -340,7 +340,9 @@ struct TenantRuntime {
   Micros last_scale_down_control = -1;
   uint64_t scale_ups = 0;    ///< Applied scale-up decisions.
   uint64_t scale_downs = 0;  ///< Applied scale-down decisions.
-  uint64_t splits_started = 0;  ///< Staged splits the loop initiated.
+  /// Splits staged by SetTenantQuota or a control round (not by direct
+  /// StartPartitionSplit calls).
+  uint64_t splits_started = 0;
 
   // -- Active-set bookkeeping (DESIGN.md "Active-set ticking") ---------------
 
@@ -520,10 +522,10 @@ class ClusterSim {
   // SimOptions::control_interval_ticks: settled RU rolls into an hourly
   // TimeSeries per tenant, the per-tenant scaler (Algorithm 1 predictive
   // forecast, or the reactive threshold baseline) applies its decision
-  // through MetaServer::SetTenantQuota, an over-UP partition quota
-  // stages an *online* split (children prepared dark, re-hashed keys
-  // streamed out of the parent primaries at split_bytes_per_tick, one
-  // atomic epoch-bumped cutover), and every resched_interval_ticks the
+  // through SetTenantQuota, an over-UP partition quota stages an
+  // *online* split (children prepared dark, re-hashed keys streamed out
+  // of the parent primaries at split_bytes_per_tick, one atomic
+  // epoch-bumped cutover), and every resched_interval_ticks the
   // rescheduler's planned migrations execute as background copies
   // throttled at migration_bytes_per_tick.
 
@@ -541,6 +543,18 @@ class ClusterSim {
 
   /// The tenant's rolled-up hourly usage history (nullptr if unknown).
   const TimeSeries* UsageHistory(TenantId tenant) const;
+
+  /// Applies a tenant quota — the one actuator behind the control loop,
+  /// abase::Cluster::RunAutoscaler and any direct quota change. Sets it
+  /// through MetaServer::SetTenantQuota (partition quotas follow),
+  /// re-bases every proxy to quota / proxies, and stages an online split
+  /// when the partition quota exceeds UP and none is staged or
+  /// streaming. One call splits at most once: each cutover halves the
+  /// partition quota, and a later call or control round stages the next
+  /// split if it is still above UP. A split that cannot be staged yet (a
+  /// parent primary not serving) is not an error. NotFound for unknown
+  /// tenants, InvalidArgument for a quota <= 0.
+  Status SetTenantQuota(TenantId tenant, double quota_ru);
 
   /// Manually stages an online split for the tenant (the same staged
   /// path the control loop takes): children placed dark, streaming
@@ -914,13 +928,16 @@ class ClusterSim {
   void AccumulateControlUsage();
 
   /// Runs each autoscale-enabled tenant's scaler over its history and
-  /// applies the decision (quota through MetaServer::SetTenantQuota with
-  /// inline splits disabled, proxy quota re-base, staged split when the
-  /// partition quota exceeds UP).
+  /// applies the decision through SetTenantQuota.
   void RunAutoscalers();
 
-  /// One tenant's scaler pass.
+  /// One tenant's scaler pass. A round without a quota change still
+  /// retries staging an over-UP split.
   void RunAutoscalerFor(TenantId tid, TenantRuntime& rt);
+
+  /// Stages an online split when the tenant's partition quota exceeds UP
+  /// and no split is staged or streaming (Algorithm 1 lines 4-6).
+  void StageSplitIfOverUpper(TenantId tid, TenantRuntime& rt);
 
   /// Current control-plane time for the tenant: completed hours (seeded
   /// + rolled) in micros, plus the fraction of the open hour.

@@ -552,7 +552,7 @@ void RouteStage::Run(TickContext& ctx) {
 void NodeScheduleStage::Run(TickContext& ctx) {
   ClusterSim& sim = *sim_;
   auto& nodes = sim.nodes_;
-  // DataNodes share no mutable state between Submit() and TakeResponses()
+  // DataNodes share no mutable state between Submit() and SwapResponses()
   // (each owns its cache, disk, WFQ, and engines; the clock is read-only
   // within a tick), so their ticks run concurrently.
   sim.executor_->MorselFor(

@@ -259,10 +259,10 @@ class RouteStage final : public Stage {
 };
 
 /// Runs every DataNode's scheduling tick through the simulator's
-/// executor. Nodes are mutually independent between Submit() and
-/// TakeResponses(), so this is the heaviest parallel stage; responses
-/// are drained and merged in node-id order afterwards so downstream
-/// settlement is independent of worker count.
+/// executor. Nodes are mutually independent between Submit() and the
+/// SwapResponses() drain, so this is the heaviest parallel stage;
+/// responses are drained and merged in node-id order afterwards so
+/// downstream settlement is independent of worker count.
 class NodeScheduleStage final : public Stage {
  public:
   explicit NodeScheduleStage(ClusterSim* sim) : sim_(sim) {}
@@ -343,7 +343,7 @@ class SettleStage final : public Stage {
 /// control_interval_ticks it rolls the settled RU into each tenant's
 /// hourly usage series and runs the per-tenant autoscaler (predictive
 /// Algorithm 1 forecast or the reactive baseline), applying decisions
-/// through MetaServer::SetTenantQuota; every resched_interval_ticks it
+/// through ClusterSim::SetTenantQuota; every resched_interval_ticks it
 /// snapshots the pools into the rescheduler and enqueues the planned
 /// moves.
 class ControlStage final : public Stage {

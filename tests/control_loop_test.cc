@@ -5,7 +5,9 @@
 // cutover, parent purge), and throttled background rescheduling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -414,6 +416,107 @@ TEST(ControlLoopTest, OnlineSplitLosesNoAckedWritesAndStaysReadable) {
         << leftovers.entries.size() << " moved keys left in parent "
         << parent;
   }
+}
+
+// ------------------------------------------------- One quota actuator --
+
+// Injects one tracked request and ticks until its outcome settles.
+std::optional<sim::ClientOutcome> RunTracked(sim::ClusterSim& sim,
+                                             ClientRequest req) {
+  req.track_outcome = true;
+  sim.InjectRequest(req);
+  for (int tick = 0; tick < 16; tick++) {
+    sim.Tick();
+    if (auto outcome = sim.TakeOutcome(req.req_id)) return outcome;
+  }
+  return std::nullopt;
+}
+
+TEST(ControlLoopTest, QuotaRaiseSplitsOnlineWithoutLosingKeys) {
+  // A quota raise past UP splits by moving data, like the control loop:
+  // an instant metadata-only split re-hashes keys to empty children.
+  sim::SimOptions opt;
+  opt.seed = 31;
+  sim::ClusterSim sim(opt);
+  PoolId pool = sim.AddPool(8);
+  ASSERT_TRUE(
+      sim.AddTenant(ControlTenant(1, 8000, 2, /*upper=*/10000), pool).ok());
+
+  constexpr int kKeys = 40;
+  uint64_t next_req = 7000000;
+  for (int i = 0; i < kKeys; i++) {
+    ClientRequest req;
+    req.req_id = next_req++;
+    req.tenant = 1;
+    req.op = OpType::kSet;
+    req.key = "pre:" + std::to_string(i);
+    req.value = "v" + std::to_string(i);
+    auto outcome = RunTracked(sim, req);
+    ASSERT_TRUE(outcome.has_value() && outcome->status.ok()) << req.key;
+  }
+
+  // 100000 RU over 2 partitions is 5x UP. One call stages one split:
+  // children are dark until cutover, so routing still sees 2.
+  ASSERT_TRUE(sim.SetTenantQuota(1, 100000).ok());
+  EXPECT_TRUE(sim.SplitInProgress(1));
+  EXPECT_EQ(sim.meta().GetTenant(1)->partitions.size(), 2u);
+  EXPECT_EQ(sim.Tenant(1)->splits_started, 1u);
+  for (int tick = 0; tick < 200 && sim.SplitInProgress(1); tick++) {
+    sim.Tick();
+  }
+  ASSERT_FALSE(sim.SplitInProgress(1));
+  EXPECT_EQ(sim.meta().GetTenant(1)->partitions.size(), 4u);
+
+  int lost = 0;
+  for (int i = 0; i < kKeys; i++) {
+    ClientRequest req;
+    req.req_id = next_req++;
+    req.tenant = 1;
+    req.op = OpType::kGet;
+    req.key = "pre:" + std::to_string(i);
+    auto outcome = RunTracked(sim, req);
+    if (!outcome.has_value() || !outcome->status.ok() ||
+        outcome->value != "v" + std::to_string(i)) {
+      lost++;
+    }
+  }
+  EXPECT_EQ(lost, 0) << "of " << kKeys << " pre-split keys";
+}
+
+TEST(ControlLoopTest, QuotaRaiseRebasesProxyQuota) {
+  // The proxies' autonomous quota must follow a quota change, or a
+  // raised tenant stays throttled at the proxy layer.
+  sim::SimOptions opt;
+  opt.seed = 37;
+  sim::ClusterSim sim(opt);
+  PoolId pool = sim.AddPool(6);
+  ASSERT_TRUE(sim.AddTenant(ControlTenant(1, 1000), pool).ok());
+  sim::WorkloadProfile profile;
+  profile.base_qps = 6000;
+  profile.read_ratio = 0;  // Writes are never served by proxy caches.
+  profile.num_keys = 1000;
+  profile.value_bytes = 64;
+  sim.SetWorkload(1, profile);
+
+  auto throttled_share = [&sim](size_t ticks) {
+    sim.RunTicks(ticks);
+    const auto& h = sim.History(1);
+    uint64_t throttled = 0, issued = 0;
+    for (size_t i = h.size() - ticks; i < h.size(); i++) {
+      throttled += h[i].throttled;
+      issued += h[i].issued;
+    }
+    return static_cast<double>(throttled) /
+           static_cast<double>(std::max<uint64_t>(issued, 1));
+  };
+  // Measured: 0.92 before the raise; 0.19 over the 5 ticks after it
+  // (only the first is still throttled). Without the proxy re-base the
+  // share stays at 0.95.
+  const double before = throttled_share(5);
+  EXPECT_GT(before, 0.8);
+  ASSERT_TRUE(sim.SetTenantQuota(1, 50000).ok());
+  const double after = throttled_share(5);
+  EXPECT_LT(after, 0.4) << "before the raise: " << before;
 }
 
 // --------------------------------------- Split bit-identity across workers --

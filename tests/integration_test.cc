@@ -61,15 +61,37 @@ TEST(IntegrationTest, LiveAutoscaleWithSplitKeepsServing) {
   meta::TenantConfig cfg = Tenant(1, /*quota=*/8000, /*partitions=*/2);
   cfg.partition_quota_upper = 10000;  // Split when QP exceeds this.
   ASSERT_TRUE(cluster.CreateTenant(cfg, pool).ok());
+  Client client = cluster.OpenClient(1);
+  for (int i = 0; i < 40; i++) {
+    ASSERT_TRUE(client.Set("pre-split:" + std::to_string(i),
+                           "v" + std::to_string(i))
+                    .ok());
+  }
 
-  // Grow the quota far enough to force repeated splits.
-  ASSERT_TRUE(cluster.meta().SetTenantQuota(1, 100000).ok());
+  // Grow the quota far enough to force repeated splits. Each call stages
+  // one online split; re-apply after each cutover until QP <= UP.
   const meta::TenantMeta* t = cluster.meta().GetTenant(1);
-  EXPECT_GE(t->partitions.size(), 16u);  // 100000/10000 -> >=10 -> 16.
+  int rounds = 0;
+  do {
+    ASSERT_TRUE(cluster.sim().SetTenantQuota(1, 100000).ok());
+    ASSERT_TRUE(cluster.sim().SplitInProgress(1)) << "round " << rounds;
+    for (int tick = 0; tick < 200 && cluster.sim().SplitInProgress(1);
+         tick++) {
+      cluster.Step();
+    }
+    ASSERT_FALSE(cluster.sim().SplitInProgress(1)) << "round " << rounds;
+    rounds++;
+  } while (t->PartitionQuota() > cfg.partition_quota_upper && rounds < 8);
+  EXPECT_EQ(t->partitions.size(), 16u);  // 100000/10000 -> >=10 -> 16.
   EXPECT_LE(t->PartitionQuota(), 10000.0);
 
-  // The enlarged tenant still serves reads and writes.
-  Client client = cluster.OpenClient(1);
+  // The enlarged tenant still serves every pre-split key, and new
+  // reads and writes.
+  for (int i = 0; i < 40; i++) {
+    auto got = client.Get("pre-split:" + std::to_string(i));
+    ASSERT_TRUE(got.ok()) << i << ": " << got.status().ToString();
+    EXPECT_EQ(got.value(), "v" + std::to_string(i));
+  }
   for (int i = 0; i < 20; i++) {
     ASSERT_TRUE(
         client.Set("post-split:" + std::to_string(i), "v").ok());

@@ -136,22 +136,11 @@ TEST_F(MetaTest, SetTenantQuotaPropagatesPartitionQuotas) {
   EXPECT_DOUBLE_EQ(t->PartitionQuota(), 4000);
 }
 
-TEST_F(MetaTest, ScaleUpTriggersSplitWhenPartitionQuotaExceedsUpperBound) {
-  TenantConfig c = Config(1, 2, 2);
-  c.partition_quota_upper = 3000;
-  ASSERT_TRUE(meta_.CreateTenant(c, pool_).ok());
-  // 2 partitions; quota 20000 -> QP 10000 > 3000: splits until <= 3000.
-  ASSERT_TRUE(meta_.SetTenantQuota(1, 20000).ok());
-  const TenantMeta* t = meta_.GetTenant(1);
-  EXPECT_GE(t->partitions.size(), 8u);
-  EXPECT_LE(t->PartitionQuota(), 3000.0);
-}
-
-TEST_F(MetaTest, SplitPartitionsRollsBackOnPlacementFailure) {
+TEST_F(MetaTest, PrepareSplitRollsBackOnPlacementFailure) {
   // Regression: a mid-loop placement failure used to return early with
   // the failing child's replicas already added to nodes — node replica
-  // sets and the partitions vector disagreed forever after. The split
-  // must be all-or-nothing.
+  // sets and the partitions vector disagreed forever after. Staging a
+  // split must be all-or-nothing.
   ASSERT_TRUE(meta_.CreateTenant(Config(1, 2, 3), pool_).ok());
   const size_t old_partitions = meta_.GetTenant(1)->partitions.size();
   std::vector<size_t> replica_counts;
@@ -159,10 +148,11 @@ TEST_F(MetaTest, SplitPartitionsRollsBackOnPlacementFailure) {
 
   // Leave only two serveable nodes: a 3-replica child cannot be placed.
   for (size_t i = 2; i < nodes_.size(); i++) nodes_[i]->Fail();
-  EXPECT_TRUE(meta_.SplitPartitions(1).IsResourceExhausted());
+  EXPECT_TRUE(meta_.PrepareSplit(1).IsResourceExhausted());
 
-  // Nothing changed: no child partition exists anywhere, node replica
-  // sets are exactly as before the failed attempt.
+  // Nothing changed: no split is staged, no child partition exists
+  // anywhere, node replica sets are exactly as before the failed attempt.
+  EXPECT_EQ(meta_.GetPendingSplit(1), nullptr);
   EXPECT_EQ(meta_.GetTenant(1)->partitions.size(), old_partitions);
   for (size_t i = 0; i < nodes_.size(); i++) {
     EXPECT_EQ(nodes_[i]->replica_count(), replica_counts[i]) << "node " << i;
@@ -193,10 +183,9 @@ TEST_F(MetaTest, StagedSplitPrepareCommitLifecycle) {
     }
   }
   EXPECT_EQ(staged_hosted, 6u);
-  // No double staging, and no inline split while one is staged.
+  // No double staging.
   EXPECT_FALSE(meta_.PrepareSplit(1).ok());
-  EXPECT_FALSE(meta_.SplitPartitions(1).ok());
-  // SetTenantQuota must not split inline underneath a staged split.
+  // A quota change never changes the partition count.
   ASSERT_TRUE(meta_.SetTenantQuota(1, 1e9).ok());
   EXPECT_EQ(meta_.GetTenant(1)->partitions.size(), 2u);
 
