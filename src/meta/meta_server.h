@@ -21,7 +21,12 @@
 #include "quota/quota.h"
 
 namespace abase {
+namespace sim {
+class ClusterSim;
+}  // namespace sim
 namespace meta {
+
+class MetaServerTestPeer;
 
 /// Static description of a tenant at creation time.
 struct TenantConfig {
@@ -175,15 +180,6 @@ class MetaServer {
   /// the caller must treat every tenant as changed.
   bool TakePlacementChanges(std::vector<TenantId>* out);
 
-  // -- Scaling (applied through ClusterSim::SetTenantQuota) --------------------
-
-  /// Applies a new tenant quota and pushes the new per-partition quota
-  /// to every hosting node. Never changes the partition count: a
-  /// partition quota above UP (Algorithm 1 lines 4-6) is the caller's
-  /// cue to stage an online split (PrepareSplit / CommitSplit), which
-  /// ClusterSim::SetTenantQuota does.
-  Status SetTenantQuota(TenantId tenant, double new_quota_ru);
-
   // -- Staged (online) partition split -----------------------------------------
   //
   // The live split is a three-step state machine driven by the
@@ -301,6 +297,19 @@ class MetaServer {
   bool IsClamped(TenantId tenant) const;
 
  private:
+  // The quota actuator (ClusterSim::SetTenantQuota) is the only caller
+  // of SetTenantQuota: it also re-bases the proxies and stages the
+  // split, which a direct metadata update would skip.
+  friend class sim::ClusterSim;
+  friend class MetaServerTestPeer;
+
+  /// Applies a new tenant quota and pushes the new per-partition quota
+  /// to every hosting node. Never changes the partition count: a
+  /// partition quota above UP (Algorithm 1 lines 4-6) is the caller's
+  /// cue to stage an online split (PrepareSplit / CommitSplit), which
+  /// ClusterSim::SetTenantQuota does.
+  Status SetTenantQuota(TenantId tenant, double new_quota_ru);
+
   node::DataNode* FindNode(PoolId pool, NodeId id) const;
 
   /// Least-loaded placement: picks the pool node with the smallest total

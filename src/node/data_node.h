@@ -160,13 +160,14 @@ class DataNode {
   /// request is dropped on the floor (their completions never fire — the
   /// simulator resolves the stranded ids as Unavailable), and subsequent
   /// Submit() calls are rejected. Engines keep their durable state for
-  /// WAL replay at recovery. Returns the number of dropped in-flight
+  /// recovery. Returns the number of dropped in-flight
   /// requests. No-op (returns 0) if already failed.
   size_t Fail();
 
-  /// Begins recovery of a failed node: each replica engine discards its
-  /// memtable and replays its WAL (LsmEngine::CrashAndRecover), restoring
-  /// every acknowledged write. The node stays non-serving (kRecovering)
+  /// Begins recovery of a failed node: each replica engine restarts
+  /// (LsmEngine::CrashAndRecover) with its unflushed writes intact, as a
+  /// write-ahead-log replay would restore them, so every acknowledged
+  /// write survives. The node stays non-serving (kRecovering)
   /// until CompleteRecovery() — the simulator holds it there for the
   /// configured number of catch-up ticks. No-op unless kFailed.
   void StartRecovery();

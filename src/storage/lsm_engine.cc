@@ -23,10 +23,10 @@ LsmEngine::LsmEngine(LsmOptions options, const Clock* clock)
 void LsmEngine::WriteEntry(const std::string& key, ValueEntry entry) {
   NoteMutation();
   entry.seq = next_seq_++;
-  // The version's one materialized copy: both logs, the memtable and —
-  // via the Replicate shipping path — every replica share it.
+  // The version's one materialized copy: the replication log, the
+  // memtable and — via the Replicate shipping path — every replica
+  // share it.
   ReplRecordPtr rec = MakeReplRecord(key, std::move(entry));
-  if (options_.enable_wal) wal_.Append(rec);
   if (options_.enable_repl_log) repl_log_.Append(rec);
   mem_.Put(std::move(rec));
   stats_.puts++;
@@ -266,8 +266,8 @@ ScanResult LsmEngine::ScanRange(std::string_view start, std::string_view end,
   {
     ScanCursor c;
     auto it = std::lower_bound(mem_rows.begin(), mem_rows.end(), start,
-                               [](const MemTable::Row* r, std::string_view k) {
-                                 return r->first < k;
+                               [this](MemTable::RowId r, std::string_view k) {
+                                 return mem_.record(r).key < k;
                                });
     c.mem_it = mem_rows.data() + (it - mem_rows.begin());
     c.mem_end = mem_rows.data() + mem_rows.size();
@@ -294,7 +294,7 @@ ScanResult LsmEngine::ScanRange(std::string_view start, std::string_view end,
 
   auto record_of = [&](uint32_t i) -> const ReplRecord& {
     const ScanCursor& c = scan_cursors_[i];
-    return c.mem_it != nullptr ? *(*c.mem_it)->second : **c.sst_it;
+    return c.mem_it != nullptr ? mem_.record(*c.mem_it) : **c.sst_it;
   };
   auto key_of = [&](uint32_t i) -> const std::string& {
     return record_of(i).key;
@@ -439,7 +439,7 @@ LsmEngine::HashRangeExport LsmEngine::ExportHashRange(
   bool bounded = false;
   std::string_view horizon;
   // `rec_of` unifies the two cursor shapes: the memtable's ordered view
-  // iterates row pointers, sstable runs iterate record handles.
+  // iterates row ids, sstable runs iterate record handles.
   auto collect = [&](auto it, auto end_it, auto rec_of) {
     uint64_t taken = 0;
     std::string_view last;
@@ -459,16 +459,18 @@ LsmEngine::HashRangeExport LsmEngine::ExportHashRange(
       if (horizon.empty() || last < horizon) horizon = last;
     }
   };
-  auto mem_rec = [](auto it) -> const ReplRecord& { return *(*it)->second; };
+  auto mem_rec = [this](auto it) -> const ReplRecord& {
+    return mem_.record(*it);
+  };
   auto run_rec = [](auto it) -> const ReplRecord& { return **it; };
   const auto& mem_rows = mem_.Sorted();
   collect(start_after.empty()
               ? mem_rows.begin()
               : std::upper_bound(mem_rows.begin(), mem_rows.end(),
                                  start_after,
-                                 [](std::string_view k,
-                                    const MemTable::Row* r) {
-                                   return k < r->first;
+                                 [this](std::string_view k,
+                                        MemTable::RowId r) {
+                                   return k < mem_.record(r).key;
                                  }),
           mem_rows.end(), mem_rec);
   for (const auto& level : levels_) {
@@ -525,15 +527,10 @@ void LsmEngine::Flush() {
   }
   // The run takes over the memtable's record handles: no row is copied.
   std::vector<ReplRecordPtr> rows = mem_.TakeSorted();
-  uint64_t max_seq = 0;
-  for (const ReplRecordPtr& rec : rows) {
-    max_seq = std::max(max_seq, rec->entry.seq);
-  }
   auto sst = std::make_shared<SsTable>(next_sst_id_++, std::move(rows));
   stats_.flush_count++;
   stats_.flushed_bytes += sst->data_bytes();
   levels_[0].push_back(std::move(sst));
-  if (options_.enable_wal) wal_.TruncateThrough(max_seq);
   while (MaybeCompact()) {
   }
 }
@@ -657,8 +654,7 @@ Status LsmEngine::ApplyReplicated(const ReplRecordPtr& rec) {
   next_seq_ = rec->entry.seq + 1;
   NoteMutation();
   // The shipped record is the primary's materialized copy; this
-  // replica's logs and memtable retain it as-is (refcount bumps).
-  if (options_.enable_wal) wal_.Append(rec);
+  // replica's log and memtable retain it as-is (refcount bumps).
   if (options_.enable_repl_log) repl_log_.Append(rec);
   mem_.Put(rec);
   stats_.repl_applied++;
@@ -673,7 +669,6 @@ Status LsmEngine::ApplyReplicated(const ReplRecord& rec) {
 void LsmEngine::ResyncFrom(const LsmEngine& src) {
   NoteMutation();
   mem_ = src.mem_;
-  wal_ = src.wal_;
   repl_log_ = src.repl_log_;
   // SSTables are immutable after construction; the runs are shared, so a
   // snapshot resync costs O(runs), not O(bytes) — the tick cost of the
@@ -690,11 +685,11 @@ void LsmEngine::ResyncFrom(const LsmEngine& src) {
 
 void LsmEngine::CrashAndRecover() {
   NoteMutation();
-  mem_.clear();
-  if (!options_.enable_wal) return;
-  // Replay preserves original sequence numbers so ordering against
-  // flushed runs stays correct; the memtable re-shares the WAL's records.
-  wal_.ForEach([this](const ReplRecordPtr& rec) { mem_.Put(rec); });
+  // A write-ahead log holds every record since the last flush, and a
+  // flush empties it along with the memtable, so replaying it rebuilds
+  // exactly the memtable a crash discards: with logging on, the
+  // memtable is the recovered state as is.
+  if (!options_.enable_wal) mem_.clear();
 }
 
 uint64_t LsmEngine::ApproximateDataBytes() const {

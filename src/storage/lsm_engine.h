@@ -1,15 +1,18 @@
 // LsmEngine: the local storage engine backing each DataNode — the repo's
 // stand-in for ByteDance's LavaStore [43]. A real (memory-backed) LSM tree:
-// WAL → memtable → size-tiered levels of bloom-filtered SSTables, with TTL
+// memtable → size-tiered levels of bloom-filtered SSTables, with TTL
 // expiry at read time and at compaction. Every data-block probe is counted
-// so the scheduling layer can charge realistic disk I/O.
+// so the scheduling layer can charge realistic disk I/O. Durability of
+// unflushed writes (`enable_wal`) needs no log object of its own: a
+// write-ahead log would hold exactly the memtable's records (see
+// CrashAndRecover).
 //
 // One materialized copy per write version: WriteEntry builds a single
-// immutable ReplRecord, and the WAL, the replication log, the memtable,
-// every replica's logs and memtable (ApplyReplicated), and every SSTable
-// run that flush or compaction produces share it by pointer. The
-// simulated byte accounting still charges each holder in full (each
-// replica models its own storage); only host memory is shared.
+// immutable ReplRecord, and the replication log, the memtable, every
+// replica's log and memtable (ApplyReplicated), and every SSTable run
+// that flush or compaction produces share it by pointer. The simulated
+// byte accounting still charges each holder in full (each replica
+// models its own storage); only host memory is shared.
 //
 // Pointer lifetime: a `const ValueEntry*` the engine hands out (MultiFind,
 // FindEntry-backed reads) is valid until the next mutation of the same
@@ -29,7 +32,6 @@
 #include "storage/memtable.h"
 #include "storage/replication_log.h"
 #include "storage/sstable.h"
-#include "storage/wal.h"
 
 namespace abase {
 namespace storage {
@@ -42,7 +44,7 @@ struct LsmOptions {
   int runs_per_level_trigger = 4;
   /// Maximum number of levels (the last level compacts in place).
   int max_levels = 5;
-  /// Whether mutations are logged for crash recovery.
+  /// Whether unflushed writes survive a crash (CrashAndRecover).
   bool enable_wal = true;
   /// Whether mutations are retained in the replication log so replica
   /// engines can apply this engine's stream (DESIGN.md "Replication").
@@ -240,7 +242,7 @@ class LsmEngine {
 
   /// Ingests one externally streamed entry (split / migration data
   /// movement): applied exactly like a local write — fresh local
-  /// sequence, WAL and replication log as configured. Tombstones and
+  /// sequence, replication log as configured. Tombstones and
   /// TTL deadlines are preserved, so a window-delta replay converges the
   /// target to the source's newest visible state.
   void Ingest(const std::string& key, ValueEntry entry);
@@ -260,8 +262,11 @@ class LsmEngine {
   /// run-count trigger. Returns true if a merge happened.
   bool MaybeCompact();
 
-  /// Simulates a process crash: discards the memtable, then replays the
-  /// WAL. With WAL disabled, unflushed writes are lost (by design).
+  /// Simulates a process crash and restart. With `enable_wal` the
+  /// unflushed writes survive: a write-ahead log holds every record
+  /// since the last flush, so its replay restores exactly the memtable,
+  /// which is therefore kept. Without it, the memtable is discarded and
+  /// unflushed writes are lost (by design). Flushed runs always survive.
   void CrashAndRecover();
 
   // -- Replication ----------------------------------------------------------
@@ -279,18 +284,19 @@ class LsmEngine {
   /// Applies one record of a primary's replication stream. The stream is
   /// strictly ordered: `rec->entry.seq` must be exactly applied_seq() + 1,
   /// otherwise InvalidArgument (the shipper must fall back to a snapshot
-  /// resync). Writes through the WAL and this engine's own replication
-  /// log, so a replica survives crashes and can itself be promoted.
-  /// The memtable and both logs retain the primary's record as-is —
-  /// refcount bumps, no key/value copy — and so do the runs a later
-  /// flush or compaction builds from it.
+  /// resync). Writes through this engine's own replication log, so a
+  /// replica survives crashes and can itself be promoted. The memtable
+  /// and the log retain the primary's record as-is — refcount bumps, no
+  /// key/value copy — and so do the runs a later flush or compaction
+  /// builds from it.
   Status ApplyReplicated(const ReplRecordPtr& rec);
 
   /// Convenience for callers holding a loose record (tests, mostly):
   /// materializes a shared copy and applies it.
   Status ApplyReplicated(const ReplRecord& rec);
 
-  /// Re-seeds this engine with a full snapshot of `src`: memtable, WAL,
+  /// Re-seeds this engine with a full snapshot of `src`: memtable (rows,
+  /// index and ordered view copied verbatim; the records are shared),
   /// runs (shared — SSTables are immutable), replication log, and apply
   /// sequence. Used when a delta replay is impossible: a freshly placed
   /// replica behind a truncated log, or a recovered ex-primary whose
@@ -350,7 +356,6 @@ class LsmEngine {
   LsmOptions options_;
   const Clock* clock_;
   MemTable mem_;
-  WriteAheadLog wal_;
   ReplicationLog repl_log_;
   /// levels_[0] is newest; within a level, later index = newer run.
   std::vector<std::vector<SsTablePtr>> levels_;
@@ -365,13 +370,13 @@ class LsmEngine {
   std::vector<KeyRef> mfind_krefs_;
 
   /// One merge source of a ScanRange call: the memtable's ordered view
-  /// (pointers to its rows) or one SSTable run (record handles). Either
+  /// (row ids) or one SSTable run (record handles). Either
   /// way the cursor reads the shared records in place. `age` orders
   /// sources newest-first on equal keys (0 = memtable, then level order,
   /// within a level later runs first).
   struct ScanCursor {
-    const MemTable::Row* const* mem_it = nullptr;
-    const MemTable::Row* const* mem_end = nullptr;
+    const MemTable::RowId* mem_it = nullptr;
+    const MemTable::RowId* mem_end = nullptr;
     const ReplRecordPtr* sst_it = nullptr;
     const ReplRecordPtr* sst_end = nullptr;
     uint32_t age = 0;

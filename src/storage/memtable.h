@@ -1,28 +1,32 @@
-// In-memory write buffer of the LSM engine: a hash map from key to the
-// latest version's shared record, with byte accounting that drives flush
-// decisions, plus an incrementally maintained key-ordered view for the
-// ordered consumers — flush, range scans, and split exports.
+// In-memory write buffer of the LSM engine: an open-addressing index
+// from key to the latest version's shared record, with byte accounting
+// that drives flush decisions, plus an incrementally maintained
+// key-ordered view for the ordered consumers — flush, range scans, and
+// split exports.
 //
 // The memtable stores no copy of its own: a row is the ReplRecordPtr the
 // engine's WriteEntry materialized (or a primary shipped), the same
-// record the WAL, the replication logs and, after a flush, the SSTable
-// runs hold (replication_log.h). Records are immutable, so nothing here
-// ever mutates a stored version; an overwrite swaps the pointer.
+// record the replication logs and, after a flush, the SSTable runs hold
+// (replication_log.h). The key lives only in that record. Records are
+// immutable, so nothing here ever mutates a stored version; an
+// overwrite swaps the row's pointer.
 //
-// Point writes dominate the data plane, so the primary index is a hash
-// table. The ordered view is a vector of row pointers that stays live
-// once built: overwrites keep it valid (rows are the table's nodes, whose
-// addresses are stable, and the key set is unchanged), and a first-seen
-// key only joins a small "fresh" list. Sorted() sorts that list and
-// merges it into the view — O(n + k log k) for k new keys instead of
-// re-sorting all n rows.
+// Layout, per row: the row itself (one 16-byte ReplRecordPtr in a
+// chunked row store, so growth never relocates earlier chunks), 1.3–2.7
+// 8-byte index slots (a linear-probing table of (row id, hash tag)
+// pairs kept at most 3/4 full), and a 4-byte row id in the ordered
+// view — 36–42 bytes with growth slack (DESIGN.md "Shared log
+// records"). An empty memtable allocates nothing, which matters because
+// every partition replica has its own. Rows are never erased one at a
+// time, so row ids are dense and assigned in insertion order: the rows
+// not yet in the ordered view are exactly the id range past its end.
+// Sorted() sorts that tail and merges it in — O(n + k log k) for k new
+// keys instead of re-sorting all n rows. Overwrites keep the view valid
+// (a row keeps its id, and the key set is unchanged).
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "storage/replication_log.h"
@@ -35,62 +39,73 @@ namespace storage {
 /// access.
 class MemTable {
  public:
-  /// One stored row; `first` is the key, `second` the newest version.
-  /// Matches the hash table's value_type so the ordered view can point
-  /// straight at the nodes.
-  using Row = std::pair<const std::string, ReplRecordPtr>;
+  /// Dense row handle: rows are numbered 0.. in insertion order.
+  using RowId = uint32_t;
 
-  MemTable() = default;
-  // The ordered view holds pointers into the table's nodes, so a copied
-  // view would alias the *source* table. Copies start with every row
-  // fresh (the view rebuilds on the next Sorted()); moves keep the view
-  // (node pointers survive a map move).
-  MemTable(const MemTable& other) { *this = other; }
-  MemTable& operator=(const MemTable& other);
-  MemTable(MemTable&&) = default;
-  MemTable& operator=(MemTable&&) = default;
+  /// Rows per full chunk of the row store.
+  static constexpr size_t kChunkRows = 512;
 
   /// Makes `rec` the entry for `rec->key`, replacing any older version.
-  /// Shares the record: no key/value copy beyond a first-seen key's
-  /// hash-table key.
+  /// Shares the record: no key/value copy.
   void Put(ReplRecordPtr rec);
 
   /// Latest entry for `key`, including tombstones (callers must check).
   /// Valid until the next Put/clear of this memtable.
   const ValueEntry* Get(std::string_view key) const;
 
-  size_t entry_count() const { return table_.size(); }
+  size_t entry_count() const { return size_; }
   uint64_t approximate_bytes() const { return bytes_; }
-  bool empty() const { return table_.empty(); }
+  bool empty() const { return size_ == 0; }
 
-  /// Key-ordered view of the rows for scans and exports. Folds in the
-  /// keys first seen since the last call; row pointers are stable and
-  /// value updates never invalidate the view.
-  const std::vector<const Row*>& Sorted() const;
+  /// The newest version stored in row `id` (id < entry_count()).
+  const ReplRecord& record(RowId id) const {
+    return *chunks_[id / kChunkRows][id % kChunkRows];
+  }
+
+  /// Key-ordered view of the rows (as row ids) for scans and exports.
+  /// Folds in the keys first seen since the last call; value updates
+  /// never invalidate the view.
+  const std::vector<RowId>& Sorted() const;
 
   /// Flush: hands out every row's record in key order and empties the
-  /// table (keeping its bucket array for the next fill).
+  /// table (keeping its index and view capacity for the next fill).
   std::vector<ReplRecordPtr> TakeSorted();
 
-  /// Drops every row; keeps the bucket array.
+  /// Drops every row; keeps the index and view capacity.
   void clear();
 
  private:
+  /// One index slot: `row` is the row id + 1 (0 = empty), `tag` the
+  /// key's 32-bit hash, which also picks the home slot — so a growth
+  /// re-places slots from their tags without touching a key.
+  struct Slot {
+    uint32_t row = 0;
+    uint32_t tag = 0;
+  };
+
   static uint64_t EntryBytes(const ReplRecord& rec) {
     return rec.key.size() + rec.entry.PayloadBytes() + kEntryOverhead;
   }
+  static uint32_t Tag(std::string_view key);
+
+  /// Index of `key`'s slot, or of the empty slot that ends its probe
+  /// sequence when the key is absent. The index must be non-empty.
+  size_t Probe(std::string_view key, uint32_t tag) const;
+
+  /// Doubles the index (or creates it) and re-places every slot.
+  void GrowIndex();
 
   /// Fixed per-entry overhead (seq, type, TTL, node pointers).
   static constexpr uint64_t kEntryOverhead = 48;
 
-  std::unordered_map<std::string, ReplRecordPtr> table_;
-  /// Ordered view over the rows; excludes the rows in `fresh_`.
-  mutable std::vector<const Row*> sorted_;
-  /// Rows inserted since the last Sorted(), in insertion order.
-  mutable std::vector<const Row*> fresh_;
-  /// Lookup key scratch: capacity retained across Get calls so probing
-  /// never allocates (C++17 unordered_map lacks heterogeneous find).
-  mutable std::string lookup_scratch_;
+  /// Row store: full chunks of kChunkRows rows, the last one filling.
+  std::vector<std::vector<ReplRecordPtr>> chunks_;
+  /// Linear-probing index; its size is zero or a power of two.
+  std::vector<Slot> index_;
+  /// Ordered view: ids of rows [0, sorted_.size()) in key order. Rows
+  /// with larger ids were inserted since the last Sorted().
+  mutable std::vector<RowId> sorted_;
+  size_t size_ = 0;
   uint64_t bytes_ = 0;
 };
 

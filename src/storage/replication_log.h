@@ -33,14 +33,14 @@ struct ReplRecord {
 };
 
 /// Records are immutable, so one materialized copy per write version
-/// serves every holder across the placement: the primary's WAL,
-/// replication log and memtable, every replica's logs and memtable, and
-/// every SSTable run on every node that flushes or compacts it. Handing
-/// a record to another holder is a refcount bump, never a key/value
-/// copy; the record dies when its last holder (typically a compaction
-/// that drops the shadowed version) releases it. Nodes running on
-/// different workers share records through atomic refcounts only —
-/// nothing ever writes through a record after MakeReplRecord.
+/// serves every holder across the placement: the primary's replication
+/// log and memtable, every replica's log and memtable, and every
+/// SSTable run on every node that flushes or compacts it. Handing a
+/// record to another holder is a refcount bump, never a key/value copy;
+/// the record dies when its last holder (typically a compaction that
+/// drops the shadowed version) releases it. Nodes running on different
+/// workers share records through atomic refcounts only — nothing ever
+/// writes through a record after MakeReplRecord.
 using ReplRecordPtr = std::shared_ptr<const ReplRecord>;
 
 /// Builds the single shared copy of a write version (the one allocation

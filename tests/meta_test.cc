@@ -6,14 +6,43 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <type_traits>
+#include <utility>
 
 #include "common/clock.h"
 #include "meta/meta_server.h"
+#include "sim/cluster_sim.h"
 #include "storage/replication_log.h"
 
 namespace abase {
 namespace meta {
+
+/// Test-only access to MetaServer's metadata-only quota update, which
+/// outside code reaches only through ClusterSim::SetTenantQuota.
+class MetaServerTestPeer {
+ public:
+  static Status SetTenantQuota(MetaServer& meta, TenantId tenant,
+                               double quota_ru) {
+    return meta.SetTenantQuota(tenant, quota_ru);
+  }
+};
+
 namespace {
+
+template <typename T, typename = void>
+struct CanSetTenantQuota : std::false_type {};
+template <typename T>
+struct CanSetTenantQuota<
+    T, std::void_t<decltype(std::declval<T&>().SetTenantQuota(TenantId{},
+                                                               0.0))>>
+    : std::true_type {};
+// A quota applied straight to the metadata would skip the proxy re-base
+// and the split staging; outside code must not be able to call it. The
+// actuator that does both stays callable.
+static_assert(!CanSetTenantQuota<MetaServer>::value,
+              "MetaServer::SetTenantQuota must stay private");
+static_assert(CanSetTenantQuota<sim::ClusterSim>::value,
+              "ClusterSim::SetTenantQuota is the quota actuator");
 
 class MetaTest : public ::testing::Test {
  protected:
@@ -130,7 +159,7 @@ TEST_F(MetaTest, KeyRoutingStableAndInRange) {
 
 TEST_F(MetaTest, SetTenantQuotaPropagatesPartitionQuotas) {
   ASSERT_TRUE(meta_.CreateTenant(Config(1), pool_).ok());
-  ASSERT_TRUE(meta_.SetTenantQuota(1, 16000).ok());
+  ASSERT_TRUE(MetaServerTestPeer::SetTenantQuota(meta_, 1, 16000).ok());
   const TenantMeta* t = meta_.GetTenant(1);
   EXPECT_DOUBLE_EQ(t->tenant_quota_ru, 16000);
   EXPECT_DOUBLE_EQ(t->PartitionQuota(), 4000);
@@ -186,7 +215,7 @@ TEST_F(MetaTest, StagedSplitPrepareCommitLifecycle) {
   // No double staging.
   EXPECT_FALSE(meta_.PrepareSplit(1).ok());
   // A quota change never changes the partition count.
-  ASSERT_TRUE(meta_.SetTenantQuota(1, 1e9).ok());
+  ASSERT_TRUE(MetaServerTestPeer::SetTenantQuota(meta_, 1, 1e9).ok());
   EXPECT_EQ(meta_.GetTenant(1)->partitions.size(), 2u);
 
   // Commit: children join the table atomically, epoch bumps.
@@ -213,14 +242,15 @@ TEST_F(MetaTest, StagedSplitAbortRemovesStagedReplicas) {
 TEST_F(MetaTest, ScaleDownRecordsTimestamp) {
   ASSERT_TRUE(meta_.CreateTenant(Config(1), pool_).ok());
   clock_.Advance(kMicrosPerDay);
-  ASSERT_TRUE(meta_.SetTenantQuota(1, 4000).ok());
+  ASSERT_TRUE(MetaServerTestPeer::SetTenantQuota(meta_, 1, 4000).ok());
   EXPECT_EQ(meta_.GetTenant(1)->last_scale_down, kMicrosPerDay);
 }
 
 TEST_F(MetaTest, InvalidQuotaRejected) {
   ASSERT_TRUE(meta_.CreateTenant(Config(1), pool_).ok());
-  EXPECT_FALSE(meta_.SetTenantQuota(1, -5).ok());
-  EXPECT_TRUE(meta_.SetTenantQuota(77, 100).IsNotFound());
+  EXPECT_FALSE(MetaServerTestPeer::SetTenantQuota(meta_, 1, -5).ok());
+  EXPECT_TRUE(
+      MetaServerTestPeer::SetTenantQuota(meta_, 77, 100).IsNotFound());
 }
 
 TEST_F(MetaTest, MigrateReplicaMovesDataAndMetadata) {

@@ -1,5 +1,5 @@
 // Tests for src/storage: bloom filters, memtable, SSTables, the LSM
-// engine (LavaStore stand-in), WAL recovery, and the disk model.
+// engine (LavaStore stand-in), crash recovery, and the disk model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -86,6 +86,121 @@ TEST(MemTableTest, TombstonesStored) {
   ASSERT_NE(mt.Get("k"), nullptr);
   EXPECT_TRUE(mt.Get("k")->IsTombstone());
 }
+
+// Differential test of the memtable's index, chunked row store and
+// ordered view against a std::map holding the same shared records.
+// Sizes cross the row-store chunk and many index growths; every check
+// compares lookups, the ordered view (order and record identity) and
+// the byte accounting.
+constexpr uint64_t kMemEntryOverhead = 48;
+using RefTable = std::map<std::string, ReplRecordPtr>;
+
+std::string RandomKey(Rng& rng) {
+  // 1–40 bytes: short keys stay in the string's inline buffer (and
+  // collide often, giving overwrites), long ones live on the heap.
+  std::string key(rng.NextInt(1, 40), 'a');
+  for (char& c : key) c = static_cast<char>('a' + rng.NextUint64(26));
+  return key;
+}
+
+void PutBoth(MemTable& mt, RefTable& ref, const std::string& key, Rng& rng,
+             uint64_t seq) {
+  ReplRecordPtr rec = MakeReplRecord(
+      key, rng.NextBool(0.1)
+               ? ValueEntry::Tombstone(seq)
+               : ValueEntry::String(std::string(rng.NextUint64(64), 'v'),
+                                    seq));
+  ref[key] = rec;
+  mt.Put(std::move(rec));
+}
+
+void ExpectSameTable(const MemTable& mt, const RefTable& ref) {
+  uint64_t bytes = 0;
+  for (const auto& [key, rec] : ref) {
+    bytes += key.size() + rec->entry.PayloadBytes() + kMemEntryOverhead;
+  }
+  ASSERT_EQ(mt.entry_count(), ref.size());
+  EXPECT_EQ(mt.empty(), ref.empty());
+  EXPECT_EQ(mt.approximate_bytes(), bytes);
+  const std::vector<MemTable::RowId>& view = mt.Sorted();
+  ASSERT_EQ(view.size(), ref.size());
+  size_t i = 0;
+  for (const auto& [key, rec] : ref) {
+    ASSERT_EQ(&mt.record(view[i]), rec.get()) << "view position " << i;
+    EXPECT_EQ(mt.Get(key), &rec->entry) << key;
+    i++;
+  }
+}
+
+class MemTableDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MemTableDifferentialTest, MatchesOrderedMapReference) {
+  Rng rng(GetParam());
+  MemTable mt;
+  RefTable ref;
+  std::vector<std::string> seen;
+  size_t max_rows = 0;
+  uint64_t seq = 1;
+  for (int step = 0; step < 5000; step++) {
+    const double action = rng.NextDouble();
+    if (action < 0.6) {
+      // New key (3 in 4) or an overwrite of a key seen before.
+      if (seen.empty() || rng.NextBool(0.75)) {
+        seen.push_back(RandomKey(rng));
+        PutBoth(mt, ref, seen.back(), rng, seq++);
+      } else {
+        PutBoth(mt, ref, seen[rng.NextUint64(seen.size())], rng, seq++);
+      }
+    } else if (action < 0.9) {
+      // Lookups: seen keys (hits, or misses after a clear) and fresh
+      // random keys (almost always misses).
+      const std::string key = rng.NextBool(0.5) && !seen.empty()
+                                  ? seen[rng.NextUint64(seen.size())]
+                                  : RandomKey(rng);
+      auto it = ref.find(key);
+      EXPECT_EQ(mt.Get(key), it == ref.end() ? nullptr : &it->second->entry)
+          << key << " step " << step;
+    } else {
+      ExpectSameTable(mt, ref);
+    }
+    max_rows = std::max(max_rows, mt.entry_count());
+
+    if (step % 1000 == 500) {
+      // Copy-assign over a non-empty table, then the copy and the source
+      // must evolve independently.
+      MemTable copy;
+      copy.Put(MakeReplRecord("stale", ValueEntry::String("x", seq++)));
+      copy = mt;
+      RefTable copy_ref = ref;
+      ExpectSameTable(copy, copy_ref);
+      for (int j = 0; j < 50; j++) {
+        PutBoth(copy, copy_ref, RandomKey(rng), rng, seq++);
+        PutBoth(mt, ref, RandomKey(rng), rng, seq++);
+      }
+      ExpectSameTable(copy, copy_ref);
+      ExpectSameTable(mt, ref);
+    }
+    if (step == 2499) {
+      // Flush: every record in key order, pointer-identical, then empty.
+      std::vector<ReplRecordPtr> rows = mt.TakeSorted();
+      ASSERT_EQ(rows.size(), ref.size());
+      size_t i = 0;
+      for (const auto& [key, rec] : ref) EXPECT_EQ(rows[i++], rec);
+      ref.clear();
+      ExpectSameTable(mt, ref);
+    }
+    if (step == 3999) {
+      mt.clear();
+      ref.clear();
+      ExpectSameTable(mt, ref);
+    }
+  }
+  ExpectSameTable(mt, ref);
+  EXPECT_GT(max_rows, 2 * MemTable::kChunkRows);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MemTableDifferentialTest,
+                         ::testing::Values(1, 2, 3, 4));
 
 // --------------------------------------------------------------- SsTable --
 
@@ -330,6 +445,49 @@ TEST(LsmEngineNoWalTest, CrashKeepsFlushedWrites) {
   engine.CrashAndRecover();
   EXPECT_TRUE(engine.Get("flushed").ok());
   EXPECT_TRUE(engine.Get("unflushed").status().IsNotFound());
+}
+
+// With default options (enable_wal on), a crash must leave the engine
+// reading exactly as before it: unflushed overwrites of flushed keys, a
+// tombstone over a flushed key and unflushed first writes all survive.
+TEST(LsmEngineCrashTest, DefaultOptionsRecoverUnflushedStateExactly) {
+  SimClock clock(0);
+  LsmEngine engine(LsmOptions{}, &clock);
+  for (int i = 0; i < 20; i++) {
+    ASSERT_TRUE(engine.Put("k" + std::to_string(i), "flushed").ok());
+  }
+  engine.Flush();  // The flush boundary: k0..k19 live in a run.
+  for (int i = 0; i < 10; i++) {
+    ASSERT_TRUE(engine.Put("k" + std::to_string(i), "overwrite").ok());
+    ASSERT_TRUE(engine.Put("k" + std::to_string(i), "overwrite-2").ok());
+  }
+  ASSERT_TRUE(engine.Delete("k15").ok());
+  ASSERT_TRUE(engine.Put("new", "unflushed").ok());
+  ASSERT_GT(engine.memtable_bytes(), 0u);
+
+  auto snapshot = [&engine] {
+    std::vector<std::string> out;
+    for (int i = 0; i < 20; i++) {
+      auto v = engine.Get("k" + std::to_string(i));
+      out.push_back(v.ok() ? v.value() : "<absent>");
+    }
+    auto v = engine.Get("new");
+    out.push_back(v.ok() ? v.value() : "<absent>");
+    ScanBuffer buf;
+    const ScanResult res = engine.ScanRange("", "", 1000, buf);
+    EXPECT_TRUE(res.done);
+    for (size_t i = 0; i < buf.size(); i++) {
+      out.push_back(buf[i].key + "=" + buf[i].value);
+    }
+    out.push_back(std::to_string(engine.memtable_bytes()));
+    return out;
+  };
+  const std::vector<std::string> before = snapshot();
+  EXPECT_EQ(before[0], "overwrite-2");
+  EXPECT_EQ(before[15], "<absent>");
+  EXPECT_EQ(before[19], "flushed");
+  engine.CrashAndRecover();
+  EXPECT_EQ(snapshot(), before);
 }
 
 TEST_F(LsmEngineTest, ReadIoReportsMemtableVsDisk) {
@@ -588,7 +746,8 @@ TEST_P(LsmPropertyTest, MatchesReferenceModel) {
         EXPECT_EQ(got.value(), ref->second);
       }
     }
-    if (step % 500 == 499) engine.CrashAndRecover();  // WAL must cover.
+    // Unflushed writes must survive (enable_wal defaults on).
+    if (step % 500 == 499) engine.CrashAndRecover();
   }
 }
 
@@ -711,8 +870,8 @@ TEST(LsmEngineReplicationTest, ReplicaStreamSurvivesCrashRecovery) {
   for (const ReplRecord* rec : primary.repl_log().Delta(0, 1)) {
     ASSERT_TRUE(replica.ApplyReplicated(*rec).ok());
   }
-  // Replicated records go through the replica's own WAL: a crash loses
-  // nothing and the stream cursor is preserved.
+  // Replicated records are unflushed writes of the replica: a crash
+  // loses nothing and the stream cursor is preserved.
   replica.CrashAndRecover();
   EXPECT_EQ(replica.Get("k").value(), "v");
   EXPECT_EQ(replica.applied_seq(), 1u);
@@ -819,7 +978,7 @@ TEST(LsmEngineReplicationTest, ReplicaSharesPrimaryRecordsThroughCompaction) {
   EXPECT_EQ(FindOne(primary, "shared", &io), &rec->entry);
   EXPECT_EQ(FindOne(replica, "shared", &io), &rec->entry);
 
-  // Crash recovery re-shares the WAL's records too.
+  // Crash recovery keeps the memtable's shared records too.
   ASSERT_TRUE(primary.Put("late", "w").ok());
   Ship(primary, replica);
   const ValueEntry* late = FindOne(primary, "late", &io);
