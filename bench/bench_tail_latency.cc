@@ -20,10 +20,12 @@
 //   3. Hedging raises RU per completed op by <= 10%.
 //
 // Writes BENCH_tail_latency.json (overwritten per run; CI archives
-// BENCH_*.json as artifacts).
+// BENCH_*.json as artifacts). The `hardware_threads` field records the
+// host the figures came from.
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -225,13 +227,15 @@ int main() {
   FILE* f = std::fopen(path.c_str(), "w");
   if (f != nullptr) {
     std::fprintf(f,
-                 "{\"bench\":\"tail_latency\",\"warmup_ticks\":%zu,"
+                 "{\"bench\":\"tail_latency\",\"hardware_threads\":%u,"
+                 "\"warmup_ticks\":%zu,"
                  "\"measure_ticks\":%zu,"
                  "\"tail_ratio_hedge_off\":%.3f,\"p99_cut_pct\":%.2f,"
                  "\"ru_per_op_ratio\":%.4f,"
                  "\"gates\":{\"tail_ratio_gt_3\":%s,"
                  "\"p99_cut_ge_20pct\":%s,\"ru_per_op_le_1_10\":%s},"
                  "\"results\":[",
+                 std::thread::hardware_concurrency(),
                  abase::bench::kWarmupTicks, abase::bench::kMeasureTicks,
                  tail_ratio, p99_cut * 100, ru_ratio,
                  tail_ok ? "true" : "false", cut_ok ? "true" : "false",

@@ -131,7 +131,7 @@ class Cluster {
       TenantId tenant, const TimeSeries& usage_history);
 
   sim::ClusterSim& sim() { return sim_; }
-  meta::MetaServer& meta() { return sim_.meta(); }
+  const meta::MetaServer& meta() const { return sim_.meta(); }
 
  private:
   friend class Client;

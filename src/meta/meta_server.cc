@@ -21,27 +21,6 @@ PoolId MetaServer::CreatePool(std::vector<node::DataNode*> nodes) {
   return static_cast<PoolId>(pools_.size() - 1);
 }
 
-Status MetaServer::AddNodeToPool(PoolId pool, node::DataNode* node) {
-  if (pool >= pools_.size()) return Status::InvalidArgument("no such pool");
-  pools_[pool].push_back(node);
-  pool_versions_[pool]++;
-  return Status::OK();
-}
-
-Status MetaServer::RemoveNodeFromPool(PoolId pool, NodeId node) {
-  if (pool >= pools_.size()) return Status::InvalidArgument("no such pool");
-  auto& nodes = pools_[pool];
-  auto it = std::find_if(nodes.begin(), nodes.end(),
-                         [&](node::DataNode* n) { return n->id() == node; });
-  if (it == nodes.end()) return Status::NotFound("node not in pool");
-  if ((*it)->replica_count() > 0) {
-    return Status::InvalidArgument("node still hosts replicas");
-  }
-  nodes.erase(it);
-  pool_versions_[pool]++;
-  return Status::OK();
-}
-
 const std::vector<node::DataNode*>& MetaServer::PoolNodes(
     PoolId pool) const {
   static const std::vector<node::DataNode*> kEmpty;
@@ -60,13 +39,16 @@ node::DataNode* MetaServer::FindNode(PoolId pool, NodeId id) const {
 // Tenants
 // ---------------------------------------------------------------------------
 
-node::DataNode* MetaServer::PickNodeForReplica(PoolId pool, TenantId tenant,
-                                               PartitionId partition) const {
+node::DataNode* MetaServer::PickNodeForReplica(
+    PoolId pool, TenantId tenant, PartitionId partition, NodeId replacing,
+    const std::map<NodeId, double>* planned_quota) const {
   // AZs already used by this partition's replicas: placing in a fresh AZ
   // is strictly preferred (Section 3.1), falling back to AZ reuse only
-  // when no conflict-free node exists.
+  // when no conflict-free node exists. The replica being replaced no
+  // longer counts: its AZ is free again.
   std::set<uint32_t> used_azs;
   for (node::DataNode* n : pools_[pool]) {
+    if (n->id() == replacing) continue;
     if (n->HasReplica(tenant, partition)) used_azs.insert(n->az());
   }
 
@@ -78,6 +60,10 @@ node::DataNode* MetaServer::PickNodeForReplica(PoolId pool, TenantId tenant,
     if (n->HasReplica(tenant, partition)) continue;  // Replica safety.
     bool fresh = used_azs.count(n->az()) == 0;
     double q = n->TotalPartitionQuota();
+    if (planned_quota != nullptr) {
+      auto pit = planned_quota->find(n->id());
+      if (pit != planned_quota->end()) q += pit->second;
+    }
     if (best == nullptr || (fresh && !best_fresh_az) ||
         (fresh == best_fresh_az && q < best_quota)) {
       best = n;
@@ -152,13 +138,6 @@ Status MetaServer::CreateTenant(const TenantConfig& config, PoolId pool) {
 const TenantMeta* MetaServer::GetTenant(TenantId tenant) const {
   auto it = tenants_.find(tenant);
   return it == tenants_.end() ? nullptr : &it->second;
-}
-
-std::vector<TenantId> MetaServer::TenantIds() const {
-  std::vector<TenantId> out;
-  out.reserve(tenants_.size());
-  for (const auto& [id, meta] : tenants_) out.push_back(id);
-  return out;
 }
 
 PartitionId MetaServer::PartitionFor(TenantId tenant,
@@ -287,20 +266,6 @@ Status MetaServer::CommitSplit(TenantId tenant) {
   return Status::OK();
 }
 
-Status MetaServer::AbortSplit(TenantId tenant) {
-  auto it = tenants_.find(tenant);
-  auto pit = pending_splits_.find(tenant);
-  if (it == tenants_.end()) return Status::NotFound("no such tenant");
-  if (pit == pending_splits_.end()) {
-    return Status::NotFound("no staged split");
-  }
-  UnstagePlacements(it->second, pit->second.old_count,
-                    pit->second.children);
-  pending_splits_.erase(pit);
-  pool_versions_[it->second.pool]++;
-  return Status::OK();
-}
-
 Status MetaServer::MigrateReplica(TenantId tenant, PartitionId partition,
                                   NodeId from, NodeId to) {
   auto it = tenants_.find(tenant);
@@ -346,104 +311,6 @@ Status MetaServer::MigrateReplica(TenantId tenant, PartitionId partition,
 // ---------------------------------------------------------------------------
 // Failure recovery
 // ---------------------------------------------------------------------------
-
-Result<RecoveryReport> MetaServer::FailNode(
-    PoolId pool, NodeId node, double rebuild_bandwidth_bytes_per_sec) {
-  node::DataNode* failed = FindNode(pool, node);
-  if (failed == nullptr) return Status::NotFound("node not in pool");
-
-  RecoveryReport report;
-
-  // Snapshot the replicas the failed node hosted.
-  struct LostReplica {
-    TenantId tenant;
-    PartitionId partition;
-    double quota;
-    uint64_t bytes;
-  };
-  std::vector<LostReplica> lost;
-  for (const node::PartitionReplica* rep : failed->Replicas()) {
-    lost.push_back(LostReplica{rep->tenant, rep->partition,
-                               rep->partition_quota_ru,
-                               rep->engine->ApproximateDataBytes()});
-  }
-
-  // Remove the node from the pool topology first so placement never
-  // targets it, then rebuild each lost replica on a surviving node. A
-  // permanently lost node also forfeits any outstanding failback claims
-  // (it will never call RestorePrimary) — leaving them would block every
-  // later interim primary's failback on those partitions forever.
-  demoted_.erase(node);
-  auto& nodes = pools_[pool];
-  nodes.erase(std::remove(nodes.begin(), nodes.end(), failed), nodes.end());
-  // Placement mutation starts here; bump the epoch now so even an early
-  // error return below (no survivor for some replica) leaves cached
-  // routes able to chase a redirect into the partially rebuilt state.
-  PoolPlacementChanged(pool);
-
-  std::map<NodeId, uint64_t> bytes_per_target;
-  for (const LostReplica& lr : lost) {
-    // Fix up tenant placement metadata.
-    auto tit = tenants_.find(lr.tenant);
-    node::DataNode* target =
-        PickNodeForReplica(pool, lr.tenant, lr.partition);
-    if (target == nullptr) {
-      return Status::ResourceExhausted("no survivor can host replica");
-    }
-    // The rebuilt copy takes over the failed node's placement slot —
-    // including the primary role when the lost replica led the partition.
-    bool was_primary = false;
-    if (tit != tenants_.end() &&
-        lr.partition < tit->second.partitions.size()) {
-      auto& reps = tit->second.partitions[lr.partition].replicas;
-      was_primary = !reps.empty() && reps[0] == node;
-      std::replace(reps.begin(), reps.end(), node, target->id());
-    }
-    target->AddReplica(lr.tenant, lr.partition, lr.quota, was_primary);
-    // The rebuilt replica carries real data, streamed from the freshest
-    // surviving copy (permanent loss destroyed the dead node's state; a
-    // replicas=1 partition has no survivor and genuinely starts empty).
-    storage::LsmEngine* source = nullptr;
-    if (tit != tenants_.end() &&
-        lr.partition < tit->second.partitions.size()) {
-      for (NodeId nid : tit->second.partitions[lr.partition].replicas) {
-        if (nid == target->id()) continue;
-        node::DataNode* n = FindNode(pool, nid);
-        if (n == nullptr || !n->CanServe()) continue;
-        storage::LsmEngine* e = n->EngineFor(lr.tenant, lr.partition);
-        if (e == nullptr) continue;
-        if (source == nullptr || e->applied_seq() > source->applied_seq()) {
-          source = e;
-        }
-      }
-    }
-    if (source != nullptr) {
-      target->ResyncReplica(lr.tenant, lr.partition, *source);
-    }
-    bytes_per_target[target->id()] += lr.bytes;
-    report.replicas_rebuilt++;
-    report.replicas_rebuilt_executed++;
-    report.bytes_rebuilt += lr.bytes;
-    report.re_replication_targets.push_back(
-        ReReplicationTarget{lr.tenant, lr.partition, target->id(), lr.bytes});
-    failed->RemoveReplica(lr.tenant, lr.partition);
-  }
-
-  // Recovery-time model (Section 3.3): the parallel rebuild is bounded by
-  // the most-loaded target's share, streamed from many sources at disk
-  // bandwidth; a single replacement node must ingest everything alone.
-  report.parallel_sources = bytes_per_target.size();
-  uint64_t max_target_bytes = 0;
-  for (const auto& [nid, b] : bytes_per_target) {
-    max_target_bytes = std::max(max_target_bytes, b);
-  }
-  report.parallel_recovery_seconds =
-      static_cast<double>(max_target_bytes) / rebuild_bandwidth_bytes_per_sec;
-  report.single_node_recovery_seconds =
-      static_cast<double>(report.bytes_rebuilt) /
-      rebuild_bandwidth_bytes_per_sec;
-  return report;
-}
 
 void MetaServer::TenantPlacementChanged(const TenantMeta& meta) {
   routing_epoch_++;
@@ -493,6 +360,10 @@ Result<RecoveryReport> MetaServer::PromoteFailover(
   RecoveryReport report;
   bool placement_changed = false;
   std::map<NodeId, uint64_t> bytes_per_target;
+  // Partition quota of the targets planned so far: each pick sees the
+  // load the earlier rebuilds will add, so the copies spread over many
+  // survivors instead of all landing on the one least-loaded node.
+  std::map<NodeId, double> planned_quota;
   // tenants_ is ordered, so promotions and planned targets come out in a
   // fixed (tenant, partition) order — the fault path runs from serial
   // pipeline sections and must stay deterministic.
@@ -553,10 +424,12 @@ Result<RecoveryReport> MetaServer::PromoteFailover(
           bytes = engine->ApproximateDataBytes();
         }
       }
-      if (node::DataNode* target = PickNodeForReplica(pool, tid, p)) {
+      if (node::DataNode* target =
+              PickNodeForReplica(pool, tid, p, node, &planned_quota)) {
         report.re_replication_targets.push_back(
             ReReplicationTarget{tid, p, target->id(), bytes});
         bytes_per_target[target->id()] += bytes;
+        planned_quota[target->id()] += meta.PartitionQuota();
       }
       report.replicas_rebuilt++;
       report.bytes_rebuilt += bytes;

@@ -101,9 +101,10 @@ struct RecoveryReport {
   /// Planned re-replication targets the Fault stage has executed so far
   /// (real partition state copied; incremented as rebuilds complete).
   size_t replicas_rebuilt_executed = 0;
-  /// Where each lost replica is (re)built: executed placements for
-  /// FailNode's permanent-loss rebuild, planned placements for
-  /// PromoteFailover (the node may yet come back and catch up instead).
+  /// Where each lost replica is to be rebuilt: planned placements (the
+  /// node may yet come back and catch up instead); the Fault stage
+  /// executes them once the grace period passes with the node still
+  /// down.
   std::vector<ReReplicationTarget> re_replication_targets;
 };
 
@@ -114,23 +115,21 @@ class MetaServer {
 
   // -- Topology ---------------------------------------------------------------
 
-  /// Registers a pool of DataNodes (non-owning pointers).
+  /// Registers a pool of DataNodes (non-owning pointers). Membership is
+  /// fixed: a permanently lost node stays in its pool as kFailed, and
+  /// placement skips it.
   PoolId CreatePool(std::vector<node::DataNode*> nodes);
-
-  /// Adds a node to an existing pool (inter-pool rescheduling support).
-  Status AddNodeToPool(PoolId pool, node::DataNode* node);
-  Status RemoveNodeFromPool(PoolId pool, NodeId node);
 
   const std::vector<node::DataNode*>& PoolNodes(PoolId pool) const;
 
   /// Number of registered pools (pool ids are dense: 0..count-1).
   size_t PoolCount() const { return pools_.size(); }
 
-  /// Placement version of `pool`: bumped by every change to the pool's
-  /// node membership or to the partition table of a tenant placed in
-  /// it — wherever the routing epoch moves, plus staged split children
-  /// being placed or unstaged. Equal versions mean an identical
-  /// partition table for every tenant of the pool.
+  /// Placement version of `pool`: bumped by every change to the
+  /// partition table of a tenant placed in it — wherever the routing
+  /// epoch moves, plus staged split children being placed. Equal
+  /// versions mean an identical partition table for every tenant of the
+  /// pool.
   uint64_t PoolPlacementVersion(PoolId pool) const {
     return pool < pool_versions_.size() ? pool_versions_[pool] : 0;
   }
@@ -152,7 +151,6 @@ class MetaServer {
   void SetStripedPlacement(bool striped) { striped_placement_ = striped; }
 
   const TenantMeta* GetTenant(TenantId tenant) const;
-  std::vector<TenantId> TenantIds() const;
 
   /// Hash-routes a key to its partition.
   PartitionId PartitionFor(TenantId tenant, std::string_view key) const;
@@ -165,19 +163,19 @@ class MetaServer {
   NodeId PrimaryFor(TenantId tenant, PartitionId partition) const;
 
   /// Monotonically increasing routing-table version. Bumped by every
-  /// placement mutation (tenant creation, split, migration, failover
-  /// promotion, failback, permanent-loss rebuild). Proxies cache routing
-  /// tables stamped with this epoch and chase a redirect — refresh and
-  /// retry — when a forward observes a stale one; they never consult the
-  /// MetaServer per request.
+  /// placement mutation (tenant creation, split commit, migration,
+  /// failover promotion, executed re-replication, failback). Proxies
+  /// cache routing tables stamped with this epoch and chase a redirect —
+  /// refresh and retry — when a forward observes a stale one; they never
+  /// consult the MetaServer per request.
   uint64_t routing_epoch() const { return routing_epoch_; }
 
   /// Drains the tenants whose placement moved the routing epoch since
   /// the previous call, appending them to `out` in bump order (a tenant
   /// may repeat). Returns false instead when the changed set was not
-  /// recorded — a node-level event (FailNode, PromoteFailover,
-  /// RestorePrimary) moved it, or the log outgrew the tenant count — and
-  /// the caller must treat every tenant as changed.
+  /// recorded — a node-level event (PromoteFailover or RestorePrimary
+  /// moving a primary) moved it, or the log outgrew the tenant count —
+  /// and the caller must treat every tenant as changed.
   bool TakePlacementChanges(std::vector<TenantId>* out);
 
   // -- Staged (online) partition split -----------------------------------------
@@ -195,8 +193,6 @@ class MetaServer {
   //                  partition table atomically, quotas halve, and the
   //                  routing epoch bumps — the next forward re-hashes
   //                  mod 2N and chases one redirect to the children
-  //
-  // AbortSplit unwinds a prepared split without committing.
 
   /// Child placements staged by PrepareSplit, not yet routable.
   struct PendingSplit {
@@ -223,25 +219,12 @@ class MetaServer {
   /// finished streaming the child data first.
   Status CommitSplit(TenantId tenant);
 
-  /// Drops a staged split, removing the staged replicas from their nodes.
-  Status AbortSplit(TenantId tenant);
-
   /// Moves one replica of (tenant, partition) from node `from` to node
   /// `to`, updating placement metadata (used by the rescheduler bridge).
   Status MigrateReplica(TenantId tenant, PartitionId partition, NodeId from,
                         NodeId to);
 
   // -- Failure recovery ---------------------------------------------------------
-
-  /// Simulates the *permanent* loss of `node`: it leaves the pool and
-  /// every replica it hosted is rebuilt on surviving pool nodes in
-  /// parallel. Returns the recovery-time model contrasting multi-tenant
-  /// parallel rebuild vs a single replacement node limited by its own
-  /// disk bandwidth. For a live failure (node may come back), use
-  /// PromoteFailover / RestorePrimary instead.
-  Result<RecoveryReport> FailNode(PoolId pool, NodeId node,
-                                  double rebuild_bandwidth_bytes_per_sec =
-                                      200.0 * 1024 * 1024);
 
   /// Live failover after `node` crashed: for every partition whose
   /// primary it was, the alive replica with the *highest applied
@@ -251,11 +234,16 @@ class MetaServer {
   /// RecoveryReport::lost_acked_writes (zero under replication lag 0).
   /// `node` stays in the placement as a stale replica so it can resync
   /// and fail back later. Every replica the node hosted also gets a
-  /// *planned* re-replication target (recorded in the report; the Fault
-  /// stage executes the copy after a grace period unless the node starts
-  /// recovering first). Bumps the routing epoch when any primary moved.
-  /// Partitions with no surviving replica keep their dead primary and
-  /// stay unavailable until recovery.
+  /// *planned* re-replication target, picked in (tenant, partition)
+  /// order as sequential placement would: the dead node's AZ counts as
+  /// free, and each pick adds the quota of the targets already planned
+  /// to the candidates' load, so the copies spread over many survivors
+  /// (Section 3.3's parallel rebuild). The Fault stage executes the copy
+  /// after a grace period unless the node starts recovering first: a
+  /// node that never recovers is a permanent loss, rebuilt in full.
+  /// Bumps the routing epoch when any primary moved. Partitions with no
+  /// surviving replica keep their dead primary and stay unavailable
+  /// until recovery.
   Result<RecoveryReport> PromoteFailover(NodeId node,
                                          double rebuild_bandwidth_bytes_per_sec =
                                              200.0 * 1024 * 1024);
@@ -314,9 +302,14 @@ class MetaServer {
 
   /// Least-loaded placement: picks the pool node with the smallest total
   /// partition quota that does not already hold a replica of (tenant,
-  /// partition). Returns nullptr if none qualifies.
-  node::DataNode* PickNodeForReplica(PoolId pool, TenantId tenant,
-                                     PartitionId partition) const;
+  /// partition). A rebuild passes the dead node as `replacing` (its AZ
+  /// counts as free) and the quota that earlier picks of the same
+  /// failover already planned onto each node (added to that node's
+  /// load). Returns nullptr if none qualifies.
+  node::DataNode* PickNodeForReplica(
+      PoolId pool, TenantId tenant, PartitionId partition,
+      NodeId replacing = kInvalidNode,
+      const std::map<NodeId, double>* planned_quota = nullptr) const;
 
   /// Striped creation-time placement (SetStripedPlacement). Returns
   /// nullptr if no pool node can take the replica.
@@ -324,8 +317,8 @@ class MetaServer {
                                   PartitionId partition, int replica) const;
 
   /// Removes every staged replica of `children` (child i = partition
-  /// first_child + i) from its hosting node — the single unwind path of
-  /// a failed staging and AbortSplit.
+  /// first_child + i) from its hosting node — PrepareSplit's rollback
+  /// when a child replica cannot be placed.
   void UnstagePlacements(const TenantMeta& meta, uint32_t first_child,
                          const std::vector<PartitionPlacement>& children);
 

@@ -617,7 +617,10 @@ class ClusterSim {
   // -- Component access -----------------------------------------------------------
 
   SimClock& clock() { return clock_; }
-  meta::MetaServer& meta() { return *meta_; }
+  /// Read-only metadata view: placement changes go through ClusterSim's
+  /// own fault, migration, quota and split paths, never straight to the
+  /// MetaServer.
+  const meta::MetaServer& meta() const { return *meta_; }
   node::DataNode* FindNode(NodeId id);
   const std::vector<std::unique_ptr<node::DataNode>>& nodes() const {
     return nodes_;
@@ -657,6 +660,7 @@ class ClusterSim {
       const std::vector<resched::Migration>& migrations);
 
  private:
+  friend class ClusterSimTestPeer;
   friend class FaultStage;
   friend class GenerateStage;
   friend class ProxyAdmitStage;

@@ -18,6 +18,17 @@
 #include "sim/workload.h"
 
 namespace abase {
+namespace sim {
+
+/// Test-only access to the MetaServer's split steps, which outside code
+/// reaches only through the Control stage (ClusterSim::meta() is
+/// read-only).
+class ClusterSimTestPeer {
+ public:
+  static meta::MetaServer& Meta(ClusterSim& sim) { return *sim.meta_; }
+};
+
+}  // namespace sim
 namespace {
 
 meta::TenantConfig ControlTenant(TenantId id, double quota,
@@ -694,10 +705,11 @@ TEST(ControlLoopTest, ReschedulingPlanMemoRebuildsOnlyOnChangedInputs) {
     auto outcomes = sim.ApplyMigrations({m});
     ASSERT_TRUE(outcomes[0].status.ok()) << outcomes[0].status.ToString();
   });
+  meta::MetaServer& meta = sim::ClusterSimTestPeer::Meta(sim);
   expect_rebuild("split stage",
-                 [&]() { ASSERT_TRUE(sim.meta().PrepareSplit(3).ok()); });
+                 [&]() { ASSERT_TRUE(meta.PrepareSplit(3).ok()); });
   expect_rebuild("split commit",
-                 [&]() { ASSERT_TRUE(sim.meta().CommitSplit(3).ok()); });
+                 [&]() { ASSERT_TRUE(meta.CommitSplit(3).ok()); });
   const NodeId victim = sim.meta().PrimaryFor(4, 1);
   expect_rebuild("node failure", [&]() { sim.FailNode(victim); });
   expect_rebuild("node recovery", [&]() { sim.RecoverNode(victim, 1); });

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -512,9 +513,10 @@ TEST(FailoverTest, SingleReplicaPartitionStaysUnavailableUntilRecovery) {
 }
 
 TEST(FailoverTest, PermanentLossForfeitsFailbackClaims) {
-  // A fails live -> B promoted (A holds a failback claim). The operator
-  // then declares A permanently lost. A's ghost claim must not block B's
-  // own failback after B later fails and recovers.
+  // A fails live -> B promoted (A holds a failback claim). A never comes
+  // back, so its rebuild runs to completion and evicts it from the
+  // placement. A's ghost claim must not block B's own failback after B
+  // later fails and recovers.
   ClusterOptions copts;
   copts.sim.seed = 61;
   copts.sim.failover_detection_ticks = 0;
@@ -529,7 +531,13 @@ TEST(FailoverTest, PermanentLossForfeitsFailbackClaims) {
   cluster.RunTicks(2);
   const NodeId b = cluster.meta().PrimaryFor(1, 0);
   ASSERT_NE(b, a);
-  ASSERT_TRUE(cluster.meta().FailNode(pool, a).ok());  // Permanent loss.
+  ASSERT_TRUE(cluster.meta().HasDemotionClaim(a, 1, 0));
+  for (int i = 0; i < 64 && cluster.sim().PendingRebuildCount() > 0; i++) {
+    cluster.Step();
+  }
+  ASSERT_EQ(cluster.sim().PendingRebuildCount(), 0u);
+  ASSERT_EQ(cluster.sim().ExecutedRebuildCount(), 1u);
+  EXPECT_FALSE(cluster.meta().HasDemotionClaim(a, 1, 0));
 
   cluster.FailNode(b);
   cluster.RunTicks(2);
@@ -560,9 +568,163 @@ TEST(FailoverTest, DownNodesInvisibleToReschedulingAndMigration) {
   }
 
   // And a direct migration onto it is rejected.
-  NodeId src = cluster.meta().PrimaryFor(1, 1);
-  Status st = cluster.meta().MigrateReplica(1, 1, src, victim);
-  EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
+  resched::Migration m;
+  m.tenant = 1;
+  m.partition = 1;
+  m.from = cluster.meta().PrimaryFor(1, 1);
+  m.to = victim;
+  auto outcomes = cluster.sim().ApplyMigrations({m});
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_TRUE(outcomes[0].status.IsUnavailable())
+      << outcomes[0].status.ToString();
+}
+
+// --------------------------------------------------------- Permanent loss --
+
+/// A node that fails and never recovers, on a 16-node pool over 3 AZs:
+/// the Fault stage promotes the survivors and then rebuilds every
+/// replica the node hosted on other nodes (Section 3.3). Reads-only
+/// traffic keeps the data plane busy throughout. Everything observable
+/// is folded into `digest` so runs at different worker counts compare
+/// bit for bit.
+struct PermanentLossRun {
+  std::vector<uint64_t> digest;
+  NodeId victim = kInvalidNode;
+  size_t victim_replicas = 0;  ///< Still hosted by the victim at the end.
+  size_t placements_naming_victim = 0;
+  size_t distinct_targets = 0;
+  size_t rebuilt = 0;
+  size_t executed = 0;
+  size_t keys_read = 0;
+  size_t keys_matching = 0;  ///< Read back with their pre-failure value.
+};
+
+PermanentLossRun RunPermanentLoss(int workers) {
+  ClusterOptions copts;
+  copts.sim.seed = 211;
+  copts.sim.data_plane_workers = workers;
+  copts.sim.replication_lag_ticks = 0;
+  copts.sim.re_replication_delay_ticks = 2;
+  Cluster cluster(copts);
+  PoolId pool = cluster.CreatePool(16);
+
+  constexpr TenantId kTenants = 20;
+  constexpr int kKeys = 40;
+  for (TenantId t = 1; t <= kTenants; t++) {
+    EXPECT_TRUE(cluster.CreateTenant(FailoverTenant(t, /*partitions=*/4), pool)
+                    .ok());
+    cluster.sim().SetProxyCacheEnabled(t, false);
+    cluster.sim().PreloadKeys(t, kKeys, /*value_bytes=*/256);
+    sim::WorkloadProfile profile;
+    profile.base_qps = 40;
+    profile.read_ratio = 1.0;  // The preloaded values stay put.
+    profile.num_keys = kKeys;
+    profile.value_bytes = 256;
+    profile.eventual_read_fraction = 0.5;  // Rebuilt replicas serve too.
+    cluster.AttachWorkload(t, profile);
+  }
+
+  auto read_all = [&cluster]() {
+    std::vector<std::vector<Future<Reply>>> futures;
+    for (TenantId t = 1; t <= kTenants; t++) {
+      std::vector<Command> cmds;
+      for (int i = 0; i < kKeys; i++) {
+        cmds.push_back(Command::Get("t" + std::to_string(t) + ":k" +
+                                    std::to_string(i)));
+      }
+      futures.push_back(cluster.OpenClient(t).SubmitBatch(std::move(cmds)));
+    }
+    cluster.Drain();
+    std::vector<std::string> values;
+    for (const auto& tenant_futures : futures) {
+      for (const auto& f : tenant_futures) {
+        values.push_back(f.ready() && f->ok() ? f->value : "<missing>");
+      }
+    }
+    return values;
+  };
+
+  PermanentLossRun run;
+  cluster.RunTicks(3);
+  const std::vector<std::string> before = read_all();
+
+  run.victim = cluster.meta().PrimaryFor(1, 0);
+  cluster.FailNode(run.victim);
+  cluster.Step();
+  for (int i = 0; i < 64 && (!cluster.sim().LastFailoverReport() ||
+                             cluster.sim().PendingRebuildCount() > 0);
+       i++) {
+    cluster.Step();
+  }
+  EXPECT_EQ(cluster.sim().PendingRebuildCount(), 0u);
+
+  const auto& report = cluster.sim().LastFailoverReport();
+  if (report.has_value()) {
+    run.rebuilt = report->replicas_rebuilt;
+    run.executed = report->replicas_rebuilt_executed;
+    run.digest.insert(run.digest.end(),
+                      {report->replicas_rebuilt, report->bytes_rebuilt,
+                       report->parallel_sources, report->primaries_promoted,
+                       report->lost_acked_writes,
+                       report->replicas_rebuilt_executed});
+    std::set<NodeId> targets;
+    for (const meta::ReReplicationTarget& t :
+         report->re_replication_targets) {
+      targets.insert(t.target);
+      run.digest.insert(run.digest.end(),
+                        {t.tenant, t.partition, t.target, t.bytes});
+    }
+    run.distinct_targets = targets.size();
+  }
+  run.victim_replicas = cluster.sim().FindNode(run.victim)->replica_count();
+  for (TenantId t = 1; t <= kTenants; t++) {
+    for (const auto& placement : cluster.meta().GetTenant(t)->partitions) {
+      for (NodeId nid : placement.replicas) {
+        run.digest.push_back(nid);
+        if (nid == run.victim) run.placements_naming_victim++;
+      }
+    }
+  }
+
+  const std::vector<std::string> after = read_all();
+  run.keys_read = after.size();
+  for (size_t i = 0; i < after.size() && i < before.size(); i++) {
+    if (after[i] != "<missing>" && after[i] == before[i]) {
+      run.keys_matching++;
+    }
+    run.digest.push_back(after[i].size());
+  }
+  for (TenantId t = 1; t <= kTenants; t++) {
+    for (const sim::TenantTickMetrics& m : cluster.sim().History(t)) {
+      run.digest.insert(run.digest.end(),
+                        {m.issued, m.ok, m.errors, m.throttled, m.unavailable,
+                         m.redirects, m.replica_reads, m.replica_lag_sum,
+                         m.disk_reads, m.latency_count,
+                         static_cast<uint64_t>(m.latency_sum),
+                         static_cast<uint64_t>(m.ru_charged * 1e6)});
+    }
+  }
+  return run;
+}
+
+TEST(FailoverTest, PermanentLossRebuildsInParallelThroughTheFaultStage) {
+  const PermanentLossRun serial = RunPermanentLoss(/*workers=*/1);
+  ASSERT_NE(serial.victim, kInvalidNode);
+  EXPECT_GT(serial.rebuilt, 0u);
+  EXPECT_EQ(serial.executed, serial.rebuilt);
+  // The victim is out of every placement and holds nothing.
+  EXPECT_EQ(serial.victim_replicas, 0u);
+  EXPECT_EQ(serial.placements_naming_victim, 0u);
+  // The lost replicas spread over many survivors, not one.
+  EXPECT_GE(serial.distinct_targets, 5u);
+  // Every preloaded key reads back with its pre-failure value.
+  EXPECT_EQ(serial.keys_read, 20u * 40u);
+  EXPECT_EQ(serial.keys_matching, serial.keys_read);
+
+  for (int workers : {2, 4}) {
+    const PermanentLossRun parallel = RunPermanentLoss(workers);
+    EXPECT_EQ(parallel.digest, serial.digest) << workers << " workers";
+  }
 }
 
 // ------------------------------------------------------------- Determinism --

@@ -34,12 +34,25 @@ TEST(IntegrationTest, NodeFailureRecoversAndServiceContinues) {
   cluster.SetWorkload(1, p);
   cluster.RunTicks(10);
 
-  // Kill the node hosting partition 0's primary.
+  // Kill the node hosting partition 0's primary for good: it never
+  // recovers, so the Fault stage promotes the survivors and rebuilds
+  // every replica it hosted elsewhere.
   NodeId victim = cluster.meta().PrimaryFor(1, 0);
   ASSERT_NE(victim, kInvalidNode);
-  auto report = cluster.meta().FailNode(pool, victim);
-  ASSERT_TRUE(report.ok());
-  EXPECT_GT(report.value().replicas_rebuilt, 0u);
+  cluster.FailNode(victim);
+  cluster.Tick();
+  for (int i = 0; i < 64 && (!cluster.LastFailoverReport().has_value() ||
+                             cluster.PendingRebuildCount() > 0);
+       i++) {
+    cluster.Tick();
+  }
+  const auto& report = cluster.LastFailoverReport();
+  ASSERT_TRUE(report.has_value());
+  EXPECT_GT(report->replicas_rebuilt, 0u);
+  EXPECT_EQ(report->replicas_rebuilt_executed, report->replicas_rebuilt);
+  for (const auto& placement : cluster.meta().GetTenant(1)->partitions) {
+    for (NodeId nid : placement.replicas) EXPECT_NE(nid, victim);
+  }
 
   // Traffic keeps flowing to the re-elected primaries.
   cluster.RunTicks(10);

@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <type_traits>
 #include <utility>
 
 #include "common/clock.h"
+#include "core/abase.h"
 #include "meta/meta_server.h"
 #include "sim/cluster_sim.h"
 #include "storage/replication_log.h"
@@ -43,6 +45,19 @@ static_assert(!CanSetTenantQuota<MetaServer>::value,
               "MetaServer::SetTenantQuota must stay private");
 static_assert(CanSetTenantQuota<sim::ClusterSim>::value,
               "ClusterSim::SetTenantQuota is the quota actuator");
+
+template <typename T, typename = void>
+struct MetaAccessorIsReadOnly : std::false_type {};
+template <typename T>
+struct MetaAccessorIsReadOnly<T,
+                              std::void_t<decltype(std::declval<T&>().meta())>>
+    : std::is_same<decltype(std::declval<T&>().meta()), const MetaServer&> {};
+// Placement changes go through the simulator's fault, migration, quota
+// and split paths; the metadata view it hands out cannot mutate.
+static_assert(MetaAccessorIsReadOnly<sim::ClusterSim>::value,
+              "ClusterSim::meta() must return const MetaServer&");
+static_assert(MetaAccessorIsReadOnly<Cluster>::value,
+              "Cluster::meta() must return const MetaServer&");
 
 class MetaTest : public ::testing::Test {
  protected:
@@ -226,19 +241,6 @@ TEST_F(MetaTest, StagedSplitPrepareCommitLifecycle) {
   EXPECT_FALSE(meta_.CommitSplit(1).ok());  // Nothing staged anymore.
 }
 
-TEST_F(MetaTest, StagedSplitAbortRemovesStagedReplicas) {
-  ASSERT_TRUE(meta_.CreateTenant(Config(1, 2, 3), pool_).ok());
-  std::vector<size_t> replica_counts;
-  for (auto& n : nodes_) replica_counts.push_back(n->replica_count());
-  ASSERT_TRUE(meta_.PrepareSplit(1).ok());
-  ASSERT_TRUE(meta_.AbortSplit(1).ok());
-  EXPECT_EQ(meta_.GetPendingSplit(1), nullptr);
-  for (size_t i = 0; i < nodes_.size(); i++) {
-    EXPECT_EQ(nodes_[i]->replica_count(), replica_counts[i]) << "node " << i;
-  }
-  EXPECT_TRUE(meta_.AbortSplit(1).IsNotFound());
-}
-
 TEST_F(MetaTest, ScaleDownRecordsTimestamp) {
   ASSERT_TRUE(meta_.CreateTenant(Config(1), pool_).ok());
   clock_.Advance(kMicrosPerDay);
@@ -272,28 +274,6 @@ TEST_F(MetaTest, MigrateReplicaMovesDataAndMetadata) {
   EXPECT_FALSE(meta_.MigrateReplica(1, 0, to, to).ok());
 }
 
-TEST_F(MetaTest, FailNodeRebuildsAllReplicasInParallel) {
-  ASSERT_TRUE(meta_.CreateTenant(Config(1, 6, 3), pool_).ok());
-  NodeId victim = nodes_[0]->id();
-  size_t victim_replicas = nodes_[0]->replica_count();
-  ASSERT_GT(victim_replicas, 0u);
-
-  auto report = meta_.FailNode(pool_, victim);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report.value().replicas_rebuilt, victim_replicas);
-  // The failed node hosts nothing afterwards; survivors host everything.
-  EXPECT_EQ(nodes_[0]->replica_count(), 0u);
-  size_t hosted = 0;
-  for (size_t i = 1; i < nodes_.size(); i++) {
-    hosted += nodes_[i]->replica_count();
-  }
-  EXPECT_EQ(hosted, 18u);
-  // Placement metadata no longer references the failed node.
-  for (const auto& p : meta_.GetTenant(1)->partitions) {
-    for (NodeId nid : p.replicas) EXPECT_NE(nid, victim);
-  }
-}
-
 TEST_F(MetaTest, MigrateReplicaCarriesRealEngineState) {
   ASSERT_TRUE(meta_.CreateTenant(Config(1, 1, 3), pool_).ok());
   NodeId from = meta_.GetTenant(1)->partitions[0].replicas[0];
@@ -323,66 +303,6 @@ TEST_F(MetaTest, MigrateReplicaCarriesRealEngineState) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), "payload");
   EXPECT_EQ(dst->EngineFor(1, 0)->applied_seq(), 1u);
-}
-
-TEST_F(MetaTest, FailNodeRebuildPlacesRealDataOnTargets) {
-  ASSERT_TRUE(meta_.CreateTenant(Config(1, 2, 3), pool_).ok());
-  // Seed the primaries, then bring every replica up to date through the
-  // replication stream (what the Replicate pipeline step does live).
-  const TenantMeta* t = meta_.GetTenant(1);
-  for (PartitionId p = 0; p < t->partitions.size(); p++) {
-    const auto& reps = t->partitions[p].replicas;
-    node::DataNode* primary = nullptr;
-    for (auto& n : nodes_) {
-      if (n->id() == reps[0]) primary = n.get();
-    }
-    ASSERT_NE(primary, nullptr);
-    auto* engine = primary->EngineFor(1, p);
-    for (int i = 0; i < 10; i++) {
-      ASSERT_TRUE(engine->Put("p" + std::to_string(p) + ":k" +
-                                  std::to_string(i),
-                              "v" + std::to_string(i)).ok());
-    }
-    for (size_t r = 1; r < reps.size(); r++) {
-      for (auto& n : nodes_) {
-        if (n->id() != reps[r]) continue;
-        engine->repl_log().ForEachDelta(
-            0, engine->applied_seq(),
-            [&](const storage::ReplRecordPtr& rec) {
-              EXPECT_TRUE(n->ApplyReplicated(1, p, rec));
-              return true;
-            });
-      }
-    }
-  }
-
-  NodeId victim = nodes_[0]->id();
-  size_t victim_replicas = nodes_[0]->replica_count();
-  ASSERT_GT(victim_replicas, 0u);
-  auto report = meta_.FailNode(pool_, victim);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report.value().replicas_rebuilt, victim_replicas);
-  // Permanent loss executes the rebuild immediately: every target
-  // recorded in the report holds the real pre-crash partition state.
-  EXPECT_EQ(report.value().replicas_rebuilt_executed, victim_replicas);
-  ASSERT_EQ(report.value().re_replication_targets.size(), victim_replicas);
-  for (const ReReplicationTarget& target :
-       report.value().re_replication_targets) {
-    node::DataNode* dst = nullptr;
-    for (auto& n : nodes_) {
-      if (n->id() == target.target) dst = n.get();
-    }
-    ASSERT_NE(dst, nullptr);
-    ASSERT_TRUE(dst->HasReplica(target.tenant, target.partition));
-    auto* engine = dst->EngineFor(target.tenant, target.partition);
-    for (int i = 0; i < 10; i++) {
-      auto r = engine->Get("p" + std::to_string(target.partition) + ":k" +
-                           std::to_string(i));
-      ASSERT_TRUE(r.ok()) << "target " << target.target << " partition "
-                          << target.partition << " key " << i;
-      EXPECT_EQ(r.value(), "v" + std::to_string(i));
-    }
-  }
 }
 
 TEST_F(MetaTest, ExecuteReReplicationReplacesDeadSlotWithRealCopy) {
@@ -453,13 +373,38 @@ TEST_F(MetaTest, ParallelRecoveryFasterThanSingleNode) {
       }
     }
   }
-  auto report = meta_.FailNode(pool_, nodes_[0]->id());
+  nodes_[0]->Fail();
+  auto report = meta_.PromoteFailover(nodes_[0]->id());
   ASSERT_TRUE(report.ok());
   // Section 3.3: multi-node parallel rebuild beats the single-replacement
   // rebuild whenever the lost replicas spread over >1 target.
   EXPECT_GT(report.value().parallel_sources, 1u);
   EXPECT_LT(report.value().parallel_recovery_seconds,
             report.value().single_node_recovery_seconds);
+}
+
+TEST_F(MetaTest, FailoverSpreadsPlannedRebuildsOverSurvivors) {
+  // 16 partitions x 3 replicas on 6 nodes: the victim hosts 8. Each
+  // planned target counts the quota of the targets planned before it,
+  // so the copies spread 3/3/2 instead of all landing on one node.
+  ASSERT_TRUE(meta_.CreateTenant(Config(1, 16, 3), pool_).ok());
+  const NodeId victim = nodes_[0]->id();
+  const size_t lost = nodes_[0]->replica_count();
+  ASSERT_EQ(lost, 8u);
+  nodes_[0]->Fail();
+  auto report = meta_.PromoteFailover(victim);
+  ASSERT_TRUE(report.ok());
+  ASSERT_EQ(report.value().re_replication_targets.size(), lost);
+  std::map<NodeId, size_t> per_target;
+  for (const ReReplicationTarget& t : report.value().re_replication_targets) {
+    EXPECT_NE(t.target, victim);
+    per_target[t.target]++;
+  }
+  std::vector<size_t> counts;
+  for (const auto& [nid, count] : per_target) counts.push_back(count);
+  std::sort(counts.rbegin(), counts.rend());
+  EXPECT_EQ(counts, (std::vector<size_t>{3, 3, 2}));
+  EXPECT_EQ(report.value().parallel_sources, 3u);
 }
 
 TEST_F(MetaTest, ProxyTrafficClampLoop) {
@@ -469,22 +414,6 @@ TEST_F(MetaTest, ProxyTrafficClampLoop) {
   EXPECT_TRUE(meta_.ReportProxyTraffic(1, 9000));
   EXPECT_TRUE(meta_.IsClamped(1));
   EXPECT_FALSE(meta_.ReportProxyTraffic(1, 3000));  // Recovers.
-}
-
-TEST_F(MetaTest, AddRemoveNodeFromPool) {
-  auto extra = std::make_unique<node::DataNode>(
-      99, node::DataNodeOptions{}, &clock_);
-  ASSERT_TRUE(meta_.AddNodeToPool(pool_, extra.get()).ok());
-  EXPECT_EQ(meta_.PoolNodes(pool_).size(), 7u);
-  ASSERT_TRUE(meta_.RemoveNodeFromPool(pool_, 99).ok());
-  EXPECT_EQ(meta_.PoolNodes(pool_).size(), 6u);
-  EXPECT_TRUE(meta_.RemoveNodeFromPool(pool_, 99).IsNotFound());
-}
-
-TEST_F(MetaTest, RemoveNodeWithReplicasRefused) {
-  ASSERT_TRUE(meta_.CreateTenant(Config(1), pool_).ok());
-  NodeId busy = meta_.GetTenant(1)->partitions[0].replicas[0];
-  EXPECT_FALSE(meta_.RemoveNodeFromPool(pool_, busy).ok());
 }
 
 TEST_F(MetaTest, PlacementChangesAreScopedToTheTenantsThatMoved) {
