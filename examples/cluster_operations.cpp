@@ -57,11 +57,11 @@ int main() {
   cluster.RunTicks(15);
   std::printf("Cluster serving %zu tenants across %zu nodes.\n\n",
               tenant_quotas.size(),
-              cluster.meta().PoolNodes(pool).size());
+              cluster.sim().nodes().size());
 
   // Audit the live pool against the rules.
   meta::PoolSnapshot snapshot;
-  snapshot.node_count = cluster.meta().PoolNodes(pool).size();
+  snapshot.node_count = cluster.sim().nodes().size();
   snapshot.node_capacity_ru = node_ru;
   snapshot.tenant_quotas_ru = tenant_quotas;
   auto violations = planner.Audit(snapshot);
@@ -126,7 +126,7 @@ int main() {
   // A node that fails and never recovers: after the detection delay the
   // survivors are promoted, and after the grace period every replica it
   // hosted is rebuilt on the surviving nodes, many in parallel.
-  NodeId victim = cluster.meta().PoolNodes(pool)[0]->id();
+  NodeId victim = cluster.sim().nodes()[0]->id();
   cluster.FailNode(victim);
   // The crash lands at the next tick; the detector promotes the
   // survivors and plans the rebuild failover_detection_ticks later.

@@ -6,6 +6,18 @@
 
 namespace abase {
 namespace meta {
+namespace {
+
+/// Quota of one replica of (meta's tenant, partition): a staged split
+/// child carries the post-split share PrepareSplit gave it.
+double PlacementQuota(const TenantMeta& meta, PartitionId partition) {
+  return partition < meta.partitions.size()
+             ? meta.PartitionQuota()
+             : meta.tenant_quota_ru /
+                   static_cast<double>(meta.partitions.size() * 2);
+}
+
+}  // namespace
 
 MetaServer::MetaServer(const Clock* clock) : clock_(clock) {
   assert(clock_ != nullptr);
@@ -243,6 +255,18 @@ Status MetaServer::PrepareSplit(TenantId tenant) {
   return Status::OK();
 }
 
+PartitionPlacement* MetaServer::PlacementOf(TenantMeta& meta,
+                                            PartitionId partition) {
+  if (partition < meta.partitions.size()) return &meta.partitions[partition];
+  auto it = pending_splits_.find(meta.config.id);
+  if (it == pending_splits_.end()) return nullptr;
+  // Staged children number on from the committed partitions (old_count
+  // equals the partition count until CommitSplit).
+  const size_t child = partition - meta.partitions.size();
+  auto& children = it->second.children;
+  return child < children.size() ? &children[child] : nullptr;
+}
+
 const MetaServer::PendingSplit* MetaServer::GetPendingSplit(
     TenantId tenant) const {
   auto it = pending_splits_.find(tenant);
@@ -367,10 +391,13 @@ Result<RecoveryReport> MetaServer::PromoteFailover(
   // tenants_ is ordered, so promotions and planned targets come out in a
   // fixed (tenant, partition) order — the fault path runs from serial
   // pipeline sections and must stay deterministic.
+  // A staged split child is failed over like a committed partition, so
+  // it commits with a live primary and a full replica set.
   for (auto& [tid, meta] : tenants_) {
     if (meta.pool != pool) continue;
-    for (PartitionId p = 0; p < meta.partitions.size(); p++) {
-      auto& reps = meta.partitions[p].replicas;
+    for (PartitionId p = 0;
+         PartitionPlacement* placement = PlacementOf(meta, p); p++) {
+      auto& reps = placement->replicas;
       auto rit = std::find(reps.begin(), reps.end(), node);
       if (rit == reps.end()) continue;
 
@@ -429,7 +456,7 @@ Result<RecoveryReport> MetaServer::PromoteFailover(
         report.re_replication_targets.push_back(
             ReReplicationTarget{tid, p, target->id(), bytes});
         bytes_per_target[target->id()] += bytes;
-        planned_quota[target->id()] += meta.PartitionQuota();
+        planned_quota[target->id()] += PlacementQuota(meta, p);
       }
       report.replicas_rebuilt++;
       report.bytes_rebuilt += bytes;
@@ -455,10 +482,11 @@ Status MetaServer::ExecuteReReplication(TenantId tenant, PartitionId partition,
   auto it = tenants_.find(tenant);
   if (it == tenants_.end()) return Status::NotFound("no such tenant");
   TenantMeta& meta = it->second;
-  if (partition >= meta.partitions.size()) {
+  PartitionPlacement* placement = PlacementOf(meta, partition);
+  if (placement == nullptr) {
     return Status::InvalidArgument("no such partition");
   }
-  auto& reps = meta.partitions[partition].replicas;
+  auto& reps = placement->replicas;
   auto rit = std::find(reps.begin(), reps.end(), dead);
   if (rit == reps.end()) {
     return Status::NotFound("dead node left the placement");
@@ -482,7 +510,7 @@ Status MetaServer::ExecuteReReplication(TenantId tenant, PartitionId partition,
           : nullptr;
   if (src == nullptr) return Status::Unavailable("primary source is down");
 
-  dst->AddReplica(tenant, partition, meta.PartitionQuota(),
+  dst->AddReplica(tenant, partition, PlacementQuota(meta, partition),
                   /*is_primary=*/false);
   dst->ResyncReplica(tenant, partition, *src);
   if (node::DataNode* dn = FindNode(meta.pool, dead)) {

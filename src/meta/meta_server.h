@@ -120,8 +120,6 @@ class MetaServer {
   /// placement skips it.
   PoolId CreatePool(std::vector<node::DataNode*> nodes);
 
-  const std::vector<node::DataNode*>& PoolNodes(PoolId pool) const;
-
   /// Number of registered pools (pool ids are dense: 0..count-1).
   size_t PoolCount() const { return pools_.size(); }
 
@@ -243,15 +241,18 @@ class MetaServer {
   /// node that never recovers is a permanent loss, rebuilt in full.
   /// Bumps the routing epoch when any primary moved. Partitions with no
   /// surviving replica keep their dead primary and stay unavailable
-  /// until recovery.
-  Result<RecoveryReport> PromoteFailover(NodeId node,
-                                         double rebuild_bandwidth_bytes_per_sec =
-                                             200.0 * 1024 * 1024);
+  /// until recovery. Staged split children are failed over and planned
+  /// like partitions. The report's recovery seconds divide the copied
+  /// bytes by `rebuild_bandwidth_bytes_per_sec`, the rate the caller's
+  /// copies actually run at.
+  Result<RecoveryReport> PromoteFailover(
+      NodeId node, double rebuild_bandwidth_bytes_per_sec);
 
-  /// Executes one planned re-replication: copies the partition's state
-  /// from its (alive) primary onto `target`, which takes over `dead`'s
-  /// placement slot; `dead` drops the replica and forfeits any failback
-  /// claim on the partition (it no longer owns it). Fails when the dead
+  /// Executes one planned re-replication: copies the partition's (or
+  /// staged split child's) state from its (alive) primary onto
+  /// `target`, which takes over `dead`'s placement slot; `dead` drops
+  /// the replica and forfeits any failback claim on the partition (it
+  /// no longer owns it). Fails when the dead
   /// node still holds the primary slot (no alive source to copy from),
   /// when the target is down or already hosts the partition, or when
   /// `dead` left the placement. Bumps the routing epoch on success.
@@ -287,7 +288,8 @@ class MetaServer {
  private:
   // The quota actuator (ClusterSim::SetTenantQuota) is the only caller
   // of SetTenantQuota: it also re-bases the proxies and stages the
-  // split, which a direct metadata update would skip.
+  // split, which a direct metadata update would skip. ClusterSim, which
+  // owns the nodes, is also the only reader of PoolNodes.
   friend class sim::ClusterSim;
   friend class MetaServerTestPeer;
 
@@ -298,7 +300,13 @@ class MetaServer {
   /// ClusterSim::SetTenantQuota does.
   Status SetTenantQuota(TenantId tenant, double new_quota_ru);
 
+  const std::vector<node::DataNode*>& PoolNodes(PoolId pool) const;
+
   node::DataNode* FindNode(PoolId pool, NodeId id) const;
+
+  /// Placement of (meta's tenant, partition): a committed partition or a
+  /// staged split child. nullptr when neither exists.
+  PartitionPlacement* PlacementOf(TenantMeta& meta, PartitionId partition);
 
   /// Least-loaded placement: picks the pool node with the smallest total
   /// partition quota that does not already hold a replica of (tenant,

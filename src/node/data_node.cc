@@ -5,6 +5,7 @@
 #include <charconv>
 
 #include "common/hash.h"
+#include "common/rng.h"
 #include "common/scan_codec.h"
 
 namespace abase {
@@ -47,8 +48,7 @@ DataNode::DataNode(NodeId id, DataNodeOptions options, const Clock* clock)
       cache_(options.cache, clock),
       disk_(options.disk),
       wfq_(options.wfq),
-      service_model_(options.service_time),
-      rng_(MixSeed(options.seed, static_cast<uint64_t>(id))) {
+      service_model_(options.service_time) {
   assert(clock_ != nullptr);
 }
 

@@ -21,7 +21,6 @@
 #include "common/clock.h"
 #include "common/flat_map.h"
 #include "common/histogram.h"
-#include "common/rng.h"
 #include "common/types.h"
 #include "latency/service_time.h"
 #include "node/request.h"
@@ -57,13 +56,6 @@ struct DataNodeOptions {
   storage::DiskOptions disk;
   storage::LsmOptions lsm;
   cache::SaLruOptions cache;
-  int replicas = 3;  ///< Replication factor used for write RU charging.
-  /// Base seed of the node's private RNG stream (mixed with the node id).
-  /// Nodes may tick concurrently under the parallel data-plane executor,
-  /// so any stochastic node model MUST draw from rng() — never from a
-  /// shared simulator RNG — to keep runs bit-identical across worker
-  /// counts.
-  uint64_t seed = 42;
 };
 
 /// Lifecycle of a DataNode within the live cluster (DESIGN.md "Failure
@@ -246,13 +238,8 @@ class DataNode {
   /// model is disabled.
   Micros SampleServiceMicros(TenantId tenant, uint64_t req_id) const;
 
-  /// The node's private deterministic RNG stream (seeded from
-  /// DataNodeOptions::seed and the node id). The only randomness source a
-  /// node-tick code path may use.
-  Rng& rng() { return rng_; }
   size_t replica_count() const { return replicas_.size(); }
   const cache::SaLruCache& data_cache() const { return cache_; }
-  storage::DiskModel& disk() { return disk_; }
 
   /// Bytes of data stored across all replicas on this node.
   uint64_t StoredBytes() const;
@@ -271,6 +258,11 @@ class DataNode {
   std::vector<const PartitionReplica*> Replicas() const;
 
   storage::LsmEngine* EngineFor(TenantId tenant, PartitionId partition);
+  const storage::LsmEngine* EngineFor(TenantId tenant,
+                                      PartitionId partition) const {
+    const PartitionReplica* rep = FindReplica(tenant, partition);
+    return rep == nullptr ? nullptr : rep->engine.get();
+  }
 
   /// Per-tenant RU served in the last completed tick (for load metrics).
   /// Sorted by tenant id; the backing buffers are reused across ticks.
@@ -382,8 +374,6 @@ class DataNode {
   /// unless options_.service_time.enabled.
   latency::ServiceTimeModel service_model_;
   double service_degradation_ = 1.0;  ///< Gray-failure multiplier.
-
-  Rng rng_;  ///< Per-node stream; see DataNodeOptions::seed.
   /// In-flight requests live in a slab; the scheduler carries the slot
   /// index (SchedRequest::pending_slot), so the probe/complete hot path
   /// is a vector index instead of a hash lookup, and recycled slots keep

@@ -26,9 +26,6 @@ struct ReschedOptions {
   /// Division threshold theta: S_L below R - theta, S_M in (R - theta, R],
   /// S_H above (paper suggests 5%).
   double theta = 0.05;
-  /// Phase-2 passes per Run() call (each pass migrates at most one replica
-  /// per high-load node, mirroring the 10-minute production cadence).
-  size_t max_passes = 1;
   /// Tenant replica-count slack tolerated by CanPlace: a node may hold at
   /// most ceil(tenant replicas / nodes) + slack replicas of one tenant.
   size_t tenant_balance_slack = 1;

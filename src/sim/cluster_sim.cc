@@ -23,7 +23,6 @@ std::unique_ptr<Executor> MakeExecutor(int workers) {
 ClusterSim::ClusterSim(SimOptions options)
     : options_(options),
       clock_(0),
-      rng_(options.seed),
       gray_detector_(options.latency.gray) {
   meta_ = std::make_unique<meta::MetaServer>(&clock_);
   meta_->SetStripedPlacement(options_.striped_placement);
@@ -54,18 +53,14 @@ PoolId ClusterSim::AddPool(size_t num_nodes,
                            const node::DataNodeOptions& node_options) {
   std::vector<node::DataNode*> raw;
   const uint32_t kAvailabilityZones = std::max(1u, options_.latency.num_azs);
-  node::DataNodeOptions opts = node_options;
   for (size_t i = 0; i < num_nodes; i++) {
-    // Each node gets its own deterministic RNG stream derived from the
-    // sim seed and its id, so node ticks stay reproducible no matter how
-    // the executor schedules them across workers.
-    opts.seed = options_.seed;
-    nodes_.push_back(
-        std::make_unique<node::DataNode>(next_node_id_++, opts, &clock_));
+    nodes_.push_back(std::make_unique<node::DataNode>(
+        next_node_id_++, node_options, &clock_));
     nodes_.back()->set_az(static_cast<uint32_t>(i) % kAvailabilityZones);
     // FindNode indexes nodes_ by id directly; ids must stay dense.
     assert(static_cast<size_t>(nodes_.back()->id()) == nodes_.size() - 1);
     raw.push_back(nodes_.back().get());
+    node_views_.push_back(nodes_.back().get());
   }
   return meta_->CreatePool(std::move(raw));
 }
@@ -147,7 +142,7 @@ void ClusterSim::PreloadKeys(TenantId tenant, uint64_t num_keys,
     std::string key =
         "t" + std::to_string(tenant) + ":k" + std::to_string(i);
     PartitionId part = meta_->PartitionFor(tenant, key);
-    node::DataNode* n = FindNode(meta_->PrimaryFor(tenant, part));
+    node::DataNode* n = MutableNode(meta_->PrimaryFor(tenant, part));
     if (n == nullptr) continue;
     storage::LsmEngine* engine = n->EngineFor(tenant, part);
     if (engine == nullptr) continue;
@@ -170,12 +165,12 @@ void ClusterSim::PreloadKeys(TenantId tenant, uint64_t num_keys,
        p < static_cast<PartitionId>(tm->partitions.size()); p++) {
     const auto& reps = tm->partitions[p].replicas;
     if (reps.size() < 2) continue;
-    node::DataNode* pn = FindNode(reps[0]);
+    node::DataNode* pn = MutableNode(reps[0]);
     storage::LsmEngine* src = pn != nullptr ? pn->EngineFor(tenant, p)
                                             : nullptr;
     if (src == nullptr) continue;
     for (size_t r = 1; r < reps.size(); r++) {
-      node::DataNode* rn = FindNode(reps[r]);
+      node::DataNode* rn = MutableNode(reps[r]);
       if (rn == nullptr) continue;
       storage::LsmEngine* re = rn->EngineFor(tenant, p);
       if (re == nullptr || re->applied_seq() == src->applied_seq()) continue;
@@ -196,7 +191,7 @@ WorkloadProfile* ClusterSim::MutableWorkload(TenantId tenant) {
   return &it->second.workload->profile();
 }
 
-node::DataNode* ClusterSim::FindNode(NodeId id) {
+const node::DataNode* ClusterSim::FindNode(NodeId id) const {
   // Dense id space: the id is the vector index (kInvalidNode and
   // out-of-range ids fall through to null).
   return static_cast<size_t>(id) < nodes_.size()
@@ -214,6 +209,14 @@ void ClusterSim::FailNode(NodeId node) {
 
 void ClusterSim::RecoverNode(NodeId node, int catch_up_ticks) {
   pending_faults_.push_back(FaultEvent{/*fail=*/false, node, catch_up_ticks});
+}
+
+Result<meta::RecoveryReport> ClusterSim::PromoteFailover(NodeId node) {
+  const double bytes_per_tick = static_cast<double>(
+      std::max<uint64_t>(1, options_.re_replication_bytes_per_tick));
+  return meta_->PromoteFailover(
+      node, bytes_per_tick * static_cast<double>(kMicrosPerSecond) /
+                static_cast<double>(options_.tick));
 }
 
 size_t ClusterSim::DownNodeCount() const {
@@ -254,20 +257,21 @@ void ClusterSim::CatchUpReplica(node::DataNode* node, TenantId tenant,
   if (gapped) node->ResyncReplica(tenant, partition, src);
 }
 
-uint64_t ClusterSim::ReplicationLag(TenantId tenant, PartitionId partition) {
+uint64_t ClusterSim::ReplicationLag(TenantId tenant,
+                                    PartitionId partition) const {
   const meta::TenantMeta* tm = meta_->GetTenant(tenant);
   if (tm == nullptr || partition >= tm->partitions.size()) return 0;
   const auto& reps = tm->partitions[partition].replicas;
   if (reps.size() < 2) return 0;
-  node::DataNode* pn = FindNode(reps[0]);
-  storage::LsmEngine* src =
+  const node::DataNode* pn = FindNode(reps[0]);
+  const storage::LsmEngine* src =
       pn != nullptr ? pn->EngineFor(tenant, partition) : nullptr;
   if (src == nullptr) return 0;
   uint64_t lag = 0;
   for (size_t r = 1; r < reps.size(); r++) {
-    node::DataNode* rn = FindNode(reps[r]);
+    const node::DataNode* rn = FindNode(reps[r]);
     if (rn == nullptr || !rn->CanServe()) continue;
-    storage::LsmEngine* re = rn->EngineFor(tenant, partition);
+    const storage::LsmEngine* re = rn->EngineFor(tenant, partition);
     if (re == nullptr) continue;
     uint64_t applied = re->applied_seq();
     if (src->applied_seq() > applied) {
@@ -277,16 +281,17 @@ uint64_t ClusterSim::ReplicationLag(TenantId tenant, PartitionId partition) {
   return lag;
 }
 
-int ClusterSim::ComputeCatchUpTicks(NodeId node) {
-  node::DataNode* n = FindNode(node);
+int ClusterSim::ComputeCatchUpTicks(NodeId node) const {
+  const node::DataNode* n = FindNode(node);
   if (n == nullptr) return options_.recovery_catch_up_ticks;
   uint64_t delta_bytes = 0;
   for (const node::PartitionReplica* rep : n->Replicas()) {
     const NodeId primary = meta_->PrimaryFor(rep->tenant, rep->partition);
     if (primary == node || primary == kInvalidNode) continue;
-    node::DataNode* pn = FindNode(primary);
+    const node::DataNode* pn = FindNode(primary);
     if (pn == nullptr || !pn->CanServe()) continue;
-    storage::LsmEngine* src = pn->EngineFor(rep->tenant, rep->partition);
+    const storage::LsmEngine* src =
+        pn->EngineFor(rep->tenant, rep->partition);
     if (src == nullptr) continue;
     const uint64_t own = rep->engine->applied_seq();
     if (meta_->HasDemotionClaim(node, rep->tenant, rep->partition) ||
@@ -303,7 +308,7 @@ int ClusterSim::ComputeCatchUpTicks(NodeId node) {
 }
 
 void ClusterSim::ResyncRecoveredNode(NodeId node) {
-  node::DataNode* n = FindNode(node);
+  node::DataNode* n = MutableNode(node);
   if (n == nullptr) return;
   for (const node::PartitionReplica* rep : n->Replicas()) {
     // Resyncs mutate replica cursors without necessarily moving the
@@ -314,7 +319,7 @@ void ClusterSim::ResyncRecoveredNode(NodeId node) {
     // Still this node's own partition (no survivor was promoted): its
     // WAL replay at StartRecovery already restored every acked write.
     if (primary == node || primary == kInvalidNode) continue;
-    node::DataNode* pn = FindNode(primary);
+    node::DataNode* pn = MutableNode(primary);
     if (pn == nullptr || !pn->CanServe()) continue;  // Both down: stale.
     storage::LsmEngine* src = pn->EngineFor(rep->tenant, rep->partition);
     if (src == nullptr) continue;
@@ -390,7 +395,7 @@ node::DataNode* ClusterSim::PickReplicaForRead(TenantRuntime& rt,
   uint64_t gray_fallback_advance = 0;
   for (size_t i = 0; i < count; i++) {
     node::DataNode* n =
-        FindNode(reps[static_cast<size_t>((start + i) % count)]);
+        MutableNode(reps[static_cast<size_t>((start + i) % count)]);
     if (n != nullptr && n->CanServe() && n->HasReplica(tenant, partition)) {
       if (demote && gray_detector_.IsGray(n->id())) {
         if (gray_fallback == nullptr) {
@@ -442,13 +447,13 @@ void ClusterSim::RoutePoint(TenantRuntime& rt, PendingForward& fwd,
       return dest != nullptr && dest->CanServe() &&
              dest->IsPrimaryFor(req.tenant, req.partition);
     };
-    n = FindNode(CachedPrimary(rt, req.partition));
+    n = MutableNode(CachedPrimary(rt, req.partition));
     if (!routable(n) && rt.route_epoch != meta_->routing_epoch()) {
       // Stale epoch: refresh the cached table and retry once (the
       // redirect chase).
       RefreshRoutingTable(rt);
       if (!req.background_refresh) m.redirects++;
-      n = FindNode(CachedPrimary(rt, req.partition));
+      n = MutableNode(CachedPrimary(rt, req.partition));
     }
     if (!routable(n)) n = nullptr;
   }
@@ -789,7 +794,7 @@ void ClusterSim::RouteScanFanout(
     ScanPart& part = fo.parts[p];
     part.partition = static_cast<PartitionId>(p);
     node::DataNode* n =
-        FindNode(CachedPrimary(rt, static_cast<PartitionId>(p)));
+        MutableNode(CachedPrimary(rt, static_cast<PartitionId>(p)));
     const bool routable = n != nullptr && n->CanServe() &&
                           n->IsPrimaryFor(req.tenant,
                                           static_cast<PartitionId>(p));
@@ -1332,7 +1337,7 @@ Status ClusterSim::StartPartitionSplit(TenantId tenant) {
   std::vector<storage::LsmEngine*> parent_engines;
   parent_engines.reserve(old_count);
   for (PartitionId p = 0; p < old_count; p++) {
-    node::DataNode* pn = FindNode(meta_->PrimaryFor(tenant, p));
+    node::DataNode* pn = MutableNode(meta_->PrimaryFor(tenant, p));
     storage::LsmEngine* src =
         pn != nullptr && pn->CanServe() ? pn->EngineFor(tenant, p) : nullptr;
     if (src == nullptr) {
@@ -1386,7 +1391,7 @@ void ClusterSim::AdvanceSplits() {
       bool all_done = true;
       for (SplitParent& sp : op.parents) {
         if (sp.snapshot_done) continue;
-        node::DataNode* pn = FindNode(meta_->PrimaryFor(tid, sp.parent));
+        node::DataNode* pn = MutableNode(meta_->PrimaryFor(tid, sp.parent));
         storage::LsmEngine* src =
             pn != nullptr && pn->CanServe() ? pn->EngineFor(tid, sp.parent)
                                             : nullptr;
@@ -1399,7 +1404,7 @@ void ClusterSim::AdvanceSplits() {
         const PartitionId child =
             static_cast<PartitionId>(op.old_count + sp.parent);
         for (NodeId nid : pending->children[sp.parent].replicas) {
-          node::DataNode* cn = FindNode(nid);
+          node::DataNode* cn = MutableNode(nid);
           storage::LsmEngine* ce =
               cn != nullptr ? cn->EngineFor(tid, child) : nullptr;
           if (ce == nullptr) continue;
@@ -1439,7 +1444,7 @@ void ClusterSim::AdvanceSplits() {
       bool replayable = true;
       for (size_t i = 0; i < op.parents.size(); i++) {
         const SplitParent& sp = op.parents[i];
-        node::DataNode* pn = FindNode(meta_->PrimaryFor(tid, sp.parent));
+        node::DataNode* pn = MutableNode(meta_->PrimaryFor(tid, sp.parent));
         storage::LsmEngine* src =
             pn != nullptr && pn->CanServe() ? pn->EngineFor(tid, sp.parent)
                                             : nullptr;
@@ -1468,7 +1473,7 @@ void ClusterSim::AdvanceSplits() {
           auto window = src->repl_log().Delta(sp.hold_seq,
                                               src->applied_seq());
           for (NodeId nid : pending->children[sp.parent].replicas) {
-            node::DataNode* cn = FindNode(nid);
+            node::DataNode* cn = MutableNode(nid);
             storage::LsmEngine* ce =
                 cn != nullptr ? cn->EngineFor(tid, child) : nullptr;
             if (ce == nullptr) continue;
@@ -1515,7 +1520,7 @@ void ClusterSim::AdvanceSplits() {
     bool purge_done = true;
     for (SplitParent& sp : op.parents) {
       if (sp.purge_done) continue;
-      node::DataNode* pn = FindNode(meta_->PrimaryFor(tid, sp.parent));
+      node::DataNode* pn = MutableNode(meta_->PrimaryFor(tid, sp.parent));
       storage::LsmEngine* src =
           pn != nullptr && pn->CanServe() ? pn->EngineFor(tid, sp.parent)
                                           : nullptr;
@@ -1598,7 +1603,7 @@ void ClusterSim::PlanRescheduling() {
     for (const resched::Migration& m : plan) {
       PendingMigration pm;
       pm.migration = m;
-      node::DataNode* src = FindNode(m.from);
+      node::DataNode* src = MutableNode(m.from);
       storage::LsmEngine* engine =
           src != nullptr ? src->EngineFor(m.tenant, m.partition) : nullptr;
       pm.bytes_total = std::max<uint64_t>(

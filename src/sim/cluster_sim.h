@@ -514,7 +514,7 @@ class ClusterSim {
   /// Current apply lag of (tenant, partition)'s replication stream, in
   /// records: primary applied sequence minus the slowest alive replica's
   /// applied sequence (0 when fully caught up or unreplicated).
-  uint64_t ReplicationLag(TenantId tenant, PartitionId partition);
+  uint64_t ReplicationLag(TenantId tenant, PartitionId partition) const;
 
   // -- Closed-loop control plane ----------------------------------------------
   //
@@ -609,25 +609,23 @@ class ClusterSim {
   size_t ActiveGeneratorCount() const { return gen_active_.size(); }
   /// Tenants on the Replicate stage's active work list.
   size_t ReplActiveCount() const { return repl_active_.size(); }
-  /// Tenants touched so far in the current tick's ledger.
-  size_t TouchedTenantCount() const { return touched_.size(); }
   /// Pending generator wheel wake-ups (parked schedule boundaries).
   size_t PendingGeneratorWakes() const { return gen_wheel_.size(); }
 
   // -- Component access -----------------------------------------------------------
 
-  SimClock& clock() { return clock_; }
-  /// Read-only metadata view: placement changes go through ClusterSim's
-  /// own fault, migration, quota and split paths, never straight to the
-  /// MetaServer.
+  // Read-only views: node state, placement and time change only through
+  // the pipeline and ClusterSim's own fault, migration, quota and split
+  // paths, never through a handle handed out here.
+  const SimClock& clock() const { return clock_; }
   const meta::MetaServer& meta() const { return *meta_; }
-  node::DataNode* FindNode(NodeId id);
-  const std::vector<std::unique_ptr<node::DataNode>>& nodes() const {
-    return nodes_;
+  /// The node with id `id`, or nullptr.
+  const node::DataNode* FindNode(NodeId id) const;
+  /// Every node, in id order.
+  const std::vector<const node::DataNode*>& nodes() const {
+    return node_views_;
   }
-  Rng& rng() { return rng_; }
   const SimOptions& options() const { return options_; }
-  Executor& executor() { return *executor_; }
 
   /// The per-tick stage pipeline (tests drive stages individually).
   TickPipeline& pipeline() { return *pipeline_; }
@@ -635,9 +633,6 @@ class ClusterSim {
   /// Requests currently between Route and Settle (forwarded to a
   /// DataNode, response not yet delivered).
   size_t InflightCount() const { return inflight_.size(); }
-
-  /// Fanned-out scans whose per-partition legs have not all settled.
-  size_t ScanFanoutsInFlight() const { return scan_fanouts_.size(); }
 
   // -- Rescheduler bridge -----------------------------------------------------------
 
@@ -669,6 +664,11 @@ class ClusterSim {
   friend class ReplicateStage;
   friend class SettleStage;
   friend class ControlStage;
+
+  /// Mutable form of FindNode, for ClusterSim and its stages only.
+  node::DataNode* MutableNode(NodeId id) {
+    return const_cast<node::DataNode*>(std::as_const(*this).FindNode(id));
+  }
 
   /// Settles one client request that the proxy plane resolved locally
   /// (cache hit or throttle) without touching the data plane. Counter /
@@ -732,6 +732,11 @@ class ClusterSim {
   /// stage): routing demotion and, when configured, failover promotion /
   /// failback through the MetaServer. Defined in sim/latency_settle.cc.
   void ApplyGrayTransitions();
+
+  /// Promotes the survivors of `node` (MetaServer::PromoteFailover),
+  /// reporting recovery times at the rate the Fault stage copies:
+  /// re_replication_bytes_per_tick (at least 1) per tick.
+  Result<meta::RecoveryReport> PromoteFailover(NodeId node);
 
   /// Alternate replica for a hedged read: the first alive, non-gray
   /// replica of the partition other than `primary_leg`. Does not advance
@@ -829,7 +834,7 @@ class ClusterSim {
   /// Catch-up duration for a node about to start recovery, from the real
   /// deltas its replicas must replay: max(recovery_catch_up_ticks,
   /// ceil(delta_bytes / catch_up_bytes_per_tick)).
-  int ComputeCatchUpTicks(NodeId node);
+  int ComputeCatchUpTicks(NodeId node) const;
 
   /// Brings every replica hosted by a recovered node up to date from the
   /// current primaries before it rejoins: a clean prefix replays the
@@ -973,11 +978,11 @@ class ClusterSim {
 
   SimOptions options_;
   SimClock clock_;
-  Rng rng_;
   std::unique_ptr<meta::MetaServer> meta_;
   /// Node ids are dense (assigned in creation order), so nodes_[id] IS
   /// the id lookup — FindNode indexes this vector directly.
   std::vector<std::unique_ptr<node::DataNode>> nodes_;
+  std::vector<const node::DataNode*> node_views_;  ///< nodes_, read-only.
   std::map<TenantId, TenantRuntime> tenants_;  ///< Ordered: stages iterate.
   /// Open-addressed mirror of tenants_ for per-request lookups on the
   /// tick path; std::map guarantees the cached pointers stay stable.

@@ -38,7 +38,7 @@ node::DataNode* ClusterSim::PickHedgeReplica(const TenantRuntime& rt,
   node::DataNode* gray_fallback = nullptr;
   for (NodeId id : reps) {
     if (id == primary_leg) continue;
-    node::DataNode* n = FindNode(id);
+    node::DataNode* n = MutableNode(id);
     if (n == nullptr || !n->CanServe() || !n->HasReplica(tenant, partition)) {
       continue;
     }
@@ -108,7 +108,7 @@ void ClusterSim::SettleWithTiming(TickContext& ctx) {
         if (TenantRuntime* rt = MutableTenant(tenant)) {
           const Micros threshold = rt->hedger.threshold();
           if (threshold > 0 && tr.timing.client_latency > threshold) {
-            node::DataNode* alt = FindNode(hedge_node);
+            node::DataNode* alt = MutableNode(hedge_node);
             const bool alt_ok = alt != nullptr && alt->CanServe() &&
                                 alt->HasReplica(tenant, resp.partition);
             Micros alt_vt = 0;
@@ -179,7 +179,7 @@ void ClusterSim::ApplyGrayTransitions() {
     // are scheduled and failback is a pure role flip.
     if (!options_.latency.gray.trigger_failover) continue;
     if (t.now_gray) {
-      (void)meta_->PromoteFailover(t.node);
+      (void)PromoteFailover(t.node);
     } else {
       (void)meta_->RestorePrimary(t.node);
     }
@@ -188,7 +188,7 @@ void ClusterSim::ApplyGrayTransitions() {
 }
 
 void ClusterSim::DegradeNode(NodeId node, double factor) {
-  if (node::DataNode* n = FindNode(node)) n->SetServiceDegradation(factor);
+  if (node::DataNode* n = MutableNode(node)) n->SetServiceDegradation(factor);
 }
 
 double ClusterSim::SloBurnRate(TenantId tenant, size_t window_ticks) const {

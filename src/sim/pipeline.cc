@@ -26,7 +26,7 @@ void FaultStage::Run(TickContext&) {
 
   // 1. Queued fault events land, in injection order.
   for (const ClusterSim::FaultEvent& ev : sim.pending_faults_) {
-    node::DataNode* n = sim.FindNode(ev.node);
+    node::DataNode* n = sim.MutableNode(ev.node);
     if (n == nullptr) continue;
     if (ev.fail) {
       if (n->state() == node::NodeState::kFailed) continue;
@@ -66,7 +66,7 @@ void FaultStage::Run(TickContext&) {
   for (auto it = sim.failover_countdown_.begin();
        it != sim.failover_countdown_.end();) {
     if (it->second <= 0) {
-      auto report = sim.meta_->PromoteFailover(it->first);
+      auto report = sim.PromoteFailover(it->first);
       if (report.ok()) {
         const uint64_t bw =
             std::max<uint64_t>(1, sim.options_.re_replication_bytes_per_tick);
@@ -106,7 +106,7 @@ void FaultStage::Run(TickContext&) {
   for (auto it = sim.recovery_countdown_.begin();
        it != sim.recovery_countdown_.end();) {
     if (it->second <= 0) {
-      if (node::DataNode* n = sim.FindNode(it->first)) {
+      if (node::DataNode* n = sim.MutableNode(it->first)) {
         sim.ResyncRecoveredNode(it->first);
         n->CompleteRecovery();
       }
@@ -125,8 +125,8 @@ void FaultStage::Run(TickContext&) {
   //    partition up some other way (migration, split).
   for (auto it = sim.pending_rebuilds_.begin();
        it != sim.pending_rebuilds_.end();) {
-    node::DataNode* dead = sim.FindNode(it->dead);
-    node::DataNode* target = sim.FindNode(it->target);
+    const node::DataNode* dead = sim.FindNode(it->dead);
+    const node::DataNode* target = sim.FindNode(it->target);
     const bool cancel =
         dead == nullptr || dead->state() != node::NodeState::kFailed ||
         target == nullptr || !target->CanServe() ||
@@ -584,7 +584,7 @@ bool ReplicateStage::ShipTenantStreams(ClusterSim& sim, TenantId tid,
        p < static_cast<PartitionId>(tm->partitions.size()); p++) {
     const auto& reps = tm->partitions[p].replicas;
     node::DataNode* pn =
-        reps.empty() ? nullptr : sim.FindNode(reps[0]);
+        reps.empty() ? nullptr : sim.MutableNode(reps[0]);
     if (pn == nullptr || !pn->CanServe() || !pn->IsPrimaryFor(tid, p)) {
       // Primary dark: the stream head is frozen. Quiescent for the
       // active-set walk too — every path out of darkness re-activates
@@ -623,7 +623,7 @@ bool ReplicateStage::ShipTenantStreams(ClusterSim& sim, TenantId tid,
     SmallVec<ReplicaCursor, 8> cursors;
     uint64_t min_cursor = cur;
     for (size_t r = 1; r < reps.size(); r++) {
-      node::DataNode* rn = sim.FindNode(reps[r]);
+      node::DataNode* rn = sim.MutableNode(reps[r]);
       if (rn == nullptr) continue;
       storage::LsmEngine* re = rn->EngineFor(tid, p);
       if (re == nullptr) continue;

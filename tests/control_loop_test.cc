@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster_sim_test_peer.h"
 #include "common/hash.h"
 #include "common/rng.h"
 #include "meta/meta_server.h"
@@ -18,17 +19,6 @@
 #include "sim/workload.h"
 
 namespace abase {
-namespace sim {
-
-/// Test-only access to the MetaServer's split steps, which outside code
-/// reaches only through the Control stage (ClusterSim::meta() is
-/// read-only).
-class ClusterSimTestPeer {
- public:
-  static meta::MetaServer& Meta(ClusterSim& sim) { return *sim.meta_; }
-};
-
-}  // namespace sim
 namespace {
 
 meta::TenantConfig ControlTenant(TenantId id, double quota,
@@ -418,9 +408,9 @@ TEST(ControlLoopTest, OnlineSplitLosesNoAckedWritesAndStaysReadable) {
   // parent primary still stores a key that re-hashes to its child.
   const meta::TenantMeta* tm = sim.meta().GetTenant(1);
   for (PartitionId parent = 0; parent < 4; parent++) {
-    node::DataNode* pn = sim.FindNode(tm->partitions[parent].primary());
+    const node::DataNode* pn = sim.FindNode(tm->partitions[parent].primary());
     ASSERT_NE(pn, nullptr);
-    storage::LsmEngine* engine = pn->EngineFor(1, parent);
+    const storage::LsmEngine* engine = pn->EngineFor(1, parent);
     ASSERT_NE(engine, nullptr);
     auto leftovers = engine->ExportHashRange(8, parent + 4, "", 1u << 30);
     EXPECT_TRUE(leftovers.entries.empty())
@@ -688,7 +678,8 @@ TEST(ControlLoopTest, ReschedulingPlanMemoRebuildsOnlyOnChangedInputs) {
   };
 
   expect_rebuild("direct engine write", [&]() {
-    node::DataNode* n = sim.FindNode(sim.meta().PrimaryFor(1, 0));
+    node::DataNode* n =
+        sim::ClusterSimTestPeer::Node(sim, sim.meta().PrimaryFor(1, 0));
     ASSERT_TRUE(n->EngineFor(1, 0)->Put("k", "v").ok());
   });
   expect_rebuild("migration", [&]() {

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster_sim_test_peer.h"
 #include "core/abase.h"
 #include "node/data_node.h"
 #include "sim/cluster_sim.h"
@@ -284,7 +285,7 @@ TEST(FailoverTest, ReReplicationExecutesWhenNodeStaysDown) {
   EXPECT_EQ(std::find(reps.begin(), reps.end(), victim), reps.end())
       << "dead node should have been replaced in the placement";
   for (NodeId nid : reps) {
-    node::DataNode* n = cluster.sim().FindNode(nid);
+    node::DataNode* n = sim::ClusterSimTestPeer::Node(cluster.sim(), nid);
     ASSERT_NE(n, nullptr);
     EXPECT_TRUE(n->HasReplica(1, 0));
     // Every placement member holds the real pre-crash data.
@@ -302,7 +303,7 @@ TEST(FailoverTest, ReReplicationExecutesWhenNodeStaysDown) {
   cluster.RecoverNode(victim, 1);
   cluster.RunTicks(3);
   EXPECT_NE(cluster.meta().PrimaryFor(1, 0), victim);
-  node::DataNode* returned = cluster.sim().FindNode(victim);
+  const node::DataNode* returned = cluster.sim().FindNode(victim);
   ASSERT_NE(returned, nullptr);
   EXPECT_FALSE(returned->IsPrimaryFor(1, 0));
 
@@ -723,6 +724,119 @@ TEST(FailoverTest, PermanentLossRebuildsInParallelThroughTheFaultStage) {
 
   for (int workers : {2, 4}) {
     const PermanentLossRun parallel = RunPermanentLoss(workers);
+    EXPECT_EQ(parallel.digest, serial.digest) << workers << " workers";
+  }
+}
+
+/// A node that holds a staged split child's primary fails for good while
+/// the child data is still streaming. The Fault stage must fail the
+/// staged child over like a committed partition: promote a surviving
+/// child replica and rebuild the lost one, so the split commits with a
+/// live primary and a full replica set. Everything observable is folded
+/// into `digest` so runs at different worker counts compare bit for bit.
+struct StagedChildLossRun {
+  std::vector<uint64_t> digest;
+  NodeId victim = kInvalidNode;
+  uint64_t cutovers = 0;
+  size_t pending_rebuilds = 0;
+  size_t placements_naming_victim = 0;
+  size_t keys_read = 0;
+  size_t keys_unavailable = 0;
+  size_t keys_matching = 0;  ///< Read back with the pre-split value.
+};
+
+StagedChildLossRun RunStagedChildLoss(int workers) {
+  ClusterOptions copts;
+  copts.sim.seed = 223;
+  copts.sim.data_plane_workers = workers;
+  copts.sim.split_bytes_per_tick = 4096;  // Streaming outlasts the rebuild.
+  Cluster cluster(copts);
+  PoolId pool = cluster.CreatePool(6);
+  meta::TenantConfig cfg = FailoverTenant(1, /*partitions=*/2);
+  cfg.tenant_quota_ru = 2000;
+  cfg.partition_quota_upper = 5000;
+  EXPECT_TRUE(cluster.CreateTenant(cfg, pool).ok());
+  cluster.sim().SetProxyCacheEnabled(1, false);  // Reads hit the nodes.
+  constexpr int kKeys = 2000;
+  cluster.sim().PreloadKeys(1, kKeys, /*value_bytes=*/64, /*value_sigma=*/0);
+  auto read_all = [&cluster]() {
+    std::vector<Command> cmds;
+    for (int i = 0; i < kKeys; i++) {
+      cmds.push_back(Command::Get("t1:k" + std::to_string(i)));
+    }
+    auto futures = cluster.OpenClient(1).SubmitBatch(std::move(cmds));
+    cluster.Drain();
+    return futures;
+  };
+  std::vector<std::string> before;
+  for (const auto& f : read_all()) {
+    before.push_back(f.ready() && f->ok() ? f->value : "<missing>");
+  }
+
+  StagedChildLossRun run;
+  // Raising the quota past UP stages a split: the children are placed
+  // dark and stream from the parents over the next ticks.
+  EXPECT_TRUE(cluster.sim().SetTenantQuota(1, 40000).ok());
+  const meta::MetaServer::PendingSplit* pending =
+      cluster.meta().GetPendingSplit(1);
+  if (pending == nullptr) {
+    ADD_FAILURE() << "quota past UP staged no split";
+    return run;
+  }
+  run.victim = pending->children[0].primary();
+  cluster.FailNode(run.victim);  // Never recovered.
+  for (int i = 0; i < 400 && (cluster.sim().SplitCutovers() == 0 ||
+                              cluster.sim().PendingRebuildCount() > 0);
+       i++) {
+    cluster.Step();
+  }
+  run.cutovers = cluster.sim().SplitCutovers();
+  run.pending_rebuilds = cluster.sim().PendingRebuildCount();
+
+  // Parent and child placements alike: the staged split is committed,
+  // so every child is in the partition table.
+  EXPECT_EQ(cluster.meta().GetPendingSplit(1), nullptr);
+  for (const auto& placement : cluster.meta().GetTenant(1)->partitions) {
+    for (NodeId nid : placement.replicas) {
+      run.digest.push_back(nid);
+      if (nid == run.victim) run.placements_naming_victim++;
+    }
+  }
+
+  const auto after = read_all();
+  for (size_t i = 0; i < after.size(); i++) {
+    const auto& f = after[i];
+    run.keys_read++;
+    if (!f.ready()) continue;
+    if (f->status.IsUnavailable()) run.keys_unavailable++;
+    if (f->ok() && f->value == before[i]) run.keys_matching++;
+    run.digest.insert(run.digest.end(),
+                      {static_cast<uint64_t>(f->status.code()),
+                       f->value.size()});
+  }
+  for (const sim::TenantTickMetrics& m : cluster.sim().History(1)) {
+    run.digest.insert(run.digest.end(),
+                      {m.issued, m.ok, m.errors, m.throttled, m.unavailable,
+                       m.redirects, m.replica_lag_sum, m.disk_reads,
+                       static_cast<uint64_t>(m.ru_charged * 1e6)});
+  }
+  return run;
+}
+
+TEST(FailoverTest, LostStagedSplitChildCommitsWithLivePrimary) {
+  const StagedChildLossRun serial = RunStagedChildLoss(/*workers=*/1);
+  ASSERT_NE(serial.victim, kInvalidNode);
+  EXPECT_EQ(serial.cutovers, 1u);
+  EXPECT_EQ(serial.pending_rebuilds, 0u);
+  // The victim is out of every parent and child placement.
+  EXPECT_EQ(serial.placements_naming_victim, 0u);
+  // Every preloaded key reads back with its value.
+  EXPECT_EQ(serial.keys_read, 2000u);
+  EXPECT_EQ(serial.keys_unavailable, 0u);
+  EXPECT_EQ(serial.keys_matching, serial.keys_read);
+
+  for (int workers : {2, 4}) {
+    const StagedChildLossRun parallel = RunStagedChildLoss(workers);
     EXPECT_EQ(parallel.digest, serial.digest) << workers << " workers";
   }
 }

@@ -59,8 +59,51 @@ static_assert(MetaAccessorIsReadOnly<sim::ClusterSim>::value,
 static_assert(MetaAccessorIsReadOnly<Cluster>::value,
               "Cluster::meta() must return const MetaServer&");
 
+// Nodes and time change only through the pipeline: every node handle
+// ClusterSim hands out, even from a mutable simulator, is read-only.
+template <typename T, typename = void>
+struct FindNodeIsReadOnly : std::false_type {};
+template <typename T>
+struct FindNodeIsReadOnly<
+    T, std::void_t<decltype(std::declval<T&>().FindNode(NodeId{}))>>
+    : std::is_same<decltype(std::declval<T&>().FindNode(NodeId{})),
+                   const node::DataNode*> {};
+static_assert(FindNodeIsReadOnly<sim::ClusterSim>::value,
+              "ClusterSim::FindNode must return const node::DataNode*");
+
+// `&**it` is what an element's `->` reaches.
+template <typename T, typename = void>
+struct NodesAreReadOnly : std::false_type {};
+template <typename T>
+struct NodesAreReadOnly<
+    T, std::void_t<decltype(&**std::declval<T&>().nodes().begin())>>
+    : std::is_same<decltype(&**std::declval<T&>().nodes().begin()),
+                   const node::DataNode*> {};
+static_assert(NodesAreReadOnly<sim::ClusterSim>::value,
+              "ClusterSim::nodes() elements must be const node::DataNode*");
+
+template <typename T, typename = void>
+struct ClockIsReadOnly : std::false_type {};
+template <typename T>
+struct ClockIsReadOnly<T, std::void_t<decltype(std::declval<T&>().clock())>>
+    : std::is_same<decltype(std::declval<T&>().clock()), const SimClock&> {};
+static_assert(ClockIsReadOnly<sim::ClusterSim>::value,
+              "ClusterSim::clock() must return const SimClock&");
+
+template <typename T, typename = void>
+struct CanReadPoolNodes : std::false_type {};
+template <typename T>
+struct CanReadPoolNodes<
+    T, std::void_t<decltype(std::declval<const T&>().PoolNodes(PoolId{}))>>
+    : std::true_type {};
+static_assert(!CanReadPoolNodes<MetaServer>::value,
+              "MetaServer::PoolNodes must stay private to ClusterSim");
+
 class MetaTest : public ::testing::Test {
  protected:
+  /// Rebuild copy rate the recovery reports are priced at.
+  static constexpr double kRebuildBytesPerSec = 200.0 * 1024 * 1024;
+
   MetaTest() : clock_(0), meta_(&clock_) {
     for (NodeId i = 0; i < 6; i++) {
       nodes_.push_back(std::make_unique<node::DataNode>(
@@ -330,7 +373,7 @@ TEST_F(MetaTest, ExecuteReReplicationReplacesDeadSlotWithRealCopy) {
   }
 
   primary->Fail();
-  auto report = meta_.PromoteFailover(victim);
+  auto report = meta_.PromoteFailover(victim, kRebuildBytesPerSec);
   ASSERT_TRUE(report.ok());
   ASSERT_EQ(report.value().primaries_promoted, 1u);
   ASSERT_FALSE(report.value().re_replication_targets.empty());
@@ -374,7 +417,7 @@ TEST_F(MetaTest, ParallelRecoveryFasterThanSingleNode) {
     }
   }
   nodes_[0]->Fail();
-  auto report = meta_.PromoteFailover(nodes_[0]->id());
+  auto report = meta_.PromoteFailover(nodes_[0]->id(), kRebuildBytesPerSec);
   ASSERT_TRUE(report.ok());
   // Section 3.3: multi-node parallel rebuild beats the single-replacement
   // rebuild whenever the lost replicas spread over >1 target.
@@ -392,7 +435,7 @@ TEST_F(MetaTest, FailoverSpreadsPlannedRebuildsOverSurvivors) {
   const size_t lost = nodes_[0]->replica_count();
   ASSERT_EQ(lost, 8u);
   nodes_[0]->Fail();
-  auto report = meta_.PromoteFailover(victim);
+  auto report = meta_.PromoteFailover(victim, kRebuildBytesPerSec);
   ASSERT_TRUE(report.ok());
   ASSERT_EQ(report.value().re_replication_targets.size(), lost);
   std::map<NodeId, size_t> per_target;
@@ -454,7 +497,10 @@ TEST_F(MetaTest, PlacementChangesAreScopedToTheTenantsThatMoved) {
   changed.clear();
   const NodeId victim = meta_.PrimaryFor(1, 0);
   nodes_[victim]->Fail();
-  ASSERT_GT(meta_.PromoteFailover(victim).value().primaries_promoted, 0u);
+  ASSERT_GT(meta_.PromoteFailover(victim, kRebuildBytesPerSec)
+                .value()
+                .primaries_promoted,
+            0u);
   EXPECT_FALSE(meta_.TakePlacementChanges(&changed));
   EXPECT_TRUE(changed.empty());
   EXPECT_TRUE(meta_.TakePlacementChanges(&changed));
