@@ -105,8 +105,9 @@ class Cluster {
   void FailNode(NodeId node) { sim_.FailNode(node); }
 
   /// Starts WAL-replay recovery of a failed node. It spends
-  /// `catch_up_ticks` (< 0 = SimOptions::recovery_catch_up_ticks)
-  /// catching up, then rejoins and takes back the primaries it led.
+  /// `catch_up_ticks` catching up (< 0 sizes it from the log deltas its
+  /// replicas must replay, at least 2 ticks), then rejoins and takes
+  /// back the primaries it led.
   void RecoverNode(NodeId node, int catch_up_ticks = -1) {
     sim_.RecoverNode(node, catch_up_ticks);
   }

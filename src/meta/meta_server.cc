@@ -255,8 +255,8 @@ Status MetaServer::PrepareSplit(TenantId tenant) {
   return Status::OK();
 }
 
-PartitionPlacement* MetaServer::PlacementOf(TenantMeta& meta,
-                                            PartitionId partition) {
+const PartitionPlacement* MetaServer::PlacementOf(
+    const TenantMeta& meta, PartitionId partition) const {
   if (partition < meta.partitions.size()) return &meta.partitions[partition];
   auto it = pending_splits_.find(meta.config.id);
   if (it == pending_splits_.end()) return nullptr;
@@ -265,6 +265,17 @@ PartitionPlacement* MetaServer::PlacementOf(TenantMeta& meta,
   const size_t child = partition - meta.partitions.size();
   auto& children = it->second.children;
   return child < children.size() ? &children[child] : nullptr;
+}
+
+void MetaServer::UnstageSplit(TenantId tenant) {
+  auto it = tenants_.find(tenant);
+  auto pit = pending_splits_.find(tenant);
+  if (it == tenants_.end() || pit == pending_splits_.end()) return;
+  UnstagePlacements(it->second, pit->second.old_count, pit->second.children);
+  pending_splits_.erase(pit);
+  // Like PrepareSplit: the children never reached routing, but their
+  // replicas left the nodes' load.
+  pool_versions_[it->second.pool]++;
 }
 
 const MetaServer::PendingSplit* MetaServer::GetPendingSplit(

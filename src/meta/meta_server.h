@@ -11,6 +11,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -306,7 +307,18 @@ class MetaServer {
 
   /// Placement of (meta's tenant, partition): a committed partition or a
   /// staged split child. nullptr when neither exists.
-  PartitionPlacement* PlacementOf(TenantMeta& meta, PartitionId partition);
+  const PartitionPlacement* PlacementOf(const TenantMeta& meta,
+                                        PartitionId partition) const;
+  PartitionPlacement* PlacementOf(TenantMeta& meta, PartitionId partition) {
+    return const_cast<PartitionPlacement*>(
+        std::as_const(*this).PlacementOf(std::as_const(meta), partition));
+  }
+
+  /// Drops the tenant's staged split: every staged child replica leaves
+  /// its node and the pool's placement version moves. The split
+  /// orchestrator's exit when a child has no serving replica left to
+  /// cut over onto. No-op when nothing is staged.
+  void UnstageSplit(TenantId tenant);
 
   /// Least-loaded placement: picks the pool node with the smallest total
   /// partition quota that does not already hold a replica of (tenant,
@@ -326,7 +338,7 @@ class MetaServer {
 
   /// Removes every staged replica of `children` (child i = partition
   /// first_child + i) from its hosting node — PrepareSplit's rollback
-  /// when a child replica cannot be placed.
+  /// when a child replica cannot be placed, and UnstageSplit.
   void UnstagePlacements(const TenantMeta& meta, uint32_t first_child,
                          const std::vector<PartitionPlacement>& children);
 

@@ -282,6 +282,22 @@ bool DataNode::ResyncReplica(TenantId tenant, PartitionId partition,
   return true;
 }
 
+void DataNode::ApplyLogDelta(TenantId tenant, PartitionId partition,
+                             const storage::LsmEngine& src, uint64_t after,
+                             uint64_t through) {
+  bool gapped = false;
+  src.repl_log().ForEachDelta(
+      after, through, [&](const storage::ReplRecordPtr& rec) {
+        if (!ApplyReplicated(tenant, partition, rec)) {
+          gapped = true;
+          return false;
+        }
+        return true;
+      });
+  // Unexpected gap: fall back to a full re-seed.
+  if (gapped) ResyncReplica(tenant, partition, src);
+}
+
 // ---------------------------------------------------------------------------
 // Request path
 // ---------------------------------------------------------------------------

@@ -197,6 +197,15 @@ class DataNode {
   bool ResyncReplica(TenantId tenant, PartitionId partition,
                      const storage::LsmEngine& src);
 
+  /// Replays `src`'s replication log records in (after, through] into
+  /// the hosted replica of (tenant, partition), falling back to a
+  /// snapshot resync if the stream gaps. The one catch-up loop of both
+  /// the Replicate step and a recovering node; same concurrency rules
+  /// as ApplyReplicated.
+  void ApplyLogDelta(TenantId tenant, PartitionId partition,
+                     const storage::LsmEngine& src, uint64_t after,
+                     uint64_t through);
+
   /// Responses completed since the last drain, in a fresh vector (a
   /// convenience for single-node tests; the pipeline uses
   /// SwapResponses).

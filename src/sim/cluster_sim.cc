@@ -13,6 +13,13 @@ namespace sim {
 
 namespace {
 
+/// Catch-up floor of a recovering node whose RecoverNode call left the
+/// duration to the simulator: ticks spent replaying before it rejoins.
+constexpr int kRecoveryCatchUpTicks = 2;
+/// Modeled catch-up bandwidth of a recovering node replaying the
+/// primaries' log deltas.
+constexpr uint64_t kCatchUpBytesPerTick = 64ull << 20;
+
 std::unique_ptr<Executor> MakeExecutor(int workers) {
   if (workers > 1) return std::make_unique<MorselExecutor>(workers);
   return std::make_unique<SerialExecutor>();
@@ -212,11 +219,18 @@ void ClusterSim::RecoverNode(NodeId node, int catch_up_ticks) {
 }
 
 Result<meta::RecoveryReport> ClusterSim::PromoteFailover(NodeId node) {
-  const double bytes_per_tick = static_cast<double>(
-      std::max<uint64_t>(1, options_.re_replication_bytes_per_tick));
   return meta_->PromoteFailover(
-      node, bytes_per_tick * static_cast<double>(kMicrosPerSecond) /
+      node, static_cast<double>(kReReplicationBytesPerTick) *
+                static_cast<double>(kMicrosPerSecond) /
                 static_cast<double>(options_.tick));
+}
+
+NodeId ClusterSim::PrimarySlotOf(TenantId tenant,
+                                 PartitionId partition) const {
+  const meta::TenantMeta* tm = meta_->GetTenant(tenant);
+  const meta::PartitionPlacement* placement =
+      tm != nullptr ? meta_->PlacementOf(*tm, partition) : nullptr;
+  return placement != nullptr ? placement->primary() : kInvalidNode;
 }
 
 size_t ClusterSim::DownNodeCount() const {
@@ -230,32 +244,6 @@ size_t ClusterSim::DownNodeCount() const {
 // ---------------------------------------------------------------------------
 // Replication
 // ---------------------------------------------------------------------------
-
-void ClusterSim::CatchUpReplica(node::DataNode* node, TenantId tenant,
-                                PartitionId partition,
-                                const storage::LsmEngine& src,
-                                bool force_snapshot) {
-  storage::LsmEngine* own = node->EngineFor(tenant, partition);
-  if (own == nullptr) return;
-  const uint64_t cursor = own->applied_seq();
-  if (force_snapshot || cursor > src.applied_seq() ||
-      !src.repl_log().Covers(cursor)) {
-    if (force_snapshot || cursor != src.applied_seq()) {
-      node->ResyncReplica(tenant, partition, src);
-    }
-    return;
-  }
-  bool gapped = false;
-  src.repl_log().ForEachDelta(
-      cursor, src.applied_seq(), [&](const storage::ReplRecordPtr& rec) {
-        if (!node->ApplyReplicated(tenant, partition, rec)) {
-          gapped = true;
-          return false;
-        }
-        return true;
-      });
-  if (gapped) node->ResyncReplica(tenant, partition, src);
-}
 
 uint64_t ClusterSim::ReplicationLag(TenantId tenant,
                                     PartitionId partition) const {
@@ -283,7 +271,7 @@ uint64_t ClusterSim::ReplicationLag(TenantId tenant,
 
 int ClusterSim::ComputeCatchUpTicks(NodeId node) const {
   const node::DataNode* n = FindNode(node);
-  if (n == nullptr) return options_.recovery_catch_up_ticks;
+  if (n == nullptr) return kRecoveryCatchUpTicks;
   uint64_t delta_bytes = 0;
   for (const node::PartitionReplica* rep : n->Replicas()) {
     const NodeId primary = meta_->PrimaryFor(rep->tenant, rep->partition);
@@ -302,9 +290,9 @@ int ClusterSim::ComputeCatchUpTicks(NodeId node) const {
       delta_bytes += src->repl_log().BytesAfter(own);
     }
   }
-  const uint64_t bw = std::max<uint64_t>(1, options_.catch_up_bytes_per_tick);
+  const uint64_t bw = kCatchUpBytesPerTick;
   const int ticks = static_cast<int>((delta_bytes + bw - 1) / bw);
-  return std::max(options_.recovery_catch_up_ticks, ticks);
+  return std::max(kRecoveryCatchUpTicks, ticks);
 }
 
 void ClusterSim::ResyncRecoveredNode(NodeId node) {
@@ -327,11 +315,18 @@ void ClusterSim::ResyncRecoveredNode(NodeId node) {
     // suffix that diverged from the promoted replica's history: the
     // interim primary's history is authoritative, so the suffix is
     // discarded by a forced snapshot resync (those writes are the
-    // measured lost-write window).
-    CatchUpReplica(
-        n, rep->tenant, rep->partition, *src,
-        /*force_snapshot=*/
-        meta_->HasDemotionClaim(node, rep->tenant, rep->partition));
+    // measured lost-write window). A cursor ahead of the primary or
+    // behind its retained log takes a snapshot too, unless it already
+    // sits at the head; a clean retained prefix replays the log delta.
+    const uint64_t cursor = rep->engine->applied_seq();
+    const uint64_t head = src->applied_seq();
+    if (meta_->HasDemotionClaim(node, rep->tenant, rep->partition)) {
+      n->ResyncReplica(rep->tenant, rep->partition, *src);
+    } else if (cursor > head || !src->repl_log().Covers(cursor)) {
+      if (cursor != head) n->ResyncReplica(rep->tenant, rep->partition, *src);
+    } else {
+      n->ApplyLogDelta(rep->tenant, rep->partition, *src, cursor, head);
+    }
   }
 }
 
@@ -1318,9 +1313,16 @@ void ClusterSim::StageSplitIfOverUpper(TenantId tid, TenantRuntime& rt) {
   // staged split (unless one is already streaming).
   const meta::TenantMeta* tm = meta_->GetTenant(tid);
   if (tm->PartitionQuota() > tm->config.partition_quota_upper &&
-      !SplitInProgress(tid) && meta_->GetPendingSplit(tid) == nullptr) {
+      !SplitInProgress(tid)) {
     if (StartPartitionSplit(tid).ok()) rt.splits_started++;
   }
+}
+
+storage::LsmEngine* ClusterSim::ServingPrimaryEngine(TenantId tenant,
+                                                     PartitionId partition) {
+  node::DataNode* pn = MutableNode(meta_->PrimaryFor(tenant, partition));
+  return pn != nullptr && pn->CanServe() ? pn->EngineFor(tenant, partition)
+                                         : nullptr;
 }
 
 Status ClusterSim::StartPartitionSplit(TenantId tenant) {
@@ -1333,32 +1335,21 @@ Status ClusterSim::StartPartitionSplit(TenantId tenant) {
   // opens at its current stream head, and a hold recorded against a
   // dark primary would be unreplayable at cutover (silent lost writes).
   // The caller (control loop, tests) simply retries later.
-  const uint32_t old_count = static_cast<uint32_t>(tm->partitions.size());
-  std::vector<storage::LsmEngine*> parent_engines;
-  parent_engines.reserve(old_count);
-  for (PartitionId p = 0; p < old_count; p++) {
-    node::DataNode* pn = MutableNode(meta_->PrimaryFor(tenant, p));
-    storage::LsmEngine* src =
-        pn != nullptr && pn->CanServe() ? pn->EngineFor(tenant, p) : nullptr;
+  SplitOp op;
+  op.old_count = static_cast<uint32_t>(tm->partitions.size());
+  for (PartitionId p = 0; p < op.old_count; p++) {
+    storage::LsmEngine* src = ServingPrimaryEngine(tenant, p);
     if (src == nullptr) {
       return Status::Unavailable("parent primary not serving");
     }
-    parent_engines.push_back(src);
-  }
-  ABASE_RETURN_IF_ERROR(meta_->PrepareSplit(tenant));
-
-  SplitOp op;
-  op.old_count = old_count;
-  for (PartitionId p = 0; p < op.old_count; p++) {
-    SplitParent sp;
-    sp.parent = p;
     // The streaming window opens at the parent's current stream head;
     // the replication logs are held here so every write acknowledged
     // while the snapshot streams can be replayed at cutover.
-    sp.hold_seq = parent_engines[p]->applied_seq();
-    split_log_holds_[PartitionKey(tenant, p)] = sp.hold_seq;
+    SplitParent sp;
+    sp.hold_seq = src->applied_seq();
     op.parents.push_back(std::move(sp));
   }
+  ABASE_RETURN_IF_ERROR(meta_->PrepareSplit(tenant));
   active_splits_.emplace(tenant, std::move(op));
   // The split holds the parents' replication logs at the window floor;
   // the Replicate walk must keep visiting this tenant to honor them.
@@ -1368,185 +1359,192 @@ Status ClusterSim::StartPartitionSplit(TenantId tenant) {
 
 void ClusterSim::AdvanceSplits() {
   const uint64_t budget = std::max<uint64_t>(1, options_.split_bytes_per_tick);
+  // One budget step of the current phase's walk over a split's parents:
+  // each unfinished parent whose primary serves exports the next batch
+  // of its moved hash range from its cursor, hands it to
+  // on_batch(parent, engine, batch), and advances. Returns whether every
+  // parent is done.
+  auto walk_parents = [&](TenantId tid, SplitOp& op, auto&& on_batch) {
+    const uint64_t modulus = static_cast<uint64_t>(op.old_count) * 2;
+    bool all_done = true;
+    for (PartitionId p = 0; p < op.old_count; p++) {
+      SplitParent& sp = op.parents[p];
+      if (sp.done) continue;
+      storage::LsmEngine* src = ServingPrimaryEngine(tid, p);
+      if (src == nullptr) {
+        all_done = false;  // Primary dark: resume when it is back.
+        continue;
+      }
+      auto batch =
+          src->ExportHashRange(modulus, op.old_count + p, sp.cursor, budget);
+      on_batch(p, *src, batch);
+      sp.cursor = std::move(batch.next_cursor);
+      sp.done = batch.done;
+      all_done = all_done && batch.done;
+    }
+    return all_done;
+  };
+  // Runs ingest(engine) on every staged replica of a split child, then
+  // truncates that replica's own log: nothing ships from a staged child
+  // yet, so it must not mirror the whole streamed dataset.
+  auto ingest_into_child = [&](TenantId tid, PartitionId child,
+                               const meta::PartitionPlacement& placement,
+                               auto&& ingest) {
+    for (NodeId nid : placement.replicas) {
+      node::DataNode* cn = MutableNode(nid);
+      storage::LsmEngine* ce =
+          cn != nullptr ? cn->EngineFor(tid, child) : nullptr;
+      if (ce == nullptr) continue;
+      ingest(*ce);
+      ce->TruncateReplLogThrough(ce->applied_seq());
+    }
+  };
+
   for (auto it = active_splits_.begin(); it != active_splits_.end();) {
     const TenantId tid = it->first;
     SplitOp& op = it->second;
+
+    if (op.cut_over) {
+      // Phase 3 — post-cutover purge: the moved keys are deleted out of
+      // the parent primaries at the streaming rate (tombstones replicate
+      // to the parent replicas through the normal Replicate stage).
+      const bool purged = walk_parents(
+          tid, op,
+          [&](PartitionId, storage::LsmEngine& src, const auto& batch) {
+            for (const auto& [key, entry] : batch.entries) {
+              (void)entry;
+              (void)src.Delete(key);
+            }
+            // Direct engine writes outside the response path: the
+            // tombstones ship through the Replicate walk, which must
+            // visit the tenant.
+            if (!batch.entries.empty()) repl_active_.insert(tid);
+          });
+      if (purged) {
+        splits_completed_++;
+        it = active_splits_.erase(it);
+      } else {
+        ++it;
+      }
+      continue;
+    }
+
+    // Only this walk ends a staged split (CommitSplit or UnstageSplit
+    // below), and either ends this phase.
     const meta::MetaServer::PendingSplit* pending =
         meta_->GetPendingSplit(tid);
-    const uint64_t modulus = static_cast<uint64_t>(op.old_count) * 2;
-
-    if (!op.cut_over) {
-      if (pending == nullptr) {
-        // The staged placements vanished underneath us (external abort):
-        // drop the orchestration state too.
-        for (const SplitParent& sp : op.parents) {
-          split_log_holds_.erase(PartitionKey(tid, sp.parent));
-        }
-        it = active_splits_.erase(it);
-        continue;
-      }
-      // Phase 1 — snapshot streaming: each parent primary exports up to
-      // the per-tick budget of its re-hashed half into the staged child
-      // replicas (identical serial ingest => identical child engines).
-      bool all_done = true;
-      for (SplitParent& sp : op.parents) {
-        if (sp.snapshot_done) continue;
-        node::DataNode* pn = MutableNode(meta_->PrimaryFor(tid, sp.parent));
-        storage::LsmEngine* src =
-            pn != nullptr && pn->CanServe() ? pn->EngineFor(tid, sp.parent)
-                                            : nullptr;
-        if (src == nullptr) {
-          all_done = false;  // Primary dark: resume when it is back.
-          continue;
-        }
-        auto batch = src->ExportHashRange(
-            modulus, op.old_count + sp.parent, sp.cursor, budget);
-        const PartitionId child =
-            static_cast<PartitionId>(op.old_count + sp.parent);
-        for (NodeId nid : pending->children[sp.parent].replicas) {
-          node::DataNode* cn = MutableNode(nid);
-          storage::LsmEngine* ce =
-              cn != nullptr ? cn->EngineFor(tid, child) : nullptr;
-          if (ce == nullptr) continue;
-          for (const auto& [key, entry] : batch.entries) {
-            ce->Ingest(key, entry);
-          }
-          // Nothing ships from a staged child yet; keep its own
-          // replication log from mirroring the whole streamed dataset.
-          ce->TruncateReplLogThrough(ce->applied_seq());
-        }
-        sp.cursor = batch.next_cursor;
-        sp.bytes_streamed += batch.bytes;
-        sp.snapshot_done = batch.done;
-        all_done = all_done && batch.done;
-      }
-
-      if (!all_done) {
-        ++it;
-        continue;
-      }
-
-      // Phase 2 — cutover, atomically within this serial stage: replay
-      // every write acknowledged during the streaming window (the held
-      // replication-log suffix) into the children, then install the
-      // children and bump the routing epoch. Requests of this tick were
-      // fully settled before Control runs, so no acknowledged write can
-      // land on a parent after its window replays: zero acked writes are
-      // lost.
-      //
-      // The cutover is all-or-nothing: if ANY parent's window cannot be
-      // replayed right now — its primary is dark, or the held log
-      // suffix somehow fell out of retention — committing would
-      // silently lose the writes acknowledged during streaming, so the
-      // whole cutover defers to a later tick instead.
-      std::vector<storage::LsmEngine*> window_sources(op.parents.size(),
-                                                      nullptr);
-      bool replayable = true;
-      for (size_t i = 0; i < op.parents.size(); i++) {
-        const SplitParent& sp = op.parents[i];
-        node::DataNode* pn = MutableNode(meta_->PrimaryFor(tid, sp.parent));
-        storage::LsmEngine* src =
-            pn != nullptr && pn->CanServe() ? pn->EngineFor(tid, sp.parent)
-                                            : nullptr;
-        // A promotion may have rewound the stream head below the hold
-        // (the failover's measured lost-write window, not the split's);
-        // only a head *beyond* the hold needs a coverable log suffix.
-        if (src == nullptr ||
-            (src->applied_seq() > sp.hold_seq &&
-             !src->repl_log().Covers(sp.hold_seq))) {
-          replayable = false;
-          break;
-        }
-        window_sources[i] = src;
-      }
-      if (!replayable) {
-        ++it;
-        continue;
-      }
-      for (size_t i = 0; i < op.parents.size(); i++) {
-        SplitParent& sp = op.parents[i];
-        storage::LsmEngine* src = window_sources[i];
-        const PartitionId child =
-            static_cast<PartitionId>(op.old_count + sp.parent);
-        const uint64_t residue = op.old_count + sp.parent;
-        if (src->applied_seq() > sp.hold_seq) {
-          auto window = src->repl_log().Delta(sp.hold_seq,
-                                              src->applied_seq());
-          for (NodeId nid : pending->children[sp.parent].replicas) {
-            node::DataNode* cn = MutableNode(nid);
-            storage::LsmEngine* ce =
-                cn != nullptr ? cn->EngineFor(tid, child) : nullptr;
-            if (ce == nullptr) continue;
-            for (const storage::ReplRecord* rec : window) {
-              if (Fnv1a64(rec->key) % modulus != residue) continue;
-              // Ordered replay: the last record per key wins, including
-              // tombstones — deletes in the window are not resurrected.
-              ce->Ingest(rec->key, rec->entry);
-            }
-            ce->TruncateReplLogThrough(ce->applied_seq());
-          }
-        }
-        split_log_holds_.erase(PartitionKey(tid, sp.parent));
-      }
-      if (meta_->CommitSplit(tid).ok()) {
-        split_cutovers_++;
-        op.cut_over = true;
-        // Content-store treatment of the cutover: the partition set a
-        // cached scan was merged across just changed. kPrefixSubtree
-        // drops only the scan payloads (point entries' key->value
-        // mapping is split-invariant and keeps serving); kFullFlush is
-        // the conservative baseline the bench compares against; kNone
-        // preserves the seed's behavior bit-for-bit.
-        if (options_.split_invalidation != ProxyInvalidationMode::kNone) {
-          if (TenantRuntime* rt = MutableTenant(tid)) {
-            for (auto& p : rt->proxies) {
-              if (options_.split_invalidation ==
-                  ProxyInvalidationMode::kFullFlush) {
-                p->FlushCache();
-              } else {
-                p->InvalidateCachedScans();
-              }
-            }
-          }
-        }
-      }
+    assert(pending != nullptr);
+    // Phase 1 — snapshot streaming: each parent primary exports up to
+    // the per-tick budget of its re-hashed half into the staged child
+    // replicas (identical serial ingest => identical child engines).
+    const bool streamed = walk_parents(
+        tid, op, [&](PartitionId p, storage::LsmEngine&, const auto& batch) {
+          ingest_into_child(tid, op.old_count + p, pending->children[p],
+                            [&](storage::LsmEngine& ce) {
+                              for (const auto& [key, entry] : batch.entries) {
+                                ce.Ingest(key, entry);
+                              }
+                            });
+        });
+    if (!streamed) {
       ++it;
       continue;
     }
 
-    // Phase 3 — post-cutover purge: the moved keys are deleted out of
-    // the parent primaries at the streaming rate (tombstones replicate
-    // to the parent replicas through the normal Replicate stage).
-    bool purge_done = true;
-    for (SplitParent& sp : op.parents) {
-      if (sp.purge_done) continue;
-      node::DataNode* pn = MutableNode(meta_->PrimaryFor(tid, sp.parent));
-      storage::LsmEngine* src =
-          pn != nullptr && pn->CanServe() ? pn->EngineFor(tid, sp.parent)
-                                          : nullptr;
-      if (src == nullptr) {
-        purge_done = false;
-        continue;
-      }
-      auto batch = src->ExportHashRange(
-          modulus, op.old_count + sp.parent, sp.purge_cursor, budget);
-      for (const auto& [key, entry] : batch.entries) {
-        (void)entry;
-        (void)src->Delete(key);
-      }
-      // Direct engine writes outside the response path: the tombstones
-      // ship through the Replicate walk, which must visit the tenant.
-      if (!batch.entries.empty()) repl_active_.insert(tid);
-      sp.purge_cursor = batch.next_cursor;
-      sp.purge_done = batch.done;
-      purge_done = purge_done && batch.done;
-    }
-    if (purge_done) {
-      splits_completed_++;
+    // A child with no serving replica must never cut over: it would
+    // commit a partition placed on dead nodes only. Deferring instead
+    // would hold the parents' logs for as long as the nodes stay down,
+    // so the split is unstaged (releasing the holds with its record);
+    // the next over-UP quota or control round stages it again on
+    // serving nodes.
+    const bool children_serving = std::all_of(
+        pending->children.begin(), pending->children.end(),
+        [this](const meta::PartitionPlacement& child) {
+          return std::any_of(child.replicas.begin(), child.replicas.end(),
+                             [this](NodeId nid) {
+                               const node::DataNode* n = FindNode(nid);
+                               return n != nullptr && n->CanServe();
+                             });
+        });
+    if (!children_serving) {
+      meta_->UnstageSplit(tid);
       it = active_splits_.erase(it);
-    } else {
-      ++it;
+      continue;
     }
+
+    // Phase 2 — cutover, atomically within this serial stage: replay
+    // every write acknowledged during the streaming window (the held
+    // replication-log suffix) into the children, then install the
+    // children and bump the routing epoch. Requests of this tick were
+    // fully settled before Control runs, so no acknowledged write can
+    // land on a parent after its window replays: zero acked writes are
+    // lost.
+    //
+    // The cutover is all-or-nothing: if ANY parent's window cannot be
+    // replayed right now — its primary is dark, or the held log
+    // suffix somehow fell out of retention — committing would
+    // silently lose the writes acknowledged during streaming, so the
+    // whole cutover defers to a later tick instead.
+    bool replayable = true;
+    for (PartitionId p = 0; p < op.old_count && replayable; p++) {
+      const uint64_t hold = op.parents[p].hold_seq;
+      const storage::LsmEngine* src = ServingPrimaryEngine(tid, p);
+      // A promotion may have rewound the stream head below the hold
+      // (the failover's measured lost-write window, not the split's);
+      // only a head *beyond* the hold needs a coverable log suffix.
+      replayable = src != nullptr && (src->applied_seq() <= hold ||
+                                      src->repl_log().Covers(hold));
+    }
+    if (!replayable) {
+      ++it;
+      continue;
+    }
+    const uint64_t modulus = static_cast<uint64_t>(op.old_count) * 2;
+    for (PartitionId p = 0; p < op.old_count; p++) {
+      const uint64_t hold = op.parents[p].hold_seq;
+      const storage::LsmEngine* src = ServingPrimaryEngine(tid, p);
+      if (src->applied_seq() <= hold) continue;
+      const PartitionId child = op.old_count + p;  // Its hash residue too.
+      auto window = src->repl_log().Delta(hold, src->applied_seq());
+      ingest_into_child(
+          tid, child, pending->children[p], [&](storage::LsmEngine& ce) {
+            for (const storage::ReplRecord* rec : window) {
+              if (Fnv1a64(rec->key) % modulus != child) continue;
+              // Ordered replay: the last record per key wins, including
+              // tombstones — deletes in the window are not resurrected.
+              ce.Ingest(rec->key, rec->entry);
+            }
+          });
+    }
+    const Status committed = meta_->CommitSplit(tid);
+    assert(committed.ok());
+    (void)committed;
+    split_cutovers_++;
+    // The purge walks the same parents from the start again.
+    op.cut_over = true;
+    for (SplitParent& sp : op.parents) {
+      sp.cursor.clear();
+      sp.done = false;
+    }
+    // Content-store treatment of the cutover: the partition set a
+    // cached scan was merged across just changed. kPrefixSubtree
+    // drops only the scan payloads (point entries' key->value
+    // mapping is split-invariant and keeps serving); kFullFlush is
+    // the conservative baseline the bench compares against; kNone
+    // preserves the seed's behavior bit-for-bit.
+    if (options_.split_invalidation != ProxyInvalidationMode::kNone) {
+      if (TenantRuntime* rt = MutableTenant(tid)) {
+        for (auto& p : rt->proxies) {
+          if (options_.split_invalidation ==
+              ProxyInvalidationMode::kFullFlush) {
+            p->FlushCache();
+          } else {
+            p->InvalidateCachedScans();
+          }
+        }
+      }
+    }
+    ++it;
   }
 }
 

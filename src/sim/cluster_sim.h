@@ -117,10 +117,6 @@ struct SimOptions {
   /// the MetaServer promoting surviving replicas to primary. 0 promotes
   /// within the same tick the failure lands.
   int failover_detection_ticks = 1;
-  /// Default catch-up duration of a recovering node: ticks spent
-  /// replaying its WAL before it rejoins and takes its primaries back
-  /// (RecoverNode's catch_up_ticks = -1 uses this).
-  int recovery_catch_up_ticks = 2;
   /// Asynchronous replication lag of the per-partition primary->replica
   /// streams, in ticks: each tick's Replicate step ships the writes the
   /// primary acknowledged this many ticks ago (0 = replicas apply every
@@ -133,15 +129,6 @@ struct SimOptions {
   /// recovering within this many ticks the rebuild is cancelled — its
   /// own log catch-up is cheaper than a full copy.
   int re_replication_delay_ticks = 8;
-  /// Modeled copy bandwidth of an executed re-replication: bytes of
-  /// partition state transferred per tick (sets the rebuild duration,
-  /// minimum one tick).
-  uint64_t re_replication_bytes_per_tick = 64ull << 20;
-  /// Modeled catch-up bandwidth of a recovering node replaying the
-  /// primaries' log deltas. When RecoverNode's catch_up_ticks < 0, the
-  /// catch-up duration is max(recovery_catch_up_ticks,
-  /// ceil(delta_bytes / this)).
-  uint64_t catch_up_bytes_per_tick = 64ull << 20;
   /// Closed-loop control plane (the Control pipeline stage). Every this
   /// many ticks the per-tenant autoscalers run over the rolled-up usage
   /// history and apply their decisions through ClusterSim::
@@ -463,8 +450,9 @@ class ClusterSim {
 
   /// Starts recovery of a failed node at the next tick boundary: its
   /// engines replay their WALs, then the node spends `catch_up_ticks`
-  /// (< 0 = SimOptions::recovery_catch_up_ticks) catching up before it
-  /// rejoins and fails back to primary for the partitions it led.
+  /// catching up before it rejoins and fails back to primary for the
+  /// partitions it led. < 0 sizes the catch-up from the real log deltas
+  /// its replicas must replay (ComputeCatchUpTicks).
   void RecoverNode(NodeId node, int catch_up_ticks = -1);
 
   /// Nodes currently not serving (failed or recovering).
@@ -733,9 +721,19 @@ class ClusterSim {
   /// failback through the MetaServer. Defined in sim/latency_settle.cc.
   void ApplyGrayTransitions();
 
+  /// Primary slot of a committed partition or a staged split child
+  /// (MetaServer::PrimaryFor sees committed partitions only);
+  /// kInvalidNode when neither exists.
+  NodeId PrimarySlotOf(TenantId tenant, PartitionId partition) const;
+
+  /// Modeled copy bandwidth of an executed re-replication: bytes of
+  /// partition state per tick (sets a rebuild's duration, at least one
+  /// tick).
+  static constexpr uint64_t kReReplicationBytesPerTick = 64ull << 20;
+
   /// Promotes the survivors of `node` (MetaServer::PromoteFailover),
   /// reporting recovery times at the rate the Fault stage copies:
-  /// re_replication_bytes_per_tick (at least 1) per tick.
+  /// kReReplicationBytesPerTick per tick.
   Result<meta::RecoveryReport> PromoteFailover(NodeId node);
 
   /// Alternate replica for a hedged read: the first alive, non-gray
@@ -832,8 +830,8 @@ class ClusterSim {
   }
 
   /// Catch-up duration for a node about to start recovery, from the real
-  /// deltas its replicas must replay: max(recovery_catch_up_ticks,
-  /// ceil(delta_bytes / catch_up_bytes_per_tick)).
+  /// deltas its replicas must replay: max(kRecoveryCatchUpTicks,
+  /// ceil(delta_bytes / kCatchUpBytesPerTick)).
   int ComputeCatchUpTicks(NodeId node) const;
 
   /// Brings every replica hosted by a recovered node up to date from the
@@ -842,15 +840,6 @@ class ClusterSim {
   /// suffix) or a cursor behind a truncated log takes a full snapshot
   /// resync. Serial sections only (the Fault stage).
   void ResyncRecoveredNode(NodeId node);
-
-  /// Brings one hosted replica up to the source engine's stream head:
-  /// log-delta replay when its cursor is a clean retained prefix, full
-  /// snapshot resync otherwise (or when `force_snapshot` — a divergent
-  /// ex-primary whose acked suffix must be discarded). Serial sections
-  /// only.
-  void CatchUpReplica(node::DataNode* node, TenantId tenant,
-                      PartitionId partition, const storage::LsmEngine& src,
-                      bool force_snapshot);
 
   /// Resolves every in-flight request stranded on `node` as Unavailable
   /// — proxy quota refund, tenant error metrics, PublishOutcome — in
@@ -956,8 +945,9 @@ class ClusterSim {
   /// split_bytes_per_tick of the re-hashed range out of each parent
   /// primary into the staged child engines; when every parent's
   /// snapshot is done, replays the parents' replication-log window and
-  /// commits the cutover; then purges the moved keys out of the parents
-  /// at the same rate.
+  /// commits the cutover (or unstages the split when a child has no
+  /// serving replica); then purges the moved keys out of the parents at
+  /// the same rate.
   void AdvanceSplits();
 
   /// Streams one tick of budget through the background migration queue;
@@ -1061,33 +1051,36 @@ class ClusterSim {
   };
   std::vector<PendingRebuild> pending_rebuilds_;
   uint64_t executed_rebuilds_ = 0;
-  /// Per-parent progress of an active online split.
+  /// Per-parent progress of an active online split; parents[p] is
+  /// partition p.
   struct SplitParent {
-    PartitionId parent = 0;
-    std::string cursor;          ///< Last key the exporter examined.
-    bool snapshot_done = false;  ///< Re-hashed range fully streamed.
-    /// Parent stream position when the split started: the replication
-    /// logs are held at this floor (split_log_holds_) so the cutover can
-    /// replay every write acknowledged during the streaming window.
+    /// Parent stream position when the split started: while the split
+    /// streams, the Replicate stage holds the parent's replication logs
+    /// at this floor so the cutover can replay every write acknowledged
+    /// during the streaming window.
     uint64_t hold_seq = 0;
-    uint64_t bytes_streamed = 0;
-    std::string purge_cursor;    ///< Post-cutover moved-key purge.
-    bool purge_done = false;
+    /// Last key the current phase's export examined (the stream, then
+    /// the purge after the cutover resets it).
+    std::string cursor;
+    bool done = false;  ///< The current phase covered the moved range.
   };
-  /// One online split: staged children streaming (cut_over = false),
-  /// then parents purging their moved keys (cut_over = true).
+  /// The one record of an online split: staged children streaming
+  /// (cut_over = false), then parents purging their moved keys
+  /// (cut_over = true). Erasing it releases the log holds.
   struct SplitOp {
     uint32_t old_count = 0;
     bool cut_over = false;
     std::vector<SplitParent> parents;
   };
   std::map<TenantId, SplitOp> active_splits_;  ///< Ordered: deterministic.
-  /// Replication-log truncation floors for partitions under an active
-  /// split (keyed by PartitionKey): the Replicate stage never truncates
-  /// a held stream past its split window start.
-  std::map<uint64_t, uint64_t> split_log_holds_;
   uint64_t splits_completed_ = 0;
   uint64_t split_cutovers_ = 0;
+
+  /// Engine of (tenant, partition)'s primary while that primary can
+  /// serve; nullptr while it is dark.
+  storage::LsmEngine* ServingPrimaryEngine(TenantId tenant,
+                                           PartitionId partition);
+
   /// A planned background migration streaming its modeled copy.
   struct PendingMigration {
     resched::Migration migration;

@@ -68,15 +68,15 @@ void FaultStage::Run(TickContext&) {
     if (it->second <= 0) {
       auto report = sim.PromoteFailover(it->first);
       if (report.ok()) {
-        const uint64_t bw =
-            std::max<uint64_t>(1, sim.options_.re_replication_bytes_per_tick);
+        const uint64_t bw = ClusterSim::kReReplicationBytesPerTick;
         for (const meta::ReReplicationTarget& t :
              report.value().re_replication_targets) {
-          // A partition whose dead node still holds the primary slot had
-          // no promotable survivor: the copy has no source and only the
-          // node's own recovery (which cancels rebuilds) can change
-          // that, so scheduling it would retry a doomed plan forever.
-          if (sim.meta_->PrimaryFor(t.tenant, t.partition) == it->first) {
+          // A partition or staged split child whose dead node still
+          // holds the primary slot had no promotable survivor: the copy
+          // has no source and only the node's own recovery (which
+          // cancels rebuilds) can change that, so scheduling it would
+          // retry a doomed plan forever.
+          if (sim.PrimarySlotOf(t.tenant, t.partition) == it->first) {
             continue;
           }
           ClusterSim::PendingRebuild rb;
@@ -579,6 +579,13 @@ bool ReplicateStage::ShipTenantStreams(ClusterSim& sim, TenantId tid,
   auto& batches = batches_;
   const meta::TenantMeta* tm = sim.meta_->GetTenant(tid);
   if (tm == nullptr) return true;
+  // An online split that has not cut over yet holds each parent p's
+  // logs at parents[p].hold_seq; erasing the split releases them all.
+  auto split = sim.active_splits_.find(tid);
+  const ClusterSim::SplitOp* holding =
+      split != sim.active_splits_.end() && !split->second.cut_over
+          ? &split->second
+          : nullptr;
   bool all_quiescent = true;
   for (PartitionId p = 0;
        p < static_cast<PartitionId>(tm->partitions.size()); p++) {
@@ -596,18 +603,18 @@ bool ReplicateStage::ShipTenantStreams(ClusterSim& sim, TenantId tid,
     storage::LsmEngine* src = pn->EngineFor(tid, p);
     if (src == nullptr) continue;
     const uint64_t cur = src->applied_seq();
-    auto hold = sim.split_log_holds_.find(ClusterSim::PartitionKey(tid, p));
-    const bool held = hold != sim.split_log_holds_.end();
+    // Until the cutover the committed partitions are the split's parents.
+    assert(holding == nullptr || p < holding->parents.size());
+    const bool held = holding != nullptr;
     if (held) all_quiescent = false;  // Split windows move under the walk.
+    const uint64_t hold = held ? holding->parents[p].hold_seq : UINT64_MAX;
     if (reps.size() < 2) {
       // No replica will ever pull this stream; keep the log empty so a
       // replicas=1 tenant does not grow memory with every write. A
       // replica added later is seeded by snapshot anyway. An active
       // online split still holds the log at its window start — the
       // cutover replays it.
-      uint64_t solo_trunc = cur;
-      if (held) solo_trunc = std::min(solo_trunc, hold->second);
-      src->TruncateReplLogThrough(solo_trunc);
+      src->TruncateReplLogThrough(std::min(cur, hold));
       continue;
     }
 
@@ -685,8 +692,7 @@ bool ReplicateStage::ShipTenantStreams(ClusterSim& sim, TenantId tid,
     // every copy's log at its streaming-window start, so the cutover
     // can replay the window no matter which replica is primary by
     // then. Serial pass: safe to mutate here.
-    uint64_t trunc = std::min(min_cursor, floor);
-    if (held) trunc = std::min(trunc, hold->second);
+    const uint64_t trunc = std::min({min_cursor, floor, hold});
     src->TruncateReplLogThrough(trunc);
     for (storage::LsmEngine* re : replica_engines) {
       re->TruncateReplLogThrough(trunc);
@@ -780,20 +786,8 @@ void ReplicateStage::Run(TickContext& ctx) {
               n->ResyncReplica(sh.tenant, sh.partition, *sh.src);
               continue;
             }
-            bool gapped = false;
-            sh.src->repl_log().ForEachDelta(
-                sh.after, sh.through,
-                [&](const storage::ReplRecordPtr& rec) {
-                  if (!n->ApplyReplicated(sh.tenant, sh.partition, rec)) {
-                    gapped = true;
-                    return false;
-                  }
-                  return true;
-                });
-            if (gapped) {
-              // Unexpected gap: fall back to a full re-seed.
-              n->ResyncReplica(sh.tenant, sh.partition, *sh.src);
-            }
+            n->ApplyLogDelta(sh.tenant, sh.partition, *sh.src, sh.after,
+                             sh.through);
           }
         }
       });

@@ -287,13 +287,18 @@ TEST(ControlLoopTest, ScaleDownRespectsSevenDayCooldown) {
 
 // -------------------------------------------------- Online split, 1 worker --
 
-TEST(ControlLoopTest, OnlineSplitLosesNoAckedWritesAndStaysReadable) {
+/// Streams, cuts over and purges one online split under continuous
+/// reads and writes. With one replica nothing pulls the parents' logs,
+/// so only the split's hold keeps the streaming window replayable.
+void RunOnlineSplitUnderTraffic(int replicas) {
   sim::SimOptions opt;
   opt.seed = 23;
   opt.split_bytes_per_tick = 8 << 10;  // Force multi-tick streaming.
   sim::ClusterSim sim(opt);
   PoolId pool = sim.AddPool(6);
-  ASSERT_TRUE(sim.AddTenant(ControlTenant(1, 50000), pool).ok());
+  meta::TenantConfig cfg = ControlTenant(1, 50000);
+  cfg.replicas = replicas;
+  ASSERT_TRUE(sim.AddTenant(cfg, pool).ok());
   const uint64_t kKeys = 300;
   sim.PreloadKeys(1, kKeys, 128);
 
@@ -416,6 +421,13 @@ TEST(ControlLoopTest, OnlineSplitLosesNoAckedWritesAndStaysReadable) {
     EXPECT_TRUE(leftovers.entries.empty())
         << leftovers.entries.size() << " moved keys left in parent "
         << parent;
+  }
+}
+
+TEST(ControlLoopTest, OnlineSplitLosesNoAckedWritesAndStaysReadable) {
+  for (int replicas : {3, 1}) {
+    SCOPED_TRACE(testing::Message() << replicas << " replicas");
+    RunOnlineSplitUnderTraffic(replicas);
   }
 }
 

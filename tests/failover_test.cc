@@ -841,6 +841,150 @@ TEST(FailoverTest, LostStagedSplitChildCommitsWithLivePrimary) {
   }
 }
 
+/// Every replica of both staged split children lands on the same three
+/// nodes, and all three fail for good while the children stream. A child
+/// with no serving replica must never cut over: the split is unstaged,
+/// the parents keep serving every key, and the next quota raise past UP
+/// stages the split again on serving nodes and cuts it over there.
+/// Everything observable is folded into `digest` so runs at different
+/// worker counts compare bit for bit.
+struct DeadSplitChildrenRun {
+  std::vector<uint64_t> digest;
+  std::set<NodeId> victims;
+  uint64_t cutovers_after_loss = 0;
+  bool unstaged = false;  ///< No staged split, no split in progress.
+  size_t pending_rebuilds = 0;
+  /// Committed partitions with no replica on a serving node, summed over
+  /// the check after the loss and the one after the second split.
+  size_t dead_only_partitions = 0;
+  bool restaged_on_live_nodes = false;
+  uint64_t cutovers = 0;
+  size_t partitions = 0;
+  size_t keys_matching_after_loss = 0;
+  size_t keys_matching_after_split = 0;
+};
+
+DeadSplitChildrenRun RunDeadSplitChildren(int workers) {
+  ClusterOptions copts;
+  copts.sim.seed = 223;
+  copts.sim.data_plane_workers = workers;
+  copts.sim.split_bytes_per_tick = 4096;  // Streaming outlasts detection.
+  Cluster cluster(copts);
+  PoolId pool = cluster.CreatePool(9);
+  meta::TenantConfig cfg = FailoverTenant(1, /*partitions=*/2);
+  cfg.tenant_quota_ru = 2000;
+  cfg.partition_quota_upper = 5000;
+  EXPECT_TRUE(cluster.CreateTenant(cfg, pool).ok());
+  cluster.sim().SetProxyCacheEnabled(1, false);  // Reads hit the nodes.
+  constexpr int kKeys = 2000;
+  cluster.sim().PreloadKeys(1, kKeys, /*value_bytes=*/64, /*value_sigma=*/0);
+  DeadSplitChildrenRun run;
+  std::vector<std::string> before;
+  // Reads every key, folds the outcomes into the digest, and returns how
+  // many read back with their preloaded value.
+  auto read_all = [&]() {
+    std::vector<Command> cmds;
+    for (int i = 0; i < kKeys; i++) {
+      cmds.push_back(Command::Get("t1:k" + std::to_string(i)));
+    }
+    auto futures = cluster.OpenClient(1).SubmitBatch(std::move(cmds));
+    cluster.Drain();
+    size_t matching = 0;
+    for (size_t i = 0; i < futures.size(); i++) {
+      const auto& f = futures[i];
+      const std::string value =
+          f.ready() && f->ok() ? f->value : "<missing>";
+      if (before.size() < futures.size()) before.push_back(value);
+      if (value == before[i]) matching++;
+      run.digest.insert(
+          run.digest.end(),
+          {f.ready() ? static_cast<uint64_t>(f->status.code()) : ~0ull,
+           value.size()});
+    }
+    return matching;
+  };
+  auto count_dead_only = [&]() {
+    for (const auto& placement : cluster.meta().GetTenant(1)->partitions) {
+      bool serving = false;
+      for (NodeId nid : placement.replicas) {
+        run.digest.push_back(nid);
+        serving = serving || cluster.sim().FindNode(nid)->CanServe();
+      }
+      if (!serving) run.dead_only_partitions++;
+    }
+  };
+  read_all();  // The preloaded values.
+
+  // Raising the quota past UP stages a split; on 9 nodes both children
+  // are placed on the three nodes the parents leave free.
+  EXPECT_TRUE(cluster.sim().SetTenantQuota(1, 40000).ok());
+  const meta::MetaServer::PendingSplit* pending =
+      cluster.meta().GetPendingSplit(1);
+  if (pending == nullptr) {
+    ADD_FAILURE() << "quota past UP staged no split";
+    return run;
+  }
+  for (const auto& child : pending->children) {
+    run.victims.insert(child.replicas.begin(), child.replicas.end());
+  }
+  for (NodeId victim : run.victims) cluster.FailNode(victim);  // For good.
+  for (int i = 0; i < 200; i++) cluster.Step();
+  run.cutovers_after_loss = cluster.sim().SplitCutovers();
+  run.unstaged = cluster.meta().GetPendingSplit(1) == nullptr &&
+                 !cluster.sim().SplitInProgress(1);
+  run.pending_rebuilds = cluster.sim().PendingRebuildCount();
+  count_dead_only();
+  run.keys_matching_after_loss = read_all();
+
+  // The next raise past UP stages the split again, on serving nodes.
+  EXPECT_TRUE(cluster.sim().SetTenantQuota(1, 40000).ok());
+  pending = cluster.meta().GetPendingSplit(1);
+  run.restaged_on_live_nodes = pending != nullptr;
+  if (pending != nullptr) {
+    for (const auto& child : pending->children) {
+      for (NodeId nid : child.replicas) {
+        if (run.victims.count(nid) > 0) run.restaged_on_live_nodes = false;
+      }
+    }
+  }
+  for (int i = 0; i < 400 && cluster.sim().SplitsCompleted() == 0; i++) {
+    cluster.Step();
+  }
+  run.cutovers = cluster.sim().SplitCutovers();
+  run.partitions = cluster.meta().GetTenant(1)->partitions.size();
+  count_dead_only();
+  run.keys_matching_after_split = read_all();
+  for (const sim::TenantTickMetrics& m : cluster.sim().History(1)) {
+    run.digest.insert(run.digest.end(),
+                      {m.issued, m.ok, m.errors, m.throttled, m.unavailable,
+                       m.redirects, m.replica_lag_sum, m.disk_reads,
+                       static_cast<uint64_t>(m.ru_charged * 1e6)});
+  }
+  return run;
+}
+
+TEST(FailoverTest, DeadSplitChildrenUnstageInsteadOfCuttingOver) {
+  const DeadSplitChildrenRun serial = RunDeadSplitChildren(/*workers=*/1);
+  ASSERT_EQ(serial.victims.size(), 3u);
+  // The split never cut over onto the dead children: it was unstaged,
+  // and no source-less child rebuild is left retrying.
+  EXPECT_EQ(serial.cutovers_after_loss, 0u);
+  EXPECT_TRUE(serial.unstaged);
+  EXPECT_EQ(serial.pending_rebuilds, 0u);
+  EXPECT_EQ(serial.dead_only_partitions, 0u);
+  EXPECT_EQ(serial.keys_matching_after_loss, 2000u);
+  // The second raise splits on serving nodes.
+  EXPECT_TRUE(serial.restaged_on_live_nodes);
+  EXPECT_EQ(serial.cutovers, 1u);
+  EXPECT_EQ(serial.partitions, 4u);
+  EXPECT_EQ(serial.keys_matching_after_split, 2000u);
+
+  for (int workers : {2, 4}) {
+    const DeadSplitChildrenRun parallel = RunDeadSplitChildren(workers);
+    EXPECT_EQ(parallel.digest, serial.digest) << workers << " workers";
+  }
+}
+
 // ------------------------------------------------------------- Determinism --
 
 /// The pipeline_test determinism scenario with a mid-run primary failure
