@@ -14,7 +14,7 @@ struct PrefixTreeStore::Payload {
   Node* node = nullptr;  ///< Scan payloads only; null for points.
   bool is_scan = false;
   uint32_t limit = 0;  ///< Scan payloads: the cached scan's limit.
-  std::string value;
+  SharedValue value;   ///< Shared with the response it was filled from.
   uint64_t charge = 0;
   Micros expire_at = 0;
   uint32_t hits_this_period = 0;
@@ -248,6 +248,14 @@ bool PrefixTreeStore::Put(const std::string& key, std::string_view value,
 bool PrefixTreeStore::PutHashed(uint64_t hash, const std::string& key,
                                 std::string_view value, uint64_t charge,
                                 Micros ttl) {
+  return PutHashed(hash, key, MakeSharedValue(std::string(value)), charge,
+                   ttl);
+}
+
+bool PrefixTreeStore::PutHashed(uint64_t hash, const std::string& key,
+                                SharedValue value, uint64_t charge,
+                                Micros ttl) {
+  assert(value != nullptr);
   if (charge > options_.capacity_bytes) return false;
   if (ttl <= 0) ttl = options_.default_ttl;
   // Overwrite reuses the resident payload. Detaching its accounting
@@ -268,7 +276,7 @@ bool PrefixTreeStore::PutHashed(uint64_t hash, const std::string& key,
     p->key = key;
     IndexPoint(hash, p);
   }
-  p->value.assign(value.data(), value.size());
+  p->value = std::move(value);
   p->charge = charge;
   p->expire_at = clock_->NowMicros() + ttl;
   p->hits_this_period = 0;
@@ -303,7 +311,7 @@ AuLookup PrefixTreeStore::GetHashed(uint64_t hash, const std::string& key) {
     return out;
   }
   out.hit = true;
-  out.value = &e.value;
+  out.value = e.value.get();
   stats_.hits++;
   classes_[e.size_class].recent_hits += 1.0;
   e.hits_this_period++;
@@ -365,8 +373,16 @@ std::vector<std::string> PrefixTreeStore::TakeRefreshQueue() {
 }
 
 bool PrefixTreeStore::PutScan(const std::string& prefix, uint32_t limit,
-                              std::string payload, uint64_t charge,
+                              std::string_view payload, uint64_t charge,
                               Micros ttl) {
+  return PutScan(prefix, limit, MakeSharedValue(std::string(payload)),
+                 charge, ttl);
+}
+
+bool PrefixTreeStore::PutScan(const std::string& prefix, uint32_t limit,
+                              SharedValue payload, uint64_t charge,
+                              Micros ttl) {
+  assert(payload != nullptr);
   if (charge > options_.capacity_bytes) return false;
   if (ttl <= 0) ttl = options_.default_ttl;
   if (const Node* en = FindExact(prefix); en != nullptr) {
@@ -425,7 +441,7 @@ AuLookup PrefixTreeStore::GetScan(const std::string& prefix, uint32_t limit) {
     return out;
   }
   out.hit = true;
-  out.value = &e->value;
+  out.value = e->value.get();
   stats_.hits++;
   tree_stats_.scan_hits++;
   classes_[e->size_class].recent_hits += 1.0;

@@ -46,6 +46,7 @@
 #include "cache/cache_stats.h"
 #include "common/clock.h"
 #include "common/flat_map.h"
+#include "common/shared_value.h"
 #include "common/types.h"
 
 namespace abase {
@@ -83,7 +84,9 @@ class PrefixTreeStore {
   /// Inserts/overwrites the point entry for `key`. ttl <= 0 means the
   /// configured default. Returns false if `charge` alone exceeds
   /// capacity. Overwriting resets the refresh bookkeeping and reuses
-  /// the resident payload's buffers (the value is copied in).
+  /// the resident payload object. Payloads are shared handles
+  /// (common/shared_value.h); this form builds one from a copy of
+  /// `value`, the SharedValue forms store the caller's handle itself.
   bool Put(const std::string& key, std::string_view value, uint64_t charge,
            Micros ttl = 0);
 
@@ -102,6 +105,11 @@ class PrefixTreeStore {
 
   bool PutHashed(uint64_t hash, const std::string& key,
                  std::string_view value, uint64_t charge, Micros ttl = 0);
+  /// Shares `value` (a node response's payload, say): no copy. The store
+  /// releases its reference on overwrite, erase, eviction, expiry,
+  /// invalidation and Clear.
+  bool PutHashed(uint64_t hash, const std::string& key, SharedValue value,
+                 uint64_t charge, Micros ttl = 0);
   AuLookup GetHashed(uint64_t hash, const std::string& key);
 
   bool Erase(const std::string& key);
@@ -123,9 +131,12 @@ class PrefixTreeStore {
   // -- Scan results ---------------------------------------------------------
 
   /// Caches the framed payload (common/scan_codec.h) of a completed
-  /// prefix scan, keyed by (prefix, limit). Same TTL semantics as Put.
+  /// prefix scan, keyed by (prefix, limit). Same TTL semantics as Put;
+  /// the SharedValue form shares the merged response's payload.
   bool PutScan(const std::string& prefix, uint32_t limit,
-               std::string payload, uint64_t charge, Micros ttl = 0);
+               std::string_view payload, uint64_t charge, Micros ttl = 0);
+  bool PutScan(const std::string& prefix, uint32_t limit,
+               SharedValue payload, uint64_t charge, Micros ttl = 0);
 
   /// Looks up a cached scan result for exactly (prefix, limit).
   /// Expired payloads are erased and reported as misses. Never flags a

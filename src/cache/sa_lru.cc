@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace abase {
 namespace cache {
@@ -29,12 +30,20 @@ bool SaLruCache::Put(const std::string& key, std::string_view value,
 bool SaLruCache::PutHashed(uint64_t h, const std::string& key,
                            std::string_view value, uint64_t charge,
                            Micros expire_at) {
+  return PutHashed(h, key, MakeSharedValue(std::string(value)), charge,
+                   expire_at);
+}
+
+bool SaLruCache::PutHashed(uint64_t h, const std::string& key,
+                           SharedValue value, uint64_t charge,
+                           Micros expire_at) {
+  assert(value != nullptr);
   if (charge > options_.capacity_bytes) return false;
   // Same key or a hash-collided victim: either way the slot's current
   // entry goes, keeping the index bijective with the class lists. The
   // detached node is parked in spare_ — out of every class list, so it
   // can't be picked as an eviction victim — and reused below with its
-  // string capacity intact.
+  // key capacity intact.
   if (auto* slot = map_.Find(h)) {
     auto old = *slot;
     SizeClass& osc = classes_[static_cast<size_t>(old->size_class)];
@@ -50,12 +59,12 @@ bool SaLruCache::PutHashed(uint64_t h, const std::string& key,
     sc.lru.splice(sc.lru.begin(), spare_, spare_.begin());
     Entry& e = sc.lru.front();
     e.key = key;
-    e.value.assign(value.data(), value.size());
+    e.value = std::move(value);
     e.charge = charge;
     e.size_class = cls;
     e.expire_at = expire_at;
   } else {
-    sc.lru.push_front(Entry{key, std::string(value), charge, cls, expire_at});
+    sc.lru.push_front(Entry{key, std::move(value), charge, cls, expire_at});
   }
   map_.Insert(h, sc.lru.begin());
   sc.bytes += charge;
@@ -71,17 +80,17 @@ std::optional<std::string> SaLruCache::Get(const std::string& key) {
 
 std::optional<std::string> SaLruCache::GetWithExpiry(const std::string& key,
                                                      Micros* expire_at) {
-  const std::string* v = GetRef(key, expire_at);
+  const SharedValue* v = GetRef(key, expire_at);
   if (v == nullptr) return std::nullopt;
-  return *v;
+  return **v;
 }
 
-const std::string* SaLruCache::GetRef(const std::string& key,
+const SharedValue* SaLruCache::GetRef(const std::string& key,
                                       Micros* expire_at) {
   return GetRefHashed(HashString(key), key, expire_at);
 }
 
-const std::string* SaLruCache::GetRefHashed(uint64_t h,
+const SharedValue* SaLruCache::GetRefHashed(uint64_t h,
                                             const std::string& key,
                                             Micros* expire_at) {
   *expire_at = 0;

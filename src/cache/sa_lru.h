@@ -20,6 +20,7 @@
 #include "cache/cache_stats.h"
 #include "common/clock.h"
 #include "common/flat_map.h"
+#include "common/shared_value.h"
 
 namespace abase {
 namespace cache {
@@ -48,8 +49,9 @@ class SaLruCache {
   /// Inserts or refreshes `key` with the given byte footprint. Oversized
   /// entries (charge > capacity) are rejected. `expire_at` of 0 means no
   /// expiry; a value's cache lifetime must not outlive its engine TTL.
-  /// The value is copied into the entry — overwrites reuse the resident
-  /// entry's buffers instead of allocating.
+  /// The entry stores a shared handle (common/shared_value.h); this form
+  /// builds one from a copy of `value`. The request path passes the
+  /// handle it already holds to PutHashed instead.
   bool Put(const std::string& key, std::string_view value, uint64_t charge,
            Micros expire_at = 0);
 
@@ -62,11 +64,12 @@ class SaLruCache {
   std::optional<std::string> GetWithExpiry(const std::string& key,
                                            Micros* expire_at);
 
-  /// Zero-copy lookup: returns a pointer to the cached payload (nullptr
-  /// on miss) valid only until the next cache mutation. Same promotion
-  /// and expiry semantics as GetWithExpiry; the request hot path uses
-  /// this to copy into a recycled buffer instead of allocating.
-  const std::string* GetRef(const std::string& key, Micros* expire_at);
+  /// Zero-copy lookup: returns a pointer to the entry's payload handle
+  /// (nullptr on miss), valid only until the next cache mutation. Same
+  /// promotion and expiry semantics as GetWithExpiry. Copying the handle
+  /// out shares the payload past that point: the request hot path hands
+  /// it to the response without touching the bytes.
+  const SharedValue* GetRef(const std::string& key, Micros* expire_at);
 
   bool Erase(const std::string& key);
   bool Contains(const std::string& key) const;
@@ -82,7 +85,12 @@ class SaLruCache {
   bool PutHashed(uint64_t hash, const std::string& key,
                  std::string_view value, uint64_t charge,
                  Micros expire_at = 0);
-  const std::string* GetRefHashed(uint64_t hash, const std::string& key,
+  /// Stores `value` itself: the entry shares the caller's payload (an
+  /// engine record's bytes, say) instead of copying it. The handle is
+  /// released when the entry is overwritten, erased, evicted or cleared.
+  bool PutHashed(uint64_t hash, const std::string& key, SharedValue value,
+                 uint64_t charge, Micros expire_at = 0);
+  const SharedValue* GetRefHashed(uint64_t hash, const std::string& key,
                                   Micros* expire_at);
   bool EraseHashed(uint64_t hash, const std::string& key);
 
@@ -103,7 +111,7 @@ class SaLruCache {
  private:
   struct Entry {
     std::string key;
-    std::string value;
+    SharedValue value;
     uint64_t charge;
     int size_class;
     Micros expire_at;  ///< 0 = never.
@@ -129,8 +137,8 @@ class SaLruCache {
   FlatMap64<std::list<Entry>::iterator> map_;
   /// At most one detached entry, parked here between the overwrite
   /// detach and the reinsert in the same Put call. Splicing through it
-  /// keeps the list node and both string buffers alive across the
-  /// eviction pass, so overwriting a resident key allocates nothing.
+  /// keeps the list node and the key buffer alive across the eviction
+  /// pass, so overwriting a resident key allocates nothing.
   std::list<Entry> spare_;
   uint64_t used_ = 0;
   CacheStats stats_;

@@ -423,7 +423,6 @@ void DataNode::Submit(const NodeRequest& req) {
   ctx.wait_ticks = 0;
   ctx.probed = false;
   ctx.probe_status = Status::OK();
-  ctx.probe_value.clear();
   ctx.probe_hash_fields = 0;
   ctx.probe_scan_entries = 0;
   ctx.probe_io = storage::ReadIo{};
@@ -453,11 +452,14 @@ sched::CacheProbe DataNode::ProbeWriteOrScan(PendingContext& ctx) {
   storage::ScanResult res = rep.engine->ScanRange(
       req.key, req.field, req.scan_limit, scan_buffer_);
   ctx.probe_status = Status::OK();
-  ctx.probe_value.clear();
+  // Sized exactly: an 8-byte frame header per entry plus its key and
+  // payload bytes.
+  std::string framed;
+  framed.reserve(res.bytes + 8 * res.entries);
   for (size_t k = 0; k < scan_buffer_.size(); k++) {
-    AppendScanEntry(ctx.probe_value, scan_buffer_[k].key,
-                    scan_buffer_[k].value);
+    AppendScanEntry(framed, scan_buffer_[k].key, scan_buffer_[k].value);
   }
+  ctx.probe_value = MakeSharedValue(std::move(framed));
   ctx.probe_scan_entries = res.entries;
   ctx.probed = true;
   ctx.probe_io = storage::ReadIo{};
@@ -493,16 +495,17 @@ void DataNode::ProbeBatch(const sched::SchedRequest* reqs, size_t n,
       continue;
     }
     // Reads: DataNode cache first (GET and HGETALL payloads are cached).
-    // The hit's value and TTL are retained so completion reuses them; the
-    // key_hash was prefix-continued at Submit, so the probe skips
-    // re-hashing the cache key and only builds it for collision compare.
+    // The hit's payload handle and TTL are retained so completion reuses
+    // them; the key_hash was prefix-continued at Submit, so the probe
+    // skips re-hashing the cache key and only builds it for collision
+    // compare.
     if (req.op == OpType::kGet || req.op == OpType::kHGetAll) {
       Micros expire_at = 0;
-      if (const std::string* v = cache_.GetRefHashed(
+      if (const SharedValue* v = cache_.GetRefHashed(
               reqs[i].key_hash, CacheKeyFor(req), &expire_at)) {
         ctx.probed = true;
         ctx.probe_status = Status::OK();
-        ctx.probe_value.assign(*v);
+        ctx.probe_value = *v;
         ctx.probe_io.expire_at = expire_at;
         out[i].hit = true;
         out[i].needs_io = false;
@@ -527,7 +530,7 @@ void DataNode::ProbeBatch(const sched::SchedRequest* reqs, size_t n,
                    });
   constexpr size_t kMaxBatch = 64;  // WFQ flushes reads well below this.
   std::string_view keys[kMaxBatch];
-  const storage::ValueEntry* entries[kMaxBatch];
+  const storage::ReplRecordPtr* recs[kMaxBatch];
   storage::ReadIo ios[kMaxBatch];
   size_t g = 0;
   while (g < batch_miss_.size()) {
@@ -545,21 +548,25 @@ void DataNode::ProbeBatch(const sched::SchedRequest* reqs, size_t n,
     for (size_t k = g; k < ge; k++) {
       keys[k - g] = PendingAt(reqs[batch_miss_[k]])->req.key;
     }
-    rep.engine->MultiFind(keys, ge - g, entries, ios);
+    rep.engine->MultiFind(keys, ge - g, recs, ios);
     for (size_t k = g; k < ge; k++) {
       const uint32_t i = batch_miss_[k];
       PendingContext& ctx = *PendingAt(reqs[i]);
       const NodeRequest& req = ctx.req;
-      const storage::ValueEntry* e = entries[k - g];
+      const storage::ReplRecordPtr* rec = recs[k - g];
+      const storage::ValueEntry* e = rec != nullptr ? &(*rec)->entry : nullptr;
       // Per-op extraction mirroring the engine's Get/HGet/HLen/HGetAll
-      // wrappers around FindEntry (same Status messages included).
+      // wrappers around FindEntry (same Status messages included). GET
+      // and HGET payloads alias the record itself: no allocation, no
+      // copy, and the handle keeps the record alive past any later
+      // flush or compaction of this engine.
       switch (req.op) {
         case OpType::kGet:
           if (e == nullptr || e->type != storage::ValueType::kString) {
             ctx.probe_status = Status::NotFound("key absent");
           } else {
             ctx.probe_status = Status::OK();
-            ctx.probe_value.assign(e->str);
+            ctx.probe_value = SharedValue(*rec, &(*rec)->entry.str);
           }
           break;
         case OpType::kHGet:
@@ -568,7 +575,7 @@ void DataNode::ProbeBatch(const sched::SchedRequest* reqs, size_t n,
           } else if (const std::string* v =
                          storage::FindField(e->hash, req.field)) {
             ctx.probe_status = Status::OK();
-            ctx.probe_value.assign(*v);
+            ctx.probe_value = SharedValue(*rec, v);
           } else {
             ctx.probe_status = Status::NotFound("field absent");
           }
@@ -578,7 +585,7 @@ void DataNode::ProbeBatch(const sched::SchedRequest* reqs, size_t n,
             ctx.probe_status = Status::NotFound("hash absent");
           } else {
             ctx.probe_status = Status::OK();
-            ctx.probe_value = std::to_string(e->hash.size());
+            ctx.probe_value = MakeSharedValue(std::to_string(e->hash.size()));
             ctx.probe_hash_fields = e->hash.size();
           }
           break;
@@ -588,7 +595,7 @@ void DataNode::ProbeBatch(const sched::SchedRequest* reqs, size_t n,
           } else {
             ctx.probe_status = Status::OK();
             ctx.probe_hash_fields = e->hash.size();
-            ctx.probe_value = SerializeHash(e->hash);
+            ctx.probe_value = MakeSharedValue(SerializeHash(e->hash));
           }
           break;
         default:
@@ -632,11 +639,13 @@ NodeResponse DataNode::ExecuteOnEngine(PendingContext& ctx,
     case OpType::kGet: {
       resp.status = ctx.probe_status;
       resp.value = std::move(ctx.probe_value);
+      resp.value_bytes = ValueView(resp.value).size();
+      // The cache entry shares the response's handle: for a GET that is
+      // the engine record itself, so the fill copies nothing.
       if (!cache_hit && resp.status.ok()) {
-        cache_.PutHashed(ck_hash, cache_key, resp.value, resp.value.size() + 32,
-                   ctx.probe_io.expire_at);
+        cache_.PutHashed(ck_hash, cache_key, resp.value, resp.value_bytes + 32,
+                         ctx.probe_io.expire_at);
       }
-      resp.value_bytes = resp.value.size();
       resp.actual_ru =
           ru::ActualReadCharge(resp.value_bytes, cache_hit, ru_model_.options());
       break;
@@ -644,7 +653,7 @@ NodeResponse DataNode::ExecuteOnEngine(PendingContext& ctx,
     case OpType::kHGet: {
       resp.status = ctx.probe_status;
       resp.value = std::move(ctx.probe_value);
-      resp.value_bytes = resp.value.size();
+      resp.value_bytes = ValueView(resp.value).size();
       resp.actual_ru =
           ru::ActualReadCharge(resp.value_bytes, cache_hit, ru_model_.options());
       break;
@@ -659,12 +668,12 @@ NodeResponse DataNode::ExecuteOnEngine(PendingContext& ctx,
     case OpType::kHGetAll: {
       resp.status = ctx.probe_status;
       resp.value = std::move(ctx.probe_value);
+      resp.value_bytes = ValueView(resp.value).size();
       if (!cache_hit && resp.status.ok()) {
-        cache_.PutHashed(ck_hash, cache_key, resp.value, resp.value.size() + 32,
-                   ctx.probe_io.expire_at);
-        ru_model_.RecordHashShape(ctx.probe_hash_fields, resp.value.size());
+        cache_.PutHashed(ck_hash, cache_key, resp.value, resp.value_bytes + 32,
+                         ctx.probe_io.expire_at);
+        ru_model_.RecordHashShape(ctx.probe_hash_fields, resp.value_bytes);
       }
-      resp.value_bytes = resp.value.size();
       // HGETALL = HLen stage + scan stage.
       resp.actual_ru = 1.0 + ru::ActualReadCharge(resp.value_bytes, cache_hit,
                                                   ru_model_.options());
@@ -714,7 +723,7 @@ NodeResponse DataNode::ExecuteOnEngine(PendingContext& ctx,
       // The probe already ran the merge iterator and framed the result.
       resp.status = ctx.probe_status;
       resp.value = std::move(ctx.probe_value);
-      resp.value_bytes = resp.value.size();
+      resp.value_bytes = ValueView(resp.value).size();
       resp.scan_entries = ctx.probe_scan_entries;
       resp.actual_ru = ru::ActualScanCharge(
           ctx.probe_scan_entries, resp.value_bytes, ru_model_.options());

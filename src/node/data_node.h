@@ -289,8 +289,11 @@ class DataNode {
     // does not re-execute (and double-count) the read.
     bool probed = false;
     Status probe_status;
-    std::string probe_value;       ///< Payload (serialized for HGETALL,
-                                   ///< scan-codec framed for SCAN).
+    /// Payload handle: the engine record's bytes for GET (and the
+    /// node-cache entry's on a hit), an aliased field for HGET, one
+    /// built buffer for HLEN, HGETALL (serialized) and SCAN (scan-codec
+    /// framed). Null until the probe finds a value.
+    SharedValue probe_value;
     uint64_t probe_hash_fields = 0;
     uint64_t probe_scan_entries = 0;  ///< Entries a SCAN probe emitted.
     storage::ReadIo probe_io;
@@ -325,9 +328,12 @@ class DataNode {
   }
 
   /// Returns a slab slot to the free list. The slot's strings keep their
-  /// capacity for the next request that lands on it.
+  /// capacity for the next request that lands on it; its payload handle
+  /// is dropped, so a request that dies queued (deadline expiry) pins
+  /// no engine record or cache payload while the slot sits free.
   void ReleasePending(uint32_t slot) {
     pending_pool_[slot].active = false;
+    pending_pool_[slot].probe_value.reset();
     pending_free_.push_back(slot);
     pending_live_--;
   }

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/clock.h"
+#include "common/shared_value.h"
 #include "common/status.h"
 #include "common/types.h"
 
@@ -80,7 +81,12 @@ struct NodeResponse {
   OpType op = OpType::kGet;
   Status status;
   std::string key;
-  std::string value;          ///< Read payload (value, hash, or framed scan).
+  /// Read payload (value, HGET field, HLEN count, serialized hash, or
+  /// framed scan); null when the reply carries none. Shared, not owned:
+  /// a GET's payload is the engine record's own bytes, and the node
+  /// cache and proxy content store hold the same handle
+  /// (common/shared_value.h).
+  SharedValue value;
   uint64_t value_bytes = 0;   ///< Actual bytes returned/written.
   uint64_t scan_entries = 0;  ///< Scans: entries in the framed payload.
   double actual_ru = 0;       ///< Charge computed by the node.

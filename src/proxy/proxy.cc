@@ -169,7 +169,9 @@ void Proxy::OnResponse(const NodeResponse& resp) {
   // TTL may not be cached past its expiry. Replica-served (eventual)
   // reads never fill the cache: their payload may trail the primary by
   // the replication lag, and the cache also serves kPrimary reads —
-  // caching a stale replica value would break read-your-writes.
+  // caching a stale replica value would break read-your-writes. The
+  // store shares the response's handle — for a GET, the engine record's
+  // own bytes — so the fill copies nothing.
   if (cache_enabled_ && resp.op == OpType::kGet && resp.status.ok() &&
       resp.from_primary) {
     Micros ttl = 0;  // Default TTL.
@@ -177,16 +179,16 @@ void Proxy::OnResponse(const NodeResponse& resp) {
       ttl = std::min(resp.ttl_remaining, options_.cache.default_ttl);
     }
     cache_.PutHashed(Fnv1a64(resp.key), resp.key, resp.value,
-                     resp.value.size() + 32, ttl);
+                     ValueView(resp.value).size() + 32, ttl);
   }
 }
 
 void Proxy::FillScanCache(const std::string& prefix, uint32_t limit,
-                          const std::string& framed) {
+                          const SharedValue& framed) {
   if (!cache_enabled_) return;
   // Framed payloads carry per-entry headers; +64 approximates the tree
   // node and LRU bookkeeping, like +32 does for point entries.
-  cache_.PutScan(prefix, limit, framed, framed.size() + 64, 0);
+  cache_.PutScan(prefix, limit, framed, ValueView(framed).size() + 64, 0);
 }
 
 void Proxy::AbandonForward(uint64_t req_id) {

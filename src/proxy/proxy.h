@@ -128,9 +128,10 @@ class Proxy {
 
   /// Caches the framed payload of a completed prefix scan. Called by
   /// the settle merge, which knows the scan's prefix shape and limit
-  /// (a NodeResponse does not carry them).
+  /// (a NodeResponse does not carry them). The store shares the merged
+  /// response's handle: no copy.
   void FillScanCache(const std::string& prefix, uint32_t limit,
-                     const std::string& framed);
+                     const SharedValue& framed);
 
   // -- Control-plane hooks ---------------------------------------------------
 

@@ -674,8 +674,12 @@ void ClusterSim::DeliverResponse(const NodeResponse& resp,
                         : resp.latency + options_.proxy.forward_hop_latency;
 
   if (track_outcome) {
+    // The one copy of a read payload on the way out: into the client's
+    // reply, for tracked requests only.
     PublishOutcome(resp.req_id,
-                   ClientOutcome{resp.status, resp.value, client_latency});
+                   ClientOutcome{resp.status,
+                                 std::string(ValueView(resp.value)),
+                                 client_latency});
   }
 
   // NotFound is a successfully-served answer, not a failure.
@@ -839,7 +843,7 @@ void ClusterSim::AbsorbScanPart(const ScanPartRef& ref,
   if (part.arrived) return;  // Defensive: legs settle exactly once.
   part.arrived = true;
   part.status = resp.status;
-  part.value = resp.value;
+  part.value = resp.value;  // Shares the leg's framed payload.
   part.scan_entries = resp.scan_entries;
   part.actual_ru = resp.actual_ru;
   part.latency = resp.latency;
@@ -910,12 +914,17 @@ void ClusterSim::CompleteScanFanout(uint64_t base_id) {
     SmallVec<ScanEntryView, 8> heads;
     SmallVec<bool, 8> has;
     for (size_t i = 0; i < n; i++) {
-      cursors.push_back(fo.parts[i].value);
+      cursors.push_back(ValueView(fo.parts[i].value));
       heads.push_back(ScanEntryView{});
       has.push_back(NextScanEntry(cursors[i], heads[i]));
     }
-    uint64_t emitted = 0;
-    while (fo.limit == 0 || emitted < fo.limit) {
+    // The surviving entries are collected as views first, so the framed
+    // result is allocated once at its exact size: the content store may
+    // keep this very buffer (FillScanCache below), slack included.
+    std::vector<ScanEntryView>& picked = scan_merge_scratch_;
+    picked.clear();
+    uint64_t framed_bytes = 0;
+    while (fo.limit == 0 || picked.size() < fo.limit) {
       int best = -1;
       for (size_t i = 0; i < n; i++) {
         if (!has[i]) continue;
@@ -926,19 +935,25 @@ void ClusterSim::CompleteScanFanout(uint64_t base_id) {
         }
       }
       if (best < 0) break;
-      // The view stays valid while duplicates advance: leg payload
+      // The views stay valid while duplicates advance: leg payload
       // buffers are never mutated during the merge.
+      picked.push_back(heads[best]);
+      framed_bytes += 8 + heads[best].key.size() + heads[best].value.size();
       const std::string_view key = heads[best].key;
-      AppendScanEntry(merged.value, key, heads[best].value);
-      emitted++;
       for (size_t i = 0; i < n; i++) {
         while (has[i] && heads[i].key == key) {
           has[i] = NextScanEntry(cursors[i], heads[i]);
         }
       }
     }
-    merged.scan_entries = emitted;
-    merged.value_bytes = merged.value.size();
+    std::string framed;
+    framed.reserve(framed_bytes);
+    for (const ScanEntryView& e : picked) {
+      AppendScanEntry(framed, e.key, e.value);
+    }
+    merged.scan_entries = picked.size();
+    merged.value_bytes = framed.size();
+    merged.value = MakeSharedValue(std::move(framed));
   }
 
   if (fo.timed) {

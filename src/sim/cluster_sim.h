@@ -58,6 +58,8 @@
 #include "common/flat_map.h"
 #include "common/histogram.h"
 #include "common/rng.h"
+#include "common/scan_codec.h"
+#include "common/shared_value.h"
 #include "common/time_series.h"
 #include "common/trace.h"
 #include "common/types.h"
@@ -868,7 +870,9 @@ class ClusterSim {
     PartitionId partition = 0;
     bool arrived = false;
     Status status;
-    std::string value;  ///< Framed entries (common/scan_codec.h).
+    /// Framed entries (common/scan_codec.h): the leg response's handle,
+    /// shared, not copied.
+    SharedValue value;
     uint64_t scan_entries = 0;
     double actual_ru = 0;
     Micros latency = 0;         ///< Data-plane latency (legacy path).
@@ -995,6 +999,9 @@ class ClusterSim {
   /// hold pointers into it, so addresses must be stable (deque) until
   /// RouteSubmit copies them into the nodes. Cleared each Route pass.
   std::deque<NodeRequest> scan_sub_scratch_;
+  /// CompleteScanFanout's merge: views of the surviving entries, framed
+  /// into the merged payload once its exact size is known.
+  std::vector<ScanEntryView> scan_merge_scratch_;
   /// Sub-request id space: below refresh ids (1<<62), above client ids.
   uint64_t next_scan_sub_id_ = (1ull << 61);
   /// A parked outcome awaiting TakeOutcome, stamped for the TTL sweep.

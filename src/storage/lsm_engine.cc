@@ -80,7 +80,8 @@ Status LsmEngine::Expire(const std::string& key, Micros ttl) {
 
 const ValueEntry* LsmEngine::FindEntry(std::string_view key, ReadIo* io) {
   stats_.gets++;
-  if (const ValueEntry* e = mem_.Get(key); e != nullptr) {
+  if (const ReplRecordPtr* row = mem_.Get(key); row != nullptr) {
+    const ValueEntry* e = &(*row)->entry;
     stats_.memtable_hits++;
     if (io != nullptr) io->memtable_hit = true;
     if (e->IsTombstone()) return nullptr;
@@ -108,33 +109,35 @@ const ValueEntry* LsmEngine::FindEntry(std::string_view key, ReadIo* io) {
       }
       stats_.block_reads += static_cast<uint64_t>(probe.block_reads);
       if (io != nullptr) io->block_reads += probe.block_reads;
-      if (probe.entry == nullptr) continue;  // Bloom false positive.
-      if (probe.entry->IsTombstone()) return nullptr;
-      if (probe.entry->IsExpiredAt(clock_->NowMicros())) {
+      if (probe.rec == nullptr) continue;  // Bloom false positive.
+      const ValueEntry* e = &(*probe.rec)->entry;
+      if (e->IsTombstone()) return nullptr;
+      if (e->IsExpiredAt(clock_->NowMicros())) {
         stats_.expired_dropped++;
         return nullptr;
       }
       if (io != nullptr) {
         io->found = true;
-        io->expire_at = probe.entry->expire_at;
+        io->expire_at = e->expire_at;
       }
-      return probe.entry;
+      return e;
     }
   }
   return nullptr;
 }
 
 void LsmEngine::MultiFind(const std::string_view* keys, size_t n,
-                          const ValueEntry** entries_out, ReadIo* ios_out) {
+                          const ReplRecordPtr** recs_out, ReadIo* ios_out) {
   // clock_->NowMicros() is constant within a tick, so hoisting it out of
   // the per-key expiry checks matches FindEntry exactly.
   const Micros now = clock_->NowMicros();
   mfind_pending_.clear();
   for (size_t i = 0; i < n; i++) {
-    entries_out[i] = nullptr;
+    recs_out[i] = nullptr;
     ios_out[i] = ReadIo{};
     stats_.gets++;
-    if (const ValueEntry* e = mem_.Get(keys[i]); e != nullptr) {
+    if (const ReplRecordPtr* row = mem_.Get(keys[i]); row != nullptr) {
+      const ValueEntry* e = &(*row)->entry;
       stats_.memtable_hits++;
       ios_out[i].memtable_hit = true;
       if (e->IsTombstone()) continue;
@@ -144,7 +147,7 @@ void LsmEngine::MultiFind(const std::string_view* keys, size_t n,
       }
       ios_out[i].found = true;
       ios_out[i].expire_at = e->expire_at;
-      entries_out[i] = e;
+      recs_out[i] = row;
       continue;
     }
     mfind_pending_.push_back(static_cast<uint32_t>(i));
@@ -180,18 +183,19 @@ void LsmEngine::MultiFind(const std::string_view* keys, size_t n,
         }
         stats_.block_reads += static_cast<uint64_t>(probe.block_reads);
         ios_out[i].block_reads += probe.block_reads;
-        if (probe.entry == nullptr) {  // Bloom false positive.
+        if (probe.rec == nullptr) {  // Bloom false positive.
           mfind_pending_[w++] = i;
           continue;
         }
-        if (probe.entry->IsTombstone()) continue;
-        if (probe.entry->IsExpiredAt(now)) {
+        const ValueEntry* e = &(*probe.rec)->entry;
+        if (e->IsTombstone()) continue;
+        if (e->IsExpiredAt(now)) {
           stats_.expired_dropped++;
           continue;
         }
         ios_out[i].found = true;
-        ios_out[i].expire_at = probe.entry->expire_at;
-        entries_out[i] = probe.entry;
+        ios_out[i].expire_at = e->expire_at;
+        recs_out[i] = probe.rec;
       }
       mfind_pending_.resize(w);
     }

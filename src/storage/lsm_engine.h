@@ -14,10 +14,14 @@
 // byte accounting still charges each holder in full (each replica
 // models its own storage); only host memory is shared.
 //
-// Pointer lifetime: a `const ValueEntry*` the engine hands out (MultiFind,
-// FindEntry-backed reads) is valid until the next mutation of the same
-// engine — a write, replicated apply, ingest, flush, compaction, resync
-// or crash recovery may release the record it points into.
+// Pointer lifetime: a raw pointer the engine hands out — MultiFind's
+// `const ReplRecordPtr*` row slots, FindEntry's entries — is valid until
+// the next mutation of the same engine: a write, replicated apply,
+// ingest, flush, compaction, resync or crash recovery may move or
+// release the row it points into. Copying the ReplRecordPtr out of a
+// slot (or aliasing it into a SharedValue) instead keeps the record alive
+// past any of those: the read path's caches and responses hold records
+// that way (common/shared_value.h).
 #pragma once
 
 #include <cstdint>
@@ -167,19 +171,22 @@ class LsmEngine {
 
   // -- Batched point lookup -------------------------------------------------
 
-  /// Resolves `n` keys in one pass: `entries_out[i]` receives the newest
-  /// visible entry for `keys[i]` (nullptr if absent, tombstoned, or
-  /// expired) and `ios_out[i]` its probe cost, exactly as n independent
-  /// FindEntry-backed reads would produce them. The engine counters
-  /// receive the same totals (they are order-independent sums). Cost is
-  /// amortized: one memtable pass, then per run a single sweep over the
-  /// still-unresolved keys in ascending key order with a resumable
-  /// binary-search hint, so a batch shares each run's bloom/index work.
-  /// Returned pointers are valid until the next mutation of this engine;
-  /// they point into the shared records, so a primary and a replica that
-  /// applied the same write return the same address.
+  /// Resolves `n` keys in one pass: `recs_out[i]` receives the slot of
+  /// the holder (memtable row or run row) of the newest visible version
+  /// of `keys[i]` — its entry is `(*recs_out[i])->entry` — or nullptr if
+  /// absent, tombstoned, or expired, and `ios_out[i]` its probe cost,
+  /// exactly as n independent FindEntry-backed reads would produce them.
+  /// The engine counters receive the same totals (they are
+  /// order-independent sums). Cost is amortized: one memtable pass, then
+  /// per run a single sweep over the still-unresolved keys in ascending
+  /// key order with a resumable binary-search hint, so a batch shares
+  /// each run's bloom/index work.
+  /// Slots are valid until the next mutation of this engine (see the
+  /// pointer-lifetime note above); the records they hold are shared, so
+  /// a primary and a replica that applied the same write resolve to the
+  /// same record.
   void MultiFind(const std::string_view* keys, size_t n,
-                 const ValueEntry** entries_out, ReadIo* ios_out);
+                 const ReplRecordPtr** recs_out, ReadIo* ios_out);
 
   // -- Range scans ----------------------------------------------------------
 

@@ -60,10 +60,11 @@ void MemTable::Put(ReplRecordPtr rec) {
   size_++;
 }
 
-const ValueEntry* MemTable::Get(std::string_view key) const {
+const ReplRecordPtr* MemTable::Get(std::string_view key) const {
   if (size_ == 0) return nullptr;
   const uint32_t row = index_[Probe(key, Tag(key))].row;
-  return row == 0 ? nullptr : &record(row - 1).entry;
+  if (row == 0) return nullptr;
+  return &chunks_[(row - 1) / kChunkRows][(row - 1) % kChunkRows];
 }
 
 const std::vector<MemTable::RowId>& MemTable::Sorted() const {

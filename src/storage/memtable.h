@@ -49,9 +49,11 @@ class MemTable {
   /// Shares the record: no key/value copy.
   void Put(ReplRecordPtr rec);
 
-  /// Latest entry for `key`, including tombstones (callers must check).
-  /// Valid until the next Put/clear of this memtable.
-  const ValueEntry* Get(std::string_view key) const;
+  /// The row holding the latest version of `key` — its entry, tombstones
+  /// included (callers must check), is `(*slot)->entry` — or nullptr.
+  /// The slot is valid until the next Put/clear of this memtable; a
+  /// caller that copies the ReplRecordPtr out keeps the record past that.
+  const ReplRecordPtr* Get(std::string_view key) const;
 
   size_t entry_count() const { return size_; }
   uint64_t approximate_bytes() const { return bytes_; }

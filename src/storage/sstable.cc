@@ -42,9 +42,7 @@ SstProbe SsTable::Get(const KeyRef& kref, size_t* hint) const {
         return row->key < k;
       });
   *hint = static_cast<size_t>(it - rows_.begin());
-  if (it != rows_.end() && (*it)->key == key) {
-    probe.entry = &(*it)->entry;
-  }
+  if (it != rows_.end() && (*it)->key == key) probe.rec = &*it;
   return probe;
 }
 

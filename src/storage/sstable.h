@@ -24,7 +24,9 @@ namespace storage {
 
 /// Result of probing one SSTable.
 struct SstProbe {
-  const ValueEntry* entry = nullptr;  ///< nullptr if key absent.
+  /// The run's row for the key — its entry is `(*rec)->entry` — or
+  /// nullptr if absent. Valid while the run is.
+  const ReplRecordPtr* rec = nullptr;
   int block_reads = 0;  ///< Data-block reads charged (0 if bloom-filtered).
 };
 

@@ -8,7 +8,9 @@
 #include "cache/lru_cache.h"
 #include "cache/sa_lru.h"
 #include "common/clock.h"
+#include "common/flat_map.h"
 #include "common/rng.h"
+#include "common/shared_value.h"
 
 namespace abase {
 namespace cache {
@@ -152,6 +154,39 @@ TEST(SaLruTest, EraseMaintainsClassAccounting) {
 TEST(SaLruTest, OversizedRejected) {
   SaLruCache c(SmallSaOptions(100));
   EXPECT_FALSE(c.Put("x", "v", 200));
+}
+
+// Entries share the caller's payload handle (an engine record's bytes on
+// the node read path): the cache holds one reference while resident and
+// drops it on overwrite, erase, eviction and Clear — it never pins a
+// payload it no longer serves.
+TEST(SaLruTest, SharedPayloadReleasedOnOverwriteEraseEvictAndClear) {
+  SaLruCache c(SmallSaOptions(100));
+  const SharedValue a = MakeSharedValue("a");
+  const SharedValue b = MakeSharedValue("b");
+  ASSERT_TRUE(c.PutHashed(HashString("k"), "k", a, 40));
+  EXPECT_EQ(a.use_count(), 2);
+  Micros expire_at = 0;
+  const SharedValue* ref = c.GetRef("k", &expire_at);
+  ASSERT_NE(ref, nullptr);
+  EXPECT_EQ(ref->get(), a.get());  // The very buffer, not a copy.
+
+  ASSERT_TRUE(c.PutHashed(HashString("k"), "k", b, 40));  // Overwrite.
+  EXPECT_EQ(a.use_count(), 1);
+  EXPECT_EQ(b.use_count(), 2);
+
+  EXPECT_TRUE(c.Erase("k"));
+  EXPECT_EQ(b.use_count(), 1);
+
+  ASSERT_TRUE(c.PutHashed(HashString("k"), "k", a, 60));
+  ASSERT_TRUE(c.PutHashed(HashString("k2"), "k2", b, 60));  // Evicts k.
+  EXPECT_FALSE(c.Contains("k"));
+  EXPECT_EQ(c.stats().evictions, 1u);
+  EXPECT_EQ(a.use_count(), 1);
+  EXPECT_EQ(b.use_count(), 2);
+
+  c.Clear();
+  EXPECT_EQ(b.use_count(), 1);
 }
 
 // Hit-ratio comparison under mixed sizes: SA-LRU should beat plain LRU

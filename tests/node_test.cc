@@ -80,7 +80,7 @@ TEST_F(DataNodeTest, SetThenGetRoundTrip) {
   auto r2 = TickAndDrain();
   ASSERT_EQ(r2.size(), 1u);
   EXPECT_TRUE(r2[0].status.ok());
-  EXPECT_EQ(r2[0].value, "hello");
+  EXPECT_EQ(ValueView(r2[0].value), "hello");
 }
 
 TEST_F(DataNodeTest, SecondGetHitsNodeCache) {
@@ -108,7 +108,7 @@ TEST_F(DataNodeTest, WriteThroughCacheServesNewValue) {
   node_.Submit(MakeGet(4, 1, 0, "k"));
   auto r = TickAndDrain();
   ASSERT_EQ(r.size(), 1u);
-  EXPECT_EQ(r[0].value, "v2");  // Never the stale v1.
+  EXPECT_EQ(ValueView(r[0].value), "v2");  // Never the stale v1.
   EXPECT_EQ(r[0].served_by, ServedBy::kNodeCache);
 }
 
@@ -158,14 +158,14 @@ TEST_F(DataNodeTest, HashOpsThroughNode) {
   auto r = TickAndDrain();
   ASSERT_EQ(r.size(), 1u);
   ASSERT_TRUE(r[0].status.ok());
-  EXPECT_EQ(r[0].value, "1");
+  EXPECT_EQ(ValueView(r[0].value), "1");
 
   NodeRequest hga = MakeGet(3, 1, 0, "h");
   hga.op = OpType::kHGetAll;
   node_.Submit(hga);
   auto r2 = TickAndDrain();
   ASSERT_EQ(r2.size(), 1u);
-  EXPECT_EQ(r2[0].value, "f1=v\n");
+  EXPECT_EQ(ValueView(r2[0].value), "f1=v\n");
 }
 
 TEST_F(DataNodeTest, ReplicaManagement) {
@@ -431,9 +431,9 @@ TEST(DataNodePointReadTest, LoneAndBatchedReadsMatchTheEngine) {
     const NodeResponse& t = *by_id[req.req_id];
     const auto [status, value] = EngineRead(*lone->EngineFor(1, 0), req);
     EXPECT_EQ(a.status.ToString(), status.ToString());
-    EXPECT_EQ(a.value, value);
+    EXPECT_EQ(ValueView(a.value), value);
     EXPECT_EQ(t.status.ToString(), a.status.ToString());
-    EXPECT_EQ(t.value, a.value);
+    EXPECT_EQ(ValueView(t.value), ValueView(a.value));
     EXPECT_EQ(t.served_by, a.served_by);
     from_disk += a.served_by == ServedBy::kDisk;
     if (status.IsNotFound()) {
@@ -446,6 +446,133 @@ TEST(DataNodePointReadTest, LoneAndBatchedReadsMatchTheEngine) {
   EXPECT_GT(not_found[1], 0);
   EXPECT_GT(not_found[2], 0);
   EXPECT_GT(from_disk, 0);  // The flushed keys were read from SSTables.
+}
+
+// ------------------------------------------------ Shared read payloads --
+
+// The newest record the engine holds for `key` (nullptr if none).
+storage::ReplRecordPtr EngineRecord(storage::LsmEngine& e,
+                                    std::string_view key) {
+  const storage::ReplRecordPtr* slot = nullptr;
+  storage::ReadIo io;
+  e.MultiFind(&key, 1, &slot, &io);
+  return slot != nullptr ? *slot : nullptr;
+}
+
+// One copy per value on the read path: a GET miss hands out the engine
+// record's own bytes, the node-cache entry it fills holds that same
+// handle, and a later cache hit serves it again — never a copy.
+TEST_F(DataNodeTest, GetMissCacheFillAndHitShareTheEngineRecord) {
+  storage::LsmEngine& e = *node_.EngineFor(1, 0);
+  ASSERT_TRUE(e.Put("k", "hello").ok());  // Direct: no write-through.
+  const storage::ReplRecordPtr rec = EngineRecord(e, "k");
+  ASSERT_NE(rec, nullptr);
+  const long holders = rec.use_count();
+
+  node_.Submit(MakeGet(1, 1, 0, "k"));
+  std::vector<NodeResponse> miss = TickAndDrain();
+  ASSERT_EQ(miss.size(), 1u);
+  EXPECT_NE(miss[0].served_by, ServedBy::kNodeCache);
+  EXPECT_EQ(miss[0].value.get(), &rec->entry.str);
+  // The response and the node-cache entry: two more holders, no copy.
+  EXPECT_EQ(rec.use_count(), holders + 2);
+  miss.clear();
+  EXPECT_EQ(rec.use_count(), holders + 1);  // The cache entry alone.
+
+  node_.Submit(MakeGet(2, 1, 0, "k"));
+  std::vector<NodeResponse> hit = TickAndDrain();
+  ASSERT_EQ(hit.size(), 1u);
+  EXPECT_EQ(hit[0].served_by, ServedBy::kNodeCache);
+  EXPECT_EQ(hit[0].value.get(), &rec->entry.str);
+  EXPECT_EQ(ValueView(hit[0].value), "hello");
+}
+
+// Records are immutable, so a cached handle is stale-but-valid: after
+// the engine overwrites the key, flushes, compacts the old version away
+// and truncates its log, the node cache keeps serving the old bytes —
+// from the very record it was filled with — until a node write
+// invalidates it. The handle then is the record's last owner.
+TEST(DataNodeSharedValueTest, CachedHandleOutlivesOverwriteFlushCompaction) {
+  SimClock clock(0);
+  DataNodeOptions o = SmallNodeOptions();
+  o.lsm.runs_per_level_trigger = 1;  // Two level-0 runs merge.
+  DataNode node(1, o, &clock);
+  node.AddReplica(1, 0, 1000, true);
+  storage::LsmEngine& e = *node.EngineFor(1, 0);
+  auto tick = [&] {
+    node.Tick();
+    clock.Advance(kMicrosPerSecond);
+    return node.TakeResponses();
+  };
+
+  ASSERT_TRUE(e.Put("k", "v1").ok());
+  e.Flush();
+  node.Submit(MakeGet(1, 1, 0, "k"));
+  std::vector<NodeResponse> first = tick();
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0].served_by, ServedBy::kDisk);
+  const SharedValue held = first[0].value;
+  first.clear();
+  ASSERT_NE(held, nullptr);
+
+  ASSERT_TRUE(e.Put("k", "v2").ok());
+  e.Flush();  // Second run: the trigger merges both, dropping v1.
+  ASSERT_GE(e.stats().compaction_count, 1u);
+  e.TruncateReplLogThrough(e.applied_seq());
+  EXPECT_EQ(e.Get("k").value(), "v2");
+  EXPECT_EQ(*held, "v1");
+  EXPECT_EQ(held.use_count(), 2);  // The test and the node cache.
+
+  node.Submit(MakeGet(2, 1, 0, "k"));
+  std::vector<NodeResponse> stale = tick();
+  ASSERT_EQ(stale.size(), 1u);
+  EXPECT_EQ(stale[0].served_by, ServedBy::kNodeCache);
+  EXPECT_EQ(stale[0].value.get(), held.get());
+  stale.clear();
+
+  // A write through the node lands the invalidation (write-through).
+  node.Submit(MakeSet(3, 1, 0, "k", "v3"));
+  tick();
+  EXPECT_EQ(held.use_count(), 1);
+  EXPECT_EQ(*held, "v1");
+  node.Submit(MakeGet(4, 1, 0, "k"));
+  std::vector<NodeResponse> fresh = tick();
+  ASSERT_EQ(fresh.size(), 1u);
+  EXPECT_EQ(ValueView(fresh[0].value), "v3");
+}
+
+// A read that dies queued (deadline expiry) drops its payload handle
+// with its slab slot: it must not pin the engine record.
+TEST(DataNodeSharedValueTest, ExpiredRequestReleasesItsPayload) {
+  SimClock clock(0);
+  DataNodeOptions o = SmallNodeOptions();
+  o.wfq.io_basic_threads = 0;  // Disk reads queue and never run.
+  o.wfq.io_extra_threads = 0;
+  DataNode node(1, o, &clock);
+  node.AddReplica(1, 0, 1000, true);
+  storage::LsmEngine& e = *node.EngineFor(1, 0);
+  ASSERT_TRUE(e.Put("k", "v").ok());
+  e.Flush();
+  e.TruncateReplLogThrough(e.applied_seq());
+  const storage::ReplRecordPtr rec = EngineRecord(e, "k");
+  ASSERT_NE(rec, nullptr);
+  const long holders = rec.use_count();
+
+  node.Submit(MakeGet(1, 1, 0, "k"));
+  node.Tick();  // Probed (the payload is captured), then parked on disk.
+  EXPECT_TRUE(node.TakeResponses().empty());
+  EXPECT_EQ(rec.use_count(), holders + 1);
+
+  std::vector<NodeResponse> out;
+  for (int i = 0; i <= o.queue_timeout_ticks && out.empty(); i++) {
+    clock.Advance(kMicrosPerSecond);
+    node.Tick();
+    out = node.TakeResponses();
+  }
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_TRUE(out[0].status.IsResourceExhausted());
+  EXPECT_EQ(out[0].value, nullptr);
+  EXPECT_EQ(rec.use_count(), holders);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/scan_codec.h"
+#include "common/shared_value.h"
 
 namespace abase {
 namespace cache {
@@ -188,6 +189,46 @@ TEST(PrefixTreeStoreTest, ClearDropsEverything) {
   EXPECT_EQ(tree.cached_scans(), 0u);
   EXPECT_EQ(tree.used_bytes(), 0u);
   EXPECT_FALSE(tree.Contains("t1:k1"));
+}
+
+// Point and scan payloads are shared handles (a node response's bytes):
+// the store keeps one reference per resident payload and releases it on
+// overwrite, erase, covering-scan invalidation, eviction and Clear.
+TEST(PrefixTreeStoreTest, SharedPayloadReleasedOnOverwriteEraseEvictAndClear) {
+  SimClock clock(0);
+  AuLruOptions opts = SmallOptions();
+  opts.capacity_bytes = 100;
+  PrefixTreeStore tree(opts, &clock);
+  const SharedValue a = MakeSharedValue("a");
+  const SharedValue b = MakeSharedValue("b");
+  const SharedValue scan = MakeSharedValue(FramedPayload(2));
+
+  ASSERT_TRUE(tree.PutHashed(HashString("t1:k"), "t1:k", a, 40));
+  EXPECT_EQ(a.use_count(), 2);
+  AuLookup hit = tree.Get("t1:k");
+  ASSERT_TRUE(hit.hit);
+  EXPECT_EQ(hit.value, a.get());  // The very buffer, not a copy.
+
+  ASSERT_TRUE(tree.PutHashed(HashString("t1:k"), "t1:k", b, 40));
+  EXPECT_EQ(a.use_count(), 1);  // Overwrite.
+  EXPECT_EQ(b.use_count(), 2);
+
+  ASSERT_TRUE(tree.PutScan("t1:", 10, scan, 40));
+  EXPECT_EQ(scan.use_count(), 2);
+  EXPECT_EQ(tree.GetScan("t1:", 10).value, scan.get());
+  EXPECT_TRUE(tree.Erase("t1:k"));  // Drops the point and its cover.
+  EXPECT_EQ(b.use_count(), 1);
+  EXPECT_EQ(scan.use_count(), 1);
+
+  ASSERT_TRUE(tree.PutScan("t1:", 10, scan, 60));
+  ASSERT_TRUE(tree.PutHashed(HashString("t2:k"), "t2:k", a, 60));
+  EXPECT_FALSE(tree.GetScan("t1:", 10).hit);  // Evicted.
+  EXPECT_EQ(tree.stats().evictions, 1u);
+  EXPECT_EQ(scan.use_count(), 1);
+  EXPECT_EQ(a.use_count(), 2);
+
+  tree.Clear();
+  EXPECT_EQ(a.use_count(), 1);
 }
 
 // --------------------------------------------------------- Eviction --

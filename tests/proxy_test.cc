@@ -131,7 +131,7 @@ NodeResponse OkReadResponse(uint64_t id, const std::string& key,
   resp.tenant = 1;
   resp.op = OpType::kGet;
   resp.key = key;
-  resp.value = value;
+  resp.value = MakeSharedValue(value);
   resp.value_bytes = value.size();
   resp.actual_ru = 1.0;
   resp.served_by = served;

@@ -64,9 +64,9 @@ TEST(MemTableTest, PutGetReplace) {
   mt.Put(MakeReplRecord("a", ValueEntry::String("1", 1)));
   mt.Put(MakeReplRecord("b", ValueEntry::String("2", 2)));
   ASSERT_NE(mt.Get("a"), nullptr);
-  EXPECT_EQ(mt.Get("a")->str, "1");
+  EXPECT_EQ((*mt.Get("a"))->entry.str, "1");
   mt.Put(MakeReplRecord("a", ValueEntry::String("updated", 3)));
-  EXPECT_EQ(mt.Get("a")->str, "updated");
+  EXPECT_EQ((*mt.Get("a"))->entry.str, "updated");
   EXPECT_EQ(mt.entry_count(), 2u);
   EXPECT_EQ(mt.Get("zz"), nullptr);
 }
@@ -84,7 +84,7 @@ TEST(MemTableTest, TombstonesStored) {
   MemTable mt;
   mt.Put(MakeReplRecord("k", ValueEntry::Tombstone(1)));
   ASSERT_NE(mt.Get("k"), nullptr);
-  EXPECT_TRUE(mt.Get("k")->IsTombstone());
+  EXPECT_TRUE((*mt.Get("k"))->entry.IsTombstone());
 }
 
 // Differential test of the memtable's index, chunked row store and
@@ -127,7 +127,9 @@ void ExpectSameTable(const MemTable& mt, const RefTable& ref) {
   size_t i = 0;
   for (const auto& [key, rec] : ref) {
     ASSERT_EQ(&mt.record(view[i]), rec.get()) << "view position " << i;
-    EXPECT_EQ(mt.Get(key), &rec->entry) << key;
+    const ReplRecordPtr* row = mt.Get(key);
+    ASSERT_NE(row, nullptr) << key;
+    EXPECT_EQ(row->get(), rec.get()) << key;
     i++;
   }
 }
@@ -158,7 +160,9 @@ TEST_P(MemTableDifferentialTest, MatchesOrderedMapReference) {
                                   ? seen[rng.NextUint64(seen.size())]
                                   : RandomKey(rng);
       auto it = ref.find(key);
-      EXPECT_EQ(mt.Get(key), it == ref.end() ? nullptr : &it->second->entry)
+      const ReplRecordPtr* row = mt.Get(key);
+      EXPECT_EQ(row != nullptr ? row->get() : nullptr,
+                it == ref.end() ? nullptr : it->second.get())
           << key << " step " << step;
     } else {
       ExpectSameTable(mt, ref);
@@ -219,15 +223,15 @@ std::vector<ReplRecordPtr> MakeRows(int n) {
 TEST(SsTableTest, PointLookupChargesOneBlock) {
   SsTable sst(1, MakeRows(100));
   SstProbe p = sst.Get("k00042");
-  ASSERT_NE(p.entry, nullptr);
-  EXPECT_EQ(p.entry->str, "v42");
+  ASSERT_NE(p.rec, nullptr);
+  EXPECT_EQ((*p.rec)->entry.str, "v42");
   EXPECT_EQ(p.block_reads, 1);
 }
 
 TEST(SsTableTest, BloomFiltersOutOfRangeFree) {
   SsTable sst(1, MakeRows(100));
   SstProbe p = sst.Get("zzz");  // Out of key range entirely.
-  EXPECT_EQ(p.entry, nullptr);
+  EXPECT_EQ(p.rec, nullptr);
   EXPECT_EQ(p.block_reads, 0);
 }
 
@@ -922,9 +926,9 @@ void Ship(const LsmEngine& primary, LsmEngine& replica) {
 /// MultiFind of one key: the newest visible entry, or nullptr.
 const ValueEntry* FindOne(LsmEngine& engine, std::string_view key,
                           ReadIo* io) {
-  const ValueEntry* entry = nullptr;
-  engine.MultiFind(&key, 1, &entry, io);
-  return entry;
+  const ReplRecordPtr* rec = nullptr;
+  engine.MultiFind(&key, 1, &rec, io);
+  return rec != nullptr ? &(*rec)->entry : nullptr;
 }
 
 // One materialized copy per write version: the primary's memtable, the
@@ -1057,12 +1061,13 @@ class LsmReplicaDifferentialTest : public ::testing::TestWithParam<uint64_t> {
     ASSERT_EQ(ScanAll(engine, "", "", 1 << 20), ShadowRange("", "", now))
         << who << " full scan, step " << step;
     std::vector<std::string_view> views(keys.begin(), keys.end());
-    std::vector<const ValueEntry*> found(keys.size());
+    std::vector<const ReplRecordPtr*> found(keys.size());
     std::vector<ReadIo> ios(keys.size());
     engine.MultiFind(views.data(), views.size(), found.data(), ios.data());
     for (size_t i = 0; i < keys.size(); i++) {
       const Shadow* s = Visible(keys[i], now);
-      const ValueEntry* e = found[i];
+      const ValueEntry* e =
+          found[i] != nullptr ? &(*found[i])->entry : nullptr;
       ASSERT_EQ(e != nullptr, s != nullptr)
           << who << " MultiFind " << keys[i] << ", step " << step;
       if (e == nullptr) continue;
