@@ -8,13 +8,18 @@
 // that visits every registered tenant fails. A second gate bounds the
 // 1M-tenant registration (setup_seconds): 191.5 s while every
 // AddReplica re-summed its node's hosted quotas, 39.0 s once the
-// ascending append became one `+=` (same 4-hardware-thread host).
+// ascending append became one `+=` (same 4-hardware-thread host). A
+// third gate bounds what a registered tenant keeps resident: the VmRSS
+// growth over the 1M-tenant registration loop, per tenant (see
+// kMaxBytesPerTenant), so an eager per-tenant allocation fails it.
 //
 // Emits a human-readable table and writes the run's machine-readable
 // record to BENCH_scale_tenants.json (overwritten per run; CI archives
 // it as an artifact for trend tracking).
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,7 +40,22 @@ struct RunResult {
   size_t active_generators = 0;  ///< |gen_active_| after the timed window.
   size_t repl_active = 0;        ///< |repl_active_| after the timed window.
   size_t pending_wakes = 0;      ///< Generator wheel entries outstanding.
+  /// VmRSS growth over the registration loop, per registered tenant.
+  double rss_bytes_per_tenant = 0;
 };
+
+/// A "<field>: <n> kB" line of /proc/self/status, in bytes (0 if absent).
+double ProcStatusBytes(const char* field) {
+  std::ifstream in("/proc/self/status");
+  const std::string prefix = std::string(field) + ":";
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(prefix, 0) == 0) {
+      return std::strtod(line.c_str() + prefix.size(), nullptr) * 1024.0;
+    }
+  }
+  return 0;
+}
 
 meta::TenantConfig ScaleTenant(TenantId id) {
   meta::TenantConfig c;
@@ -62,6 +82,7 @@ RunResult RunOnce(size_t num_nodes, size_t registered, size_t active,
 
   auto setup_start = std::chrono::steady_clock::now();
   PoolId pool = sim.AddPool(num_nodes);
+  const double rss_before = ProcStatusBytes("VmRSS");
   // Tenants 1..active carry traffic in BOTH runs: striped placement puts
   // them on the same nodes and their RNG streams are per-tenant, so the
   // live workload is bit-identical whether 0 or 999k parked tenants are
@@ -80,6 +101,7 @@ RunResult RunOnce(size_t num_nodes, size_t registered, size_t active,
     }
   }
   auto setup_end = std::chrono::steady_clock::now();
+  const double rss_registered = ProcStatusBytes("VmRSS") - rss_before;
 
   // The first ticks park every flat-zero generator and drain the
   // replication walk to its quiescent set — that registration-size cost
@@ -105,6 +127,7 @@ RunResult RunOnce(size_t num_nodes, size_t registered, size_t active,
   r.ticks_per_sec = Median(tps_samples);
   r.setup_seconds =
       std::chrono::duration<double>(setup_end - setup_start).count();
+  r.rss_bytes_per_tenant = rss_registered / static_cast<double>(registered);
   r.active_generators = sim.ActiveGeneratorCount();
   r.repl_active = sim.ReplActiveCount();
   r.pending_wakes = sim.PendingGeneratorWakes();
@@ -122,6 +145,7 @@ RunResult RunOnce(size_t num_nodes, size_t registered, size_t active,
 }  // namespace abase
 
 int main() {
+  using abase::bench::ProcStatusBytes;
   using abase::bench::RunOnce;
   using abase::bench::RunResult;
 
@@ -140,18 +164,26 @@ int main() {
   /// runner variance; the quadratic per-node quota re-sum (191.5 s)
   /// fails it.
   constexpr double kMaxBigSetupSeconds = 120.0;
+  /// Resident bytes per registered tenant over the 1M registration loop
+  /// (preload of the 1000 active tenants included): 10,999 B while every
+  /// tenant built its router RNG and RU moving-average deques at
+  /// registration, 5,214 B once they are built on first traffic (same
+  /// 4-hardware-thread host). ~34% headroom over the lazy figure; one
+  /// reintroduced eager RNG (2.5 KB) or the five deques (~2.9 KB) fails.
+  constexpr double kMaxBytesPerTenant = 7000.0;
   const std::vector<size_t> registered_counts = {1000, 1000000};
 
-  std::printf("%12s %8s %8s %12s %12s %10s %10s\n", "registered", "active",
-              "nodes", "ticks/sec", "reqs_ok", "gen_live", "setup_s");
+  std::printf("%12s %8s %8s %12s %12s %10s %10s %10s\n", "registered",
+              "active", "nodes", "ticks/sec", "reqs_ok", "gen_live",
+              "setup_s", "B/tenant");
   std::vector<RunResult> results;
   for (size_t registered : registered_counts) {
     RunResult r =
         RunOnce(kNodes, registered, kActive, kWarmup, kTimed, kWindows);
-    std::printf("%12zu %8zu %8zu %12.2f %12llu %10zu %9.1fs\n", r.registered,
-                r.active, r.nodes, r.ticks_per_sec,
+    std::printf("%12zu %8zu %8zu %12.2f %12llu %10zu %9.1fs %10.0f\n",
+                r.registered, r.active, r.nodes, r.ticks_per_sec,
                 static_cast<unsigned long long>(r.requests_completed),
-                r.active_generators, r.setup_seconds);
+                r.active_generators, r.setup_seconds, r.rss_bytes_per_tenant);
     results.push_back(r);
   }
 
@@ -163,6 +195,9 @@ int main() {
       "\n1M-registered run sustains %.2fx the 1k-run tick rate "
       "(%zu live generators, %zu repl-active, %zu pending wakes)\n",
       ratio, big.active_generators, big.repl_active, big.pending_wakes);
+  const double peak_rss_mb = ProcStatusBytes("VmHWM") / (1024.0 * 1024.0);
+  std::printf("peak RSS %.1f MB; 1M registration kept %.0f B per tenant\n",
+              peak_rss_mb, big.rss_bytes_per_tenant);
 
   // Machine-readable trend record, written at the repo root (committed
   // per PR so the perf trajectory has data points). hardware_threads
@@ -177,8 +212,8 @@ int main() {
                  "{\"bench\":\"scale_tenants\",\"hardware_threads\":%u,"
                  "\"warmup_ticks\":%zu,\"timed_ticks\":%zu,"
                  "\"windows\":%zu,\"big_vs_small_tps_ratio\":%.3f,"
-                 "\"results\":[",
-                 hw, kWarmup, kTimed, kWindows, ratio);
+                 "\"peak_rss_mb\":%.1f,\"results\":[",
+                 hw, kWarmup, kTimed, kWindows, ratio, peak_rss_mb);
     for (size_t i = 0; i < results.size(); i++) {
       const RunResult& r = results[i];
       std::fprintf(
@@ -186,11 +221,12 @@ int main() {
           "%s{\"registered\":%zu,\"active\":%zu,\"nodes\":%zu,"
           "\"ticks_per_sec\":%.3f,\"requests_ok\":%llu,"
           "\"active_generators\":%zu,\"repl_active\":%zu,"
-          "\"pending_wakes\":%zu,\"setup_seconds\":%.3f}",
+          "\"pending_wakes\":%zu,\"setup_seconds\":%.3f,"
+          "\"rss_bytes_per_tenant\":%.0f}",
           i == 0 ? "" : ",", r.registered, r.active, r.nodes, r.ticks_per_sec,
           static_cast<unsigned long long>(r.requests_completed),
           r.active_generators, r.repl_active, r.pending_wakes,
-          r.setup_seconds);
+          r.setup_seconds, r.rss_bytes_per_tenant);
     }
     std::fprintf(f, "]}\n");
     std::fclose(f);
@@ -203,7 +239,8 @@ int main() {
   // sparse-ticking gate: registering 999k parked tenants may cost at
   // most 2x in steady-state tick rate (a walk over every registered
   // tenant each tick fails it). (3) Registering 1M tenants stays within
-  // kMaxBigSetupSeconds.
+  // kMaxBigSetupSeconds. (4) It keeps at most kMaxBytesPerTenant
+  // resident per tenant.
   int rc = 0;
   if (big.requests_completed != small.requests_completed) {
     std::printf("FAIL: live work diverged (1k run %llu ok, 1M run %llu ok)\n",
@@ -221,6 +258,13 @@ int main() {
   if (big.setup_seconds > kMaxBigSetupSeconds) {
     std::printf("FAIL: 1M-tenant setup took %.1f s (gate: <= %.0f s)\n",
                 big.setup_seconds, kMaxBigSetupSeconds);
+    rc = 1;
+  }
+  if (big.rss_bytes_per_tenant > kMaxBytesPerTenant) {
+    std::printf(
+        "FAIL: 1M-tenant registration kept %.0f B resident per tenant "
+        "(gate: <= %.0f B)\n",
+        big.rss_bytes_per_tenant, kMaxBytesPerTenant);
     rc = 1;
   }
   return rc;

@@ -2,14 +2,15 @@
 // shared by every layer that holds it, from the storage engine to the
 // client-facing settle.
 //
-// A string value read from the engine aliases the shared write record
-// itself (the aliasing constructor, `SharedValue(rec, &rec->entry.str)`):
-// the handle keeps the record alive and costs no allocation. Payloads
-// the engine does not store as-is — an HGETALL serialization, an HLEN
-// count, a framed scan, a write-through value — are built once
-// (MakeSharedValue). Either way the node cache, the NodeResponse and the
-// proxy content store then share that one buffer by refcount instead of
-// each keeping a copy.
+// A string value read from the engine — and a SET's write-through
+// value, taken from the record LsmEngine::Put just built — aliases the
+// shared write record itself (the aliasing constructor,
+// `SharedValue(rec, &rec->entry.str)`): the handle keeps the record
+// alive and costs no allocation. Payloads the engine does not store
+// as-is — an HGETALL serialization, an HLEN count, a framed scan — are
+// built once (MakeSharedValue). Either way the node cache, the
+// NodeResponse and the proxy content store then share that one buffer
+// by refcount instead of each keeping a copy.
 //
 // Lifetime rule: the bytes are immutable and live as long as any handle
 // does. A holder that outlives an overwrite, flush or compaction keeps

@@ -453,6 +453,12 @@ Result<RecoveryReport> MetaServer::PromoteFailover(
         // No survivor: the partition keeps its dead primary and stays
         // unavailable until the node recovers and fails back.
       }
+      const bool served =
+          std::any_of(reps.begin(), reps.end(), [&](NodeId r) {
+            const node::DataNode* n = FindNode(pool, r);
+            return n != nullptr && n->CanServe();
+          });
+      if (!served) report.unserved_partitions.emplace_back(tid, p);
 
       // Plan (but do not execute) the re-replication that would restore
       // the replication factor if the node never came back.

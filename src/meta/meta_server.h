@@ -107,6 +107,11 @@ struct RecoveryReport {
   /// executes them once the grace period passes with the node still
   /// down.
   std::vector<ReReplicationTarget> re_replication_targets;
+  /// Partitions (and staged split children) of the failed node left
+  /// with no replica on a serving node once this promotion ran: every
+  /// copy is down, so nothing serves them, and their rebuilds park until
+  /// one of those nodes recovers. Ordered by (tenant, partition).
+  std::vector<std::pair<TenantId, PartitionId>> unserved_partitions;
 };
 
 /// Centralized control plane over a set of resource pools.

@@ -680,16 +680,19 @@ NodeResponse DataNode::ExecuteOnEngine(PendingContext& ctx,
       break;
     }
     case OpType::kSet: {
-      resp.status = rep.engine->Put(req.key, req.value, req.ttl);
+      storage::ReplRecordPtr rec;
+      resp.status = rep.engine->Put(req.key, req.value, req.ttl, &rec);
       resp.value_bytes = req.value.size();
       resp.actual_ru = ru::ActualWriteCharge(resp.value_bytes,
                                              req.replicas,
                                              ru_model_.options());
       // Write-through: the node cache carries the new value so hot
-      // read-after-write keys keep hitting.
+      // read-after-write keys keep hitting. It aliases the record the
+      // write just built, as a GET fill does (no second copy), and
+      // expires with it.
       if (resp.status.ok()) {
-        Micros expire_at = req.ttl > 0 ? clock_->NowMicros() + req.ttl : 0;
-        cache_.PutHashed(ck_hash, cache_key, req.value, req.value.size() + 32, expire_at);
+        cache_.PutHashed(ck_hash, cache_key, SharedValue(rec, &rec->entry.str),
+                         req.value.size() + 32, rec->entry.expire_at);
       } else {
         cache_.EraseHashed(ck_hash, cache_key);
       }

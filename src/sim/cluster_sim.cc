@@ -81,10 +81,6 @@ Status ClusterSim::AddTenant(const meta::TenantConfig& config, PoolId pool,
   rt.routing_mode = mode;
   rt.router = std::make_unique<proxy::LimitedFanoutRouter>(
       config.num_proxies, config.num_proxy_groups, mode);
-  // Stream ids: nodes use their (small, dense) node ids, tenants sit in
-  // a disjoint range.
-  rt.router_rng = Rng(MixSeed(options_.seed, (1ull << 32) | config.id));
-
   double proxy_quota =
       config.tenant_quota_ru / static_cast<double>(config.num_proxies);
   TenantId tid = config.id;
@@ -231,6 +227,14 @@ NodeId ClusterSim::PrimarySlotOf(TenantId tenant,
   const meta::PartitionPlacement* placement =
       tm != nullptr ? meta_->PlacementOf(*tm, partition) : nullptr;
   return placement != nullptr ? placement->primary() : kInvalidNode;
+}
+
+size_t ClusterSim::ParkedRebuildCount() const {
+  return static_cast<size_t>(
+      std::count_if(pending_rebuilds_.begin(), pending_rebuilds_.end(),
+                    [](const PendingRebuild& rb) {
+                      return rb.parked_on != kInvalidNode;
+                    }));
 }
 
 size_t ClusterSim::DownNodeCount() const {

@@ -60,6 +60,7 @@
 #include "common/rng.h"
 #include "common/scan_codec.h"
 #include "common/shared_value.h"
+#include "common/smallvec.h"
 #include "common/time_series.h"
 #include "common/trace.h"
 #include "common/types.h"
@@ -274,10 +275,13 @@ struct TenantRuntime {
   meta::TenantConfig config;
   proxy::RoutingMode routing_mode = proxy::RoutingMode::kLimitedFanout;
   std::unique_ptr<proxy::LimitedFanoutRouter> router;
-  /// Private RNG stream for this tenant's fan-out router (derived from
-  /// the sim seed). Tenants admit traffic concurrently under the
-  /// parallel executor, so they must not share the sim-wide RNG.
-  Rng router_rng{42};
+  /// Private RNG stream for this tenant's fan-out router, seeded
+  /// `MixSeed(sim seed, 1<<32 | tenant id)`. Tenants admit traffic
+  /// concurrently under the parallel executor, so they must not share
+  /// the sim-wide RNG. Built on the tenant's first routed request
+  /// (ProxyAdmitStage::AdmitOne): the generator state is ~2.5 KB, and a
+  /// registered tenant that never carries traffic holds none of it.
+  std::unique_ptr<Rng> router_rng;
   std::vector<std::unique_ptr<proxy::Proxy>> proxies;
   /// Epoch-stamped routing cache: the replica set per partition (index 0
   /// = primary), refreshed only when a forward proves unroutable under a
@@ -498,8 +502,17 @@ class ClusterSim {
   /// partition state the Fault stage actually placed).
   uint64_t ExecutedRebuildCount() const { return executed_rebuilds_; }
 
-  /// Re-replication copies currently counting down in the Fault stage.
-  size_t PendingRebuildCount() const { return pending_rebuilds_.size(); }
+  /// Re-replication copies currently counting down in the Fault stage
+  /// (parked copies excluded: they wait on a down node, not on time).
+  size_t PendingRebuildCount() const {
+    return pending_rebuilds_.size() - ParkedRebuildCount();
+  }
+
+  /// Re-replication copies parked because their source node is down —
+  /// every replica of the partition was lost. Each resumes once its
+  /// source serves again (the node recovers, or a promotion moves the
+  /// primary slot to a survivor).
+  size_t ParkedRebuildCount() const;
 
   /// Current apply lag of (tenant, partition)'s replication stream, in
   /// records: primary applied sequence minus the slowest alive replica's
@@ -1033,8 +1046,9 @@ class ClusterSim {
   struct ReplState {
     /// Primary applied seq at the end of each of the last lag+1
     /// Replicate steps; the front is the shipping floor — what was
-    /// acknowledged `replication_lag_ticks` ticks ago.
-    std::deque<uint64_t> acked_history;
+    /// acknowledged `replication_lag_ticks` ticks ago. Never longer than
+    /// lag+1, so it stays inline for the lags anyone configures.
+    SmallVec<uint64_t, 4> acked_history;
     /// Node serving the stream; a change (promotion/failback) reseeds
     /// acked_history — the dead primary's acked seqs must not let the
     /// new primary's reused sequence numbers ship with collapsed lag.
@@ -1055,6 +1069,11 @@ class ClusterSim {
     NodeId dead = kInvalidNode;    ///< Node whose slot is being replaced.
     NodeId target = kInvalidNode;  ///< Node receiving the copy.
     int ticks_remaining = 0;       ///< Grace period + modeled copy time.
+    /// The copy's source — the partition's primary slot — when a due
+    /// copy found that node down: the copy waits, untried, until the
+    /// slot's node serves again or the slot moves. kInvalidNode while
+    /// the copy counts down or can run.
+    NodeId parked_on = kInvalidNode;
   };
   std::vector<PendingRebuild> pending_rebuilds_;
   uint64_t executed_rebuilds_ = 0;

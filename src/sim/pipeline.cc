@@ -135,7 +135,17 @@ void FaultStage::Run(TickContext&) {
       it = sim.pending_rebuilds_.erase(it);
       continue;
     }
-    if (--it->ticks_remaining > 0) {
+    if (it->parked_on != kInvalidNode) {
+      // Parked on a down source: nothing to try until that node serves
+      // again or the primary slot moves off it.
+      const node::DataNode* source = sim.FindNode(it->parked_on);
+      if (sim.PrimarySlotOf(it->tenant, it->partition) == it->parked_on &&
+          (source == nullptr || !source->CanServe())) {
+        ++it;
+        continue;
+      }
+      it->parked_on = kInvalidNode;
+    } else if (--it->ticks_remaining > 0) {
       ++it;
       continue;
     }
@@ -148,10 +158,12 @@ void FaultStage::Run(TickContext&) {
         sim.last_failover_report_->replicas_rebuilt_executed++;
       }
     } else if (executed.IsUnavailable()) {
-      // Transient: no alive source right now (e.g. the interim primary
-      // failed too). Keep the copy pending and retry next tick — erasing
-      // it would leave the partition under-replicated for good.
-      it->ticks_remaining = 1;
+      // No alive source right now: the interim primary failed too, or
+      // every replica was lost at once. Park the copy on the source —
+      // erasing it would leave the partition under-replicated for good,
+      // and retrying it every tick replans a copy nothing can serve. It
+      // runs on the first tick its source serves again.
+      it->parked_on = sim.PrimarySlotOf(it->tenant, it->partition);
       ++it;
       continue;
     }
@@ -248,7 +260,13 @@ void ProxyAdmitStage::AdmitOne(
     for (auto& p : rt.proxies) p->InvalidateCacheHashed(req.key_hash, req.key);
   }
 
-  size_t proxy_index = rt.router->RouteHashed(req.key_hash, rt.router_rng);
+  if (rt.router_rng == nullptr) {
+    // Stream ids: nodes use their (small, dense) node ids, tenants sit
+    // in a disjoint range.
+    rt.router_rng = std::make_unique<Rng>(
+        MixSeed(sim_->options_.seed, (1ull << 32) | rt.config.id));
+  }
+  size_t proxy_index = rt.router->RouteHashed(req.key_hash, *rt.router_rng);
   proxy::Proxy& px = *rt.proxies[proxy_index];
   // Recycle the next forward slot: HandleInto assigns every NodeRequest
   // field, so the slot's string capacity is reused and the hot path
@@ -659,11 +677,13 @@ bool ReplicateStage::ShipTenantStreams(ClusterSim& sim, TenantId tid,
     }
     st.acked_history.push_back(cur);
     while (st.acked_history.size() > static_cast<size_t>(lag) + 1) {
-      st.acked_history.pop_front();
+      std::move(st.acked_history.begin() + 1, st.acked_history.end(),
+                st.acked_history.begin());
+      st.acked_history.pop_back();
     }
     // A promotion can rewind the stream head (the new primary applied
     // less than the old one acknowledged); clamp the floor to it.
-    const uint64_t floor = std::min(st.acked_history.front(), cur);
+    const uint64_t floor = std::min(st.acked_history[0], cur);
     st.prev_primary_applied = st.primary_applied;
     st.primary_applied = cur;
 

@@ -13,30 +13,32 @@ namespace storage {
 LsmEngine::LsmEngine(LsmOptions options, const Clock* clock)
     : options_(options), clock_(clock) {
   assert(clock_ != nullptr);
-  levels_.resize(static_cast<size_t>(options_.max_levels));
 }
 
 // ---------------------------------------------------------------------------
 // Write path
 // ---------------------------------------------------------------------------
 
-void LsmEngine::WriteEntry(const std::string& key, ValueEntry entry) {
+void LsmEngine::WriteEntry(const std::string& key, ValueEntry entry,
+                           ReplRecordPtr* rec_out) {
   NoteMutation();
   entry.seq = next_seq_++;
   // The version's one materialized copy: the replication log, the
   // memtable and — via the Replicate shipping path — every replica
   // share it.
   ReplRecordPtr rec = MakeReplRecord(key, std::move(entry));
+  if (rec_out != nullptr) *rec_out = rec;
   if (options_.enable_repl_log) repl_log_.Append(rec);
   mem_.Put(std::move(rec));
   stats_.puts++;
   MaybeFlush();
 }
 
-Status LsmEngine::Put(const std::string& key, std::string value, Micros ttl) {
+Status LsmEngine::Put(const std::string& key, std::string value, Micros ttl,
+                      ReplRecordPtr* rec_out) {
   if (key.empty()) return Status::InvalidArgument("empty key");
   Micros expire_at = ttl > 0 ? clock_->NowMicros() + ttl : 0;
-  WriteEntry(key, ValueEntry::String(std::move(value), 0, expire_at));
+  WriteEntry(key, ValueEntry::String(std::move(value), 0, expire_at), rec_out);
   return Status::OK();
 }
 
@@ -534,6 +536,9 @@ void LsmEngine::Flush() {
   auto sst = std::make_shared<SsTable>(next_sst_id_++, std::move(rows));
   stats_.flush_count++;
   stats_.flushed_bytes += sst->data_bytes();
+  if (levels_.empty()) {
+    levels_.resize(static_cast<size_t>(options_.max_levels));
+  }
   levels_[0].push_back(std::move(sst));
   while (MaybeCompact()) {
   }

@@ -142,8 +142,11 @@ class LsmEngine {
   // -- String commands ----------------------------------------------------
 
   /// SET. `ttl` of 0 means no expiry; otherwise the value expires at
-  /// now + ttl.
-  Status Put(const std::string& key, std::string value, Micros ttl = 0);
+  /// now + ttl. A non-null `rec_out` receives the immutable record the
+  /// write built, so a caller can share its bytes (the node cache's
+  /// write-through aliases `rec->entry.str`) instead of copying them.
+  Status Put(const std::string& key, std::string value, Micros ttl = 0,
+             ReplRecordPtr* rec_out = nullptr);
 
   /// GET. NotFound for absent, deleted, or expired keys. If `io` is
   /// non-null it receives the probe cost breakdown.
@@ -334,7 +337,8 @@ class LsmEngine {
   /// versions across runs (like physical LSM space usage before GC).
   uint64_t ApproximateDataBytes() const;
 
-  /// Number of runs per level, outermost index = level.
+  /// Number of runs per level, outermost index = level: `max_levels`
+  /// entries once the engine has flushed, empty before.
   std::vector<size_t> LevelRunCounts() const;
 
   /// Write amplification so far: (flushed + compaction written) / flushed.
@@ -345,7 +349,10 @@ class LsmEngine {
   /// visible entry or nullptr. Fills `io`.
   const ValueEntry* FindEntry(std::string_view key, ReadIo* io);
 
-  void WriteEntry(const std::string& key, ValueEntry entry);
+  /// Stamps the next seq, builds the version's one record and hands it
+  /// to the log and the memtable (and to `*rec_out` when non-null).
+  void WriteEntry(const std::string& key, ValueEntry entry,
+                  ReplRecordPtr* rec_out = nullptr);
   void NoteMutation() {
     if (mutation_counter_ != nullptr) ++*mutation_counter_;
   }
@@ -365,6 +372,8 @@ class LsmEngine {
   MemTable mem_;
   ReplicationLog repl_log_;
   /// levels_[0] is newest; within a level, later index = newer run.
+  /// Empty until the first flush sizes it to `max_levels`: an engine
+  /// that never flushed (every idle tenant's) holds no level vectors.
   std::vector<std::vector<SsTablePtr>> levels_;
   uint64_t next_seq_ = 1;
   uint64_t next_sst_id_ = 1;

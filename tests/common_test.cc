@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <deque>
 #include <map>
 
 #include "common/clock.h"
@@ -277,6 +279,79 @@ TEST(MovingAverageTest, ResetRestoresInitial) {
   ma.Add(1);
   ma.Reset();
   EXPECT_DOUBLE_EQ(ma.Value(), 9.0);
+}
+
+/// The pre-ring MovingAverage, kept as the differential reference: a
+/// deque window whose sum adds the new sample before dropping the oldest.
+class DequeMovingAverage {
+ public:
+  DequeMovingAverage(size_t window, double initial)
+      : window_(window == 0 ? 1 : window), initial_(initial) {}
+  void Add(double x) {
+    samples_.push_back(x);
+    sum_ += x;
+    if (samples_.size() > window_) {
+      sum_ -= samples_.front();
+      samples_.pop_front();
+    }
+  }
+  double Value() const {
+    if (samples_.empty()) return initial_;
+    return sum_ / static_cast<double>(samples_.size());
+  }
+  size_t count() const { return samples_.size(); }
+  void Reset() {
+    samples_.clear();
+    sum_ = 0;
+  }
+
+ private:
+  size_t window_;
+  double initial_;
+  std::deque<double> samples_;
+  double sum_ = 0;
+};
+
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+// The ring must round exactly like the deque window it replaced: the RU
+// estimates (and through them every golden digest) are built from
+// Value(). Samples span many magnitudes so any reordering of the sum's
+// additions and subtractions shows up in the low bits.
+TEST(MovingAverageTest, RingIsBitEqualToDequeWindow) {
+  for (size_t window : {size_t{1}, size_t{2}, size_t{7}, size_t{128}}) {
+    Rng rng(1000 + window);
+    MovingAverage ma(window, 3.25);
+    DequeMovingAverage ref(window, 3.25);
+    ASSERT_EQ(Bits(ma.Value()), Bits(ref.Value()));
+    constexpr int kSamples = 5000;
+    for (int i = 0; i < kSamples; i++) {
+      if (i == kSamples / 2) {
+        ma.Reset();
+        ref.Reset();
+        ASSERT_EQ(Bits(ma.Value()), Bits(ref.Value())) << window;
+      }
+      const double x =
+          rng.NextDouble() * std::pow(10.0, rng.NextInt(-6, 9)) -
+          (rng.NextBool(0.2) ? 1e5 : 0.0);
+      ma.Add(x);
+      ref.Add(x);
+      ASSERT_EQ(ma.count(), ref.count()) << window << " @" << i;
+      ASSERT_EQ(Bits(ma.Value()), Bits(ref.Value())) << window << " @" << i;
+    }
+    // A copy carries the ring and its position with it.
+    MovingAverage copy = ma;
+    for (int i = 0; i < 300; i++) {
+      const double x = rng.NextDouble() * 1e3;
+      copy.Add(x);
+      ref.Add(x);
+      ASSERT_EQ(Bits(copy.Value()), Bits(ref.Value())) << window << " @" << i;
+    }
+  }
 }
 
 TEST(EwmaTest, SeedsOnFirstSample) {

@@ -513,6 +513,108 @@ TEST(FailoverTest, SingleReplicaPartitionStaysUnavailableUntilRecovery) {
   EXPECT_EQ(after.value(), "v");
 }
 
+/// Every replica of a partition lost in one tick. No survivor can be
+/// promoted, so the partition keeps its dead primary, and the rebuilds
+/// of its other two slots have no source: they park on the primary-slot
+/// node instead of retrying a copy nothing can serve, and the failover
+/// report names the partition as unserved. If that node comes back, both
+/// parked copies run as soon as it serves again.
+struct SameTickLossRun {
+  std::vector<NodeId> before;  ///< Placement before the loss.
+  std::vector<NodeId> after;   ///< Placement at the end of the run.
+  size_t pending_after_loss = 0;
+  size_t parked_after_loss = 0;
+  uint64_t executed_after_loss = 0;
+  std::vector<std::pair<TenantId, PartitionId>> unserved;
+  size_t pending = 0;
+  size_t parked = 0;
+  uint64_t executed = 0;
+  size_t keys_matching = 0;
+};
+
+SameTickLossRun RunSameTickLoss(bool recover_primary_slot) {
+  ClusterOptions copts;
+  copts.sim.seed = 101;
+  Cluster cluster(copts);
+  PoolId pool = cluster.CreatePool(6);
+  EXPECT_TRUE(cluster.CreateTenant(FailoverTenant(1), pool).ok());
+  cluster.sim().SetProxyCacheEnabled(1, false);  // Reads hit the nodes.
+  constexpr int kKeys = 200;
+  cluster.sim().PreloadKeys(1, kKeys, /*value_bytes=*/64, /*value_sigma=*/0);
+  auto read_all = [&cluster]() {
+    std::vector<Command> cmds;
+    for (int i = 0; i < kKeys; i++) {
+      cmds.push_back(Command::Get("t1:k" + std::to_string(i)));
+    }
+    auto futures = cluster.OpenClient(1).SubmitBatch(std::move(cmds));
+    cluster.Drain();
+    std::vector<std::string> values;
+    for (const auto& f : futures) {
+      values.push_back(f.ready() && f->ok() ? f->value : "<missing>");
+    }
+    return values;
+  };
+  const std::vector<std::string> preloaded = read_all();
+
+  SameTickLossRun run;
+  run.before = cluster.meta().GetTenant(1)->partitions[0].replicas;
+  for (NodeId n : run.before) cluster.FailNode(n);  // All in one tick.
+  cluster.RunTicks(300);
+  run.pending_after_loss = cluster.sim().PendingRebuildCount();
+  run.parked_after_loss = cluster.sim().ParkedRebuildCount();
+  run.executed_after_loss = cluster.sim().ExecutedRebuildCount();
+  if (cluster.sim().LastFailoverReport().has_value()) {
+    run.unserved = cluster.sim().LastFailoverReport()->unserved_partitions;
+  }
+  if (recover_primary_slot) {
+    cluster.RecoverNode(run.before[0]);
+    cluster.RunTicks(50);
+  }
+  run.after = cluster.meta().GetTenant(1)->partitions[0].replicas;
+  run.pending = cluster.sim().PendingRebuildCount();
+  run.parked = cluster.sim().ParkedRebuildCount();
+  run.executed = cluster.sim().ExecutedRebuildCount();
+  const std::vector<std::string> values = read_all();
+  for (int i = 0; i < kKeys; i++) {
+    if (values[i] == preloaded[i] && values[i] != "<missing>") {
+      run.keys_matching++;
+    }
+  }
+  return run;
+}
+
+TEST(FailoverTest, SameTickLossOfEveryReplicaParksItsRebuilds) {
+  const SameTickLossRun lost = RunSameTickLoss(/*recover_primary_slot=*/false);
+  ASSERT_EQ(lost.before.size(), 3u);
+  // Nothing is left counting down or retrying: both source-less copies
+  // wait, parked, on the dead primary slot.
+  EXPECT_EQ(lost.pending_after_loss, 0u);
+  EXPECT_EQ(lost.parked_after_loss, 2u);
+  EXPECT_EQ(lost.executed_after_loss, 0u);
+  EXPECT_EQ(lost.unserved,
+            (std::vector<std::pair<TenantId, PartitionId>>{{1, 0}}));
+  EXPECT_EQ(lost.after, lost.before);
+  EXPECT_EQ(lost.keys_matching, 0u);  // Nothing serves the partition.
+
+  const SameTickLossRun back = RunSameTickLoss(/*recover_primary_slot=*/true);
+  ASSERT_EQ(back.before, lost.before);
+  EXPECT_EQ(back.parked_after_loss, 2u);
+  // The primary-slot node recovered: both parked copies ran from it onto
+  // two nodes outside the lost placement, and every key reads back.
+  EXPECT_EQ(back.pending, 0u);
+  EXPECT_EQ(back.parked, 0u);
+  EXPECT_EQ(back.executed, 2u);
+  ASSERT_EQ(back.after.size(), 3u);
+  EXPECT_EQ(back.after[0], back.before[0]);
+  for (size_t r = 1; r < back.after.size(); r++) {
+    EXPECT_EQ(std::find(back.before.begin(), back.before.end(),
+                        back.after[r]),
+              back.before.end())
+        << back.after[r];
+  }
+  EXPECT_EQ(back.keys_matching, 200u);
+}
+
 TEST(FailoverTest, PermanentLossForfeitsFailbackClaims) {
   // A fails live -> B promoted (A holds a failback claim). A never comes
   // back, so its rebuild runs to completion and evicts it from the

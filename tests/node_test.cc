@@ -487,6 +487,48 @@ TEST_F(DataNodeTest, GetMissCacheFillAndHitShareTheEngineRecord) {
   EXPECT_EQ(ValueView(hit[0].value), "hello");
 }
 
+// The SET write-through caches the record the write built, not a copy:
+// the node-cache entry is one more holder of the engine's record, a hit
+// serves `&rec->entry.str`, and an overwrite releases the old record
+// from the cache along with its memtable row.
+TEST_F(DataNodeTest, SetWriteThroughSharesTheEngineRecord) {
+  storage::LsmEngine& e = *node_.EngineFor(1, 0);
+  node_.Submit(MakeSet(1, 1, 0, "k", "hello"));
+  ASSERT_EQ(TickAndDrain().size(), 1u);
+  const storage::ReplRecordPtr rec = EngineRecord(e, "k");
+  ASSERT_NE(rec, nullptr);
+  // A direct engine write has every holder but the cache entry.
+  ASSERT_TRUE(e.Put("d", "hello").ok());
+  const storage::ReplRecordPtr direct = EngineRecord(e, "d");
+  ASSERT_NE(direct, nullptr);
+  EXPECT_EQ(rec.use_count(), direct.use_count() + 1);
+
+  node_.Submit(MakeGet(2, 1, 0, "k"));
+  std::vector<NodeResponse> hit = TickAndDrain();
+  ASSERT_EQ(hit.size(), 1u);
+  EXPECT_EQ(hit[0].served_by, ServedBy::kNodeCache);
+  EXPECT_EQ(hit[0].value.get(), &rec->entry.str);
+  EXPECT_EQ(rec.use_count(), direct.use_count() + 2);  // + the response.
+  hit.clear();
+
+  // Overwrite both keys: the node write re-points its cache entry at the
+  // new record, so the old one keeps exactly the direct write's holders.
+  node_.Submit(MakeSet(3, 1, 0, "k", "world"));
+  ASSERT_EQ(TickAndDrain().size(), 1u);
+  ASSERT_TRUE(e.Put("d", "world").ok());
+  EXPECT_EQ(rec.use_count(), direct.use_count());
+  EXPECT_EQ(rec->entry.str, "hello");  // Immutable: the old bytes stay.
+
+  const storage::ReplRecordPtr fresh = EngineRecord(e, "k");
+  ASSERT_NE(fresh, rec);
+  node_.Submit(MakeGet(4, 1, 0, "k"));
+  std::vector<NodeResponse> again = TickAndDrain();
+  ASSERT_EQ(again.size(), 1u);
+  EXPECT_EQ(again[0].served_by, ServedBy::kNodeCache);
+  EXPECT_EQ(again[0].value.get(), &fresh->entry.str);
+  EXPECT_EQ(ValueView(again[0].value), "world");
+}
+
 // Records are immutable, so a cached handle is stale-but-valid: after
 // the engine overwrites the key, flushes, compacts the old version away
 // and truncates its log, the node cache keeps serving the old bytes —

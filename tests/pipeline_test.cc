@@ -263,6 +263,42 @@ TEST(TickPipelineTest, SerialAndParallelExecutorsAreBitIdentical) {
   }
 }
 
+// A tenant's fan-out router RNG is built on its first routed request: a
+// registered tenant that never carries traffic holds no generator state
+// (most of a tenant's resident bytes otherwise), whatever its
+// neighbours do.
+TEST(TickPipelineTest, RouterRngBuiltOnFirstRoutedRequest) {
+  sim::SimOptions opt;
+  opt.seed = 11;
+  sim::ClusterSim sim(opt);
+  PoolId pool = sim.AddPool(3);
+  for (TenantId t = 1; t <= 3; t++) {
+    ASSERT_TRUE(sim.AddTenant(PipelineTenant(t), pool).ok());
+    EXPECT_EQ(sim.Tenant(t)->router_rng, nullptr);
+  }
+  sim::WorkloadProfile busy;
+  busy.base_qps = 200;
+  busy.num_keys = 50;
+  sim.SetWorkload(1, busy);
+  sim::WorkloadProfile idle = busy;
+  idle.base_qps = 0;  // Registered and scheduled, never driven.
+  sim.SetWorkload(2, idle);
+  sim.RunTicks(5);
+  EXPECT_NE(sim.Tenant(1)->router_rng, nullptr);
+  EXPECT_EQ(sim.Tenant(2)->router_rng, nullptr);
+  EXPECT_EQ(sim.Tenant(3)->router_rng, nullptr);
+
+  ClientRequest req;
+  req.req_id = 7;
+  req.tenant = 3;
+  req.op = OpType::kGet;
+  req.key = "t3:k0";
+  sim.InjectRequest(req);
+  sim.RunTicks(1);
+  EXPECT_NE(sim.Tenant(3)->router_rng, nullptr);
+  EXPECT_EQ(sim.Tenant(2)->router_rng, nullptr);
+}
+
 /// A 64-client closed-loop async session at pipeline depth 16: every
 /// client keeps 16 commands in flight, refilled as futures resolve.
 /// Returns a fingerprint of every reply (client, sequence, status, value

@@ -522,6 +522,21 @@ TEST_F(LsmEngineTest, BloomAvoidsBlockReadsForMisses) {
   EXPECT_LT(blocks, 20u);
 }
 
+// An engine that never flushed holds no level vectors (most registered
+// tenants' engines never do); the first run sizes all `max_levels`, so
+// the compaction bottom test sees the configured depth from then on.
+TEST_F(LsmEngineTest, LevelsSizedOnFirstFlush) {
+  EXPECT_TRUE(engine_->LevelRunCounts().empty());
+  engine_->Flush();  // Empty memtable: no run, nothing sized.
+  EXPECT_TRUE(engine_->LevelRunCounts().empty());
+  ASSERT_TRUE(engine_->Put("k", "v").ok());
+  EXPECT_EQ(engine_->Get("k").value(), "v");
+  EXPECT_TRUE(engine_->LevelRunCounts().empty());
+  engine_->Flush();
+  EXPECT_EQ(engine_->LevelRunCounts(), (std::vector<size_t>{1, 0, 0}));
+  EXPECT_EQ(engine_->Get("k").value(), "v");
+}
+
 TEST_F(LsmEngineTest, TombstonesDroppedAtBottomCompaction) {
   for (int i = 0; i < 50; i++) {
     ASSERT_TRUE(engine_->Put("k" + std::to_string(i), std::string(64, 'v'))
