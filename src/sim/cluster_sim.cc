@@ -233,7 +233,7 @@ size_t ClusterSim::ParkedRebuildCount() const {
   return static_cast<size_t>(
       std::count_if(pending_rebuilds_.begin(), pending_rebuilds_.end(),
                     [](const PendingRebuild& rb) {
-                      return rb.parked_on != kInvalidNode;
+                      return rb.ticks_remaining <= 0;
                     }));
 }
 

@@ -502,16 +502,15 @@ class ClusterSim {
   /// partition state the Fault stage actually placed).
   uint64_t ExecutedRebuildCount() const { return executed_rebuilds_; }
 
-  /// Re-replication copies currently counting down in the Fault stage
-  /// (parked copies excluded: they wait on a down node, not on time).
-  size_t PendingRebuildCount() const {
-    return pending_rebuilds_.size() - ParkedRebuildCount();
-  }
+  /// Re-replication copies currently pending in the Fault stage:
+  /// counting down, or parked (ParkedRebuildCount).
+  size_t PendingRebuildCount() const { return pending_rebuilds_.size(); }
 
-  /// Re-replication copies parked because their source node is down —
-  /// every replica of the partition was lost. Each resumes once its
-  /// source serves again (the node recovers, or a promotion moves the
-  /// primary slot to a survivor).
+  /// Pending copies that are due but parked because their source — the
+  /// partition's primary slot — cannot serve: every replica was lost, or
+  /// the interim primary failed too. Each runs once its source serves
+  /// again (the node recovers, or a promotion moves the primary slot to
+  /// a survivor).
   size_t ParkedRebuildCount() const;
 
   /// Current apply lag of (tenant, partition)'s replication stream, in
@@ -1068,12 +1067,9 @@ class ClusterSim {
     PartitionId partition = 0;
     NodeId dead = kInvalidNode;    ///< Node whose slot is being replaced.
     NodeId target = kInvalidNode;  ///< Node receiving the copy.
-    int ticks_remaining = 0;       ///< Grace period + modeled copy time.
-    /// The copy's source — the partition's primary slot — when a due
-    /// copy found that node down: the copy waits, untried, until the
-    /// slot's node serves again or the slot moves. kInvalidNode while
-    /// the copy counts down or can run.
-    NodeId parked_on = kInvalidNode;
+    /// Grace period + modeled copy time; 0 once due (a due copy still
+    /// pending is parked on a source that cannot serve).
+    int ticks_remaining = 0;
   };
   std::vector<PendingRebuild> pending_rebuilds_;
   uint64_t executed_rebuilds_ = 0;

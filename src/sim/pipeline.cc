@@ -135,17 +135,18 @@ void FaultStage::Run(TickContext&) {
       it = sim.pending_rebuilds_.erase(it);
       continue;
     }
-    if (it->parked_on != kInvalidNode) {
-      // Parked on a down source: nothing to try until that node serves
-      // again or the primary slot moves off it.
-      const node::DataNode* source = sim.FindNode(it->parked_on);
-      if (sim.PrimarySlotOf(it->tenant, it->partition) == it->parked_on &&
-          (source == nullptr || !source->CanServe())) {
-        ++it;
-        continue;
-      }
-      it->parked_on = kInvalidNode;
-    } else if (--it->ticks_remaining > 0) {
+    if (it->ticks_remaining > 0 && --it->ticks_remaining > 0) {
+      ++it;
+      continue;
+    }
+    // Due. While the copy's source — the primary slot's node — cannot
+    // serve (its interim primary failed too, or every replica was lost in
+    // one tick), the copy is parked: it stays due and untried
+    // (ParkedRebuildCount), and runs on the first tick that node serves
+    // again or a promotion moves the slot to a survivor.
+    const node::DataNode* source =
+        sim.FindNode(sim.PrimarySlotOf(it->tenant, it->partition));
+    if (source != nullptr && !source->CanServe()) {
       ++it;
       continue;
     }
@@ -158,12 +159,10 @@ void FaultStage::Run(TickContext&) {
         sim.last_failover_report_->replicas_rebuilt_executed++;
       }
     } else if (executed.IsUnavailable()) {
-      // No alive source right now: the interim primary failed too, or
-      // every replica was lost at once. Park the copy on the source —
-      // erasing it would leave the partition under-replicated for good,
-      // and retrying it every tick replans a copy nothing can serve. It
-      // runs on the first tick its source serves again.
-      it->parked_on = sim.PrimarySlotOf(it->tenant, it->partition);
+      // Transient: the source serves but the copy could not run this tick.
+      // Keep it pending and retry next tick — erasing it would leave the
+      // partition under-replicated for good.
+      it->ticks_remaining = 1;
       ++it;
       continue;
     }

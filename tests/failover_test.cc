@@ -586,9 +586,9 @@ SameTickLossRun RunSameTickLoss(bool recover_primary_slot) {
 TEST(FailoverTest, SameTickLossOfEveryReplicaParksItsRebuilds) {
   const SameTickLossRun lost = RunSameTickLoss(/*recover_primary_slot=*/false);
   ASSERT_EQ(lost.before.size(), 3u);
-  // Nothing is left counting down or retrying: both source-less copies
-  // wait, parked, on the dead primary slot.
-  EXPECT_EQ(lost.pending_after_loss, 0u);
+  // Both source-less copies are still pending, and both are parked on
+  // the dead primary slot: neither counts down or retries.
+  EXPECT_EQ(lost.pending_after_loss, 2u);
   EXPECT_EQ(lost.parked_after_loss, 2u);
   EXPECT_EQ(lost.executed_after_loss, 0u);
   EXPECT_EQ(lost.unserved,
@@ -598,6 +598,7 @@ TEST(FailoverTest, SameTickLossOfEveryReplicaParksItsRebuilds) {
 
   const SameTickLossRun back = RunSameTickLoss(/*recover_primary_slot=*/true);
   ASSERT_EQ(back.before, lost.before);
+  EXPECT_EQ(back.pending_after_loss, 2u);
   EXPECT_EQ(back.parked_after_loss, 2u);
   // The primary-slot node recovered: both parked copies ran from it onto
   // two nodes outside the lost placement, and every key reads back.
