@@ -6,9 +6,8 @@
 // slower (degraded disk, noisy neighbor, thermal throttling). This
 // detector watches each node's served latency, folds it into a per-node
 // EWMA, compares against the fleet median, and flags nodes that stay
-// above `slow_factor x median` for `consecutive_ticks` ticks. The Fault
-// stage consumes the transitions: flagged nodes are demoted out of
-// eventual-read routing and (optionally) failed over.
+// above `slow_factor x median` for `consecutive_ticks` ticks. Flagged
+// nodes are demoted out of eventual-read routing; placement never moves.
 //
 // Determinism: observations are integer micro-sums accumulated in
 // node-id order from a serial pipeline section; evaluation walks
@@ -45,10 +44,6 @@ struct GrayDetectorOptions {
   /// without probes a demoted node's EWMA freezes and it can never be
   /// observed recovering. 0 disables probing (full demotion).
   int probe_interval = 16;
-  /// Additionally fail the node's primaries over to healthy replicas
-  /// (MetaServer::PromoteFailover on a still-alive node) and fail back
-  /// on recovery.
-  bool trigger_failover = false;
 };
 
 class GrayFailureDetector {

@@ -24,6 +24,7 @@
 namespace abase {
 namespace sim {
 class ClusterSim;
+class FailureDomain;
 }  // namespace sim
 namespace meta {
 
@@ -297,6 +298,7 @@ class MetaServer {
   // split, which a direct metadata update would skip. ClusterSim, which
   // owns the nodes, is also the only reader of PoolNodes.
   friend class sim::ClusterSim;
+  friend class sim::FailureDomain;  // PlacementOf of a staged split child.
   friend class MetaServerTestPeer;
 
   /// Applies a new tenant quota and pushes the new per-partition quota

@@ -13,13 +13,6 @@ namespace sim {
 
 namespace {
 
-/// Catch-up floor of a recovering node whose RecoverNode call left the
-/// duration to the simulator: ticks spent replaying before it rejoins.
-constexpr int kRecoveryCatchUpTicks = 2;
-/// Modeled catch-up bandwidth of a recovering node replaying the
-/// primaries' log deltas.
-constexpr uint64_t kCatchUpBytesPerTick = 64ull << 20;
-
 std::unique_ptr<Executor> MakeExecutor(int workers) {
   if (workers > 1) return std::make_unique<MorselExecutor>(workers);
   return std::make_unique<SerialExecutor>();
@@ -30,15 +23,19 @@ std::unique_ptr<Executor> MakeExecutor(int workers) {
 ClusterSim::ClusterSim(SimOptions options)
     : options_(options),
       clock_(0),
+      meta_(std::make_unique<meta::MetaServer>(&clock_)),
+      faults_(options_, *meta_, nodes_,
+              FailureDomain::Hooks{
+                  [this](NodeId node) { ResolveStrandedOnNode(node); },
+                  [this](TenantId tenant) { repl_active_.insert(tenant); }}),
       gray_detector_(options.latency.gray) {
-  meta_ = std::make_unique<meta::MetaServer>(&clock_);
   meta_->SetStripedPlacement(options_.striped_placement);
   if (!options_.trace_path.empty()) {
     trace_ = std::make_unique<TraceWriter>(options_.trace_path);
   }
   executor_ = MakeExecutor(options_.data_plane_workers);
   executor_->SetTrace(trace_.get());
-  pipeline_ = std::make_unique<TickPipeline>(this);
+  pipeline_ = std::make_unique<TickPipeline>(this, &faults_);
   pipeline_->SetTrace(trace_.get());
 }
 
@@ -206,37 +203,6 @@ const node::DataNode* ClusterSim::FindNode(NodeId id) const {
 // Fault injection
 // ---------------------------------------------------------------------------
 
-void ClusterSim::FailNode(NodeId node) {
-  pending_faults_.push_back(FaultEvent{/*fail=*/true, node, -1});
-}
-
-void ClusterSim::RecoverNode(NodeId node, int catch_up_ticks) {
-  pending_faults_.push_back(FaultEvent{/*fail=*/false, node, catch_up_ticks});
-}
-
-Result<meta::RecoveryReport> ClusterSim::PromoteFailover(NodeId node) {
-  return meta_->PromoteFailover(
-      node, static_cast<double>(kReReplicationBytesPerTick) *
-                static_cast<double>(kMicrosPerSecond) /
-                static_cast<double>(options_.tick));
-}
-
-NodeId ClusterSim::PrimarySlotOf(TenantId tenant,
-                                 PartitionId partition) const {
-  const meta::TenantMeta* tm = meta_->GetTenant(tenant);
-  const meta::PartitionPlacement* placement =
-      tm != nullptr ? meta_->PlacementOf(*tm, partition) : nullptr;
-  return placement != nullptr ? placement->primary() : kInvalidNode;
-}
-
-size_t ClusterSim::ParkedRebuildCount() const {
-  return static_cast<size_t>(
-      std::count_if(pending_rebuilds_.begin(), pending_rebuilds_.end(),
-                    [](const PendingRebuild& rb) {
-                      return rb.ticks_remaining <= 0;
-                    }));
-}
-
 size_t ClusterSim::DownNodeCount() const {
   size_t down = 0;
   for (const auto& n : nodes_) {
@@ -271,67 +237,6 @@ uint64_t ClusterSim::ReplicationLag(TenantId tenant,
     }
   }
   return lag;
-}
-
-int ClusterSim::ComputeCatchUpTicks(NodeId node) const {
-  const node::DataNode* n = FindNode(node);
-  if (n == nullptr) return kRecoveryCatchUpTicks;
-  uint64_t delta_bytes = 0;
-  for (const node::PartitionReplica* rep : n->Replicas()) {
-    const NodeId primary = meta_->PrimaryFor(rep->tenant, rep->partition);
-    if (primary == node || primary == kInvalidNode) continue;
-    const node::DataNode* pn = FindNode(primary);
-    if (pn == nullptr || !pn->CanServe()) continue;
-    const storage::LsmEngine* src =
-        pn->EngineFor(rep->tenant, rep->partition);
-    if (src == nullptr) continue;
-    const uint64_t own = rep->engine->applied_seq();
-    if (meta_->HasDemotionClaim(node, rep->tenant, rep->partition) ||
-        !src->repl_log().Covers(own) || own > src->applied_seq()) {
-      // Divergent or out-of-log: a full snapshot transfer.
-      delta_bytes += src->ApproximateDataBytes();
-    } else {
-      delta_bytes += src->repl_log().BytesAfter(own);
-    }
-  }
-  const uint64_t bw = kCatchUpBytesPerTick;
-  const int ticks = static_cast<int>((delta_bytes + bw - 1) / bw);
-  return std::max(kRecoveryCatchUpTicks, ticks);
-}
-
-void ClusterSim::ResyncRecoveredNode(NodeId node) {
-  node::DataNode* n = MutableNode(node);
-  if (n == nullptr) return;
-  for (const node::PartitionReplica* rep : n->Replicas()) {
-    // Resyncs mutate replica cursors without necessarily moving the
-    // routing epoch (a pure-replica recovery has no failback): put the
-    // affected tenants back on the Replicate walk's work list.
-    repl_active_.insert(rep->tenant);
-    const NodeId primary = meta_->PrimaryFor(rep->tenant, rep->partition);
-    // Still this node's own partition (no survivor was promoted): its
-    // WAL replay at StartRecovery already restored every acked write.
-    if (primary == node || primary == kInvalidNode) continue;
-    node::DataNode* pn = MutableNode(primary);
-    if (pn == nullptr || !pn->CanServe()) continue;  // Both down: stale.
-    storage::LsmEngine* src = pn->EngineFor(rep->tenant, rep->partition);
-    if (src == nullptr) continue;
-    // A demoted ex-primary may hold an acknowledged-but-unreplicated
-    // suffix that diverged from the promoted replica's history: the
-    // interim primary's history is authoritative, so the suffix is
-    // discarded by a forced snapshot resync (those writes are the
-    // measured lost-write window). A cursor ahead of the primary or
-    // behind its retained log takes a snapshot too, unless it already
-    // sits at the head; a clean retained prefix replays the log delta.
-    const uint64_t cursor = rep->engine->applied_seq();
-    const uint64_t head = src->applied_seq();
-    if (meta_->HasDemotionClaim(node, rep->tenant, rep->partition)) {
-      n->ResyncReplica(rep->tenant, rep->partition, *src);
-    } else if (cursor > head || !src->repl_log().Covers(cursor)) {
-      if (cursor != head) n->ResyncReplica(rep->tenant, rep->partition, *src);
-    } else {
-      n->ApplyLogDelta(rep->tenant, rep->partition, *src, cursor, head);
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -7,9 +7,8 @@
 //   Fault -> Generate -> ProxyAdmit -> Route -> NodeSchedule
 //         -> Replicate -> Settle -> Control
 //
-//   1. Fault: queued FailNode/RecoverNode events land; failover
-//      promotion, recovery catch-up (real log-delta resync), and
-//      executed re-replication copies advance;
+//   1. Fault: the FailureDomain lands queued FailNode/RecoverNode
+//      events and advances failover, catch-up and rebuilds;
 //   2. Generate: every tenant's workload generator emits client requests
 //      (plus externally injected ones);
 //   3. ProxyAdmit: the limited fan-out router picks a proxy; the proxy
@@ -73,6 +72,7 @@
 #include "proxy/proxy.h"
 #include "resched/pool_model.h"
 #include "resched/rescheduler.h"
+#include "sim/failure_domain.h"
 #include "sim/pipeline.h"
 #include "sim/request_context.h"
 #include "sim/workload.h"
@@ -375,6 +375,7 @@ struct TenantRuntime {
 class ClusterSim {
  public:
   explicit ClusterSim(SimOptions options = {});
+  ClusterSim(const ClusterSim&) = delete;  // Stages and hooks hold `this`.
 
   // -- Topology ---------------------------------------------------------------
 
@@ -452,14 +453,16 @@ class ClusterSim {
   /// request resolves Unavailable through the normal outcome path; after
   /// SimOptions::failover_detection_ticks the MetaServer promotes
   /// surviving replicas and bumps the routing epoch.
-  void FailNode(NodeId node);
+  void FailNode(NodeId node) { faults_.FailNode(node); }
 
   /// Starts recovery of a failed node at the next tick boundary: its
   /// engines replay their WALs, then the node spends `catch_up_ticks`
   /// catching up before it rejoins and fails back to primary for the
   /// partitions it led. < 0 sizes the catch-up from the real log deltas
-  /// its replicas must replay (ComputeCatchUpTicks).
-  void RecoverNode(NodeId node, int catch_up_ticks = -1);
+  /// its replicas must replay.
+  void RecoverNode(NodeId node, int catch_up_ticks = -1) {
+    faults_.RecoverNode(node, catch_up_ticks);
+  }
 
   /// Nodes currently not serving (failed or recovering).
   size_t DownNodeCount() const;
@@ -495,23 +498,25 @@ class ClusterSim {
   /// `replicas_rebuilt_executed` is updated in place as the Fault stage
   /// completes the planned copies.
   const std::optional<meta::RecoveryReport>& LastFailoverReport() const {
-    return last_failover_report_;
+    return faults_.last_failover_report();
   }
 
   /// Re-replication copies executed so far (planned targets whose
   /// partition state the Fault stage actually placed).
-  uint64_t ExecutedRebuildCount() const { return executed_rebuilds_; }
+  uint64_t ExecutedRebuildCount() const {
+    return faults_.executed_rebuilds();
+  }
 
   /// Re-replication copies currently pending in the Fault stage:
   /// counting down, or parked (ParkedRebuildCount).
-  size_t PendingRebuildCount() const { return pending_rebuilds_.size(); }
+  size_t PendingRebuildCount() const { return faults_.pending_rebuilds(); }
 
   /// Pending copies that are due but parked because their source — the
   /// partition's primary slot — cannot serve: every replica was lost, or
   /// the interim primary failed too. Each runs once its source serves
   /// again (the node recovers, or a promotion moves the primary slot to
   /// a survivor).
-  size_t ParkedRebuildCount() const;
+  size_t ParkedRebuildCount() const { return faults_.parked_rebuilds(); }
 
   /// Current apply lag of (tenant, partition)'s replication stream, in
   /// records: primary applied sequence minus the slowest alive replica's
@@ -658,7 +663,6 @@ class ClusterSim {
 
  private:
   friend class ClusterSimTestPeer;
-  friend class FaultStage;
   friend class GenerateStage;
   friend class ProxyAdmitStage;
   friend class RouteStage;
@@ -729,26 +733,6 @@ class ClusterSim {
   /// advances the per-tenant hedge thresholds. Serial barrier section.
   /// Defined in sim/latency_settle.cc.
   void SettleWithTiming(TickContext& ctx);
-
-  /// Applies the gray detector's pending transitions (runs in the Fault
-  /// stage): routing demotion and, when configured, failover promotion /
-  /// failback through the MetaServer. Defined in sim/latency_settle.cc.
-  void ApplyGrayTransitions();
-
-  /// Primary slot of a committed partition or a staged split child
-  /// (MetaServer::PrimaryFor sees committed partitions only);
-  /// kInvalidNode when neither exists.
-  NodeId PrimarySlotOf(TenantId tenant, PartitionId partition) const;
-
-  /// Modeled copy bandwidth of an executed re-replication: bytes of
-  /// partition state per tick (sets a rebuild's duration, at least one
-  /// tick).
-  static constexpr uint64_t kReReplicationBytesPerTick = 64ull << 20;
-
-  /// Promotes the survivors of `node` (MetaServer::PromoteFailover),
-  /// reporting recovery times at the rate the Fault stage copies:
-  /// kReReplicationBytesPerTick per tick.
-  Result<meta::RecoveryReport> PromoteFailover(NodeId node);
 
   /// Alternate replica for a hedged read: the first alive, non-gray
   /// replica of the partition other than `primary_leg`. Does not advance
@@ -843,21 +827,9 @@ class ClusterSim {
     return (static_cast<uint64_t>(tenant) << 32) | partition;
   }
 
-  /// Catch-up duration for a node about to start recovery, from the real
-  /// deltas its replicas must replay: max(kRecoveryCatchUpTicks,
-  /// ceil(delta_bytes / kCatchUpBytesPerTick)).
-  int ComputeCatchUpTicks(NodeId node) const;
-
-  /// Brings every replica hosted by a recovered node up to date from the
-  /// current primaries before it rejoins: a clean prefix replays the
-  /// primary's log delta; a demoted ex-primary (divergent unreplicated
-  /// suffix) or a cursor behind a truncated log takes a full snapshot
-  /// resync. Serial sections only (the Fault stage).
-  void ResyncRecoveredNode(NodeId node);
-
   /// Resolves every in-flight request stranded on `node` as Unavailable
   /// — proxy quota refund, tenant error metrics, PublishOutcome — in
-  /// req-id order. Serial sections only (the Fault stage).
+  /// req-id order. The failure domain's node_failed hook.
   void ResolveStrandedOnNode(NodeId node);
 
   /// Sim-wide id space for proxy cache-refresh fetches (above all client
@@ -1024,23 +996,7 @@ class ClusterSim {
   std::unordered_map<uint64_t, TrackedOutcome> outcomes_;
   /// One-shot completion callbacks by request id (SubscribeOutcome).
   std::unordered_map<uint64_t, OutcomeCallback> subscriptions_;
-  /// A queued fault-injection event, applied by the Fault stage at the
-  /// next tick boundary.
-  struct FaultEvent {
-    bool fail = true;  ///< false = recover.
-    NodeId node = kInvalidNode;
-    int catch_up_ticks = -1;  ///< Recover only; < 0 = options default.
-  };
-  std::vector<FaultEvent> pending_faults_;
-  /// Failed nodes awaiting failover promotion (failure detection), and
-  /// recovering nodes replaying their WALs; values are ticks remaining.
-  std::map<NodeId, int> failover_countdown_;
-  std::map<NodeId, int> recovery_countdown_;
-  std::optional<meta::RecoveryReport> last_failover_report_;
-  /// Node whose failover produced last_failover_report_: executed-copy
-  /// completions are credited only to the report that planned them
-  /// (overlapping failovers must not inflate a newer node's report).
-  NodeId last_failover_node_ = kInvalidNode;
+  FailureDomain faults_;  ///< Refers to options_, meta_, nodes_ (above).
   /// Per-partition replication shipping state, keyed by PartitionKey.
   struct ReplState {
     /// Primary applied seq at the end of each of the last lag+1
@@ -1061,18 +1017,6 @@ class ClusterSim {
     uint64_t prev_primary_applied = 0;
   };
   std::map<uint64_t, ReplState> repl_state_;
-  /// An executed re-replication counting down in the Fault stage.
-  struct PendingRebuild {
-    TenantId tenant = 0;
-    PartitionId partition = 0;
-    NodeId dead = kInvalidNode;    ///< Node whose slot is being replaced.
-    NodeId target = kInvalidNode;  ///< Node receiving the copy.
-    /// Grace period + modeled copy time; 0 once due (a due copy still
-    /// pending is parked on a source that cannot serve).
-    int ticks_remaining = 0;
-  };
-  std::vector<PendingRebuild> pending_rebuilds_;
-  uint64_t executed_rebuilds_ = 0;
   /// Per-parent progress of an active online split; parents[p] is
   /// partition p.
   struct SplitParent {
@@ -1140,9 +1084,6 @@ class ClusterSim {
   /// index; integer micros so accumulation order cannot matter).
   std::vector<uint64_t> gray_latency_sum_;
   std::vector<uint64_t> gray_latency_count_;
-  /// Gray transitions observed by the detector, pending application in
-  /// the next Fault stage.
-  std::vector<latency::GrayFailureDetector::Transition> pending_gray_;
   /// Non-null when SimOptions::trace_path is set; shared by the
   /// executor (morsel slices) and the pipeline (stage slices).
   std::unique_ptr<TraceWriter> trace_;

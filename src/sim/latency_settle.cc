@@ -145,18 +145,16 @@ void ClusterSim::SettleWithTiming(TickContext& ctx) {
     DeliverResponse(ctx.responses[tr.node_index][tr.resp_index], &tr.timing);
   }
 
-  // Tick boundary: feed the gray detector (transitions apply in the next
-  // Fault stage) and refreeze each tenant's hedge threshold.
+  // Tick boundary: feed the gray detector (replica selection reads its
+  // gray set from the next tick on) and refreeze each tenant's hedge
+  // threshold.
   if (lopt.gray.enabled) {
     for (size_t i = 0; i < nodes_.size(); i++) {
       gray_detector_.ObserveTick(static_cast<NodeId>(i),
                                  gray_latency_sum_[i],
                                  gray_latency_count_[i]);
     }
-    std::vector<latency::GrayFailureDetector::Transition> transitions =
-        gray_detector_.Evaluate();
-    pending_gray_.insert(pending_gray_.end(), transitions.begin(),
-                         transitions.end());
+    gray_detector_.Evaluate();
   }
   // Hedge-threshold refreeze. A hedger that never observed a sample has
   // an all-zero histogram (Decay is a fixpoint) and a threshold pinned
@@ -167,24 +165,6 @@ void ClusterSim::SettleWithTiming(TickContext& ctx) {
       (*slot)->hedger.EndTick();
     }
   }
-}
-
-void ClusterSim::ApplyGrayTransitions() {
-  if (pending_gray_.empty()) return;
-  for (const latency::GrayFailureDetector::Transition& t : pending_gray_) {
-    // Routing demotion needs no action here: PickReplicaForRead and
-    // PickHedgeReplica consult the detector's gray set directly. The
-    // optional escalation moves the node's primaries to healthy replicas
-    // — the node is alive with intact data, so no re-replication copies
-    // are scheduled and failback is a pure role flip.
-    if (!options_.latency.gray.trigger_failover) continue;
-    if (t.now_gray) {
-      (void)PromoteFailover(t.node);
-    } else {
-      (void)meta_->RestorePrimary(t.node);
-    }
-  }
-  pending_gray_.clear();
 }
 
 void ClusterSim::DegradeNode(NodeId node, double factor) {

@@ -15,160 +15,7 @@ namespace sim {
 // Fault
 // ---------------------------------------------------------------------------
 
-void FaultStage::Run(TickContext&) {
-  ClusterSim& sim = *sim_;
-
-  // 0. Gray-failure transitions observed by last tick's Settle land
-  //    first: a node flagged slow is demoted (and, when configured,
-  //    failed over) before this tick routes any traffic. Empty unless
-  //    the latency subsystem's gray detector is on.
-  sim.ApplyGrayTransitions();
-
-  // 1. Queued fault events land, in injection order.
-  for (const ClusterSim::FaultEvent& ev : sim.pending_faults_) {
-    node::DataNode* n = sim.MutableNode(ev.node);
-    if (n == nullptr) continue;
-    if (ev.fail) {
-      if (n->state() == node::NodeState::kFailed) continue;
-      sim.recovery_countdown_.erase(ev.node);  // A crash aborts catch-up.
-      n->Fail();
-      sim.ResolveStrandedOnNode(ev.node);
-      sim.failover_countdown_[ev.node] =
-          sim.options_.failover_detection_ticks;
-    } else {
-      if (n->state() != node::NodeState::kFailed) continue;
-      // Recovery cancels a not-yet-run promotion (the node beat the
-      // failure detector); an already-promoted node fails back below.
-      sim.failover_countdown_.erase(ev.node);
-      n->StartRecovery();
-      // Catch-up duration: an explicit request wins; otherwise it is
-      // sized from the real log deltas the node's replicas must replay.
-      sim.recovery_countdown_[ev.node] =
-          ev.catch_up_ticks >= 0 ? ev.catch_up_ticks
-                                 : sim.ComputeCatchUpTicks(ev.node);
-      // A node that starts recovering cancels its pending re-replication
-      // copies: catching its own replicas up is cheaper than full
-      // rebuilds on third nodes.
-      sim.pending_rebuilds_.erase(
-          std::remove_if(sim.pending_rebuilds_.begin(),
-                         sim.pending_rebuilds_.end(),
-                         [&](const ClusterSim::PendingRebuild& rb) {
-                           return rb.dead == ev.node;
-                         }),
-          sim.pending_rebuilds_.end());
-    }
-  }
-  sim.pending_faults_.clear();
-
-  // 2. Failure detection: promote surviving replicas when the countdown
-  //    expires (node-id order — std::map), and schedule the planned
-  //    re-replication copies behind their grace period.
-  for (auto it = sim.failover_countdown_.begin();
-       it != sim.failover_countdown_.end();) {
-    if (it->second <= 0) {
-      auto report = sim.PromoteFailover(it->first);
-      if (report.ok()) {
-        const uint64_t bw = ClusterSim::kReReplicationBytesPerTick;
-        for (const meta::ReReplicationTarget& t :
-             report.value().re_replication_targets) {
-          // A partition or staged split child whose dead node still
-          // holds the primary slot had no promotable survivor: the copy
-          // has no source and only the node's own recovery (which
-          // cancels rebuilds) can change that, so scheduling it would
-          // retry a doomed plan forever.
-          if (sim.PrimarySlotOf(t.tenant, t.partition) == it->first) {
-            continue;
-          }
-          ClusterSim::PendingRebuild rb;
-          rb.tenant = t.tenant;
-          rb.partition = t.partition;
-          rb.dead = it->first;
-          rb.target = t.target;
-          rb.ticks_remaining =
-              sim.options_.re_replication_delay_ticks +
-              std::max<int>(1, static_cast<int>((t.bytes + bw - 1) / bw));
-          sim.pending_rebuilds_.push_back(rb);
-        }
-        sim.last_failover_report_ = std::move(report).value();
-        sim.last_failover_node_ = it->first;
-      }
-      it = sim.failover_countdown_.erase(it);
-    } else {
-      it->second--;
-      ++it;
-    }
-  }
-
-  // 3. Catch-up: a recovering node resyncs every hosted replica from the
-  //    current primaries — log-delta replay for clean prefixes, snapshot
-  //    resync for a demoted ex-primary's divergent suffix — then rejoins
-  //    and takes its primaries back.
-  for (auto it = sim.recovery_countdown_.begin();
-       it != sim.recovery_countdown_.end();) {
-    if (it->second <= 0) {
-      if (node::DataNode* n = sim.MutableNode(it->first)) {
-        sim.ResyncRecoveredNode(it->first);
-        n->CompleteRecovery();
-      }
-      sim.meta_->RestorePrimary(it->first);
-      it = sim.recovery_countdown_.erase(it);
-    } else {
-      it->second--;
-      ++it;
-    }
-  }
-
-  // 4. Executed re-replication: planned copies whose grace period and
-  //    modeled transfer time elapsed place real partition state on their
-  //    targets (the dead node's slot moves over). A copy is cancelled if
-  //    the dead node came back, or its target died or picked the
-  //    partition up some other way (migration, split).
-  for (auto it = sim.pending_rebuilds_.begin();
-       it != sim.pending_rebuilds_.end();) {
-    const node::DataNode* dead = sim.FindNode(it->dead);
-    const node::DataNode* target = sim.FindNode(it->target);
-    const bool cancel =
-        dead == nullptr || dead->state() != node::NodeState::kFailed ||
-        target == nullptr || !target->CanServe() ||
-        target->HasReplica(it->tenant, it->partition);
-    if (cancel) {
-      it = sim.pending_rebuilds_.erase(it);
-      continue;
-    }
-    if (it->ticks_remaining > 0 && --it->ticks_remaining > 0) {
-      ++it;
-      continue;
-    }
-    // Due. While the copy's source — the primary slot's node — cannot
-    // serve (its interim primary failed too, or every replica was lost in
-    // one tick), the copy is parked: it stays due and untried
-    // (ParkedRebuildCount), and runs on the first tick that node serves
-    // again or a promotion moves the slot to a survivor.
-    const node::DataNode* source =
-        sim.FindNode(sim.PrimarySlotOf(it->tenant, it->partition));
-    if (source != nullptr && !source->CanServe()) {
-      ++it;
-      continue;
-    }
-    Status executed = sim.meta_->ExecuteReReplication(
-        it->tenant, it->partition, it->dead, it->target);
-    if (executed.ok()) {
-      sim.executed_rebuilds_++;
-      if (sim.last_failover_report_.has_value() &&
-          sim.last_failover_node_ == it->dead) {
-        sim.last_failover_report_->replicas_rebuilt_executed++;
-      }
-    } else if (executed.IsUnavailable()) {
-      // Transient: the source serves but the copy could not run this tick.
-      // Keep it pending and retry next tick — erasing it would leave the
-      // partition under-replicated for good.
-      it->ticks_remaining = 1;
-      ++it;
-      continue;
-    }
-    it = sim.pending_rebuilds_.erase(it);
-  }
-}
+void FaultStage::Run(TickContext&) { faults_->Run(); }
 
 // ---------------------------------------------------------------------------
 // Generate
@@ -905,8 +752,8 @@ void ControlStage::Run(TickContext&) {
 // TickPipeline
 // ---------------------------------------------------------------------------
 
-TickPipeline::TickPipeline(ClusterSim* sim) {
-  stages_.push_back(std::make_unique<FaultStage>(sim));
+TickPipeline::TickPipeline(ClusterSim* sim, FailureDomain* faults) {
+  stages_.push_back(std::make_unique<FaultStage>(faults));
   stages_.push_back(std::make_unique<GenerateStage>(sim));
   stages_.push_back(std::make_unique<ProxyAdmitStage>(sim));
   stages_.push_back(std::make_unique<RouteStage>(sim));

@@ -4,12 +4,8 @@
 // workload generation, proxy admission, routing, node scheduling, and
 // response settlement inline. It is now an explicit eight-stage pipeline:
 //
-//   Fault        queued FailNode/RecoverNode events land (serial): dead
-//       |        nodes drop their work and stranded in-flight requests
-//       |        resolve Unavailable; failure-detection and catch-up
-//       |        countdowns advance (failover promotion / real log-delta
-//       |        resync + failback); planned re-replication copies
-//       |        execute after their grace period
+//   Fault        FailureDomain::Run (serial): node faults land;
+//       |        failover, catch-up + failback, and rebuilds advance
 //   Generate     tenant workload generators (parallel per tenant) +
 //       |        injected client requests
 //       |        -> TickContext::traffic / injected
@@ -73,6 +69,7 @@ class LsmEngine;
 namespace sim {
 
 class ClusterSim;
+class FailureDomain;
 struct TenantRuntime;
 struct TenantTickMetrics;
 
@@ -138,21 +135,16 @@ class Stage {
   virtual void Run(TickContext& ctx) = 0;
 };
 
-/// Applies the fault events queued since the last tick (ClusterSim::
-/// FailNode / RecoverNode) and advances the failure-detection and
-/// recovery catch-up countdowns: promotion of surviving replicas after
-/// the detection delay, failback once a recovered node finishes its WAL
-/// catch-up. Entirely serial — node lifecycle and placement are sim-wide
-/// state — and first in the tick, so a fault is effective at a tick
-/// boundary no matter when it was injected.
+/// Runs the FailureDomain: serial, and first in the tick, so a fault is
+/// effective at a tick boundary no matter when it was injected.
 class FaultStage final : public Stage {
  public:
-  explicit FaultStage(ClusterSim* sim) : sim_(sim) {}
+  explicit FaultStage(FailureDomain* faults) : faults_(faults) {}
   const char* name() const override { return "Fault"; }
   void Run(TickContext& ctx) override;
 
  private:
-  ClusterSim* sim_;
+  FailureDomain* faults_;
 };
 
 /// Emits this tick's client traffic: every tenant's workload generator
@@ -360,7 +352,7 @@ class ControlStage final : public Stage {
 /// stages one at a time against their own TickContext.
 class TickPipeline {
  public:
-  explicit TickPipeline(ClusterSim* sim);
+  TickPipeline(ClusterSim* sim, FailureDomain* faults);
 
   /// Runs the pipeline's persistent TickContext through all stages (one
   /// full tick). The context is Reset() — cleared, capacity kept — not

@@ -12,7 +12,7 @@ namespace sim {
 
 WorkloadGenerator::WorkloadGenerator(TenantId tenant, WorkloadProfile profile,
                                      uint64_t seed)
-    : tenant_(tenant), profile_(profile), rng_(seed) {
+    : tenant_(tenant), profile_(profile), seed_(seed) {
   if (profile_.key_dist == KeyDist::kZipfian && profile_.num_keys > 1) {
     zipf_ = std::make_unique<ZipfianGenerator>(profile_.num_keys,
                                                profile_.zipf_theta);
@@ -85,7 +85,7 @@ void WorkloadGenerator::ScanPrefixInto(uint64_t index, std::string& out) const {
 uint64_t WorkloadGenerator::SampleKeyIndex() {
   switch (profile_.key_dist) {
     case KeyDist::kUniform:
-      return rng_.NextUint64(std::max<uint64_t>(1, profile_.num_keys));
+      return rng_->NextUint64(std::max<uint64_t>(1, profile_.num_keys));
     case KeyDist::kZipfian:
       // Scenario scripts mutate the profile mid-run (Figure 5): rebuild
       // the sampler lazily whenever its parameters drift.
@@ -95,18 +95,18 @@ uint64_t WorkloadGenerator::SampleKeyIndex() {
         zipf_ = std::make_unique<ZipfianGenerator>(profile_.num_keys,
                                                    profile_.zipf_theta);
       }
-      return zipf_ != nullptr ? zipf_->Next(rng_) : 0;
+      return zipf_ != nullptr ? zipf_->Next(*rng_) : 0;
     case KeyDist::kHotSpot: {
       uint64_t hot_keys = std::max<uint64_t>(
           1, static_cast<uint64_t>(static_cast<double>(profile_.num_keys) *
                                    profile_.hot_fraction));
-      if (rng_.NextBool(profile_.hot_share)) {
-        return rng_.NextUint64(hot_keys);
+      if (rng_->NextBool(profile_.hot_share)) {
+        return rng_->NextUint64(hot_keys);
       }
       uint64_t cold = profile_.num_keys > hot_keys
                           ? profile_.num_keys - hot_keys
                           : 1;
-      return hot_keys + rng_.NextUint64(cold);
+      return hot_keys + rng_->NextUint64(cold);
     }
   }
   return 0;
@@ -114,7 +114,7 @@ uint64_t WorkloadGenerator::SampleKeyIndex() {
 
 void WorkloadGenerator::MakeValueInto(std::string& out) {
   double bytes = profile_.value_bytes > 0
-                     ? rng_.NextLogNormal(
+                     ? rng_->NextLogNormal(
                            std::log(static_cast<double>(profile_.value_bytes)),
                            profile_.value_sigma)
                      : 0;
@@ -133,7 +133,8 @@ void WorkloadGenerator::Tick(Micros now, Micros tick_len,
                              std::vector<ClientRequest>& out) {
   double expected = ExpectedQps(now) * static_cast<double>(tick_len) /
                     static_cast<double>(kMicrosPerSecond);
-  int64_t count = rng_.NextPoisson(expected);
+  if (rng_ == nullptr) rng_ = std::make_unique<Rng>(seed_);
+  int64_t count = rng_->NextPoisson(expected);
 
   // Recycle the caller's slots: surviving entries keep their key/value
   // string capacity, so every field below must be written (or reset)
@@ -154,14 +155,14 @@ void WorkloadGenerator::Tick(Micros now, Micros tick_len,
     KeyInto(key_index, req.key);
     req.key_hash = Fnv1a64(req.key);
 
-    bool is_hash = rng_.NextBool(profile_.hash_op_fraction);
-    bool is_read = rng_.NextBool(profile_.read_ratio);
+    bool is_hash = rng_->NextBool(profile_.hash_op_fraction);
+    bool is_read = rng_->NextBool(profile_.read_ratio);
     if (is_read && profile_.eventual_read_fraction > 0 &&
-        rng_.NextBool(profile_.eventual_read_fraction)) {
+        rng_->NextBool(profile_.eventual_read_fraction)) {
       req.consistency = Consistency::kEventual;
     }
     if (is_read && !is_hash && profile_.scan_fraction > 0 &&
-        rng_.NextBool(profile_.scan_fraction)) {
+        rng_->NextBool(profile_.scan_fraction)) {
       // Prefix scan over the sampled key's locality group. Cross-
       // partition merges of mixed-staleness replicas are not a
       // consistent range view, so scans always pin to the primaries.
@@ -177,12 +178,12 @@ void WorkloadGenerator::Tick(Micros now, Micros tick_len,
       char fbuf[24];
       fbuf[0] = 'f';
       char* fp = std::to_chars(fbuf + 1, fbuf + sizeof(fbuf),
-                               rng_.NextUint64(profile_.hash_fields))
+                               rng_->NextUint64(profile_.hash_fields))
                      .ptr;
       req.field.assign(fbuf, static_cast<size_t>(fp - fbuf));
       if (is_read) {
         // Mix of field reads and whole-hash scans / length queries.
-        double pick = rng_.NextDouble();
+        double pick = rng_->NextDouble();
         req.op = pick < 0.6 ? OpType::kHGet
                             : (pick < 0.85 ? OpType::kHGetAll : OpType::kHLen);
       } else {

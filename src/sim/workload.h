@@ -127,7 +127,11 @@ class WorkloadGenerator {
 
   TenantId tenant_;
   WorkloadProfile profile_;
-  Rng rng_;
+  /// Built from seed_ on the first Tick: nothing draws before it, so the
+  /// stream is unchanged, and a generator that is never ticked (a
+  /// flat-zero profile parks first) keeps no 2.5 KB engine resident.
+  uint64_t seed_;
+  std::unique_ptr<Rng> rng_;
   std::unique_ptr<ZipfianGenerator> zipf_;
   uint64_t next_req_id_ = 1;
 };

@@ -18,6 +18,10 @@ class ClusterSimTestPeer {
   static node::DataNode* Node(ClusterSim& sim, NodeId id) {
     return sim.MutableNode(id);
   }
+  /// Bytes node `id` would transfer to catch up if it recovered now.
+  static uint64_t CatchUpBytes(ClusterSim& sim, NodeId id) {
+    return sim.faults_.CatchUp(id, /*resync=*/false);
+  }
 };
 
 }  // namespace sim

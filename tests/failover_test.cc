@@ -616,6 +616,74 @@ TEST(FailoverTest, SameTickLossOfEveryReplicaParksItsRebuilds) {
   EXPECT_EQ(back.keys_matching, 200u);
 }
 
+/// RecoverNode(node) without a duration sizes the catch-up from the
+/// bytes each hosted replica must transfer, by class: a clean cursor
+/// replays the primary's retained log delta; a demoted ex-primary and a
+/// cursor behind the truncated log both take the primary's whole data.
+TEST(FailoverTest, CatchUpBytesFollowEachReplicaClass) {
+  ClusterOptions copts;
+  copts.sim.seed = 71;
+  copts.sim.failover_detection_ticks = 1;
+  copts.sim.replication_lag_ticks = 2;
+  copts.sim.re_replication_delay_ticks = 64;  // No rebuild moves a slot.
+  Cluster cluster(copts);
+  PoolId pool = cluster.CreatePool(4);
+  ASSERT_TRUE(cluster.CreateTenant(FailoverTenant(1), pool).ok());
+  Client client = cluster.OpenClient(1);
+  sim::ClusterSim& sim = cluster.sim();
+  auto write = [&client](const std::string& prefix, int n) {
+    for (int i = 0; i < n; i++) {
+      ASSERT_TRUE(client.Set(prefix + std::to_string(i),
+                             std::string(100, 'v')).ok());
+    }
+  };
+  auto engine = [&sim](NodeId n) { return sim.FindNode(n)->EngineFor(1, 0); };
+  write("a", 10);
+  cluster.RunTicks(3);  // The lag window drains: every cursor at the head.
+
+  // Clean log delta: a replica down while the primary acknowledges ten
+  // 2-byte keys with 100-byte values owes exactly their log records.
+  const NodeId primary = cluster.meta().PrimaryFor(1, 0);
+  const NodeId replica = cluster.meta().GetTenant(1)->partitions[0].replicas[1];
+  cluster.FailNode(replica);
+  cluster.Step();
+  EXPECT_EQ(sim::ClusterSimTestPeer::CatchUpBytes(sim, replica), 0u);
+  write("b", 10);
+  EXPECT_EQ(sim::ClusterSimTestPeer::CatchUpBytes(sim, replica),
+            10u * (2 + 100));
+
+  // Behind the truncated log: once the primary drops the records the
+  // replica still needs, only a snapshot of the primary's data will do.
+  node::DataNode* pn = sim::ClusterSimTestPeer::Node(sim, primary);
+  pn->EngineFor(1, 0)->TruncateReplLogThrough(engine(primary)->applied_seq());
+  ASSERT_FALSE(engine(primary)->repl_log().Covers(
+      engine(replica)->applied_seq()));
+  EXPECT_EQ(sim::ClusterSimTestPeer::CatchUpBytes(sim, replica),
+            engine(primary)->ApproximateDataBytes());
+  cluster.RecoverNode(replica);
+  cluster.RunTicks(4);
+  ASSERT_TRUE(sim.FindNode(replica)->CanServe());
+
+  // Demoted ex-primary: it dies holding writes the lag kept from the
+  // replicas, and the promoted replica's history then runs past its
+  // cursor. The overlap is divergent, so a delta would be wrong.
+  write("c", 4);
+  cluster.FailNode(primary);
+  cluster.RunTicks(2);
+  const NodeId promoted = cluster.meta().PrimaryFor(1, 0);
+  ASSERT_NE(promoted, primary);
+  ASSERT_TRUE(cluster.meta().HasDemotionClaim(primary, 1, 0));
+  ASSERT_GT(sim.LastFailoverReport()->lost_acked_writes, 0u);
+  write("d", 10);
+  const uint64_t cursor = engine(primary)->applied_seq();
+  ASSERT_LT(cursor, engine(promoted)->applied_seq());
+  ASSERT_TRUE(engine(promoted)->repl_log().Covers(cursor));
+  EXPECT_EQ(sim::ClusterSimTestPeer::CatchUpBytes(sim, primary),
+            engine(promoted)->ApproximateDataBytes());
+  EXPECT_NE(engine(promoted)->ApproximateDataBytes(),
+            engine(promoted)->repl_log().BytesAfter(cursor));
+}
+
 TEST(FailoverTest, PermanentLossForfeitsFailbackClaims) {
   // A fails live -> B promoted (A holds a failback claim). A never comes
   // back, so its rebuild runs to completion and evicts it from the

@@ -434,6 +434,15 @@ TEST(TimedSettleTest, GrayNodeIsFlaggedAndDemotedFromReads) {
   sim.SetWorkload(1, EventualReads(300));
   sim.RunTicks(8);  // Healthy warm-up.
   ASSERT_EQ(sim.GrayNodeCount(), 0u);
+  auto primaries = [&sim]() {
+    std::vector<NodeId> out;
+    for (const auto& placement : sim.meta().GetTenant(1)->partitions) {
+      out.push_back(placement.primary());
+    }
+    return out;
+  };
+  const uint64_t epoch_before = sim.meta().routing_epoch();
+  const std::vector<NodeId> primaries_before = primaries();
 
   const NodeId slow = 2;
   sim.DegradeNode(slow, 10.0);
@@ -443,6 +452,9 @@ TEST(TimedSettleTest, GrayNodeIsFlaggedAndDemotedFromReads) {
   // The node is alive the whole time — this is the failure mode the
   // crash detector cannot see.
   EXPECT_EQ(sim.DownNodeCount(), 0u);
+  // Gray detection only steers reads: placement never moves.
+  EXPECT_EQ(sim.meta().routing_epoch(), epoch_before);
+  EXPECT_EQ(primaries(), primaries_before);
 
   // Demotion: with the flag up, only the canary probes (every 16th
   // eventual read) still land on the slow node — its served share
