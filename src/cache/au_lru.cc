@@ -46,7 +46,7 @@ AuLookup AuLruCache::Get(const std::string& key) {
     return out;
   }
   out.hit = true;
-  out.value = &e.value;
+  out.value = e.value;
   stats_.hits++;
   e.hits_this_period++;
   if (!e.refresh_flagged && e.hits_this_period >= options_.refresh_min_hits &&

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cache/cache_stats.h"
@@ -40,7 +41,9 @@ struct AuLruOptions {
 struct AuLookup {
   bool hit = false;
   bool needs_refresh = false;      ///< Caller should re-fetch + Put soon.
-  const std::string* value = nullptr;  ///< Non-null only when hit.
+  /// The hit's bytes (empty on a miss); valid until the next call
+  /// that mutates the cache.
+  std::string_view value;
 };
 
 /// Active-update LRU cache with per-entry TTL. Single-threaded.

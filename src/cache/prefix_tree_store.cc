@@ -248,8 +248,7 @@ bool PrefixTreeStore::Put(const std::string& key, std::string_view value,
 bool PrefixTreeStore::PutHashed(uint64_t hash, const std::string& key,
                                 std::string_view value, uint64_t charge,
                                 Micros ttl) {
-  return PutHashed(hash, key, MakeSharedValue(std::string(value)), charge,
-                   ttl);
+  return PutHashed(hash, key, MakeSharedValue(value), charge, ttl);
 }
 
 bool PrefixTreeStore::PutHashed(uint64_t hash, const std::string& key,
@@ -311,7 +310,7 @@ AuLookup PrefixTreeStore::GetHashed(uint64_t hash, const std::string& key) {
     return out;
   }
   out.hit = true;
-  out.value = e.value.get();
+  out.value = e.value.view();
   stats_.hits++;
   classes_[e.size_class].recent_hits += 1.0;
   e.hits_this_period++;
@@ -375,8 +374,7 @@ std::vector<std::string> PrefixTreeStore::TakeRefreshQueue() {
 bool PrefixTreeStore::PutScan(const std::string& prefix, uint32_t limit,
                               std::string_view payload, uint64_t charge,
                               Micros ttl) {
-  return PutScan(prefix, limit, MakeSharedValue(std::string(payload)),
-                 charge, ttl);
+  return PutScan(prefix, limit, MakeSharedValue(payload), charge, ttl);
 }
 
 bool PrefixTreeStore::PutScan(const std::string& prefix, uint32_t limit,
@@ -441,7 +439,7 @@ AuLookup PrefixTreeStore::GetScan(const std::string& prefix, uint32_t limit) {
     return out;
   }
   out.hit = true;
-  out.value = e->value.get();
+  out.value = e->value.view();
   stats_.hits++;
   tree_stats_.scan_hits++;
   classes_[e->size_class].recent_hits += 1.0;

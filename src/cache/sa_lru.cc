@@ -30,8 +30,7 @@ bool SaLruCache::Put(const std::string& key, std::string_view value,
 bool SaLruCache::PutHashed(uint64_t h, const std::string& key,
                            std::string_view value, uint64_t charge,
                            Micros expire_at) {
-  return PutHashed(h, key, MakeSharedValue(std::string(value)), charge,
-                   expire_at);
+  return PutHashed(h, key, MakeSharedValue(value), charge, expire_at);
 }
 
 bool SaLruCache::PutHashed(uint64_t h, const std::string& key,
@@ -82,7 +81,7 @@ std::optional<std::string> SaLruCache::GetWithExpiry(const std::string& key,
                                                      Micros* expire_at) {
   const SharedValue* v = GetRef(key, expire_at);
   if (v == nullptr) return std::nullopt;
-  return **v;
+  return std::string(v->view());
 }
 
 const SharedValue* SaLruCache::GetRef(const std::string& key,

@@ -10,6 +10,7 @@
 // store (opaque payload), and the client (decode).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -22,23 +23,30 @@ struct ScanEntryView {
   std::string_view value;
 };
 
-/// Appends one framed (key, value) entry to `buf`.
-inline void AppendScanEntry(std::string& buf, std::string_view key,
+/// Writes one framed (key, value) entry at `dst` (8 + key + value
+/// bytes) and returns the position just past it.
+inline char* WriteScanEntry(char* dst, std::string_view key,
                             std::string_view value) {
   const uint32_t klen = static_cast<uint32_t>(key.size());
   const uint32_t vlen = static_cast<uint32_t>(value.size());
-  char hdr[8];
-  hdr[0] = static_cast<char>(klen & 0xff);
-  hdr[1] = static_cast<char>((klen >> 8) & 0xff);
-  hdr[2] = static_cast<char>((klen >> 16) & 0xff);
-  hdr[3] = static_cast<char>((klen >> 24) & 0xff);
-  hdr[4] = static_cast<char>(vlen & 0xff);
-  hdr[5] = static_cast<char>((vlen >> 8) & 0xff);
-  hdr[6] = static_cast<char>((vlen >> 16) & 0xff);
-  hdr[7] = static_cast<char>((vlen >> 24) & 0xff);
-  buf.append(hdr, sizeof(hdr));
-  buf.append(key.data(), key.size());
-  buf.append(value.data(), value.size());
+  dst[0] = static_cast<char>(klen & 0xff);
+  dst[1] = static_cast<char>((klen >> 8) & 0xff);
+  dst[2] = static_cast<char>((klen >> 16) & 0xff);
+  dst[3] = static_cast<char>((klen >> 24) & 0xff);
+  dst[4] = static_cast<char>(vlen & 0xff);
+  dst[5] = static_cast<char>((vlen >> 8) & 0xff);
+  dst[6] = static_cast<char>((vlen >> 16) & 0xff);
+  dst[7] = static_cast<char>((vlen >> 24) & 0xff);
+  dst = std::copy(key.begin(), key.end(), dst + 8);
+  return std::copy(value.begin(), value.end(), dst);
+}
+
+/// Appends one framed (key, value) entry to `buf`.
+inline void AppendScanEntry(std::string& buf, std::string_view key,
+                            std::string_view value) {
+  const size_t at = buf.size();
+  buf.resize(at + 8 + key.size() + value.size());
+  WriteScanEntry(&buf[at], key, value);
 }
 
 /// Decodes the next entry at the front of `payload`, advancing it past

@@ -13,16 +13,21 @@ namespace node {
 
 namespace {
 
-/// Serializes a hash map the way HGETALL returns it over the wire.
-std::string SerializeHash(const storage::HashFields& hash) {
-  std::string out;
-  for (const auto& [f, v] : hash) {
-    out += f;
-    out += '=';
-    out += v;
-    out += '\n';
-  }
-  return out;
+/// Serializes a hash record the way HGETALL returns it over the wire
+/// ("field=value\n" per field), built in place in the payload's block.
+SharedValue SerializeHash(const storage::ReplRecord& rec) {
+  size_t len = 0;
+  rec.ForEachField([&len](std::string_view f, std::string_view v) {
+    len += f.size() + v.size() + 2;
+  });
+  return MakeSharedValue(len, [&rec](char* dst) {
+    rec.ForEachField([&dst](std::string_view f, std::string_view v) {
+      dst = std::copy(f.begin(), f.end(), dst);
+      *dst++ = '=';
+      dst = std::copy(v.begin(), v.end(), dst);
+      *dst++ = '\n';
+    });
+  });
 }
 
 constexpr uint64_t kDiskBlockBytes = 4096;
@@ -263,8 +268,8 @@ bool DataNode::ApplyReplicated(TenantId tenant, PartitionId partition,
   // The replica serves reads from its engine; drop any node-cached value
   // the shipped write supersedes (same write-invalidation the primary
   // performs synchronously in ExecuteOnEngine).
-  cache_.EraseHashed(Fnv1a64Continue(rep->cache_prefix_hash, rec->key),
-                     CacheKeyFor(tenant, partition, rec->key));
+  cache_.EraseHashed(Fnv1a64Continue(rep->cache_prefix_hash, rec->key()),
+                     CacheKeyFor(tenant, partition, rec->key()));
   return true;
 }
 
@@ -452,14 +457,15 @@ sched::CacheProbe DataNode::ProbeWriteOrScan(PendingContext& ctx) {
   storage::ScanResult res = rep.engine->ScanRange(
       req.key, req.field, req.scan_limit, scan_buffer_);
   ctx.probe_status = Status::OK();
-  // Sized exactly: an 8-byte frame header per entry plus its key and
-  // payload bytes.
-  std::string framed;
-  framed.reserve(res.bytes + 8 * res.entries);
-  for (size_t k = 0; k < scan_buffer_.size(); k++) {
-    AppendScanEntry(framed, scan_buffer_[k].key, scan_buffer_[k].value);
-  }
-  ctx.probe_value = MakeSharedValue(std::move(framed));
+  // Framed in place, sized exactly: an 8-byte frame header per entry
+  // plus its key and payload bytes.
+  ctx.probe_value =
+      MakeSharedValue(res.bytes + 8 * res.entries, [this](char* dst) {
+        for (size_t k = 0; k < scan_buffer_.size(); k++) {
+          dst = WriteScanEntry(dst, scan_buffer_[k].key,
+                               scan_buffer_[k].value);
+        }
+      });
   ctx.probe_scan_entries = res.entries;
   ctx.probed = true;
   ctx.probe_io = storage::ReadIo{};
@@ -553,8 +559,8 @@ void DataNode::ProbeBatch(const sched::SchedRequest* reqs, size_t n,
       const uint32_t i = batch_miss_[k];
       PendingContext& ctx = *PendingAt(reqs[i]);
       const NodeRequest& req = ctx.req;
-      const storage::ReplRecordPtr* rec = recs[k - g];
-      const storage::ValueEntry* e = rec != nullptr ? &(*rec)->entry : nullptr;
+      const storage::ReplRecord* e =
+          recs[k - g] != nullptr ? recs[k - g]->get() : nullptr;
       // Per-op extraction mirroring the engine's Get/HGet/HLen/HGetAll
       // wrappers around FindEntry (same Status messages included). GET
       // and HGET payloads alias the record itself: no allocation, no
@@ -562,40 +568,41 @@ void DataNode::ProbeBatch(const sched::SchedRequest* reqs, size_t n,
       // flush or compaction of this engine.
       switch (req.op) {
         case OpType::kGet:
-          if (e == nullptr || e->type != storage::ValueType::kString) {
+          if (e == nullptr || e->type() != storage::ValueType::kString) {
             ctx.probe_status = Status::NotFound("key absent");
           } else {
             ctx.probe_status = Status::OK();
-            ctx.probe_value = SharedValue(*rec, &(*rec)->entry.str);
+            ctx.probe_value = SharedValue(*e, e->str());
           }
           break;
-        case OpType::kHGet:
-          if (e == nullptr || e->type != storage::ValueType::kHash) {
+        case OpType::kHGet: {
+          std::string_view v;
+          if (e == nullptr || e->type() != storage::ValueType::kHash) {
             ctx.probe_status = Status::NotFound("hash absent");
-          } else if (const std::string* v =
-                         storage::FindField(e->hash, req.field)) {
+          } else if (e->FindField(req.field, &v)) {
             ctx.probe_status = Status::OK();
-            ctx.probe_value = SharedValue(*rec, v);
+            ctx.probe_value = SharedValue(*e, v);
           } else {
             ctx.probe_status = Status::NotFound("field absent");
           }
           break;
+        }
         case OpType::kHLen:
-          if (e == nullptr || e->type != storage::ValueType::kHash) {
+          if (e == nullptr || e->type() != storage::ValueType::kHash) {
             ctx.probe_status = Status::NotFound("hash absent");
           } else {
             ctx.probe_status = Status::OK();
-            ctx.probe_value = MakeSharedValue(std::to_string(e->hash.size()));
-            ctx.probe_hash_fields = e->hash.size();
+            ctx.probe_value = MakeSharedValue(std::to_string(e->hash_size()));
+            ctx.probe_hash_fields = e->hash_size();
           }
           break;
         case OpType::kHGetAll:
-          if (e == nullptr || e->type != storage::ValueType::kHash) {
+          if (e == nullptr || e->type() != storage::ValueType::kHash) {
             ctx.probe_status = Status::NotFound("hash absent");
           } else {
             ctx.probe_status = Status::OK();
-            ctx.probe_hash_fields = e->hash.size();
-            ctx.probe_value = MakeSharedValue(SerializeHash(e->hash));
+            ctx.probe_hash_fields = e->hash_size();
+            ctx.probe_value = SerializeHash(*e);
           }
           break;
         default:
@@ -691,8 +698,8 @@ NodeResponse DataNode::ExecuteOnEngine(PendingContext& ctx,
       // write just built, as a GET fill does (no second copy), and
       // expires with it.
       if (resp.status.ok()) {
-        cache_.PutHashed(ck_hash, cache_key, SharedValue(rec, &rec->entry.str),
-                         req.value.size() + 32, rec->entry.expire_at);
+        cache_.PutHashed(ck_hash, cache_key, SharedValue(*rec, rec->str()),
+                         req.value.size() + 32, rec->expire_at());
       } else {
         cache_.EraseHashed(ck_hash, cache_key);
       }

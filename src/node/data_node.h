@@ -333,7 +333,7 @@ class DataNode {
   /// no engine record or cache payload while the slot sits free.
   void ReleasePending(uint32_t slot) {
     pending_pool_[slot].active = false;
-    pending_pool_[slot].probe_value.reset();
+    pending_pool_[slot].probe_value = nullptr;
     pending_free_.push_back(slot);
     pending_live_--;
   }

@@ -74,10 +74,10 @@ ProxyHandleResult::Action Proxy::HandleInto(const ClientRequest& req,
     cache::AuLookup lk = cache_.GetHashed(key_hash, req.key);
     if (lk.hit) {
       stats_.cache_hits++;
-      local.value_bytes = lk.value->size();
+      local.value_bytes = lk.value.size();
       // Only tracked requests ever read the payload downstream; bulk
       // traffic needs just the size, so skip the per-hit copy.
-      if (req.track_outcome) local.value = *lk.value;
+      if (req.track_outcome) local.value = lk.value;
       local.latency = options_.cache_hit_latency;
       return ProxyHandleResult::Action::kServedFromCache;
     }
@@ -92,8 +92,8 @@ ProxyHandleResult::Action Proxy::HandleInto(const ClientRequest& req,
     cache::AuLookup lk = cache_.GetScan(req.key, req.scan_limit);
     if (lk.hit) {
       stats_.cache_hits++;
-      local.value_bytes = lk.value->size();
-      if (req.track_outcome) local.value = *lk.value;
+      local.value_bytes = lk.value.size();
+      if (req.track_outcome) local.value = lk.value;
       local.latency = options_.cache_hit_latency;
       return ProxyHandleResult::Action::kServedFromCache;
     }

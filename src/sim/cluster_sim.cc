@@ -138,6 +138,7 @@ void ClusterSim::PreloadKeys(TenantId tenant, uint64_t num_keys,
   // response path: make sure the Replicate walk visits this tenant.
   repl_active_.insert(tenant);
   Rng rng(977 * (static_cast<uint64_t>(tenant) + 1));
+  std::string value;  // Reused: Put copies the bytes into its record.
   for (uint64_t i = 0; i < num_keys; i++) {
     std::string key =
         "t" + std::to_string(tenant) + ":k" + std::to_string(i);
@@ -151,7 +152,8 @@ void ClusterSim::PreloadKeys(TenantId tenant, uint64_t num_keys,
         value_sigma);
     size_t len = static_cast<size_t>(
         std::min(std::max(bytes, 1.0), 1024.0 * 1024));
-    (void)engine->Put(key, std::string(len, 'v'));
+    value.assign(len, 'v');
+    (void)engine->Put(key, value);
   }
 
   // An onboarded tenant's replicas already hold the dataset: seed each
@@ -828,8 +830,9 @@ void ClusterSim::CompleteScanFanout(uint64_t base_id) {
       has.push_back(NextScanEntry(cursors[i], heads[i]));
     }
     // The surviving entries are collected as views first, so the framed
-    // result is allocated once at its exact size: the content store may
-    // keep this very buffer (FillScanCache below), slack included.
+    // result is written once, in place, into a payload block of its
+    // exact size: the content store may keep this very block
+    // (FillScanCache below).
     std::vector<ScanEntryView>& picked = scan_merge_scratch_;
     picked.clear();
     uint64_t framed_bytes = 0;
@@ -855,14 +858,13 @@ void ClusterSim::CompleteScanFanout(uint64_t base_id) {
         }
       }
     }
-    std::string framed;
-    framed.reserve(framed_bytes);
-    for (const ScanEntryView& e : picked) {
-      AppendScanEntry(framed, e.key, e.value);
-    }
+    merged.value = MakeSharedValue(framed_bytes, [&picked](char* dst) {
+      for (const ScanEntryView& e : picked) {
+        dst = WriteScanEntry(dst, e.key, e.value);
+      }
+    });
     merged.scan_entries = picked.size();
-    merged.value_bytes = framed.size();
-    merged.value = MakeSharedValue(std::move(framed));
+    merged.value_bytes = framed_bytes;
   }
 
   if (fo.timed) {
@@ -1432,11 +1434,11 @@ void ClusterSim::AdvanceSplits() {
       auto window = src->repl_log().Delta(hold, src->applied_seq());
       ingest_into_child(
           tid, child, pending->children[p], [&](storage::LsmEngine& ce) {
-            for (const storage::ReplRecord* rec : window) {
-              if (Fnv1a64(rec->key) % modulus != child) continue;
+            for (const storage::ReplRecordPtr& rec : window) {
+              if (Fnv1a64(rec->key()) % modulus != child) continue;
               // Ordered replay: the last record per key wins, including
               // tombstones — deletes in the window are not resurrected.
-              ce.Ingest(rec->key, rec->entry);
+              ce.Ingest(rec->key(), rec->ToEntry());
             }
           });
     }

@@ -393,7 +393,10 @@ class ClusterSim {
 
   /// Bulk-loads `num_keys` values straight into the tenant's primary
   /// engines — the dataset an onboarded production tenant already has.
-  /// Key naming matches WorkloadGenerator ("t<tenant>:k<index>").
+  /// Keys are named "t<tenant>:k<index>", which matches WorkloadGenerator
+  /// only for profiles with `scan_prefix_groups == 0`; with prefix
+  /// groups the generator names keys "t<tenant>:g<group>:k<index>", so
+  /// its traffic never reads, overwrites or scans a preloaded key.
   void PreloadKeys(TenantId tenant, uint64_t num_keys, uint64_t value_bytes,
                    double value_sigma = 0.3);
 

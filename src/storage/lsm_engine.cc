@@ -19,14 +19,10 @@ LsmEngine::LsmEngine(LsmOptions options, const Clock* clock)
 // Write path
 // ---------------------------------------------------------------------------
 
-void LsmEngine::WriteEntry(const std::string& key, ValueEntry entry,
-                           ReplRecordPtr* rec_out) {
-  NoteMutation();
-  entry.seq = next_seq_++;
+void LsmEngine::Commit(ReplRecordPtr rec, ReplRecordPtr* rec_out) {
   // The version's one materialized copy: the replication log, the
   // memtable and — via the Replicate shipping path — every replica
   // share it.
-  ReplRecordPtr rec = MakeReplRecord(key, std::move(entry));
   if (rec_out != nullptr) *rec_out = rec;
   if (options_.enable_repl_log) repl_log_.Append(rec);
   mem_.Put(std::move(rec));
@@ -34,17 +30,23 @@ void LsmEngine::WriteEntry(const std::string& key, ValueEntry entry,
   MaybeFlush();
 }
 
-Status LsmEngine::Put(const std::string& key, std::string value, Micros ttl,
-                      ReplRecordPtr* rec_out) {
+void LsmEngine::WriteEntry(std::string_view key, ValueEntry entry) {
+  entry.seq = NextSeq();
+  Commit(MakeReplRecord(key, entry));
+}
+
+Status LsmEngine::Put(std::string_view key, std::string_view value,
+                      Micros ttl, ReplRecordPtr* rec_out) {
   if (key.empty()) return Status::InvalidArgument("empty key");
   Micros expire_at = ttl > 0 ? clock_->NowMicros() + ttl : 0;
-  WriteEntry(key, ValueEntry::String(std::move(value), 0, expire_at), rec_out);
+  Commit(MakeReplRecord(key, ValueType::kString, NextSeq(), expire_at, value),
+         rec_out);
   return Status::OK();
 }
 
 Status LsmEngine::Delete(const std::string& key) {
   if (key.empty()) return Status::InvalidArgument("empty key");
-  WriteEntry(key, ValueEntry::Tombstone(0));
+  Commit(MakeReplRecord(key, ValueType::kTombstone, NextSeq(), 0, {}));
   return Status::OK();
 }
 
@@ -54,12 +56,12 @@ Status LsmEngine::HSet(const std::string& key, const std::string& field,
   // Read-modify-write on the merged view: the memtable stores whole-hash
   // versions, so an HSET rewrites the hash with one field changed.
   ReadIo io;
-  const ValueEntry* cur = FindEntry(key, &io);
+  const ReplRecord* cur = FindEntry(key, &io);
   ValueEntry next;
   next.type = ValueType::kHash;
-  if (cur != nullptr && cur->type == ValueType::kHash) {
-    next.hash = cur->hash;
-    next.expire_at = cur->expire_at;
+  if (cur != nullptr && cur->type() == ValueType::kHash) {
+    next.hash = cur->DecodeHash();
+    next.expire_at = cur->expire_at();
   }
   SetField(next.hash, field, std::move(value));
   WriteEntry(key, std::move(next));
@@ -68,9 +70,9 @@ Status LsmEngine::HSet(const std::string& key, const std::string& field,
 
 Status LsmEngine::Expire(const std::string& key, Micros ttl) {
   ReadIo io;
-  const ValueEntry* cur = FindEntry(key, &io);
+  const ReplRecord* cur = FindEntry(key, &io);
   if (cur == nullptr) return Status::NotFound("EXPIRE on missing key");
-  ValueEntry next = *cur;
+  ValueEntry next = cur->ToEntry();
   next.expire_at = ttl > 0 ? clock_->NowMicros() + ttl : 0;
   WriteEntry(key, std::move(next));
   return Status::OK();
@@ -80,10 +82,10 @@ Status LsmEngine::Expire(const std::string& key, Micros ttl) {
 // Read path
 // ---------------------------------------------------------------------------
 
-const ValueEntry* LsmEngine::FindEntry(std::string_view key, ReadIo* io) {
+const ReplRecord* LsmEngine::FindEntry(std::string_view key, ReadIo* io) {
   stats_.gets++;
   if (const ReplRecordPtr* row = mem_.Get(key); row != nullptr) {
-    const ValueEntry* e = &(*row)->entry;
+    const ReplRecord* e = row->get();
     stats_.memtable_hits++;
     if (io != nullptr) io->memtable_hit = true;
     if (e->IsTombstone()) return nullptr;
@@ -93,7 +95,7 @@ const ValueEntry* LsmEngine::FindEntry(std::string_view key, ReadIo* io) {
     }
     if (io != nullptr) {
       io->found = true;
-      io->expire_at = e->expire_at;
+      io->expire_at = e->expire_at();
     }
     return e;
   }
@@ -112,7 +114,7 @@ const ValueEntry* LsmEngine::FindEntry(std::string_view key, ReadIo* io) {
       stats_.block_reads += static_cast<uint64_t>(probe.block_reads);
       if (io != nullptr) io->block_reads += probe.block_reads;
       if (probe.rec == nullptr) continue;  // Bloom false positive.
-      const ValueEntry* e = &(*probe.rec)->entry;
+      const ReplRecord* e = probe.rec->get();
       if (e->IsTombstone()) return nullptr;
       if (e->IsExpiredAt(clock_->NowMicros())) {
         stats_.expired_dropped++;
@@ -120,7 +122,7 @@ const ValueEntry* LsmEngine::FindEntry(std::string_view key, ReadIo* io) {
       }
       if (io != nullptr) {
         io->found = true;
-        io->expire_at = e->expire_at;
+        io->expire_at = e->expire_at();
       }
       return e;
     }
@@ -139,7 +141,7 @@ void LsmEngine::MultiFind(const std::string_view* keys, size_t n,
     ios_out[i] = ReadIo{};
     stats_.gets++;
     if (const ReplRecordPtr* row = mem_.Get(keys[i]); row != nullptr) {
-      const ValueEntry* e = &(*row)->entry;
+      const ReplRecord* e = row->get();
       stats_.memtable_hits++;
       ios_out[i].memtable_hit = true;
       if (e->IsTombstone()) continue;
@@ -148,7 +150,7 @@ void LsmEngine::MultiFind(const std::string_view* keys, size_t n,
         continue;
       }
       ios_out[i].found = true;
-      ios_out[i].expire_at = e->expire_at;
+      ios_out[i].expire_at = e->expire_at();
       recs_out[i] = row;
       continue;
     }
@@ -189,14 +191,14 @@ void LsmEngine::MultiFind(const std::string_view* keys, size_t n,
           mfind_pending_[w++] = i;
           continue;
         }
-        const ValueEntry* e = &(*probe.rec)->entry;
+        const ReplRecord* e = probe.rec->get();
         if (e->IsTombstone()) continue;
         if (e->IsExpiredAt(now)) {
           stats_.expired_dropped++;
           continue;
         }
         ios_out[i].found = true;
-        ios_out[i].expire_at = e->expire_at;
+        ios_out[i].expire_at = e->expire_at();
         recs_out[i] = probe.rec;
       }
       mfind_pending_.resize(w);
@@ -206,41 +208,41 @@ void LsmEngine::MultiFind(const std::string_view* keys, size_t n,
 
 Result<std::string> LsmEngine::Get(std::string_view key, ReadIo* io) {
   ReadIo local;
-  const ValueEntry* e = FindEntry(key, io != nullptr ? io : &local);
-  if (e == nullptr || e->type != ValueType::kString) {
+  const ReplRecord* e = FindEntry(key, io != nullptr ? io : &local);
+  if (e == nullptr || e->type() != ValueType::kString) {
     return Status::NotFound("key absent");
   }
-  return e->str;
+  return std::string(e->str());
 }
 
 Result<std::string> LsmEngine::HGet(std::string_view key,
                                     std::string_view field, ReadIo* io) {
   ReadIo local;
-  const ValueEntry* e = FindEntry(key, io != nullptr ? io : &local);
-  if (e == nullptr || e->type != ValueType::kHash) {
+  const ReplRecord* e = FindEntry(key, io != nullptr ? io : &local);
+  if (e == nullptr || e->type() != ValueType::kHash) {
     return Status::NotFound("hash absent");
   }
-  const std::string* v = FindField(e->hash, field);
-  if (v == nullptr) return Status::NotFound("field absent");
-  return *v;
+  std::string_view v;
+  if (!e->FindField(field, &v)) return Status::NotFound("field absent");
+  return std::string(v);
 }
 
 Result<uint64_t> LsmEngine::HLen(std::string_view key, ReadIo* io) {
   ReadIo local;
-  const ValueEntry* e = FindEntry(key, io != nullptr ? io : &local);
-  if (e == nullptr || e->type != ValueType::kHash) {
+  const ReplRecord* e = FindEntry(key, io != nullptr ? io : &local);
+  if (e == nullptr || e->type() != ValueType::kHash) {
     return Status::NotFound("hash absent");
   }
-  return static_cast<uint64_t>(e->hash.size());
+  return static_cast<uint64_t>(e->hash_size());
 }
 
 Result<HashFields> LsmEngine::HGetAll(std::string_view key, ReadIo* io) {
   ReadIo local;
-  const ValueEntry* e = FindEntry(key, io != nullptr ? io : &local);
-  if (e == nullptr || e->type != ValueType::kHash) {
+  const ReplRecord* e = FindEntry(key, io != nullptr ? io : &local);
+  if (e == nullptr || e->type() != ValueType::kHash) {
     return Status::NotFound("hash absent");
   }
-  return e->hash;
+  return e->DecodeHash();
 }
 
 // ---------------------------------------------------------------------------
@@ -273,7 +275,7 @@ ScanResult LsmEngine::ScanRange(std::string_view start, std::string_view end,
     ScanCursor c;
     auto it = std::lower_bound(mem_rows.begin(), mem_rows.end(), start,
                                [this](MemTable::RowId r, std::string_view k) {
-                                 return mem_.record(r).key < k;
+                                 return mem_.record(r).key() < k;
                                });
     c.mem_it = mem_rows.data() + (it - mem_rows.begin());
     c.mem_end = mem_rows.data() + mem_rows.size();
@@ -287,7 +289,7 @@ ScanResult LsmEngine::ScanRange(std::string_view start, std::string_view end,
       auto it = std::lower_bound(
           rows.begin(), rows.end(), start,
           [](const ReplRecordPtr& r, std::string_view k) {
-            return r->key < k;
+            return r->key() < k;
           });
       if (it == rows.end()) continue;
       ScanCursor c;
@@ -302,9 +304,7 @@ ScanResult LsmEngine::ScanRange(std::string_view start, std::string_view end,
     const ScanCursor& c = scan_cursors_[i];
     return c.mem_it != nullptr ? mem_.record(*c.mem_it) : **c.sst_it;
   };
-  auto key_of = [&](uint32_t i) -> const std::string& {
-    return record_of(i).key;
-  };
+  auto key_of = [&](uint32_t i) { return record_of(i).key(); };
   // Min-heap on (key, age): std::push/pop_heap keep the *greatest*
   // element at the front, so the comparator orders by "later key, or
   // equal key from an older source, sorts first-er"… i.e. greater-than.
@@ -323,18 +323,21 @@ ScanResult LsmEngine::ScanRange(std::string_view start, std::string_view end,
       return c.mem_it != c.mem_end;
     }
     const ReplRecord& rec = **c.sst_it;
-    c.sst_bytes += rec.key.size() + rec.entry.PayloadBytes();
+    c.sst_bytes += rec.key().size() + rec.PayloadBytes();
     ++c.sst_it;
     return c.sst_it != c.sst_end;
   };
 
   const Micros now = clock_->NowMicros();
-  const std::string* last_key = nullptr;
+  // Records are immutable and held by their source for the whole scan,
+  // so a key view survives into the next iteration's duplicate check.
+  std::string_view last_key;
+  bool decided_any = false;
   res.done = true;
   while (!scan_heap_.empty()) {
     std::pop_heap(scan_heap_.begin(), scan_heap_.end(), heap_less);
     const uint32_t i = scan_heap_.back();
-    const std::string& key = key_of(i);
+    const std::string_view key = key_of(i);
     if (!end.empty() && key >= end) {
       // Range exhausted: every remaining cursor is at or past `end`.
       break;
@@ -347,10 +350,10 @@ ScanResult LsmEngine::ScanRange(std::string_view start, std::string_view end,
       // unconsumed, so the block charge is the same either way.
       res.done = false;
       res.next_key = key;
-      if (last_key != nullptr && key == *last_key) res.next_key += '\0';
+      if (decided_any && key == last_key) res.next_key += '\0';
       break;
     }
-    if (last_key != nullptr && key == *last_key) {
+    if (decided_any && key == last_key) {
       // Older duplicate of an already-decided key.
       if (advance(i)) {
         std::push_heap(scan_heap_.begin(), scan_heap_.end(), heap_less);
@@ -359,31 +362,29 @@ ScanResult LsmEngine::ScanRange(std::string_view start, std::string_view end,
       }
       continue;
     }
-    const ValueEntry& entry = record_of(i).entry;
-    const bool visible = !entry.IsTombstone() && !entry.IsExpiredAt(now);
+    const ReplRecord& rec = record_of(i);
+    const bool visible = !rec.IsTombstone() && !rec.IsExpiredAt(now);
     if (visible) {
       ScanEntry& se = out.Append();
       se.key = key;
-      if (entry.type == ValueType::kString) {
-        se.value = entry.str;
+      if (rec.type() == ValueType::kString) {
+        se.value = rec.str();
       } else {
-        for (const auto& [f, v] : entry.hash) {
+        rec.ForEachField([&se](std::string_view f, std::string_view v) {
           se.value += f;
           se.value += '=';
           se.value += v;
           se.value += '\n';
-        }
+        });
       }
       res.entries++;
       res.bytes += se.key.size() + se.value.size();
       stats_.scan_entries++;
-    } else if (entry.IsExpiredAt(now)) {
+    } else if (rec.IsExpiredAt(now)) {
       stats_.expired_dropped++;
     }
-    // Records are immutable and held by their source for the whole
-    // scan, so the key reference survives into the next iteration's
-    // duplicate check.
-    last_key = &key;
+    last_key = key;
+    decided_any = true;
     if (advance(i)) {
       std::push_heap(scan_heap_.begin(), scan_heap_.end(), heap_less);
     } else {
@@ -441,7 +442,7 @@ LsmEngine::HashRangeExport LsmEngine::ExportHashRange(
   // complete. Keys beyond the horizon wait for the next batch.
   const uint64_t cap = max_bytes * 2 + (64ull << 10);
   // Keys view the shared records, which outlive this const call.
-  std::map<std::string_view, const ValueEntry*> merged;
+  std::map<std::string_view, const ReplRecord*> merged;
   bool bounded = false;
   std::string_view horizon;
   // `rec_of` unifies the two cursor shapes: the memtable's ordered view
@@ -456,9 +457,9 @@ LsmEngine::HashRangeExport LsmEngine::ExportHashRange(
         capped = true;
         break;
       }
-      merged.emplace(rec.key, &rec.entry);
-      taken += rec.key.size() + rec.entry.PayloadBytes();
-      last = rec.key;
+      merged.emplace(rec.key(), &rec);
+      taken += rec.key().size() + rec.PayloadBytes();
+      last = rec.key();
     }
     if (capped) {
       bounded = true;
@@ -476,7 +477,7 @@ LsmEngine::HashRangeExport LsmEngine::ExportHashRange(
                                  start_after,
                                  [this](std::string_view k,
                                         MemTable::RowId r) {
-                                   return k < mem_.record(r).key;
+                                   return k < mem_.record(r).key();
                                  }),
           mem_rows.end(), mem_rec);
   for (const auto& level : levels_) {
@@ -485,7 +486,7 @@ LsmEngine::HashRangeExport LsmEngine::ExportHashRange(
       collect(std::upper_bound(rows.begin(), rows.end(), start_after,
                                [](std::string_view k,
                                   const ReplRecordPtr& r) {
-                                 return k < r->key;
+                                 return k < r->key();
                                }),
               rows.end(), run_rec);
     }
@@ -493,7 +494,7 @@ LsmEngine::HashRangeExport LsmEngine::ExportHashRange(
 
   const Micros now = clock_->NowMicros();
   bool budget_hit = false;
-  for (const auto& [key, entry] : merged) {
+  for (const auto& [key, rec] : merged) {
     if (bounded && key > horizon) break;
     if (out.bytes >= max_bytes && !out.entries.empty()) {
       budget_hit = true;  // Budget exhausted with keys left to examine.
@@ -501,9 +502,9 @@ LsmEngine::HashRangeExport LsmEngine::ExportHashRange(
     }
     out.next_cursor = key;  // Examined (matching or not): never revisit.
     if (Fnv1a64(key) % modulus != residue) continue;
-    if (entry->IsTombstone() || entry->IsExpiredAt(now)) continue;
-    out.entries.emplace_back(std::string(key), *entry);
-    out.bytes += key.size() + entry->PayloadBytes();
+    if (rec->IsTombstone() || rec->IsExpiredAt(now)) continue;
+    out.entries.emplace_back(std::string(key), rec->ToEntry());
+    out.bytes += key.size() + rec->PayloadBytes();
   }
   if (bounded && !budget_hit) {
     // Every key up to the horizon was examined; resume past it.
@@ -513,7 +514,7 @@ LsmEngine::HashRangeExport LsmEngine::ExportHashRange(
   return out;
 }
 
-void LsmEngine::Ingest(const std::string& key, ValueEntry entry) {
+void LsmEngine::Ingest(std::string_view key, ValueEntry entry) {
   WriteEntry(key, std::move(entry));
 }
 
@@ -616,7 +617,7 @@ std::vector<ReplRecordPtr> LsmEngine::MergeRuns(
   // std heap keeps the greatest element at the front, so "less" here
   // means "later key, or equal key from an older run".
   auto heap_less = [&](uint32_t a, uint32_t b) {
-    int cmp = (*cursors[a].it)->key.compare((*cursors[b].it)->key);
+    int cmp = (*cursors[a].it)->key().compare((*cursors[b].it)->key());
     return cmp != 0 ? cmp > 0 : a > b;
   };
   std::vector<uint32_t> heap(cursors.size());
@@ -626,16 +627,19 @@ std::vector<ReplRecordPtr> LsmEngine::MergeRuns(
   std::vector<ReplRecordPtr> rows;
   rows.reserve(upper);
   const Micros now = clock_->NowMicros();
-  const std::string* last_key = nullptr;
+  // The input runs hold every record for the merge, so a key view stays
+  // valid while its older duplicates pop.
+  std::string_view last_key;
+  bool first = true;
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end(), heap_less);
     Cursor& c = cursors[heap.back()];
     const ReplRecordPtr& rec = *c.it;
-    if (last_key == nullptr || rec->key != *last_key) {
-      last_key = &rec->key;  // The input runs hold it for the merge.
-      const ValueEntry& entry = rec->entry;
-      if (drop_deletes && (entry.IsTombstone() || entry.IsExpiredAt(now))) {
-        stats_.expired_dropped += entry.IsExpiredAt(now) ? 1 : 0;
+    if (first || rec->key() != last_key) {
+      first = false;
+      last_key = rec->key();
+      if (drop_deletes && (rec->IsTombstone() || rec->IsExpiredAt(now))) {
+        stats_.expired_dropped += rec->IsExpiredAt(now) ? 1 : 0;
       } else {
         rows.push_back(rec);
       }
@@ -657,10 +661,10 @@ std::vector<ReplRecordPtr> LsmEngine::MergeRuns(
 // ---------------------------------------------------------------------------
 
 Status LsmEngine::ApplyReplicated(const ReplRecordPtr& rec) {
-  if (rec->entry.seq != next_seq_) {
+  if (rec->seq() != next_seq_) {
     return Status::InvalidArgument("replication stream gap");
   }
-  next_seq_ = rec->entry.seq + 1;
+  next_seq_ = rec->seq() + 1;
   NoteMutation();
   // The shipped record is the primary's materialized copy; this
   // replica's log and memtable retain it as-is (refcount bumps).
@@ -669,10 +673,6 @@ Status LsmEngine::ApplyReplicated(const ReplRecordPtr& rec) {
   stats_.repl_applied++;
   MaybeFlush();
   return Status::OK();
-}
-
-Status LsmEngine::ApplyReplicated(const ReplRecord& rec) {
-  return ApplyReplicated(MakeReplRecord(rec.key, rec.entry));
 }
 
 void LsmEngine::ResyncFrom(const LsmEngine& src) {

@@ -7,15 +7,16 @@
 // write-ahead log would hold exactly the memtable's records (see
 // CrashAndRecover).
 //
-// One materialized copy per write version: WriteEntry builds a single
-// immutable ReplRecord, and the replication log, the memtable, every
-// replica's log and memtable (ApplyReplicated), and every SSTable run
-// that flush or compaction produces share it by pointer. The simulated
-// byte accounting still charges each holder in full (each replica
-// models its own storage); only host memory is shared.
+// One allocation per write version: every write builds a single
+// immutable ReplRecord block (storage/record.h), and the replication
+// log, the memtable, every replica's log and memtable (ApplyReplicated),
+// and every SSTable run that flush or compaction produces share it by an
+// 8-byte handle. The simulated byte accounting still charges each holder
+// in full (each replica models its own storage); only host memory is
+// shared.
 //
 // Pointer lifetime: a raw pointer the engine hands out — MultiFind's
-// `const ReplRecordPtr*` row slots, FindEntry's entries — is valid until
+// `const ReplRecordPtr*` row slots, FindEntry's records — is valid until
 // the next mutation of the same engine: a write, replicated apply,
 // ingest, flush, compaction, resync or crash recovery may move or
 // release the row it points into. Copying the ReplRecordPtr out of a
@@ -142,10 +143,11 @@ class LsmEngine {
   // -- String commands ----------------------------------------------------
 
   /// SET. `ttl` of 0 means no expiry; otherwise the value expires at
-  /// now + ttl. A non-null `rec_out` receives the immutable record the
-  /// write built, so a caller can share its bytes (the node cache's
-  /// write-through aliases `rec->entry.str`) instead of copying them.
-  Status Put(const std::string& key, std::string value, Micros ttl = 0,
+  /// now + ttl. The record is built straight from `key` and `value`: one
+  /// allocation. A non-null `rec_out` receives that immutable record, so
+  /// a caller can share its bytes (the node cache's write-through
+  /// aliases `rec->str()`) instead of copying them.
+  Status Put(std::string_view key, std::string_view value, Micros ttl = 0,
              ReplRecordPtr* rec_out = nullptr);
 
   /// GET. NotFound for absent, deleted, or expired keys. If `io` is
@@ -176,7 +178,7 @@ class LsmEngine {
 
   /// Resolves `n` keys in one pass: `recs_out[i]` receives the slot of
   /// the holder (memtable row or run row) of the newest visible version
-  /// of `keys[i]` — its entry is `(*recs_out[i])->entry` — or nullptr if
+  /// of `keys[i]` — its record is `**recs_out[i]` — or nullptr if
   /// absent, tombstoned, or expired, and `ios_out[i]` its probe cost,
   /// exactly as n independent FindEntry-backed reads would produce them.
   /// The engine counters receive the same totals (they are
@@ -255,7 +257,7 @@ class LsmEngine {
   /// sequence, replication log as configured. Tombstones and
   /// TTL deadlines are preserved, so a window-delta replay converges the
   /// target to the source's newest visible state.
-  void Ingest(const std::string& key, ValueEntry entry);
+  void Ingest(std::string_view key, ValueEntry entry);
 
   // -- TTL ------------------------------------------------------------------
 
@@ -292,7 +294,7 @@ class LsmEngine {
   uint64_t applied_seq() const { return next_seq_ - 1; }
 
   /// Applies one record of a primary's replication stream. The stream is
-  /// strictly ordered: `rec->entry.seq` must be exactly applied_seq() + 1,
+  /// strictly ordered: `rec->seq()` must be exactly applied_seq() + 1,
   /// otherwise InvalidArgument (the shipper must fall back to a snapshot
   /// resync). Writes through this engine's own replication log, so a
   /// replica survives crashes and can itself be promoted. The memtable
@@ -300,10 +302,6 @@ class LsmEngine {
   /// key/value copy — and so do the runs a later flush or compaction
   /// builds from it.
   Status ApplyReplicated(const ReplRecordPtr& rec);
-
-  /// Convenience for callers holding a loose record (tests, mostly):
-  /// materializes a shared copy and applies it.
-  Status ApplyReplicated(const ReplRecord& rec);
 
   /// Re-seeds this engine with a full snapshot of `src`: memtable (rows,
   /// index and ordered view copied verbatim; the records are shared),
@@ -346,13 +344,19 @@ class LsmEngine {
 
  private:
   /// Merged lookup across memtable and all runs; returns the newest
-  /// visible entry or nullptr. Fills `io`.
-  const ValueEntry* FindEntry(std::string_view key, ReadIo* io);
+  /// visible version or nullptr. Fills `io`.
+  const ReplRecord* FindEntry(std::string_view key, ReadIo* io);
 
-  /// Stamps the next seq, builds the version's one record and hands it
-  /// to the log and the memtable (and to `*rec_out` when non-null).
-  void WriteEntry(const std::string& key, ValueEntry entry,
-                  ReplRecordPtr* rec_out = nullptr);
+  /// The sequence of the next local write (and a mutation note).
+  uint64_t NextSeq() {
+    NoteMutation();
+    return next_seq_++;
+  }
+  /// Hands a freshly built local version to the log and the memtable
+  /// (and to `*rec_out` when non-null).
+  void Commit(ReplRecordPtr rec, ReplRecordPtr* rec_out = nullptr);
+  /// Stamps the next seq onto `entry`, builds its record and commits it.
+  void WriteEntry(std::string_view key, ValueEntry entry);
   void NoteMutation() {
     if (mutation_counter_ != nullptr) ++*mutation_counter_;
   }

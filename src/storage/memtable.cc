@@ -27,15 +27,15 @@ size_t MemTable::Probe(std::string_view key, uint32_t tag) const {
   const size_t mask = index_.size() - 1;
   size_t i = tag & mask;
   for (; index_[i].row != 0; i = (i + 1) & mask) {
-    if (index_[i].tag == tag && record(index_[i].row - 1).key == key) break;
+    if (index_[i].tag == tag && record(index_[i].row - 1).key() == key) break;
   }
   return i;
 }
 
 void MemTable::Put(ReplRecordPtr rec) {
   if (index_.empty()) GrowIndex();
-  const uint32_t tag = Tag(rec->key);
-  size_t i = Probe(rec->key, tag);
+  const uint32_t tag = Tag(rec->key());
+  size_t i = Probe(rec->key(), tag);
   bytes_ += EntryBytes(*rec);
   if (const uint32_t row = index_[i].row; row != 0) {
     ReplRecordPtr& cur =
@@ -47,7 +47,7 @@ void MemTable::Put(ReplRecordPtr rec) {
   // First-seen key: the next row id.
   if ((size_ + 1) * 4 > index_.size() * 3) {
     GrowIndex();
-    i = Probe(rec->key, tag);
+    i = Probe(rec->key(), tag);
   }
   index_[i] = Slot{static_cast<uint32_t>(size_ + 1), tag};
   // The first chunk grows geometrically, so a small memtable holds only
@@ -74,7 +74,7 @@ const std::vector<MemTable::RowId>& MemTable::Sorted() const {
     sorted_.push_back(static_cast<RowId>(id));
   }
   auto key_less = [this](RowId a, RowId b) {
-    return record(a).key < record(b).key;
+    return record(a).key() < record(b).key();
   };
   const auto tail = sorted_.begin() + static_cast<ptrdiff_t>(mid);
   std::sort(tail, sorted_.end(), key_less);

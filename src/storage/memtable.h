@@ -5,17 +5,17 @@
 // split exports.
 //
 // The memtable stores no copy of its own: a row is the ReplRecordPtr the
-// engine's WriteEntry materialized (or a primary shipped), the same
-// record the replication logs and, after a flush, the SSTable runs hold
-// (replication_log.h). The key lives only in that record. Records are
+// engine's write path built (or a primary shipped), the same record the
+// replication logs and, after a flush, the SSTable runs hold
+// (record.h). The key lives only in that record. Records are
 // immutable, so nothing here ever mutates a stored version; an
 // overwrite swaps the row's pointer.
 //
-// Layout, per row: the row itself (one 16-byte ReplRecordPtr in a
+// Layout, per row: the row itself (one 8-byte ReplRecordPtr in a
 // chunked row store, so growth never relocates earlier chunks), 1.3–2.7
 // 8-byte index slots (a linear-probing table of (row id, hash tag)
 // pairs kept at most 3/4 full), and a 4-byte row id in the ordered
-// view — 36–42 bytes with growth slack (DESIGN.md "Shared log
+// view — 28–34 bytes with growth slack (DESIGN.md "Shared log
 // records"). An empty memtable allocates nothing, which matters because
 // every partition replica has its own. Rows are never erased one at a
 // time, so row ids are dense and assigned in insertion order: the rows
@@ -29,8 +29,7 @@
 #include <string_view>
 #include <vector>
 
-#include "storage/replication_log.h"
-#include "storage/value.h"
+#include "storage/record.h"
 
 namespace abase {
 namespace storage {
@@ -45,12 +44,12 @@ class MemTable {
   /// Rows per full chunk of the row store.
   static constexpr size_t kChunkRows = 512;
 
-  /// Makes `rec` the entry for `rec->key`, replacing any older version.
+  /// Makes `rec` the entry for `rec->key()`, replacing any older version.
   /// Shares the record: no key/value copy.
   void Put(ReplRecordPtr rec);
 
-  /// The row holding the latest version of `key` — its entry, tombstones
-  /// included (callers must check), is `(*slot)->entry` — or nullptr.
+  /// The row holding the latest version of `key` — its record,
+  /// tombstones included (callers must check), is `**slot` — or nullptr.
   /// The slot is valid until the next Put/clear of this memtable; a
   /// caller that copies the ReplRecordPtr out keeps the record past that.
   const ReplRecordPtr* Get(std::string_view key) const;
@@ -86,7 +85,7 @@ class MemTable {
   };
 
   static uint64_t EntryBytes(const ReplRecord& rec) {
-    return rec.key.size() + rec.entry.PayloadBytes() + kEntryOverhead;
+    return rec.key().size() + rec.PayloadBytes() + kEntryOverhead;
   }
   static uint32_t Tag(std::string_view key);
 

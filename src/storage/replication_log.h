@@ -13,42 +13,15 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <memory>
-#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "storage/record.h"
 #include "storage/value.h"
 
 namespace abase {
 namespace storage {
-
-/// One write version: the key and full value as the primary applied
-/// it. `entry.seq` is the record's position in the stream. Built once
-/// (MakeReplRecord) and shared, never copied, by every log, memtable and
-/// SSTable run that holds this version.
-struct ReplRecord {
-  std::string key;
-  ValueEntry entry;
-};
-
-/// Records are immutable, so one materialized copy per write version
-/// serves every holder across the placement: the primary's replication
-/// log and memtable, every replica's log and memtable, and every
-/// SSTable run on every node that flushes or compacts it. Handing a
-/// record to another holder is a refcount bump, never a key/value copy;
-/// the record dies when its last holder (typically a compaction that
-/// drops the shadowed version) releases it. Nodes running on different
-/// workers share records through atomic refcounts only — nothing ever
-/// writes through a record after MakeReplRecord.
-using ReplRecordPtr = std::shared_ptr<const ReplRecord>;
-
-/// Builds the single shared copy of a write version (the one allocation
-/// the write path performs for it).
-inline ReplRecordPtr MakeReplRecord(std::string key, ValueEntry entry) {
-  return std::make_shared<const ReplRecord>(
-      ReplRecord{std::move(key), std::move(entry)});
-}
 
 /// Append-only, contiguously-sequenced mutation log with prefix
 /// truncation. Records are indexed by stream sequence: record `seq`
@@ -57,26 +30,26 @@ class ReplicationLog {
  public:
   /// Shares an already-materialized record: no key/value copy.
   void Append(ReplRecordPtr rec) {
-    assert(records_.empty() || rec->entry.seq == last_seq() + 1);
-    bytes_ += rec->key.size() + rec->entry.PayloadBytes();
+    assert(records_.empty() || rec->seq() == last_seq() + 1);
+    bytes_ += rec->key().size() + rec->PayloadBytes();
     records_.push_back(std::move(rec));
   }
 
   /// Convenience for callers (tests, mostly) holding a loose key/entry.
-  void Append(std::string key, ValueEntry entry) {
-    Append(MakeReplRecord(std::move(key), std::move(entry)));
+  void Append(std::string_view key, const ValueEntry& entry) {
+    Append(MakeReplRecord(key, entry));
   }
 
   /// First retained sequence (first_seq() > 1 after truncation).
   uint64_t first_seq() const {
     return records_.empty() ? truncated_through_ + 1
-                            : records_.front()->entry.seq;
+                            : records_.front()->seq();
   }
 
   /// Last appended sequence (0 when nothing was ever appended).
   uint64_t last_seq() const {
     return records_.empty() ? truncated_through_
-                            : records_.back()->entry.seq;
+                            : records_.back()->seq();
   }
 
   /// Whether a replica whose cursor is `applied_seq` can be caught up by
@@ -87,11 +60,11 @@ class ReplicationLog {
 
   /// Records with sequence in (after_seq, through_seq], oldest first.
   /// Callers must check Covers(after_seq) beforehand.
-  std::vector<const ReplRecord*> Delta(uint64_t after_seq,
-                                       uint64_t through_seq) const {
-    std::vector<const ReplRecord*> out;
+  std::vector<ReplRecordPtr> Delta(uint64_t after_seq,
+                                   uint64_t through_seq) const {
+    std::vector<ReplRecordPtr> out;
     ForEachDelta(after_seq, through_seq, [&out](const ReplRecordPtr& rec) {
-      out.push_back(rec.get());
+      out.push_back(rec);
       return true;
     });
     return out;
@@ -120,7 +93,7 @@ class ReplicationLog {
     for (uint64_t seq = std::max(after_seq + 1, lo); seq <= last_seq();
          seq++) {
       const ReplRecord& rec = *records_[static_cast<size_t>(seq - lo)];
-      total += rec.key.size() + rec.entry.PayloadBytes();
+      total += rec.key().size() + rec.PayloadBytes();
     }
     return total;
   }
@@ -130,14 +103,14 @@ class ReplicationLog {
   void TruncateThrough(uint64_t seq) {
     size_t keep_from = 0;
     while (keep_from < records_.size() &&
-           records_[keep_from]->entry.seq <= seq) {
-      bytes_ -= records_[keep_from]->key.size() +
-                records_[keep_from]->entry.PayloadBytes();
+           records_[keep_from]->seq() <= seq) {
+      bytes_ -= records_[keep_from]->key().size() +
+                records_[keep_from]->PayloadBytes();
       keep_from++;
     }
     if (keep_from == 0) return;
     truncated_through_ =
-        std::max(truncated_through_, records_[keep_from - 1]->entry.seq);
+        std::max(truncated_through_, records_[keep_from - 1]->seq());
     records_.erase(records_.begin(),
                    records_.begin() + static_cast<ptrdiff_t>(keep_from));
   }

@@ -8,12 +8,12 @@ namespace storage {
 SsTable::SsTable(uint64_t id, std::vector<ReplRecordPtr> rows)
     : id_(id), rows_(std::move(rows)), bloom_(rows_.size()) {
   for (const ReplRecordPtr& rec : rows_) {
-    bloom_.Add(rec->key);
-    data_bytes_ += rec->key.size() + rec->entry.PayloadBytes();
+    bloom_.Add(rec->key());
+    data_bytes_ += rec->key().size() + rec->PayloadBytes();
   }
   if (!rows_.empty()) {
-    min_key_ = rows_.front()->key;
-    max_key_ = rows_.back()->key;
+    min_key_ = rows_.front()->key();
+    max_key_ = rows_.back()->key();
   }
 }
 
@@ -39,10 +39,10 @@ SstProbe SsTable::Get(const KeyRef& kref, size_t* hint) const {
   auto it = std::lower_bound(
       rows_.begin() + static_cast<ptrdiff_t>(*hint), rows_.end(), key,
       [](const ReplRecordPtr& row, std::string_view k) {
-        return row->key < k;
+        return row->key() < k;
       });
   *hint = static_cast<size_t>(it - rows_.begin());
-  if (it != rows_.end() && (*it)->key == key) probe.rec = &*it;
+  if (it != rows_.end() && (*it)->key() == key) probe.rec = &*it;
   return probe;
 }
 

@@ -2,7 +2,7 @@
 // accounting. Data lives in memory (the simulator's "disk"), but every
 // probe that reaches the run's data blocks counts as one disk read so the
 // I/O-WFQ and DiskModel see realistic load. Rows are the shared write
-// records (replication_log.h): a flush or compaction moves record
+// records (record.h): a flush or compaction moves record
 // handles into the run instead of copying keys and values, while
 // data_bytes() still charges every row to this run as its own storage.
 #pragma once
@@ -16,15 +16,14 @@
 
 #include "common/key_ref.h"
 #include "storage/bloom.h"
-#include "storage/replication_log.h"
-#include "storage/value.h"
+#include "storage/record.h"
 
 namespace abase {
 namespace storage {
 
 /// Result of probing one SSTable.
 struct SstProbe {
-  /// The run's row for the key — its entry is `(*rec)->entry` — or
+  /// The run's row for the key — its record is `**rec` — or
   /// nullptr if absent. Valid while the run is.
   const ReplRecordPtr* rec = nullptr;
   int block_reads = 0;  ///< Data-block reads charged (0 if bloom-filtered).

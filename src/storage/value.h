@@ -1,5 +1,7 @@
 // Value representation for the storage engine: Redis-style string and hash
-// values with optional TTL and tombstones.
+// values with optional TTL and tombstones. ValueEntry is the owning form
+// a caller builds, ingests or exports; the engine stores each version as
+// an immutable ReplRecord block (record.h).
 #pragma once
 
 #include <algorithm>
@@ -16,21 +18,9 @@ namespace storage {
 
 /// kHash payload: (field, value) pairs kept sorted by field. A flat
 /// sorted vector instead of std::map — iteration order is identical,
-/// but the container is contiguous (no per-field node allocations), and
-/// HSET's whole-hash copy is one array copy instead of a tree rebuild.
+/// but the container is contiguous (no per-field node allocations). A
+/// record encodes the fields in this order.
 using HashFields = std::vector<std::pair<std::string, std::string>>;
-
-/// Field lookup by binary search; nullptr when absent.
-inline const std::string* FindField(const HashFields& h,
-                                    std::string_view field) {
-  auto it = std::lower_bound(
-      h.begin(), h.end(), field,
-      [](const std::pair<std::string, std::string>& p, std::string_view f) {
-        return p.first < f;
-      });
-  if (it == h.end() || it->first != field) return nullptr;
-  return &it->second;
-}
 
 /// Inserts or overwrites `field`, keeping the vector sorted.
 inline void SetField(HashFields& h, std::string_view field,
@@ -54,30 +44,14 @@ enum class ValueType : uint8_t {
   kTombstone = 2,  ///< Deletion marker; removed at bottom-level compaction.
 };
 
-/// A versioned value. `seq` orders versions of the same key across runs;
-/// higher sequence wins. `expire_at` of 0 means "no TTL".
+/// A versioned value, owned. `seq` orders versions of the same key across
+/// runs; higher sequence wins. `expire_at` of 0 means "no TTL".
 struct ValueEntry {
   ValueType type = ValueType::kString;
   uint64_t seq = 0;
   Micros expire_at = 0;
   std::string str;   ///< kString payload.
   HashFields hash;   ///< kHash payload, sorted by field.
-
-  bool IsTombstone() const { return type == ValueType::kTombstone; }
-
-  /// True if this entry has a TTL that has elapsed at time `now`.
-  bool IsExpiredAt(Micros now) const {
-    return expire_at != 0 && now >= expire_at;
-  }
-
-  /// Approximate in-memory footprint of the payload in bytes; drives
-  /// memtable flush thresholds and cache charging.
-  uint64_t PayloadBytes() const {
-    if (type == ValueType::kString) return str.size();
-    uint64_t total = 0;
-    for (const auto& [f, v] : hash) total += f.size() + v.size();
-    return total;
-  }
 
   static ValueEntry String(std::string value, uint64_t seq,
                            Micros expire_at = 0) {

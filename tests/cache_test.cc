@@ -169,7 +169,7 @@ TEST(SaLruTest, SharedPayloadReleasedOnOverwriteEraseEvictAndClear) {
   Micros expire_at = 0;
   const SharedValue* ref = c.GetRef("k", &expire_at);
   ASSERT_NE(ref, nullptr);
-  EXPECT_EQ(ref->get(), a.get());  // The very buffer, not a copy.
+  EXPECT_EQ(ref->view().data(), a.view().data());  // The very buffer.
 
   ASSERT_TRUE(c.PutHashed(HashString("k"), "k", b, 40));  // Overwrite.
   EXPECT_EQ(a.use_count(), 1);
@@ -233,8 +233,7 @@ TEST(AuLruTest, HitWithinTtl) {
   c.Put("k", "v", 10);
   auto lk = c.Get("k");
   EXPECT_TRUE(lk.hit);
-  ASSERT_NE(lk.value, nullptr);
-  EXPECT_EQ(*lk.value, "v");
+  EXPECT_EQ(lk.value, "v");
   EXPECT_FALSE(lk.needs_refresh);
 }
 
@@ -287,8 +286,7 @@ TEST(AuLruTest, RePutResetsTtlAndRefreshState) {
   clock.Advance(50 * kMicrosPerSecond);  // Old TTL would have expired.
   auto lk = c.Get("k");
   EXPECT_TRUE(lk.hit);
-  ASSERT_NE(lk.value, nullptr);
-  EXPECT_EQ(*lk.value, "v2");
+  EXPECT_EQ(lk.value, "v2");
 }
 
 TEST(AuLruTest, EvictionAtCapacity) {

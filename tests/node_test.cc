@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -473,7 +474,7 @@ TEST_F(DataNodeTest, GetMissCacheFillAndHitShareTheEngineRecord) {
   std::vector<NodeResponse> miss = TickAndDrain();
   ASSERT_EQ(miss.size(), 1u);
   EXPECT_NE(miss[0].served_by, ServedBy::kNodeCache);
-  EXPECT_EQ(miss[0].value.get(), &rec->entry.str);
+  EXPECT_EQ(ValueView(miss[0].value).data(), rec->str().data());
   // The response and the node-cache entry: two more holders, no copy.
   EXPECT_EQ(rec.use_count(), holders + 2);
   miss.clear();
@@ -483,13 +484,13 @@ TEST_F(DataNodeTest, GetMissCacheFillAndHitShareTheEngineRecord) {
   std::vector<NodeResponse> hit = TickAndDrain();
   ASSERT_EQ(hit.size(), 1u);
   EXPECT_EQ(hit[0].served_by, ServedBy::kNodeCache);
-  EXPECT_EQ(hit[0].value.get(), &rec->entry.str);
+  EXPECT_EQ(ValueView(hit[0].value).data(), rec->str().data());
   EXPECT_EQ(ValueView(hit[0].value), "hello");
 }
 
 // The SET write-through caches the record the write built, not a copy:
 // the node-cache entry is one more holder of the engine's record, a hit
-// serves `&rec->entry.str`, and an overwrite releases the old record
+// serves `rec->str()`'s bytes, and an overwrite releases the old record
 // from the cache along with its memtable row.
 TEST_F(DataNodeTest, SetWriteThroughSharesTheEngineRecord) {
   storage::LsmEngine& e = *node_.EngineFor(1, 0);
@@ -507,7 +508,7 @@ TEST_F(DataNodeTest, SetWriteThroughSharesTheEngineRecord) {
   std::vector<NodeResponse> hit = TickAndDrain();
   ASSERT_EQ(hit.size(), 1u);
   EXPECT_EQ(hit[0].served_by, ServedBy::kNodeCache);
-  EXPECT_EQ(hit[0].value.get(), &rec->entry.str);
+  EXPECT_EQ(ValueView(hit[0].value).data(), rec->str().data());
   EXPECT_EQ(rec.use_count(), direct.use_count() + 2);  // + the response.
   hit.clear();
 
@@ -517,7 +518,7 @@ TEST_F(DataNodeTest, SetWriteThroughSharesTheEngineRecord) {
   ASSERT_EQ(TickAndDrain().size(), 1u);
   ASSERT_TRUE(e.Put("d", "world").ok());
   EXPECT_EQ(rec.use_count(), direct.use_count());
-  EXPECT_EQ(rec->entry.str, "hello");  // Immutable: the old bytes stay.
+  EXPECT_EQ(rec->str(), "hello");  // Immutable: the old bytes stay.
 
   const storage::ReplRecordPtr fresh = EngineRecord(e, "k");
   ASSERT_NE(fresh, rec);
@@ -525,7 +526,7 @@ TEST_F(DataNodeTest, SetWriteThroughSharesTheEngineRecord) {
   std::vector<NodeResponse> again = TickAndDrain();
   ASSERT_EQ(again.size(), 1u);
   EXPECT_EQ(again[0].served_by, ServedBy::kNodeCache);
-  EXPECT_EQ(again[0].value.get(), &fresh->entry.str);
+  EXPECT_EQ(ValueView(again[0].value).data(), fresh->str().data());
   EXPECT_EQ(ValueView(again[0].value), "world");
 }
 
@@ -562,21 +563,21 @@ TEST(DataNodeSharedValueTest, CachedHandleOutlivesOverwriteFlushCompaction) {
   ASSERT_GE(e.stats().compaction_count, 1u);
   e.TruncateReplLogThrough(e.applied_seq());
   EXPECT_EQ(e.Get("k").value(), "v2");
-  EXPECT_EQ(*held, "v1");
+  EXPECT_EQ(ValueView(held), "v1");
   EXPECT_EQ(held.use_count(), 2);  // The test and the node cache.
 
   node.Submit(MakeGet(2, 1, 0, "k"));
   std::vector<NodeResponse> stale = tick();
   ASSERT_EQ(stale.size(), 1u);
   EXPECT_EQ(stale[0].served_by, ServedBy::kNodeCache);
-  EXPECT_EQ(stale[0].value.get(), held.get());
+  EXPECT_EQ(ValueView(stale[0].value).data(), ValueView(held).data());
   stale.clear();
 
   // A write through the node lands the invalidation (write-through).
   node.Submit(MakeSet(3, 1, 0, "k", "v3"));
   tick();
   EXPECT_EQ(held.use_count(), 1);
-  EXPECT_EQ(*held, "v1");
+  EXPECT_EQ(ValueView(held), "v1");
   node.Submit(MakeGet(4, 1, 0, "k"));
   std::vector<NodeResponse> fresh = tick();
   ASSERT_EQ(fresh.size(), 1u);
@@ -615,6 +616,68 @@ TEST(DataNodeSharedValueTest, ExpiredRequestReleasesItsPayload) {
   EXPECT_TRUE(out[0].status.IsResourceExhausted());
   EXPECT_EQ(out[0].value, nullptr);
   EXPECT_EQ(rec.use_count(), holders);
+}
+
+// The stale-but-valid rule holds for hash payloads too: an HGET handle
+// views its field's value inside the hash record itself, so it keeps
+// reading the old bytes after an HSET overwrites the field, a flush
+// moves the record into a run and a compaction drops that version —
+// and the record dies with its last holder.
+TEST(DataNodeSharedValueTest, HashFieldHandleOutlivesOverwriteFlushCompaction) {
+  SimClock clock(0);
+  DataNodeOptions o = SmallNodeOptions();
+  o.lsm.runs_per_level_trigger = 1;  // Two level-0 runs merge.
+  DataNode node(1, o, &clock);
+  node.AddReplica(1, 0, 1000, true);
+  storage::LsmEngine& e = *node.EngineFor(1, 0);
+  auto hash_op = [&](uint64_t id, OpType op, const std::string& field) {
+    NodeRequest r = MakeGet(id, 1, 0, "h");
+    r.op = op;
+    r.field = field;
+    node.Submit(r);
+    node.Tick();
+    clock.Advance(kMicrosPerSecond);
+    return node.TakeResponses();
+  };
+
+  ASSERT_TRUE(e.HSet("h", "a", "old-a").ok());
+  ASSERT_TRUE(e.HSet("h", "b", "old-b").ok());
+  e.TruncateReplLogThrough(e.applied_seq());
+  storage::ReplRecordPtr rec = EngineRecord(e, "h");
+  ASSERT_NE(rec, nullptr);
+  std::string_view in_record;
+  ASSERT_TRUE(rec->FindField("b", &in_record));
+  const long holders = rec.use_count();  // The memtable and this test.
+
+  std::vector<NodeResponse> first = hash_op(1, OpType::kHGet, "b");
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_TRUE(first[0].status.ok());
+  SharedValue held = first[0].value;
+  first.clear();
+  EXPECT_EQ(ValueView(held).data(), in_record.data());  // No copy.
+  EXPECT_EQ(rec.use_count(), holders + 1);
+
+  ASSERT_TRUE(e.HSet("h", "b", "new-b").ok());
+  e.Flush();
+  ASSERT_TRUE(e.HSet("h", "a", "new-a").ok());
+  e.Flush();  // Second run: the trigger merges both, dropping `rec`.
+  ASSERT_GE(e.stats().compaction_count, 1u);
+  e.TruncateReplLogThrough(e.applied_seq());
+  EXPECT_EQ(e.HGet("h", "b").value(), "new-b");
+  EXPECT_EQ(ValueView(held), "old-b");
+  EXPECT_EQ(rec.use_count(), 2);  // This test and the handle.
+
+  std::vector<NodeResponse> fresh = hash_op(2, OpType::kHGet, "b");
+  ASSERT_EQ(fresh.size(), 1u);
+  EXPECT_EQ(ValueView(fresh[0].value), "new-b");
+  std::vector<NodeResponse> all = hash_op(3, OpType::kHGetAll, "");
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(ValueView(all[0].value), "a=new-a\nb=new-b\n");
+
+  rec = nullptr;
+  EXPECT_EQ(held.use_count(), 1);  // The handle is the last holder.
+  EXPECT_EQ(ValueView(held), "old-b");
+  held = nullptr;  // Frees the record (LeakSanitizer checks the rest).
 }
 
 }  // namespace

@@ -58,7 +58,7 @@ TEST(PrefixTreeStoreTest, PointParityWithAuLru) {
       EXPECT_EQ(a.hit, b.hit) << key << " step " << step;
       EXPECT_EQ(a.needs_refresh, b.needs_refresh) << key;
       if (a.hit && b.hit) {
-        EXPECT_EQ(*a.value, *b.value);
+        EXPECT_EQ(a.value, b.value);
       }
     } else if (pick < 0.97) {
       EXPECT_EQ(lru.Erase(key), tree.Erase(key));
@@ -98,7 +98,7 @@ TEST(PrefixTreeStoreTest, ScanPutGetKeyedByPrefixAndLimit) {
 
   AuLookup hit = tree.GetScan("t1:", 10);
   ASSERT_TRUE(hit.hit);
-  EXPECT_EQ(*hit.value, payload);
+  EXPECT_EQ(hit.value, payload);
   EXPECT_FALSE(hit.needs_refresh);  // Scan payloads never refresh.
 
   // Same prefix, different limit = different cached object.
@@ -207,7 +207,7 @@ TEST(PrefixTreeStoreTest, SharedPayloadReleasedOnOverwriteEraseEvictAndClear) {
   EXPECT_EQ(a.use_count(), 2);
   AuLookup hit = tree.Get("t1:k");
   ASSERT_TRUE(hit.hit);
-  EXPECT_EQ(hit.value, a.get());  // The very buffer, not a copy.
+  EXPECT_EQ(hit.value.data(), a.view().data());  // The very buffer.
 
   ASSERT_TRUE(tree.PutHashed(HashString("t1:k"), "t1:k", b, 40));
   EXPECT_EQ(a.use_count(), 1);  // Overwrite.
@@ -215,7 +215,7 @@ TEST(PrefixTreeStoreTest, SharedPayloadReleasedOnOverwriteEraseEvictAndClear) {
 
   ASSERT_TRUE(tree.PutScan("t1:", 10, scan, 40));
   EXPECT_EQ(scan.use_count(), 2);
-  EXPECT_EQ(tree.GetScan("t1:", 10).value, scan.get());
+  EXPECT_EQ(tree.GetScan("t1:", 10).value.data(), scan.view().data());
   EXPECT_TRUE(tree.Erase("t1:k"));  // Drops the point and its cover.
   EXPECT_EQ(b.use_count(), 1);
   EXPECT_EQ(scan.use_count(), 1);

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <map>
+#include <new>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -12,11 +15,52 @@
 #include "common/hash.h"
 #include "common/keyspace.h"
 #include "common/rng.h"
+#include "common/shared_value.h"
 #include "storage/bloom.h"
 #include "storage/disk_model.h"
 #include "storage/lsm_engine.h"
 #include "storage/memtable.h"
 #include "storage/sstable.h"
+
+// Counting global allocator: while `g_count_allocs` is set, every
+// operator new in this binary bumps `g_allocs`. Only
+// OneAllocationPerWriteVersion turns it on.
+namespace {
+std::atomic<bool> g_count_allocs{false};
+std::atomic<long> g_allocs{0};
+}  // namespace
+
+// GCC pairs its builtin operator new with free() when it inlines these
+// replacements and warns; the pairing is the replacement's intent.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
+  return ::operator new(n, tag);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+#pragma GCC diagnostic pop
 
 namespace abase {
 namespace storage {
@@ -64,9 +108,9 @@ TEST(MemTableTest, PutGetReplace) {
   mt.Put(MakeReplRecord("a", ValueEntry::String("1", 1)));
   mt.Put(MakeReplRecord("b", ValueEntry::String("2", 2)));
   ASSERT_NE(mt.Get("a"), nullptr);
-  EXPECT_EQ((*mt.Get("a"))->entry.str, "1");
+  EXPECT_EQ((*mt.Get("a"))->str(), "1");
   mt.Put(MakeReplRecord("a", ValueEntry::String("updated", 3)));
-  EXPECT_EQ((*mt.Get("a"))->entry.str, "updated");
+  EXPECT_EQ((*mt.Get("a"))->str(), "updated");
   EXPECT_EQ(mt.entry_count(), 2u);
   EXPECT_EQ(mt.Get("zz"), nullptr);
 }
@@ -84,7 +128,7 @@ TEST(MemTableTest, TombstonesStored) {
   MemTable mt;
   mt.Put(MakeReplRecord("k", ValueEntry::Tombstone(1)));
   ASSERT_NE(mt.Get("k"), nullptr);
-  EXPECT_TRUE((*mt.Get("k"))->entry.IsTombstone());
+  EXPECT_TRUE((*mt.Get("k"))->IsTombstone());
 }
 
 // Differential test of the memtable's index, chunked row store and
@@ -117,7 +161,7 @@ void PutBoth(MemTable& mt, RefTable& ref, const std::string& key, Rng& rng,
 void ExpectSameTable(const MemTable& mt, const RefTable& ref) {
   uint64_t bytes = 0;
   for (const auto& [key, rec] : ref) {
-    bytes += key.size() + rec->entry.PayloadBytes() + kMemEntryOverhead;
+    bytes += key.size() + rec->PayloadBytes() + kMemEntryOverhead;
   }
   ASSERT_EQ(mt.entry_count(), ref.size());
   EXPECT_EQ(mt.empty(), ref.empty());
@@ -224,7 +268,7 @@ TEST(SsTableTest, PointLookupChargesOneBlock) {
   SsTable sst(1, MakeRows(100));
   SstProbe p = sst.Get("k00042");
   ASSERT_NE(p.rec, nullptr);
-  EXPECT_EQ((*p.rec)->entry.str, "v42");
+  EXPECT_EQ((*p.rec)->str(), "v42");
   EXPECT_EQ(p.block_reads, 1);
 }
 
@@ -257,6 +301,41 @@ class LsmEngineTest : public ::testing::Test {
   SimClock clock_;
   std::unique_ptr<LsmEngine> engine_;
 };
+
+// One allocation per write version: an overwrite that grows neither the
+// memtable's row store nor its index allocates exactly the record block
+// (header, key and value together), and a replica applying that record
+// stores its 8-byte handle and allocates nothing.
+TEST_F(LsmEngineTest, OneAllocationPerWriteVersion) {
+  static_assert(sizeof(ReplRecordPtr) == 8, "8-byte record handles");
+  static_assert(sizeof(SharedValue) <= 16, "16-byte payload handles");
+  LsmEngine replica(LsmOptions{}, &clock_);
+  const std::string value(256, 'v');
+  ReplRecordPtr first;
+  ASSERT_TRUE(engine_->Put("key", value, 0, &first).ok());
+  ASSERT_TRUE(replica.ApplyReplicated(first).ok());
+
+  ReplRecordPtr rec;
+  g_allocs = 0;
+  g_count_allocs = true;
+  const bool put_ok = engine_->Put("key", value, 0, &rec).ok();
+  g_count_allocs = false;
+  ASSERT_TRUE(put_ok);
+  EXPECT_EQ(g_allocs.load(), 1);
+
+  g_allocs = 0;
+  g_count_allocs = true;
+  const bool apply_ok = replica.ApplyReplicated(rec).ok();
+  g_count_allocs = false;
+  ASSERT_TRUE(apply_ok);
+  EXPECT_EQ(g_allocs.load(), 0);
+
+  EXPECT_EQ(rec->key(), "key");
+  EXPECT_EQ(rec->str(), value);
+  EXPECT_EQ(rec.use_count(), 3);  // This test and both memtables.
+  EXPECT_EQ(first.use_count(), 1);  // Both overwrites released it.
+  EXPECT_EQ(replica.Get("key").value(), value);
+}
 
 TEST_F(LsmEngineTest, PutGetRoundTrip) {
   ASSERT_TRUE(engine_->Put("k1", "hello").ok());
@@ -320,9 +399,8 @@ TEST_F(LsmEngineTest, HashCommands) {
   auto all = engine_->HGetAll("h");
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all.value().size(), 2u);
-  const std::string* f2 = storage::FindField(all.value(), "f2");
-  ASSERT_NE(f2, nullptr);
-  EXPECT_EQ(*f2, "v2");
+  EXPECT_EQ(all.value()[1].first, "f2");
+  EXPECT_EQ(all.value()[1].second, "v2");
   EXPECT_TRUE(engine_->HGet("h", "zz").status().IsNotFound());
   EXPECT_TRUE(engine_->HLen("nope").status().IsNotFound());
 }
@@ -827,8 +905,8 @@ TEST(ReplicationLogTest, AppendDeltaAndTruncate) {
 
   auto delta = log.Delta(2, 4);  // (2, 4] -> seqs 3 and 4.
   ASSERT_EQ(delta.size(), 2u);
-  EXPECT_EQ(delta[0]->entry.seq, 3u);
-  EXPECT_EQ(delta[1]->entry.seq, 4u);
+  EXPECT_EQ(delta[0]->seq(), 3u);
+  EXPECT_EQ(delta[1]->seq(), 4u);
 
   log.TruncateThrough(3);
   EXPECT_EQ(log.first_seq(), 4u);
@@ -863,10 +941,10 @@ TEST(LsmEngineReplicationTest, ReplicaAppliesPrimaryStreamExactly) {
   ASSERT_TRUE(primary.Delete("a").ok());
   EXPECT_EQ(primary.applied_seq(), 4u);
 
-  for (const ReplRecord* rec :
+  for (const ReplRecordPtr& rec :
        primary.repl_log().Delta(replica.applied_seq(),
                                 primary.applied_seq())) {
-    ASSERT_TRUE(replica.ApplyReplicated(*rec).ok());
+    ASSERT_TRUE(replica.ApplyReplicated(rec).ok());
   }
   EXPECT_EQ(replica.applied_seq(), primary.applied_seq());
   EXPECT_TRUE(replica.Get("a").status().IsNotFound());  // Tombstone shipped.
@@ -875,9 +953,8 @@ TEST(LsmEngineReplicationTest, ReplicaAppliesPrimaryStreamExactly) {
   EXPECT_EQ(replica.stats().repl_applied, 4u);
 
   // Out-of-order application is refused (the shipper must resync).
-  ReplRecord gap;
-  gap.key = "z";
-  gap.entry = ValueEntry::String("v", primary.applied_seq() + 5);
+  const ReplRecordPtr gap =
+      MakeReplRecord("z", ValueEntry::String("v", primary.applied_seq() + 5));
   EXPECT_FALSE(replica.ApplyReplicated(gap).ok());
 }
 
@@ -886,8 +963,8 @@ TEST(LsmEngineReplicationTest, ReplicaStreamSurvivesCrashRecovery) {
   LsmEngine primary(ReplicatedOptions(), &clock);
   LsmEngine replica(ReplicatedOptions(), &clock);
   ASSERT_TRUE(primary.Put("k", "v").ok());
-  for (const ReplRecord* rec : primary.repl_log().Delta(0, 1)) {
-    ASSERT_TRUE(replica.ApplyReplicated(*rec).ok());
+  for (const ReplRecordPtr& rec : primary.repl_log().Delta(0, 1)) {
+    ASSERT_TRUE(replica.ApplyReplicated(rec).ok());
   }
   // Replicated records are unflushed writes of the replica: a crash
   // loses nothing and the stream cursor is preserved.
@@ -919,10 +996,10 @@ TEST(LsmEngineReplicationTest, ResyncFromClonesStateAndCursor) {
 
   // The clone keeps streaming: new primary writes apply as a delta.
   ASSERT_TRUE(primary.Put("after", "resync").ok());
-  for (const ReplRecord* rec :
+  for (const ReplRecordPtr& rec :
        primary.repl_log().Delta(replica.applied_seq(),
                                 primary.applied_seq())) {
-    ASSERT_TRUE(replica.ApplyReplicated(*rec).ok());
+    ASSERT_TRUE(replica.ApplyReplicated(rec).ok());
   }
   EXPECT_EQ(replica.Get("after").value(), "resync");
 }
@@ -938,12 +1015,12 @@ void Ship(const LsmEngine& primary, LsmEngine& replica) {
       });
 }
 
-/// MultiFind of one key: the newest visible entry, or nullptr.
-const ValueEntry* FindOne(LsmEngine& engine, std::string_view key,
+/// MultiFind of one key: the newest visible record, or nullptr.
+const ReplRecord* FindOne(LsmEngine& engine, std::string_view key,
                           ReadIo* io) {
   const ReplRecordPtr* rec = nullptr;
   engine.MultiFind(&key, 1, &rec, io);
-  return rec != nullptr ? &(*rec)->entry : nullptr;
+  return rec != nullptr ? rec->get() : nullptr;
 }
 
 // One materialized copy per write version: the primary's memtable, the
@@ -971,16 +1048,16 @@ TEST(LsmEngineReplicationTest, ReplicaSharesPrimaryRecordsThroughCompaction) {
   Ship(primary, replica);
 
   ReadIo io;
-  EXPECT_EQ(FindOne(primary, "shared", &io), &rec->entry);
+  EXPECT_EQ(FindOne(primary, "shared", &io), rec.get());
   EXPECT_TRUE(io.memtable_hit);
-  EXPECT_EQ(FindOne(replica, "shared", &io), &rec->entry);
+  EXPECT_EQ(FindOne(replica, "shared", &io), rec.get());
   EXPECT_TRUE(io.memtable_hit);
 
   primary.Flush();
   replica.Flush();
-  EXPECT_EQ(FindOne(primary, "shared", &io), &rec->entry);
+  EXPECT_EQ(FindOne(primary, "shared", &io), rec.get());
   EXPECT_FALSE(io.memtable_hit);
-  EXPECT_EQ(FindOne(replica, "shared", &io), &rec->entry);
+  EXPECT_EQ(FindOne(replica, "shared", &io), rec.get());
   EXPECT_FALSE(io.memtable_hit);
 
   // Push the run through compactions down to the bottom level: every
@@ -994,13 +1071,13 @@ TEST(LsmEngineReplicationTest, ReplicaSharesPrimaryRecordsThroughCompaction) {
   // Every second flush merges level 0 into level 1's single run, which
   // holds "shared" from the first merge on.
   ASSERT_GE(primary.stats().compaction_count, 4u);
-  EXPECT_EQ(FindOne(primary, "shared", &io), &rec->entry);
-  EXPECT_EQ(FindOne(replica, "shared", &io), &rec->entry);
+  EXPECT_EQ(FindOne(primary, "shared", &io), rec.get());
+  EXPECT_EQ(FindOne(replica, "shared", &io), rec.get());
 
   // Crash recovery keeps the memtable's shared records too.
   ASSERT_TRUE(primary.Put("late", "w").ok());
   Ship(primary, replica);
-  const ValueEntry* late = FindOne(primary, "late", &io);
+  const ReplRecord* late = FindOne(primary, "late", &io);
   ASSERT_NE(late, nullptr);
   replica.CrashAndRecover();
   EXPECT_EQ(FindOne(replica, "late", &io), late);
@@ -1081,18 +1158,17 @@ class LsmReplicaDifferentialTest : public ::testing::TestWithParam<uint64_t> {
     engine.MultiFind(views.data(), views.size(), found.data(), ios.data());
     for (size_t i = 0; i < keys.size(); i++) {
       const Shadow* s = Visible(keys[i], now);
-      const ValueEntry* e =
-          found[i] != nullptr ? &(*found[i])->entry : nullptr;
+      const ReplRecord* e = found[i] != nullptr ? found[i]->get() : nullptr;
       ASSERT_EQ(e != nullptr, s != nullptr)
           << who << " MultiFind " << keys[i] << ", step " << step;
       if (e == nullptr) continue;
-      EXPECT_EQ(e->type, s->is_hash ? ValueType::kHash : ValueType::kString)
+      EXPECT_EQ(e->type(), s->is_hash ? ValueType::kHash : ValueType::kString)
           << who << " " << keys[i] << ", step " << step;
-      EXPECT_EQ(e->expire_at, s->expire_at) << who << " " << keys[i];
+      EXPECT_EQ(e->expire_at(), s->expire_at) << who << " " << keys[i];
       if (s->is_hash) {
-        EXPECT_EQ(e->hash, s->hash) << who << " " << keys[i];
+        EXPECT_EQ(e->DecodeHash(), s->hash) << who << " " << keys[i];
       } else {
-        EXPECT_EQ(e->str, s->str) << who << " " << keys[i];
+        EXPECT_EQ(e->str(), s->str) << who << " " << keys[i];
       }
     }
   }
