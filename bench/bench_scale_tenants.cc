@@ -168,10 +168,14 @@ int main() {
   /// (preload of the 1000 active tenants included): 10,999 B while every
   /// tenant built its router RNG and RU moving-average deques at
   /// registration, 5,214 B once they are built on first traffic, 2,718 B
-  /// once the workload generator's RNG is too (same 4-hardware-thread
-  /// host). ~32% headroom over the lazy figure; one reintroduced eager
-  /// RNG (2.5 KB) or the five deques (~2.9 KB) fails.
-  constexpr double kMaxBytesPerTenant = 3600.0;
+  /// once the workload generator's RNG is too, 727 B once engine state,
+  /// the proxy's content store / RU estimator / in-flight map, the
+  /// tenant's metrics-latency-control block and the partition quota
+  /// bucket are built on first use as well (same 4-hardware-thread
+  /// host). ~32% headroom over the lazy figure; any one of those built
+  /// eagerly again (engine state ~0.4 KB, proxy block ~0.9 KB, tenant
+  /// block ~0.6 KB) fails.
+  constexpr double kMaxBytesPerTenant = 960.0;
   const std::vector<size_t> registered_counts = {1000, 1000000};
 
   std::printf("%12s %8s %8s %12s %12s %10s %10s %10s\n", "registered",

@@ -1,31 +1,21 @@
-// Interned key handles: a KeyRef is a non-owning (pointer, length) view
-// of a key plus its precomputed FNV-1a 64 hash, built once where the key
-// enters a subsystem and threaded through every later hop so no stage
-// re-hashes or re-copies the bytes. KeyArena is the matching allocator:
-// an interning bump arena that materializes each distinct key at most
-// once per epoch (tick, batch, compaction) and hands out stable KeyRefs
-// until Reset(), which retains capacity so steady-state interning never
-// allocates.
+// Key handles: a KeyRef is a non-owning (pointer, length) view of a key
+// plus its precomputed FNV-1a 64 hash, built once where the key enters a
+// subsystem and threaded through every later hop so no stage re-hashes
+// the bytes.
 //
 // Lifetime rules (see DESIGN.md "Per-request cost model"):
-//   - A KeyRef from KeyArena::Intern is valid until that arena's Reset().
-//   - A KeyRef built over foreign storage (KeyRef::From) is valid only
+//   - A KeyRef (KeyRef::From) views foreign storage and is valid only
 //     while that storage is; it never outlives the request/slot that
 //     owns the string.
 //   - Strings materialize only at client-visible boundaries (tracked
-//     outcomes, cache fills, WAL records); everything in between moves
+//     outcomes, cache fills, log records); everything in between moves
 //     (pointer, length, hash) triples.
 #pragma once
 
-#include <algorithm>
-#include <cassert>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <string_view>
-#include <vector>
 
-#include "common/flat_map.h"
 #include "common/hash.h"
 
 namespace abase {
@@ -61,122 +51,6 @@ struct KeyRef {
   friend bool operator!=(const KeyRef& a, const KeyRef& b) {
     return !(a == b);
   }
-};
-
-/// Interning bump arena for keys. Intern() returns a KeyRef into arena
-/// storage; repeated interning of the same bytes within one epoch
-/// returns the identical storage (pointer equality), so a key crossing N
-/// pipeline hops is materialized once, not N times. Reset() drops every
-/// interned key but keeps the allocated blocks and the index's table, so
-/// a steady-state tick whose keys fit the high-water mark performs zero
-/// heap allocation.
-///
-/// Hash collisions (distinct byte strings, equal 64-bit hash) are
-/// chained per index slot and resolved by byte compare — interning is
-/// exact, never probabilistic.
-class KeyArena {
- public:
-  explicit KeyArena(size_t block_bytes = kDefaultBlockBytes)
-      : block_bytes_(block_bytes) {}
-
-  KeyArena(const KeyArena&) = delete;
-  KeyArena& operator=(const KeyArena&) = delete;
-
-  /// Interns `key`, hashing once. The returned ref is valid until
-  /// Reset().
-  KeyRef Intern(std::string_view key) {
-    return InternHashed(Fnv1a64(key), key);
-  }
-
-  /// Interning core for callers that already hold the key's FNV-1a 64
-  /// hash (a generator or router that hashed at entry). `hash` MUST
-  /// equal Fnv1a64(key); a wrong hash poisons every later consumer.
-  KeyRef InternHashed(uint64_t hash, std::string_view key) {
-    Slot*& head = index_[hash];
-    for (Slot* s = head; s != nullptr; s = s->next) {
-      if (s->len == key.size() &&
-          (key.empty() ||
-           std::memcmp(s->bytes(), key.data(), key.size()) == 0)) {
-        return MakeRef(s, hash);
-      }
-    }
-    Slot* s = AllocateSlot(key);
-    s->next = head;
-    head = s;
-    interned_++;
-    return MakeRef(s, hash);
-  }
-
-  /// Drops every interned key; retains block capacity and the index
-  /// table, so the next epoch's interning is allocation-free up to the
-  /// high-water mark.
-  void Reset() {
-    if (blocks_.size() > 1) {
-      // Keep only the largest block (the last one: block sizes are
-      // nondecreasing) so a one-off spike does not pin many blocks.
-      blocks_.front() = std::move(blocks_.back());
-      blocks_.resize(1);
-    }
-    used_ = 0;
-    interned_ = 0;
-    index_.Clear();
-  }
-
-  /// Distinct keys interned since the last Reset.
-  size_t interned_count() const { return interned_; }
-
-  /// Bytes consumed in the current block (observability / tests).
-  size_t block_bytes_used() const { return used_; }
-  size_t block_count() const { return blocks_.size(); }
-
- private:
-  /// One interned key: chain pointer and length, followed inline by the
-  /// key bytes.
-  struct Slot {
-    Slot* next = nullptr;
-    uint32_t len = 0;
-    char* bytes() { return reinterpret_cast<char*>(this + 1); }
-    const char* bytes() const {
-      return reinterpret_cast<const char*>(this + 1);
-    }
-  };
-
-  static constexpr size_t kDefaultBlockBytes = 16 * 1024;
-
-  static KeyRef MakeRef(Slot* s, uint64_t hash) {
-    KeyRef r;
-    r.data = s->bytes();
-    r.len = s->len;
-    r.hash = hash;
-    return r;
-  }
-
-  Slot* AllocateSlot(std::string_view key) {
-    size_t need = sizeof(Slot) + key.size();
-    // Keep slots aligned for the Slot header.
-    need = (need + alignof(Slot) - 1) & ~(alignof(Slot) - 1);
-    if (blocks_.empty() || used_ + need > block_size_) {
-      // Geometric growth: each new block doubles the standing size, so
-      // after one warm-up epoch the single block Reset retains holds
-      // the whole working set and steady state allocates nothing.
-      const size_t size = std::max({block_bytes_, need, block_size_ * 2});
-      blocks_.push_back(std::make_unique<char[]>(size));
-      block_size_ = size;
-      used_ = 0;
-    }
-    Slot* s = new (blocks_.back().get() + used_) Slot();
-    used_ += need;
-    s->len = static_cast<uint32_t>(key.size());
-    if (!key.empty()) std::memcpy(s->bytes(), key.data(), key.size());
-    return s;
-  }
-
-  size_t block_bytes_;
-  size_t block_size_ = 0;  ///< Capacity of the current (last) block.
-  size_t used_ = 0;        ///< Bytes consumed in the current block.
-  size_t interned_ = 0;
-  std::vector<std::unique_ptr<char[]>> blocks_;
-  FlatMap64<Slot*> index_;
 };
 
 }  // namespace abase

@@ -100,7 +100,8 @@ Result<autoscale::ScalingDecision> Cluster::RunAutoscaler(
   if (meta == nullptr || rt == nullptr) {
     return Status::NotFound("no such tenant");
   }
-  autoscale::Autoscaler scaler(rt->scaling_policy, rt->forecast_options);
+  const sim::TenantRuntime::Lazy& lz = rt->lazy_or_default();
+  autoscale::Autoscaler scaler(lz.scaling_policy, lz.forecast_options);
   auto decision = scaler.Decide(
       usage_history, TimeSeries(), meta->tenant_quota_ru,
       static_cast<uint32_t>(meta->partitions.size()),

@@ -88,9 +88,6 @@ void DataNode::AddReplica(TenantId tenant, PartitionId partition,
   storage::LsmOptions lsm_options = options_.lsm;
   lsm_options.enable_repl_log = true;
   rep.engine = std::make_unique<storage::LsmEngine>(lsm_options, clock_);
-  rep.quota =
-      std::make_unique<quota::PartitionQuota>(partition_quota_ru, clock_);
-  rep.quota->SetEnabled(quota_enforcement_);
   {
     // Precompute the FNV-1a state of this replica's cache-key prefix
     // ("<tenant>|<partition>|"); the request path continues it over the
@@ -161,14 +158,21 @@ void DataNode::SetPartitionQuota(TenantId tenant, PartitionId partition,
                                  double partition_quota_ru) {
   PartitionReplica* rep = FindReplica(tenant, partition);
   if (rep == nullptr) return;
+  // An unbuilt bucket is full at the old rate. Lowering the rate keeps
+  // it full at the new one; raising it leaves it short of the new depth,
+  // so the bucket is built (full at the old rate) before the raise.
+  if (rep->quota || partition_quota_ru > rep->partition_quota_ru) {
+    MutableQuota(*rep).SetBaseQuota(partition_quota_ru);
+  }
   rep->partition_quota_ru = partition_quota_ru;
-  rep->quota->SetBaseQuota(partition_quota_ru);
   RecomputeTotalQuota();
 }
 
 void DataNode::SetPartitionQuotaEnforcement(bool enabled) {
   quota_enforcement_ = enabled;
-  for (auto& [key, rep] : replicas_) rep.quota->SetEnabled(enabled);
+  for (auto& [key, rep] : replicas_) {
+    if (rep.quota) rep.quota->SetEnabled(enabled);
+  }
 }
 
 uint64_t DataNode::StoredBytes() const {
@@ -369,7 +373,8 @@ void DataNode::Submit(const NodeRequest& req) {
 
   // Partition-quota admission at the request-queue entry point. Rejecting
   // is not free: the node burns CPU to produce the error (Figure 6).
-  if (!rep->quota->TryAdmit(req.estimated_ru)) {
+  // Unenforced, admission leaves the bucket untouched (so unbuilt).
+  if (quota_enforcement_ && !MutableQuota(*rep).TryAdmit(req.estimated_ru)) {
     pending_reject_ru_ += options_.reject_cpu_ru;
     tick_stats_.rejected_quota++;
     responses_.push_back(
@@ -761,7 +766,9 @@ NodeResponse DataNode::ExecuteOnEngine(PendingContext& ctx,
 
   // Settle the difference between the admission estimate and the actual
   // charge against the partition's bucket.
-  rep.quota->SettleActual(req.estimated_ru, resp.actual_ru);
+  if (quota_enforcement_) {
+    MutableQuota(rep).SettleActual(req.estimated_ru, resp.actual_ru);
+  }
   AddTenantRu(req.tenant, resp.actual_ru);
   rep.ru_this_tick += resp.actual_ru;
   if (!rep.ewma_listed) {

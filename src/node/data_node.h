@@ -71,25 +71,30 @@ enum class NodeState {
 
 const char* NodeStateName(NodeState state);
 
-/// A partition replica hosted on this node.
+/// A partition replica hosted on this node. Fields are ordered to pack:
+/// every registered tenant's replicas hold one of these per node.
 struct PartitionReplica {
   TenantId tenant = 0;
   PartitionId partition = 0;
   double partition_quota_ru = 1000;  ///< Fair share (tenant quota / #parts).
-  bool is_primary = true;
   std::unique_ptr<storage::LsmEngine> engine;
+  /// The partition-quota bucket, built on first use: while null the
+  /// bucket is exactly full at `partition_quota_ru` (a fresh bucket, or
+  /// one that only ever saw its rate lowered), which is every idle
+  /// replica's state (DataNode::MutableQuota).
   std::unique_ptr<quota::PartitionQuota> quota;
   double ru_this_tick = 0;  ///< RU served in the current tick.
   double ru_rate = 0;       ///< EWMA of RU/s (rescheduler load input).
-  /// On the node's EWMA active list (DataNode::ewma_active_): set when the
-  /// replica serves RU, cleared when its rate decays back to exactly 0.
-  bool ewma_listed = false;
   /// FNV-1a state of the node-cache key prefix "<tenant>|<partition>|"
   /// (computed once at AddReplica). Continuing it over the client key
   /// (Fnv1a64Continue) equals HashString(CacheKeyFor(req)) without
   /// materializing the prefixed string — the per-request cache-key hash
   /// becomes O(|key|) with no buffer build.
   uint64_t cache_prefix_hash = 0;
+  bool is_primary = true;
+  /// On the node's EWMA active list (DataNode::ewma_active_): set when the
+  /// replica serves RU, cleared when its rate decays back to exactly 0.
+  bool ewma_listed = false;
 };
 
 /// Node-level counters for one tick (drained with TakeTickStats).
@@ -348,6 +353,17 @@ class DataNode {
   /// request to hand).
   const std::string& CacheKeyFor(TenantId tenant, PartitionId partition,
                                  std::string_view client_key) const;
+
+  /// The replica's partition-quota bucket, built full at its current
+  /// rate on first use (see PartitionReplica::quota).
+  quota::PartitionQuota& MutableQuota(PartitionReplica& rep) {
+    if (!rep.quota) {
+      rep.quota = std::make_unique<quota::PartitionQuota>(
+          rep.partition_quota_ru, clock_);
+      rep.quota->SetEnabled(quota_enforcement_);
+    }
+    return *rep.quota;
+  }
 
   /// Hot-path replica lookup through the flat side index.
   PartitionReplica* FindReplica(TenantId tenant, PartitionId partition) {

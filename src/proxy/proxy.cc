@@ -17,34 +17,39 @@ Proxy::Proxy(ProxyId id, TenantId tenant, double proxy_quota_ru,
       options_(options),
       clock_(clock),
       partition_of_(std::move(partition_of)),
-      cache_(options.cache, clock),
       quota_(proxy_quota_ru, clock),
-      ru_(options.ru),
       cache_enabled_(options.cache_enabled),
       quota_enabled_(options.quota_enabled) {
   assert(clock_ != nullptr);
 }
 
+const cache::PrefixTreeStore& Proxy::cache() const {
+  static const SimClock kClock;
+  static const cache::PrefixTreeStore kEmpty(cache::AuLruOptions{}, &kClock);
+  return lazy_ ? lazy_->cache : kEmpty;
+}
+
 double Proxy::EstimateRu(const ClientRequest& req) const {
+  const ru::RuEstimator& ru = lazy_->ru;
   switch (req.op) {
     case OpType::kSet:
-      return ru_.WriteRu(req.value.size(), options_.replicas);
+      return ru.WriteRu(req.value.size(), options_.replicas);
     case OpType::kHSet:
-      return ru_.WriteRu(req.field.size() + req.value.size(),
-                         options_.replicas);
+      return ru.WriteRu(req.field.size() + req.value.size(),
+                        options_.replicas);
     case OpType::kDel:
-      return ru_.WriteRu(req.key.size(), options_.replicas);
+      return ru.WriteRu(req.key.size(), options_.replicas);
     case OpType::kExpire:
       return 1.0;
     case OpType::kGet:
     case OpType::kHGet:
-      return ru_.EstimateReadRu();
+      return ru.EstimateReadRu();
     case OpType::kHLen:
-      return ru_.EstimateHLenRu();
+      return ru.EstimateHLenRu();
     case OpType::kHGetAll:
-      return ru_.EstimateHGetAllRu();
+      return ru.EstimateHGetAllRu();
     case OpType::kScan:
-      return ru_.EstimateScanRu(req.scan_limit);
+      return ru.EstimateScanRu(req.scan_limit);
   }
   return 1.0;
 }
@@ -63,6 +68,7 @@ ProxyHandleResult::Action Proxy::HandleInto(const ClientRequest& req,
                                             uint64_t key_hash,
                                             NodeRequest& fwd,
                                             ProxyHandleResult& local) {
+  Lazy& lz = MutableLazy();
   stats_.requests++;
 
   // 1. Proxy cache: hits return immediately — no throttling, no charge
@@ -71,7 +77,7 @@ ProxyHandleResult::Action Proxy::HandleInto(const ClientRequest& req,
   // A proxy belongs to exactly one tenant, so the client key is the
   // cache key as-is — no tenant-prefixed copy to build per lookup.
   if (cache_enabled_ && req.op == OpType::kGet) {
-    cache::AuLookup lk = cache_.GetHashed(key_hash, req.key);
+    cache::AuLookup lk = lz.cache.GetHashed(key_hash, req.key);
     if (lk.hit) {
       stats_.cache_hits++;
       local.value_bytes = lk.value.size();
@@ -89,7 +95,7 @@ ProxyHandleResult::Action Proxy::HandleInto(const ClientRequest& req,
   // by a tree prefix.
   if (cache_enabled_ && req.op == OpType::kScan &&
       req.field == PrefixUpperBound(req.key)) {
-    cache::AuLookup lk = cache_.GetScan(req.key, req.scan_limit);
+    cache::AuLookup lk = lz.cache.GetScan(req.key, req.scan_limit);
     if (lk.hit) {
       stats_.cache_hits++;
       local.value_bytes = lk.value.size();
@@ -128,21 +134,22 @@ ProxyHandleResult::Action Proxy::HandleInto(const ClientRequest& req,
   fwd.consistency = req.consistency;
   fwd.estimated_ru = estimate;
   fwd.value_size_hint = IsReadOp(req.op)
-                            ? static_cast<uint64_t>(ru_.ExpectedReadBytes())
+                            ? static_cast<uint64_t>(lz.ru.ExpectedReadBytes())
                             : req.value.size();
   fwd.background_refresh = false;
   fwd.replicas = options_.replicas;
-  inflight_estimates_.Insert(req.req_id, estimate);
+  lz.inflight_estimates.Insert(req.req_id, estimate);
   return ProxyHandleResult::Action::kForward;
 }
 
 void Proxy::OnResponse(const NodeResponse& resp) {
+  Lazy& lz = MutableLazy();
   // Settle estimate vs. actual.
-  if (double* est = inflight_estimates_.Find(resp.req_id)) {
+  if (double* est = lz.inflight_estimates.Find(resp.req_id)) {
     if (quota_enabled_ && resp.served_by != ServedBy::kRejected) {
       quota_.SettleActual(*est, resp.actual_ru);
     }
-    inflight_estimates_.Erase(resp.req_id);
+    lz.inflight_estimates.Erase(resp.req_id);
   }
   stats_.charged_ru += resp.actual_ru;
 
@@ -155,12 +162,12 @@ void Proxy::OnResponse(const NodeResponse& resp) {
                                   ? ru::ReadServedBy::kDataNodeCache
                                   : ru::ReadServedBy::kDisk;
     if (resp.op == OpType::kGet || resp.op == OpType::kHGet) {
-      ru_.ChargeRead(resp.value_bytes, served);
+      lz.ru.ChargeRead(resp.value_bytes, served);
     } else if (resp.op == OpType::kHGetAll) {
-      ru_.ChargeHGetAll(resp.value_bytes, served);
+      lz.ru.ChargeHGetAll(resp.value_bytes, served);
     } else if (resp.op == OpType::kScan && resp.status.ok()) {
       // Feed the per-entry size history behind EstimateScanRu.
-      ru_.RecordScanShape(resp.scan_entries, resp.value_bytes);
+      lz.ru.RecordScanShape(resp.scan_entries, resp.value_bytes);
     }
   }
 
@@ -178,8 +185,8 @@ void Proxy::OnResponse(const NodeResponse& resp) {
     if (resp.ttl_remaining > 0) {
       ttl = std::min(resp.ttl_remaining, options_.cache.default_ttl);
     }
-    cache_.PutHashed(Fnv1a64(resp.key), resp.key, resp.value,
-                     ValueView(resp.value).size() + 32, ttl);
+    lz.cache.PutHashed(Fnv1a64(resp.key), resp.key, resp.value,
+                       ValueView(resp.value).size() + 32, ttl);
   }
 }
 
@@ -188,20 +195,23 @@ void Proxy::FillScanCache(const std::string& prefix, uint32_t limit,
   if (!cache_enabled_) return;
   // Framed payloads carry per-entry headers; +64 approximates the tree
   // node and LRU bookkeeping, like +32 does for point entries.
-  cache_.PutScan(prefix, limit, framed, ValueView(framed).size() + 64, 0);
+  MutableLazy().cache.PutScan(prefix, limit, framed,
+                              ValueView(framed).size() + 64, 0);
 }
 
 void Proxy::AbandonForward(uint64_t req_id) {
-  double* est = inflight_estimates_.Find(req_id);
+  if (!lazy_) return;
+  double* est = lazy_->inflight_estimates.Find(req_id);
   if (est == nullptr) return;
   if (quota_enabled_) quota_.SettleActual(*est, 0.0);
-  inflight_estimates_.Erase(req_id);
+  lazy_->inflight_estimates.Erase(req_id);
 }
 
 std::vector<NodeRequest> Proxy::TakeRefreshFetches() {
   std::vector<NodeRequest> out;
-  if (!cache_enabled_) return out;
-  for (std::string& key : cache_.TakeRefreshQueue()) {
+  if (!cache_enabled_ || !lazy_) return out;
+  const ru::RuEstimator& ru = lazy_->ru;
+  for (std::string& key : lazy_->cache.TakeRefreshQueue()) {
     NodeRequest req;
     req.req_id = refresh_id_alloc_ ? refresh_id_alloc_() : refresh_req_id_++;
     req.tenant = tenant_;
@@ -209,8 +219,8 @@ std::vector<NodeRequest> Proxy::TakeRefreshFetches() {
     req.op = OpType::kGet;
     req.key = std::move(key);
     req.issued_at = clock_->NowMicros();
-    req.estimated_ru = ru_.EstimateReadRu();
-    req.value_size_hint = static_cast<uint64_t>(ru_.ExpectedReadBytes());
+    req.estimated_ru = ru.EstimateReadRu();
+    req.value_size_hint = static_cast<uint64_t>(ru.ExpectedReadBytes());
     req.background_refresh = true;
     stats_.refresh_fetches++;
     out.push_back(std::move(req));

@@ -8,10 +8,18 @@
 //    rejecting excess traffic *before* it can reach shared DataNodes;
 //  * estimates request RUs cache-awarely for admission control;
 //  * actively refreshes hot cache entries that approach expiry.
+//
+// A registered tenant's proxies exist whether or not it ever sends a
+// request, so a proxy keeps only its identity, options, quota and
+// counters inline; the content store, the RU estimator and the in-flight
+// estimate map are built on its first admitted request (Lazy below).
+// Before that, cache() is a shared empty store and invalidations that
+// would find nothing in an empty store are no-ops.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -104,27 +112,33 @@ class Proxy {
   /// Drops the cached value of `key` (write invalidation: the simulator
   /// broadcasts this to the tenant's proxies when a write is routed).
   /// The content store also drops every cached scan covering the key.
-  void InvalidateCache(const std::string& key) { cache_.Erase(key); }
+  void InvalidateCache(const std::string& key) {
+    if (lazy_) lazy_->cache.Erase(key);
+  }
 
   /// InvalidateCache with a caller-computed HashString(key): the
   /// broadcast hashes once for the whole proxy fleet.
   void InvalidateCacheHashed(uint64_t hash, const std::string& key) {
-    cache_.EraseHashed(hash, key);
+    if (lazy_) lazy_->cache.EraseHashed(hash, key);
   }
 
   /// Drops every cached entry under `prefix` — O(subtree), used for
   /// moved-key purges and migrations.
   void InvalidateCachePrefix(const std::string& prefix) {
-    cache_.InvalidatePrefix(prefix);
+    MutableLazy().cache.InvalidatePrefix(prefix);  // Counted even if empty.
   }
 
   /// Drops only cached scan results (split cutover: the partition set a
   /// scan was merged across changed, but no value moved or changed, so
   /// point entries stay valid).
-  void InvalidateCachedScans() { cache_.InvalidateScans(); }
+  void InvalidateCachedScans() {
+    MutableLazy().cache.InvalidateScans();  // Counted even if empty.
+  }
 
   /// Drops the whole content store (conservative full-flush cutover).
-  void FlushCache() { cache_.Clear(); }
+  void FlushCache() {
+    if (lazy_) lazy_->cache.Clear();
+  }
 
   /// Caches the framed payload of a completed prefix scan. Called by
   /// the settle merge, which knows the scan's prefix shape and limit
@@ -177,12 +191,29 @@ class Proxy {
   void set_az(uint32_t az) { az_ = az; }
 
   const ProxyStats& stats() const { return stats_; }
-  const cache::PrefixTreeStore& cache() const { return cache_; }
-  const ru::RuEstimator& ru_estimator() const { return ru_; }
+  /// The content store; a shared empty one before the first admission.
+  const cache::PrefixTreeStore& cache() const;
+  /// The RU estimator (built here if no request was admitted yet).
+  const ru::RuEstimator& ru_estimator() { return MutableLazy().ru; }
   void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
   void set_quota_enabled(bool enabled) { quota_enabled_ = enabled; }
 
  private:
+  /// Per-traffic state, built on the first admission (see file comment).
+  struct Lazy {
+    Lazy(const ProxyOptions& options, const Clock* clock)
+        : cache(options.cache, clock), ru(options.ru) {}
+    cache::PrefixTreeStore cache;
+    ru::RuEstimator ru;
+    /// Estimates for in-flight forwards, keyed by req_id (settlement).
+    FlatMap64<double> inflight_estimates;
+  };
+
+  Lazy& MutableLazy() {
+    if (!lazy_) lazy_ = std::make_unique<Lazy>(options_, clock_);
+    return *lazy_;
+  }
+
   double EstimateRu(const ClientRequest& req) const;
 
   ProxyId id_;
@@ -192,15 +223,12 @@ class Proxy {
   const Clock* clock_;
   std::function<PartitionId(const std::string&)> partition_of_;
   std::function<PartitionId(uint64_t)> partition_of_hashed_;
-  cache::PrefixTreeStore cache_;
   quota::ProxyQuota quota_;
-  ru::RuEstimator ru_;
   bool cache_enabled_;
   bool quota_enabled_;
   ProxyStats stats_;
   double admitted_since_report_ = 0;
-  /// Estimates for in-flight forwards, keyed by req_id (for settlement).
-  FlatMap64<double> inflight_estimates_;
+  std::unique_ptr<Lazy> lazy_;  ///< Null until the first admission.
   /// Sim-wide refresh id source (see set_refresh_id_allocator).
   std::function<uint64_t()> refresh_id_alloc_;
   uint64_t refresh_req_id_ = (1ull << 62);  ///< Standalone fallback space.

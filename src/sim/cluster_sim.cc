@@ -74,7 +74,7 @@ Status ClusterSim::AddTenant(const meta::TenantConfig& config, PoolId pool,
   ABASE_RETURN_IF_ERROR(meta_->CreateTenant(config, pool));
 
   TenantRuntime rt;
-  rt.config = config;
+  rt.id = config.id;
   rt.routing_mode = mode;
   rt.router = std::make_unique<proxy::LimitedFanoutRouter>(
       config.num_proxies, config.num_proxy_groups, mode);
@@ -102,9 +102,8 @@ Status ClusterSim::AddTenant(const meta::TenantConfig& config, PoolId pool,
     // the cross-AZ RTT class when the zones differ (latency subsystem).
     rt.proxies.back()->set_az(p % std::max(1u, options_.latency.num_azs));
   }
-  // Latency-subsystem per-tenant state: hedge policy from the cluster
-  // options, SLO target from the tenant config (cluster default when 0).
-  rt.hedger = latency::Hedger(options_.latency.hedge);
+  // Latency-subsystem SLO target from the tenant config (cluster default
+  // when 0); the hedger is built with the rest of rt.lazy on first use.
   rt.slo_target = config.slo_target_micros > 0
                       ? config.slo_target_micros
                       : options_.latency.slo_target_micros;
@@ -246,7 +245,7 @@ uint64_t ClusterSim::ReplicationLag(TenantId tenant,
 // ---------------------------------------------------------------------------
 
 void ClusterSim::RefreshRoutingTable(TenantRuntime& rt) {
-  const meta::TenantMeta* tm = meta_->GetTenant(rt.config.id);
+  const meta::TenantMeta* tm = meta_->GetTenant(rt.id);
   rt.route_table.clear();
   if (tm != nullptr) {
     rt.route_table.reserve(tm->partitions.size());
@@ -406,8 +405,9 @@ void ClusterSim::ResolveStrandedOnNode(NodeId node) {
         rt.proxies[ctx.proxy_index]->AbandonForward(req_id);
       }
       if (!ctx.background) {
-        rt.current.errors++;
-        rt.current.unavailable++;
+        TenantTickMetrics& cur = Current(rt);
+        cur.errors++;
+        cur.unavailable++;
       }
     }
     if (ctx.track_outcome) {
@@ -577,6 +577,7 @@ void ClusterSim::DeliverResponse(const NodeResponse& resp,
     }
   }
   if (resp.background_refresh) return;  // Not client-visible.
+  TenantTickMetrics& cur = Current(rt);
 
   // Legacy path: node latency + the flat forward hop. Timed path: the
   // precomputed virtual time (RTT class + hedge adjustment included).
@@ -595,31 +596,32 @@ void ClusterSim::DeliverResponse(const NodeResponse& resp,
 
   // NotFound is a successfully-served answer, not a failure.
   if (resp.status.ok() || resp.status.IsNotFound()) {
-    rt.current.ok++;
-    rt.current.latency_sum += static_cast<double>(client_latency);
-    rt.current.latency_max = std::max(rt.current.latency_max, client_latency);
-    rt.current.latency_count++;
+    cur.ok++;
+    cur.latency_sum += static_cast<double>(client_latency);
+    cur.latency_max = std::max(cur.latency_max, client_latency);
+    cur.latency_count++;
     rt.latency_hist.Add(static_cast<double>(client_latency));
     if (timing != nullptr) {
-      rt.tick_latency_hist.Add(static_cast<double>(client_latency));
-      rt.hedger.Observe(client_latency);
+      TenantRuntime::Lazy& lz = MutableLazy(rt);
+      lz.tick_latency_hist.Add(static_cast<double>(client_latency));
+      lz.hedger.Observe(client_latency);
       // First observation enrolls the tenant in the per-tick hedger
       // EndTick walk (a never-observed hedger's threshold never moves).
       hedge_observed_.insert(tenant);
       if (rt.slo_target > 0 && client_latency > rt.slo_target) {
-        rt.current.slo_violations++;
+        cur.slo_violations++;
       }
       if (timing->hedged) {
-        rt.current.hedged_reads++;
-        if (timing->hedge_won) rt.current.hedge_wins++;
+        cur.hedged_reads++;
+        if (timing->hedge_won) cur.hedge_wins++;
       }
     }
     if (IsReadOp(resp.op)) {
-      rt.current.reads_completed++;
+      cur.reads_completed++;
       if (resp.served_by == ServedBy::kNodeCache) {
-        rt.current.node_cache_hits++;
+        cur.node_cache_hits++;
       } else if (resp.served_by == ServedBy::kDisk) {
-        rt.current.disk_reads++;
+        cur.disk_reads++;
       }
       if (!resp.from_primary) {
         // Replica read: surface how far the serving replica trailed the
@@ -627,11 +629,11 @@ void ClusterSim::DeliverResponse(const NodeResponse& resp,
         // primary cursor as of the *previous* Replicate step — the
         // newest state the read could have observed — so a lag-0
         // configuration reports zero staleness, as documented.
-        rt.current.replica_reads++;
+        cur.replica_reads++;
         auto rs = repl_state_.find(PartitionKey(resp.tenant, resp.partition));
         if (rs != repl_state_.end() &&
             rs->second.prev_primary_applied > resp.replica_applied_seq) {
-          rt.current.replica_lag_sum +=
+          cur.replica_lag_sum +=
               rs->second.prev_primary_applied - resp.replica_applied_seq;
         }
       }
@@ -642,15 +644,15 @@ void ClusterSim::DeliverResponse(const NodeResponse& resp,
       rt.value_bytes_count++;
     }
   } else {
-    rt.current.errors++;
-    if (resp.status.IsThrottled()) rt.current.throttled++;
-    if (resp.status.IsUnavailable()) rt.current.unavailable++;
+    cur.errors++;
+    if (resp.status.IsThrottled()) cur.throttled++;
+    if (resp.status.IsUnavailable()) cur.unavailable++;
   }
-  rt.current.ru_charged += resp.actual_ru;
+  cur.ru_charged += resp.actual_ru;
   // The cancelled hedge leg did real work before the cancel landed; its
   // RU charge is the price of the tail cut (bench-gated at <= +10%).
   if (timing != nullptr && timing->extra_ru > 0) {
-    rt.current.ru_charged += timing->extra_ru;
+    cur.ru_charged += timing->extra_ru;
   }
 }
 
@@ -668,12 +670,13 @@ void ClusterSim::RouteScanFanout(
   // compare per scan; the refresh itself runs only on an actual move.
   if (rt.route_epoch != meta_->routing_epoch()) {
     RefreshRoutingTable(rt);
-    rt.current.redirects++;
+    Current(rt).redirects++;
   }
   const size_t parts = rt.route_table.size();
   if (parts == 0) {
-    rt.current.errors++;
-    rt.current.unavailable++;
+    TenantTickMetrics& cur = Current(rt);
+    cur.errors++;
+    cur.unavailable++;
     if (fwd.ctx.proxy_index < rt.proxies.size()) {
       rt.proxies[fwd.ctx.proxy_index]->AbandonForward(req.req_id);
     }
@@ -960,23 +963,28 @@ void ClusterSim::FinalizeTickMetrics() {
   const bool timed = options_.latency.enabled;
   // Only touched tenants can differ from an all-zero row; everyone
   // else's row materializes lazily as TenantTickMetrics{} on next access
-  // (an untouched tick_latency_hist is empty, so it has no percentiles
-  // to fold either).
+  // (an untouched tenant's tick_latency_hist is empty or unbuilt, so it
+  // has no percentiles to fold either).
   for (TenantId tid : touched_) {
     TenantRuntime** slot = tenant_index_.Find(tid);
     if (slot == nullptr) continue;
     TenantRuntime& rt = **slot;
-    if (timed && rt.tick_latency_hist.count() > 0) {
-      rt.current.latency_p50 = rt.tick_latency_hist.P50();
-      rt.current.latency_p95 = rt.tick_latency_hist.Percentile(95);
-      rt.current.latency_p99 = rt.tick_latency_hist.P99();
-      rt.tick_latency_hist.Reset();
+    if (timed && rt.lazy && rt.lazy->tick_latency_hist.count() > 0) {
+      Histogram& hist = rt.lazy->tick_latency_hist;
+      rt.lazy->current.latency_p50 = hist.P50();
+      rt.lazy->current.latency_p95 = hist.Percentile(95);
+      rt.lazy->current.latency_p99 = hist.P99();
+      hist.Reset();
     }
     // tick_count_ already incremented in Settle: the row being pushed
     // is for tick (tick_count_ - 1).
     BackfillHistoryTo(rt, tick_count_ - rt.created_at_tick - 1);
-    rt.history.push_back(rt.current);
-    rt.current = TenantTickMetrics{};
+    if (rt.lazy) {
+      rt.history.push_back(rt.lazy->current);
+      rt.lazy->current = TenantTickMetrics{};
+    } else {
+      rt.history.emplace_back();
+    }
   }
 }
 
@@ -1088,9 +1096,10 @@ void ClusterSim::EnableAutoscale(TenantId tenant, AutoscaleMode mode,
     SyncControlUsage(tenant, rt);
     autoscale_enabled_.insert(tenant);
   }
-  rt.autoscale_mode = mode;
-  rt.scaling_policy = policy;
-  rt.forecast_options = forecast_options;
+  TenantRuntime::Lazy& lz = MutableLazy(rt);
+  lz.autoscale_mode = mode;
+  lz.scaling_policy = policy;
+  lz.forecast_options = forecast_options;
 }
 
 void ClusterSim::SeedUsageHistory(TenantId tenant, const TimeSeries& usage) {
@@ -1098,11 +1107,10 @@ void ClusterSim::SeedUsageHistory(TenantId tenant, const TimeSeries& usage) {
   if (it == tenants_.end()) return;
   TenantRuntime& rt = it->second;
   SyncControlUsage(tenant, rt);
-  rt.usage_history = usage;
-  const meta::TenantMeta* tm = meta_->GetTenant(tenant);
-  const double quota =
-      tm != nullptr ? tm->tenant_quota_ru : rt.config.tenant_quota_ru;
-  rt.quota_history = TimeSeries(std::vector<double>(usage.size(), quota));
+  TenantRuntime::Lazy& lz = MutableLazy(rt);
+  lz.usage_history = usage;
+  const double quota = meta_->GetTenant(tenant)->tenant_quota_ru;
+  lz.quota_history = TimeSeries(std::vector<double>(usage.size(), quota));
 }
 
 const TimeSeries* ClusterSim::UsageHistory(TenantId tenant) const {
@@ -1110,13 +1118,14 @@ const TimeSeries* ClusterSim::UsageHistory(TenantId tenant) const {
   auto it = self->tenants_.find(tenant);
   if (it == self->tenants_.end()) return nullptr;
   self->SyncControlUsage(tenant, it->second);
-  return &it->second.usage_history;
+  return &it->second.lazy_or_default().usage_history;
 }
 
 Micros ClusterSim::ControlNow(const TenantRuntime& rt) const {
   const int tph = std::max(1, options_.control_ticks_per_hour);
-  return static_cast<Micros>(rt.usage_history.size()) * kMicrosPerHour +
-         static_cast<Micros>(rt.hour_ticks) * kMicrosPerHour / tph;
+  const TenantRuntime::Lazy& lz = rt.lazy_or_default();
+  return static_cast<Micros>(lz.usage_history.size()) * kMicrosPerHour +
+         static_cast<Micros>(lz.hour_ticks) * kMicrosPerHour / tph;
 }
 
 void ClusterSim::SyncControlUsage(TenantId tenant, TenantRuntime& rt) {
@@ -1132,27 +1141,26 @@ void ClusterSim::SyncControlUsage(TenantId tenant, TenantRuntime& rt) {
   // disabled idle tenant whose quota changed mid-gap records the new
   // quota for the earlier hours too.
   SyncHistory(rt);
+  TenantRuntime::Lazy& lz = MutableLazy(rt);
   const double tick_seconds = static_cast<double>(options_.tick) /
                               static_cast<double>(kMicrosPerSecond);
   const int tph = std::max(1, options_.control_ticks_per_hour);
   for (uint64_t t = rt.ctrl_synced_tick; t < tick_count_; t++) {
     const double tick_ru =
         rt.history[static_cast<size_t>(t - rt.created_at_tick)].ru_charged;
-    rt.hour_ru_accum += tick_ru;
-    rt.hour_ticks++;
+    lz.hour_ru_accum += tick_ru;
+    lz.hour_ticks++;
     // Reactive "current usage": a light EWMA over the settled RU rate so
     // one Poisson-quiet tick does not mask a live burst.
     constexpr double kEwmaAlpha = 0.3;
-    rt.ru_rate_ewma = (1.0 - kEwmaAlpha) * rt.ru_rate_ewma +
+    lz.ru_rate_ewma = (1.0 - kEwmaAlpha) * lz.ru_rate_ewma +
                       kEwmaAlpha * (tick_ru / tick_seconds);
-    if (rt.hour_ticks >= tph) {
+    if (lz.hour_ticks >= tph) {
       const double hour_seconds = static_cast<double>(tph) * tick_seconds;
-      rt.usage_history.Append(rt.hour_ru_accum / hour_seconds);
-      const meta::TenantMeta* tm = meta_->GetTenant(rt.config.id);
-      rt.quota_history.Append(tm != nullptr ? tm->tenant_quota_ru
-                                            : rt.config.tenant_quota_ru);
-      rt.hour_ru_accum = 0;
-      rt.hour_ticks = 0;
+      lz.usage_history.Append(lz.hour_ru_accum / hour_seconds);
+      lz.quota_history.Append(meta_->GetTenant(rt.id)->tenant_quota_ru);
+      lz.hour_ru_accum = 0;
+      lz.hour_ticks = 0;
     }
   }
   rt.ctrl_synced_tick = tick_count_;
@@ -1186,24 +1194,27 @@ void ClusterSim::RunAutoscalers() {
 }
 
 void ClusterSim::RunAutoscalerFor(TenantId tid, TenantRuntime& rt) {
-  if (rt.autoscale_mode == AutoscaleMode::kDisabled) return;
+  if (!rt.lazy || rt.lazy->autoscale_mode == AutoscaleMode::kDisabled) {
+    return;
+  }
+  TenantRuntime::Lazy& lz = *rt.lazy;
   const meta::TenantMeta* tm = meta_->GetTenant(tid);
   if (tm == nullptr || tm->partitions.empty()) return;
   const double quota = tm->tenant_quota_ru;
   const Micros now_control = ControlNow(rt);
 
   autoscale::ScalingDecision decision;
-  if (rt.autoscale_mode == AutoscaleMode::kPredictive) {
-    autoscale::Autoscaler scaler(rt.scaling_policy, rt.forecast_options);
+  if (lz.autoscale_mode == AutoscaleMode::kPredictive) {
+    autoscale::Autoscaler scaler(lz.scaling_policy, lz.forecast_options);
     auto d = scaler.Decide(
-        rt.usage_history, rt.quota_history, quota,
+        lz.usage_history, lz.quota_history, quota,
         static_cast<uint32_t>(tm->partitions.size()),
         tm->config.partition_quota_upper, tm->config.partition_quota_lower,
-        rt.last_scale_down_control, now_control);
+        lz.last_scale_down_control, now_control);
     if (!d.ok()) return;  // E.g. history still below min_history.
     decision = std::move(d).value();
   } else {
-    decision = rt.reactive_scaler.Decide(rt.ru_rate_ewma, quota);
+    decision = lz.reactive_scaler.Decide(lz.ru_rate_ewma, quota);
   }
 
   if (decision.action != autoscale::ScalingDecision::Action::kNone &&
@@ -1213,7 +1224,7 @@ void ClusterSim::RunAutoscalerFor(TenantId tid, TenantRuntime& rt) {
       rt.scale_ups++;
     } else {
       rt.scale_downs++;
-      rt.last_scale_down_control = now_control;
+      lz.last_scale_down_control = now_control;
     }
   } else {
     // No quota change, but a split that could not be staged earlier
@@ -1310,21 +1321,30 @@ void ClusterSim::AdvanceSplits() {
     }
     return all_done;
   };
-  // Runs ingest(engine) on every staged replica of a split child, then
-  // truncates that replica's own log: nothing ships from a staged child
-  // yet, so it must not mirror the whole streamed dataset.
-  auto ingest_into_child = [&](TenantId tid, PartitionId child,
-                               const meta::PartitionPlacement& placement,
-                               auto&& ingest) {
-    for (NodeId nid : placement.replicas) {
-      node::DataNode* cn = MutableNode(nid);
-      storage::LsmEngine* ce =
-          cn != nullptr ? cn->EngineFor(tid, child) : nullptr;
-      if (ce == nullptr) continue;
-      ingest(*ce);
-      ce->TruncateReplLogThrough(ce->applied_seq());
-    }
-  };
+  // Ingests the moved versions, in order, into every staged replica of
+  // a split child, then truncates that replica's own log: nothing ships
+  // from a staged child yet, so it must not mirror the whole streamed
+  // dataset. The replicas ingest one stream from the same (empty) start,
+  // so each moved version becomes one child record the first replica
+  // builds and the others share; a replica whose sequence diverged
+  // builds its own copy (LsmEngine::Ingest).
+  auto ingest_into_child =
+      [&](TenantId tid, PartitionId child,
+          const meta::PartitionPlacement& placement,
+          const std::vector<storage::ReplRecordPtr>& moved) {
+        std::vector<storage::ReplRecordPtr> child_recs(moved.size());
+        for (NodeId nid : placement.replicas) {
+          node::DataNode* cn = MutableNode(nid);
+          storage::LsmEngine* ce =
+              cn != nullptr ? cn->EngineFor(tid, child) : nullptr;
+          if (ce == nullptr) continue;
+          for (size_t i = 0; i < moved.size(); i++) {
+            storage::ReplRecordPtr rec = ce->Ingest(*moved[i], child_recs[i]);
+            if (child_recs[i] == nullptr) child_recs[i] = std::move(rec);
+          }
+          ce->TruncateReplLogThrough(ce->applied_seq());
+        }
+      };
 
   for (auto it = active_splits_.begin(); it != active_splits_.end();) {
     const TenantId tid = it->first;
@@ -1337,9 +1357,8 @@ void ClusterSim::AdvanceSplits() {
       const bool purged = walk_parents(
           tid, op,
           [&](PartitionId, storage::LsmEngine& src, const auto& batch) {
-            for (const auto& [key, entry] : batch.entries) {
-              (void)entry;
-              (void)src.Delete(key);
+            for (const storage::ReplRecordPtr& rec : batch.entries) {
+              (void)src.Delete(rec->key());
             }
             // Direct engine writes outside the response path: the
             // tombstones ship through the Replicate walk, which must
@@ -1366,11 +1385,7 @@ void ClusterSim::AdvanceSplits() {
     const bool streamed = walk_parents(
         tid, op, [&](PartitionId p, storage::LsmEngine&, const auto& batch) {
           ingest_into_child(tid, op.old_count + p, pending->children[p],
-                            [&](storage::LsmEngine& ce) {
-                              for (const auto& [key, entry] : batch.entries) {
-                                ce.Ingest(key, entry);
-                              }
-                            });
+                            batch.entries);
         });
     if (!streamed) {
       ++it;
@@ -1431,16 +1446,16 @@ void ClusterSim::AdvanceSplits() {
       const storage::LsmEngine* src = ServingPrimaryEngine(tid, p);
       if (src->applied_seq() <= hold) continue;
       const PartitionId child = op.old_count + p;  // Its hash residue too.
-      auto window = src->repl_log().Delta(hold, src->applied_seq());
-      ingest_into_child(
-          tid, child, pending->children[p], [&](storage::LsmEngine& ce) {
-            for (const storage::ReplRecordPtr& rec : window) {
-              if (Fnv1a64(rec->key()) % modulus != child) continue;
-              // Ordered replay: the last record per key wins, including
-              // tombstones — deletes in the window are not resurrected.
-              ce.Ingest(rec->key(), rec->ToEntry());
-            }
+      // Ordered replay of the window's moved keys: the last record per
+      // key wins, including tombstones — deletes in the window are not
+      // resurrected.
+      std::vector<storage::ReplRecordPtr> moved;
+      src->repl_log().ForEachDelta(
+          hold, src->applied_seq(), [&](const storage::ReplRecordPtr& rec) {
+            if (Fnv1a64(rec->key()) % modulus == child) moved.push_back(rec);
+            return true;
           });
+      ingest_into_child(tid, child, pending->children[p], moved);
     }
     const Status committed = meta_->CommitSplit(tid);
     assert(committed.ok());

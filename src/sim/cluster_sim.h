@@ -272,7 +272,59 @@ struct TenantTickMetrics {
 
 /// One simulated tenant: proxies + router + workload + metrics.
 struct TenantRuntime {
-  meta::TenantConfig config;
+  /// Per-tick metrics, latency and closed-loop control state: only a
+  /// tenant that carries traffic or runs the control fold needs it, so
+  /// it is built on first use (ClusterSim::MutableLazy) and a registered
+  /// tenant that never does holds none of it.
+  struct Lazy {
+    explicit Lazy(const latency::HedgePolicy& hedge) : hedger(hedge) {}
+    Lazy() = default;
+
+    /// This tick's metrics row, pushed onto `history` and reset by
+    /// FinalizeTickMetrics (ClusterSim::Current).
+    TenantTickMetrics current;
+
+    /// Per-tick client-latency histogram (latency subsystem): filled by
+    /// the timed Settle path, folded into latency_p50/p95/p99 and reset
+    /// by FinalizeTickMetrics.
+    Histogram tick_latency_hist{1e9};
+    /// Per-tenant hedged-read state (threshold histogram + frozen
+    /// threshold); policy copied from SimOptions::latency.hedge.
+    latency::Hedger hedger;
+
+    // -- Closed-loop control state (the Control stage) -----------------------
+
+    AutoscaleMode autoscale_mode = AutoscaleMode::kDisabled;
+    autoscale::ScalingPolicy scaling_policy;
+    forecast::EnsembleOptions forecast_options;
+    autoscale::ReactiveScaler reactive_scaler;
+    /// Hourly settled RU/s history the forecaster consumes (seeded points
+    /// + one appended per completed control-plane hour).
+    TimeSeries usage_history;
+    /// Matching hourly tenant-quota records (denoising input).
+    TimeSeries quota_history;
+    double hour_ru_accum = 0;  ///< Settled RU since the hour opened.
+    int hour_ticks = 0;        ///< Ticks into the current hour.
+    /// EWMA of settled RU/s — the reactive baseline's "current usage".
+    double ru_rate_ewma = 0;
+    /// Control-plane-time stamp of the last applied scale-down (-1 =
+    /// never). Kept in the compressed-hour timebase so the 7-day
+    /// cooldown means 7 control-plane days regardless of tick
+    /// compression.
+    Micros last_scale_down_control = -1;
+  };
+
+  /// `lazy`, or a shared default-valued block before it is built (every
+  /// field then reads as it would in a freshly built one, the hedger's
+  /// threshold included: 0 until it observes a sample).
+  const Lazy& lazy_or_default() const {
+    static const Lazy kDefault;
+    return lazy ? *lazy : kDefault;
+  }
+
+  /// The tenant's id; its configuration lives in the MetaServer's
+  /// TenantMeta (no per-runtime copy).
+  TenantId id = 0;
   proxy::RoutingMode routing_mode = proxy::RoutingMode::kLimitedFanout;
   std::unique_ptr<proxy::LimitedFanoutRouter> router;
   /// Private RNG stream for this tenant's fan-out router, seeded
@@ -297,40 +349,16 @@ struct TenantRuntime {
   /// canary-probe cadence (GrayDetectorOptions::probe_interval).
   uint64_t eventual_read_seq = 0;
   std::unique_ptr<WorkloadGenerator> workload;
-  TenantTickMetrics current;
   std::vector<TenantTickMetrics> history;
   Histogram latency_hist{1e9};  ///< Cumulative client latency (us).
-  /// Per-tick client-latency histogram (latency subsystem): filled by
-  /// the timed Settle path, folded into latency_p50/p95/p99 and reset by
-  /// FinalizeTickMetrics. Untouched while the subsystem is off.
-  Histogram tick_latency_hist{1e9};
-  /// Per-tenant hedged-read state (threshold histogram + frozen
-  /// threshold); policy copied from SimOptions::latency.hedge.
-  latency::Hedger hedger;
+  std::unique_ptr<Lazy> lazy;   ///< See Lazy; null until first use.
   /// Resolved SLO target: TenantConfig override or the cluster default.
   Micros slo_target = 0;
   uint64_t value_bytes_sum = 0;
   uint64_t value_bytes_count = 0;
 
-  // -- Closed-loop control state (the Control stage) -------------------------
+  // -- Closed-loop control counters (the rest of the state is in Lazy) -----
 
-  AutoscaleMode autoscale_mode = AutoscaleMode::kDisabled;
-  autoscale::ScalingPolicy scaling_policy;
-  forecast::EnsembleOptions forecast_options;
-  autoscale::ReactiveScaler reactive_scaler;
-  /// Hourly settled RU/s history the forecaster consumes (seeded points
-  /// + one appended per completed control-plane hour).
-  TimeSeries usage_history;
-  /// Matching hourly tenant-quota records (denoising input).
-  TimeSeries quota_history;
-  double hour_ru_accum = 0;  ///< Settled RU since the hour opened.
-  int hour_ticks = 0;        ///< Ticks into the current hour.
-  /// EWMA of settled RU/s — the reactive baseline's "current usage".
-  double ru_rate_ewma = 0;
-  /// Control-plane-time stamp of the last applied scale-down (-1 =
-  /// never). Kept in the compressed-hour timebase so the 7-day cooldown
-  /// means 7 control-plane days regardless of tick compression.
-  Micros last_scale_down_control = -1;
   uint64_t scale_ups = 0;    ///< Applied scale-up decisions.
   uint64_t scale_downs = 0;  ///< Applied scale-down decisions.
   /// Splits staged by SetTenantQuota or a control round (not by direct
@@ -803,6 +831,20 @@ class ClusterSim {
   /// all-zero rows, so the EWMA / hour roll-up match a tick-by-tick
   /// fold; see the definition for the quota sample).
   void SyncControlUsage(TenantId tenant, TenantRuntime& rt);
+
+  /// The tenant's metrics/latency/control block, built on first use
+  /// with the cluster's hedge policy. Tenant-private: safe from the
+  /// tenant-concurrent admission stages.
+  TenantRuntime::Lazy& MutableLazy(TenantRuntime& rt) {
+    if (!rt.lazy) {
+      rt.lazy = std::make_unique<TenantRuntime::Lazy>(options_.latency.hedge);
+    }
+    return *rt.lazy;
+  }
+  /// The tenant's metrics row for the current tick.
+  TenantTickMetrics& Current(TenantRuntime& rt) {
+    return MutableLazy(rt).current;
+  }
 
   /// Builds visit_scratch_ as the ascending-id union of the given
   /// ledgers (walks over the union visit tenants in ascending id).

@@ -106,7 +106,8 @@ void ClusterSim::SettleWithTiming(TickContext& ctx) {
       // race resolves without a second trip through the data plane.
       if (hedge_node != kInvalidNode && served_ok) {
         if (TenantRuntime* rt = MutableTenant(tenant)) {
-          const Micros threshold = rt->hedger.threshold();
+          const Micros threshold =
+              rt->lazy_or_default().hedger.threshold();
           if (threshold > 0 && tr.timing.client_latency > threshold) {
             node::DataNode* alt = MutableNode(hedge_node);
             const bool alt_ok = alt != nullptr && alt->CanServe() &&
@@ -162,7 +163,7 @@ void ClusterSim::SettleWithTiming(TickContext& ctx) {
   // observed, a tenant decays forever (the set never shrinks).
   for (TenantId tid : hedge_observed_) {
     if (TenantRuntime** slot = tenant_index_.Find(tid)) {
-      (*slot)->hedger.EndTick();
+      MutableLazy(**slot).hedger.EndTick();
     }
   }
 }

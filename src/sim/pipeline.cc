@@ -110,7 +110,7 @@ void ProxyAdmitStage::AdmitOne(
     // Stream ids: nodes use their (small, dense) node ids, tenants sit
     // in a disjoint range.
     rt.router_rng = std::make_unique<Rng>(
-        MixSeed(sim_->options_.seed, (1ull << 32) | rt.config.id));
+        MixSeed(sim_->options_.seed, (1ull << 32) | rt.id));
   }
   size_t proxy_index = rt.router->RouteHashed(req.key_hash, *rt.router_rng);
   proxy::Proxy& px = *rt.proxies[proxy_index];
@@ -149,8 +149,8 @@ void ProxyAdmitStage::Run(TickContext& ctx) {
   // requests never track outcomes, so nothing sim-wide is written. Each
   // tenant's forwards stay in its traffic slot (recycled in place);
   // Route walks the slots directly, so there is no merge copy. Metric
-  // increments go through a per-slot scratch folded into rt.current
-  // once — rt.current's doubles are still +0.0 here (the settle path
+  // increments go through a per-slot scratch folded into the tenant's
+  // current row once — its doubles are still +0.0 here (the settle path
   // runs later), so the fold is bit-exact against serial accumulation.
   sim.executor_->MorselFor(
       "ProxyAdmit", ctx.traffic.size(), 1,
@@ -173,7 +173,7 @@ void ProxyAdmitStage::Run(TickContext& ctx) {
                      scratch);
           }
           tt.forwards.resize(fwd_count);
-          it->second.current.MergeFrom(scratch);
+          sim.Current(it->second).MergeFrom(scratch);
         }
       });
 
@@ -246,12 +246,12 @@ void ProxyAdmitStage::Run(TickContext& ctx) {
           for (size_t i = begin; i < end; i++) {
             InjectedBatch& b = injected_batches_[i];
             InjectedBuffers& buf = injected_buffers_[i];
-            // Injected batches write rt.current directly (tenant-private
+            // Injected batches write the current row directly (tenant-private
             // here), preserving the legacy accumulation order exactly.
             size_t fwd_count = 0;
             for (uint32_t r = 0; r < b.count; r++) {
               AdmitOne(*b.rt, *b.requests[r], buf.forwards, fwd_count,
-                       buf.deferred, b.rt->current);
+                       buf.deferred, sim_->Current(*b.rt));
             }
             buf.forwards.resize(fwd_count);
           }
@@ -356,15 +356,16 @@ void RouteStage::Run(TickContext& ctx) {
     // failure is not retried.
     if (fwd.ctx.node == kInvalidNode && rt != nullptr &&
         !fwd.ctx.route_failed) {
-      sim.RoutePoint(*rt, fwd, rt->current);
+      sim.RoutePoint(*rt, fwd, sim.Current(*rt));
     }
     if (fwd.ctx.node == kInvalidNode) {
       // Settlement of a failed resolve (fused or here) happens at the
       // forward's position in admission order.
       if (req.background_refresh) return;  // Refresh silently dropped.
       if (rt != nullptr) {
-        rt->current.errors++;
-        rt->current.unavailable++;
+        TenantTickMetrics& cur = sim.Current(*rt);
+        cur.errors++;
+        cur.unavailable++;
         // The proxy admitted this forward; refund its quota estimate.
         if (fwd.ctx.proxy_index < rt->proxies.size()) {
           rt->proxies[fwd.ctx.proxy_index]->AbandonForward(req.req_id);

@@ -15,6 +15,11 @@ LsmEngine::LsmEngine(LsmOptions options, const Clock* clock)
   assert(clock_ != nullptr);
 }
 
+const LsmEngine::State& LsmEngine::Blank() {
+  static const State kBlank;
+  return kBlank;
+}
+
 // ---------------------------------------------------------------------------
 // Write path
 // ---------------------------------------------------------------------------
@@ -23,10 +28,11 @@ void LsmEngine::Commit(ReplRecordPtr rec, ReplRecordPtr* rec_out) {
   // The version's one materialized copy: the replication log, the
   // memtable and — via the Replicate shipping path — every replica
   // share it.
+  State& s = MutableState();
   if (rec_out != nullptr) *rec_out = rec;
-  if (options_.enable_repl_log) repl_log_.Append(rec);
-  mem_.Put(std::move(rec));
-  stats_.puts++;
+  if (options_.enable_repl_log) s.repl_log.Append(rec);
+  s.mem.Put(std::move(rec));
+  s.stats.puts++;
   MaybeFlush();
 }
 
@@ -44,7 +50,7 @@ Status LsmEngine::Put(std::string_view key, std::string_view value,
   return Status::OK();
 }
 
-Status LsmEngine::Delete(const std::string& key) {
+Status LsmEngine::Delete(std::string_view key) {
   if (key.empty()) return Status::InvalidArgument("empty key");
   Commit(MakeReplRecord(key, ValueType::kTombstone, NextSeq(), 0, {}));
   return Status::OK();
@@ -54,7 +60,9 @@ Status LsmEngine::HSet(const std::string& key, const std::string& field,
                        std::string value) {
   if (key.empty()) return Status::InvalidArgument("empty key");
   // Read-modify-write on the merged view: the memtable stores whole-hash
-  // versions, so an HSET rewrites the hash with one field changed.
+  // versions, so an HSET rewrites the hash with one field changed. A
+  // write command builds the state first, so its read is counted.
+  MutableState();
   ReadIo io;
   const ReplRecord* cur = FindEntry(key, &io);
   ValueEntry next;
@@ -69,6 +77,7 @@ Status LsmEngine::HSet(const std::string& key, const std::string& field,
 }
 
 Status LsmEngine::Expire(const std::string& key, Micros ttl) {
+  MutableState();  // A write command: its read is counted, as in HSet.
   ReadIo io;
   const ReplRecord* cur = FindEntry(key, &io);
   if (cur == nullptr) return Status::NotFound("EXPIRE on missing key");
@@ -83,14 +92,16 @@ Status LsmEngine::Expire(const std::string& key, Micros ttl) {
 // ---------------------------------------------------------------------------
 
 const ReplRecord* LsmEngine::FindEntry(std::string_view key, ReadIo* io) {
-  stats_.gets++;
-  if (const ReplRecordPtr* row = mem_.Get(key); row != nullptr) {
+  if (!s_) return nullptr;  // Never written: nothing to find.
+  State& s = *s_;
+  s.stats.gets++;
+  if (const ReplRecordPtr* row = s.mem.Get(key); row != nullptr) {
     const ReplRecord* e = row->get();
-    stats_.memtable_hits++;
+    s.stats.memtable_hits++;
     if (io != nullptr) io->memtable_hit = true;
     if (e->IsTombstone()) return nullptr;
     if (e->IsExpiredAt(clock_->NowMicros())) {
-      stats_.expired_dropped++;
+      s.stats.expired_dropped++;
       return nullptr;
     }
     if (io != nullptr) {
@@ -103,21 +114,21 @@ const ReplRecord* LsmEngine::FindEntry(std::string_view key, ReadIo* io) {
   // most recently added run first. The key is hashed once here; every
   // run's bloom probe reuses the interned hash.
   const KeyRef kref = KeyRef::From(key);
-  for (const auto& level : levels_) {
+  for (const auto& level : s.levels) {
     for (auto it = level.rbegin(); it != level.rend(); ++it) {
       size_t hint = 0;
       SstProbe probe = (*it)->Get(kref, &hint);
       if (probe.block_reads == 0) {
-        stats_.bloom_filtered++;
+        s.stats.bloom_filtered++;
         continue;
       }
-      stats_.block_reads += static_cast<uint64_t>(probe.block_reads);
+      s.stats.block_reads += static_cast<uint64_t>(probe.block_reads);
       if (io != nullptr) io->block_reads += probe.block_reads;
       if (probe.rec == nullptr) continue;  // Bloom false positive.
       const ReplRecord* e = probe.rec->get();
       if (e->IsTombstone()) return nullptr;
       if (e->IsExpiredAt(clock_->NowMicros())) {
-        stats_.expired_dropped++;
+        s.stats.expired_dropped++;
         return nullptr;
       }
       if (io != nullptr) {
@@ -134,19 +145,25 @@ void LsmEngine::MultiFind(const std::string_view* keys, size_t n,
                           const ReplRecordPtr** recs_out, ReadIo* ios_out) {
   // clock_->NowMicros() is constant within a tick, so hoisting it out of
   // the per-key expiry checks matches FindEntry exactly.
+  if (!s_) {  // Never written: every key is absent, nothing is probed.
+    std::fill(recs_out, recs_out + n, nullptr);
+    std::fill(ios_out, ios_out + n, ReadIo{});
+    return;
+  }
+  State& s = *s_;
   const Micros now = clock_->NowMicros();
-  mfind_pending_.clear();
+  s.mfind_pending.clear();
   for (size_t i = 0; i < n; i++) {
     recs_out[i] = nullptr;
     ios_out[i] = ReadIo{};
-    stats_.gets++;
-    if (const ReplRecordPtr* row = mem_.Get(keys[i]); row != nullptr) {
+    s.stats.gets++;
+    if (const ReplRecordPtr* row = s.mem.Get(keys[i]); row != nullptr) {
       const ReplRecord* e = row->get();
-      stats_.memtable_hits++;
+      s.stats.memtable_hits++;
       ios_out[i].memtable_hit = true;
       if (e->IsTombstone()) continue;
       if (e->IsExpiredAt(now)) {
-        stats_.expired_dropped++;
+        s.stats.expired_dropped++;
         continue;
       }
       ios_out[i].found = true;
@@ -154,54 +171,54 @@ void LsmEngine::MultiFind(const std::string_view* keys, size_t n,
       recs_out[i] = row;
       continue;
     }
-    mfind_pending_.push_back(static_cast<uint32_t>(i));
+    s.mfind_pending.push_back(static_cast<uint32_t>(i));
   }
-  if (mfind_pending_.empty()) return;
+  if (s.mfind_pending.empty()) return;
 
   // Intern each missing key's hash once; every run probe below reuses it
   // instead of re-hashing per run (the batch's main repeated cost).
-  if (mfind_krefs_.size() < n) mfind_krefs_.resize(n);
-  for (uint32_t i : mfind_pending_) mfind_krefs_[i] = KeyRef::From(keys[i]);
+  if (s.mfind_krefs.size() < n) s.mfind_krefs.resize(n);
+  for (uint32_t i : s.mfind_pending) s.mfind_krefs[i] = KeyRef::From(keys[i]);
 
   // Ascending key order lets each run's binary search resume from the
   // previous key's lower bound. Equal keys probe the same position twice,
   // matching two serial lookups.
-  std::sort(mfind_pending_.begin(), mfind_pending_.end(),
+  std::sort(s.mfind_pending.begin(), s.mfind_pending.end(),
             [&](uint32_t a, uint32_t b) { return keys[a] < keys[b]; });
 
   // Runs newest-to-oldest, exactly like FindEntry; a key resolved by a
   // newer run (found, tombstone, or expired) never probes older runs.
-  for (const auto& level : levels_) {
-    if (mfind_pending_.empty()) break;
+  for (const auto& level : s.levels) {
+    if (s.mfind_pending.empty()) break;
     for (auto it = level.rbegin();
-         it != level.rend() && !mfind_pending_.empty(); ++it) {
+         it != level.rend() && !s.mfind_pending.empty(); ++it) {
       const SsTable& run = **it;
       size_t hint = 0;
       size_t w = 0;
-      for (uint32_t i : mfind_pending_) {
-        SstProbe probe = run.Get(mfind_krefs_[i], &hint);
+      for (uint32_t i : s.mfind_pending) {
+        SstProbe probe = run.Get(s.mfind_krefs[i], &hint);
         if (probe.block_reads == 0) {
-          stats_.bloom_filtered++;
-          mfind_pending_[w++] = i;
+          s.stats.bloom_filtered++;
+          s.mfind_pending[w++] = i;
           continue;
         }
-        stats_.block_reads += static_cast<uint64_t>(probe.block_reads);
+        s.stats.block_reads += static_cast<uint64_t>(probe.block_reads);
         ios_out[i].block_reads += probe.block_reads;
         if (probe.rec == nullptr) {  // Bloom false positive.
-          mfind_pending_[w++] = i;
+          s.mfind_pending[w++] = i;
           continue;
         }
         const ReplRecord* e = probe.rec->get();
         if (e->IsTombstone()) continue;
         if (e->IsExpiredAt(now)) {
-          stats_.expired_dropped++;
+          s.stats.expired_dropped++;
           continue;
         }
         ios_out[i].found = true;
         ios_out[i].expire_at = e->expire_at();
         recs_out[i] = probe.rec;
       }
-      mfind_pending_.resize(w);
+      s.mfind_pending.resize(w);
     }
   }
 }
@@ -262,28 +279,33 @@ constexpr uint64_t kScanBlockBytes = 4096;
 ScanResult LsmEngine::ScanRange(std::string_view start, std::string_view end,
                                 size_t limit, ScanBuffer& out) {
   ScanResult res;
-  stats_.scans++;
+  if (!s_) {  // Never written: the range is empty.
+    res.done = true;
+    return res;
+  }
+  State& s = *s_;
+  s.stats.scans++;
 
   // Build one cursor per source, positioned at lower_bound(start). Ages:
   // 0 = memtable (newest), then levels top-down, within a level later
   // (newer) runs first — the exact probe order of FindEntry, so on equal
   // keys the min-heap pops the newest version first.
-  scan_cursors_.clear();
-  scan_heap_.clear();
-  const auto& mem_rows = mem_.Sorted();
+  s.scan_cursors.clear();
+  s.scan_heap.clear();
+  const auto& mem_rows = s.mem.Sorted();
   {
     ScanCursor c;
     auto it = std::lower_bound(mem_rows.begin(), mem_rows.end(), start,
-                               [this](MemTable::RowId r, std::string_view k) {
-                                 return mem_.record(r).key() < k;
+                               [&s](MemTable::RowId r, std::string_view k) {
+                                 return s.mem.record(r).key() < k;
                                });
     c.mem_it = mem_rows.data() + (it - mem_rows.begin());
     c.mem_end = mem_rows.data() + mem_rows.size();
     c.age = 0;
-    if (c.mem_it != c.mem_end) scan_cursors_.push_back(c);
+    if (c.mem_it != c.mem_end) s.scan_cursors.push_back(c);
   }
   uint32_t age = 1;
-  for (const auto& level : levels_) {
+  for (const auto& level : s.levels) {
     for (auto rit = level.rbegin(); rit != level.rend(); ++rit, ++age) {
       const auto& rows = (*rit)->rows();
       auto it = std::lower_bound(
@@ -296,13 +318,13 @@ ScanResult LsmEngine::ScanRange(std::string_view start, std::string_view end,
       c.sst_it = rows.data() + (it - rows.begin());
       c.sst_end = rows.data() + rows.size();
       c.age = age;
-      scan_cursors_.push_back(c);
+      s.scan_cursors.push_back(c);
     }
   }
 
   auto record_of = [&](uint32_t i) -> const ReplRecord& {
-    const ScanCursor& c = scan_cursors_[i];
-    return c.mem_it != nullptr ? mem_.record(*c.mem_it) : **c.sst_it;
+    const ScanCursor& c = s.scan_cursors[i];
+    return c.mem_it != nullptr ? s.mem.record(*c.mem_it) : **c.sst_it;
   };
   auto key_of = [&](uint32_t i) { return record_of(i).key(); };
   // Min-heap on (key, age): std::push/pop_heap keep the *greatest*
@@ -311,13 +333,13 @@ ScanResult LsmEngine::ScanRange(std::string_view start, std::string_view end,
   auto heap_less = [&](uint32_t a, uint32_t b) {
     int cmp = key_of(a).compare(key_of(b));
     if (cmp != 0) return cmp > 0;
-    return scan_cursors_[a].age > scan_cursors_[b].age;
+    return s.scan_cursors[a].age > s.scan_cursors[b].age;
   };
-  for (uint32_t i = 0; i < scan_cursors_.size(); i++) scan_heap_.push_back(i);
-  std::make_heap(scan_heap_.begin(), scan_heap_.end(), heap_less);
+  for (uint32_t i = 0; i < s.scan_cursors.size(); i++) s.scan_heap.push_back(i);
+  std::make_heap(s.scan_heap.begin(), s.scan_heap.end(), heap_less);
 
   auto advance = [&](uint32_t i) {
-    ScanCursor& c = scan_cursors_[i];
+    ScanCursor& c = s.scan_cursors[i];
     if (c.mem_it != nullptr) {
       ++c.mem_it;
       return c.mem_it != c.mem_end;
@@ -334,9 +356,9 @@ ScanResult LsmEngine::ScanRange(std::string_view start, std::string_view end,
   std::string_view last_key;
   bool decided_any = false;
   res.done = true;
-  while (!scan_heap_.empty()) {
-    std::pop_heap(scan_heap_.begin(), scan_heap_.end(), heap_less);
-    const uint32_t i = scan_heap_.back();
+  while (!s.scan_heap.empty()) {
+    std::pop_heap(s.scan_heap.begin(), s.scan_heap.end(), heap_less);
+    const uint32_t i = s.scan_heap.back();
     const std::string_view key = key_of(i);
     if (!end.empty() && key >= end) {
       // Range exhausted: every remaining cursor is at or past `end`.
@@ -356,9 +378,9 @@ ScanResult LsmEngine::ScanRange(std::string_view start, std::string_view end,
     if (decided_any && key == last_key) {
       // Older duplicate of an already-decided key.
       if (advance(i)) {
-        std::push_heap(scan_heap_.begin(), scan_heap_.end(), heap_less);
+        std::push_heap(s.scan_heap.begin(), s.scan_heap.end(), heap_less);
       } else {
-        scan_heap_.pop_back();
+        s.scan_heap.pop_back();
       }
       continue;
     }
@@ -379,28 +401,28 @@ ScanResult LsmEngine::ScanRange(std::string_view start, std::string_view end,
       }
       res.entries++;
       res.bytes += se.key.size() + se.value.size();
-      stats_.scan_entries++;
+      s.stats.scan_entries++;
     } else if (rec.IsExpiredAt(now)) {
-      stats_.expired_dropped++;
+      s.stats.expired_dropped++;
     }
     last_key = key;
     decided_any = true;
     if (advance(i)) {
-      std::push_heap(scan_heap_.begin(), scan_heap_.end(), heap_less);
+      std::push_heap(s.scan_heap.begin(), s.scan_heap.end(), heap_less);
     } else {
-      scan_heap_.pop_back();
+      s.scan_heap.pop_back();
     }
   }
 
   // Block accounting: one seek per touched run plus one read per
   // kScanBlockBytes of consumed payload — sequential I/O, so far cheaper
   // per entry than per-key point probes.
-  for (const ScanCursor& c : scan_cursors_) {
+  for (const ScanCursor& c : s.scan_cursors) {
     if (c.mem_it != nullptr || c.sst_bytes == 0) continue;
     res.block_reads +=
         1 + static_cast<int>(c.sst_bytes / kScanBlockBytes);
   }
-  stats_.block_reads += static_cast<uint64_t>(res.block_reads);
+  s.stats.block_reads += static_cast<uint64_t>(res.block_reads);
   return res;
 }
 
@@ -428,10 +450,11 @@ LsmEngine::HashRangeExport LsmEngine::ExportHashRange(
     uint64_t modulus, uint64_t residue, std::string_view start_after,
     uint64_t max_bytes) const {
   HashRangeExport out;
-  if (modulus == 0) {
+  if (modulus == 0 || !s_) {  // Nothing to export.
     out.done = true;
     return out;
   }
+  const State& s = *s_;
   // Bounded merged newest-wins view of the keys strictly after the
   // cursor: memtable first, then runs newest-to-oldest (emplace keeps
   // the first — newest — version, exactly like Scan/MergeRuns). Each
@@ -442,7 +465,7 @@ LsmEngine::HashRangeExport LsmEngine::ExportHashRange(
   // complete. Keys beyond the horizon wait for the next batch.
   const uint64_t cap = max_bytes * 2 + (64ull << 10);
   // Keys view the shared records, which outlive this const call.
-  std::map<std::string_view, const ReplRecord*> merged;
+  std::map<std::string_view, const ReplRecordPtr*> merged;
   bool bounded = false;
   std::string_view horizon;
   // `rec_of` unifies the two cursor shapes: the memtable's ordered view
@@ -452,12 +475,13 @@ LsmEngine::HashRangeExport LsmEngine::ExportHashRange(
     std::string_view last;
     bool capped = false;
     for (; it != end_it; ++it) {
-      const ReplRecord& rec = rec_of(it);
+      const ReplRecordPtr& handle = rec_of(it);
+      const ReplRecord& rec = *handle;
       if (taken > cap) {
         capped = true;
         break;
       }
-      merged.emplace(rec.key(), &rec);
+      merged.emplace(rec.key(), &handle);
       taken += rec.key().size() + rec.PayloadBytes();
       last = rec.key();
     }
@@ -466,21 +490,21 @@ LsmEngine::HashRangeExport LsmEngine::ExportHashRange(
       if (horizon.empty() || last < horizon) horizon = last;
     }
   };
-  auto mem_rec = [this](auto it) -> const ReplRecord& {
-    return mem_.record(*it);
+  auto mem_rec = [&s](auto it) -> const ReplRecordPtr& {
+    return s.mem.row(*it);
   };
-  auto run_rec = [](auto it) -> const ReplRecord& { return **it; };
-  const auto& mem_rows = mem_.Sorted();
+  auto run_rec = [](auto it) -> const ReplRecordPtr& { return *it; };
+  const auto& mem_rows = s.mem.Sorted();
   collect(start_after.empty()
               ? mem_rows.begin()
               : std::upper_bound(mem_rows.begin(), mem_rows.end(),
                                  start_after,
-                                 [this](std::string_view k,
-                                        MemTable::RowId r) {
-                                   return k < mem_.record(r).key();
+                                 [&s](std::string_view k,
+                                      MemTable::RowId r) {
+                                   return k < s.mem.record(r).key();
                                  }),
           mem_rows.end(), mem_rec);
-  for (const auto& level : levels_) {
+  for (const auto& level : s.levels) {
     for (auto rit = level.rbegin(); rit != level.rend(); ++rit) {
       const auto& rows = (*rit)->rows();
       collect(std::upper_bound(rows.begin(), rows.end(), start_after,
@@ -494,7 +518,8 @@ LsmEngine::HashRangeExport LsmEngine::ExportHashRange(
 
   const Micros now = clock_->NowMicros();
   bool budget_hit = false;
-  for (const auto& [key, rec] : merged) {
+  for (const auto& [key, handle] : merged) {
+    const ReplRecord* rec = handle->get();
     if (bounded && key > horizon) break;
     if (out.bytes >= max_bytes && !out.entries.empty()) {
       budget_hit = true;  // Budget exhausted with keys left to examine.
@@ -503,7 +528,7 @@ LsmEngine::HashRangeExport LsmEngine::ExportHashRange(
     out.next_cursor = key;  // Examined (matching or not): never revisit.
     if (Fnv1a64(key) % modulus != residue) continue;
     if (rec->IsTombstone() || rec->IsExpiredAt(now)) continue;
-    out.entries.emplace_back(std::string(key), rec->ToEntry());
+    out.entries.push_back(*handle);
     out.bytes += key.size() + rec->PayloadBytes();
   }
   if (bounded && !budget_hit) {
@@ -514,8 +539,14 @@ LsmEngine::HashRangeExport LsmEngine::ExportHashRange(
   return out;
 }
 
-void LsmEngine::Ingest(std::string_view key, ValueEntry entry) {
-  WriteEntry(key, std::move(entry));
+ReplRecordPtr LsmEngine::Ingest(const ReplRecord& src,
+                                const ReplRecordPtr& shared) {
+  const uint64_t seq = NextSeq();
+  ReplRecordPtr rec = shared != nullptr && shared->seq() == seq
+                          ? shared
+                          : RestampReplRecord(src, seq);
+  Commit(rec);
+  return rec;
 }
 
 // ---------------------------------------------------------------------------
@@ -523,31 +554,35 @@ void LsmEngine::Ingest(std::string_view key, ValueEntry entry) {
 // ---------------------------------------------------------------------------
 
 void LsmEngine::MaybeFlush() {
-  if (mem_.approximate_bytes() >= options_.memtable_flush_bytes) Flush();
+  if (s_->mem.approximate_bytes() >= options_.memtable_flush_bytes) Flush();
 }
 
 void LsmEngine::Flush() {
   NoteMutation();
-  if (mem_.empty()) {
+  if (!s_) return;  // Never written: no memtable, no runs.
+  State& s = *s_;
+  if (s.mem.empty()) {
     MaybeCompact();
     return;
   }
   // The run takes over the memtable's record handles: no row is copied.
-  std::vector<ReplRecordPtr> rows = mem_.TakeSorted();
-  auto sst = std::make_shared<SsTable>(next_sst_id_++, std::move(rows));
-  stats_.flush_count++;
-  stats_.flushed_bytes += sst->data_bytes();
-  if (levels_.empty()) {
-    levels_.resize(static_cast<size_t>(options_.max_levels));
+  std::vector<ReplRecordPtr> rows = s.mem.TakeSorted();
+  auto sst = std::make_shared<SsTable>(s.next_sst_id++, std::move(rows));
+  s.stats.flush_count++;
+  s.stats.flushed_bytes += sst->data_bytes();
+  if (s.levels.empty()) {
+    s.levels.resize(static_cast<size_t>(options_.max_levels));
   }
-  levels_[0].push_back(std::move(sst));
+  s.levels[0].push_back(std::move(sst));
   while (MaybeCompact()) {
   }
 }
 
 bool LsmEngine::MaybeCompact() {
-  for (size_t level = 0; level < levels_.size(); level++) {
-    if (levels_[level].size() >
+  if (!s_) return false;
+  const auto& levels = s_->levels;
+  for (size_t level = 0; level < levels.size(); level++) {
+    if (levels[level].size() >
         static_cast<size_t>(options_.runs_per_level_trigger)) {
       CompactLevel(level);
       return true;
@@ -558,18 +593,20 @@ bool LsmEngine::MaybeCompact() {
 
 void LsmEngine::CompactLevel(size_t level) {
   NoteMutation();
-  const bool is_bottom = level + 1 >= levels_.size();
+  State& s = *s_;
+  const bool is_bottom = level + 1 >= s.levels.size();
   const size_t target = is_bottom ? level : level + 1;
 
   // Newest-first ordering: within a level, later index = newer.
   std::vector<SsTablePtr> inputs;
-  for (auto it = levels_[level].rbegin(); it != levels_[level].rend(); ++it) {
+  for (auto it = s.levels[level].rbegin(); it != s.levels[level].rend();
+       ++it) {
     inputs.push_back(*it);
   }
   if (!is_bottom) {
     // Fold the existing target-level runs in as the oldest inputs so the
     // target keeps a single merged run per compaction.
-    for (auto it = levels_[target].rbegin(); it != levels_[target].rend();
+    for (auto it = s.levels[target].rbegin(); it != s.levels[target].rend();
          ++it) {
       inputs.push_back(*it);
     }
@@ -580,19 +617,19 @@ void LsmEngine::CompactLevel(size_t level) {
 
   // Tombstones and expired entries may only be dropped when merging into
   // the bottom level (no older version can exist below it).
-  const bool drop_deletes = target + 1 >= levels_.size();
+  const bool drop_deletes = target + 1 >= s.levels.size();
   auto merged_rows = MergeRuns(inputs, drop_deletes);
 
-  levels_[level].clear();
-  if (!is_bottom) levels_[target].clear();
+  s.levels[level].clear();
+  if (!is_bottom) s.levels[target].clear();
   if (!merged_rows.empty()) {
     auto merged =
-        std::make_shared<SsTable>(next_sst_id_++, std::move(merged_rows));
-    stats_.compaction_write_bytes += merged->data_bytes();
-    levels_[target].push_back(std::move(merged));
+        std::make_shared<SsTable>(s.next_sst_id++, std::move(merged_rows));
+    s.stats.compaction_write_bytes += merged->data_bytes();
+    s.levels[target].push_back(std::move(merged));
   }
-  stats_.compaction_count++;
-  stats_.compaction_read_bytes += read_bytes;
+  s.stats.compaction_count++;
+  s.stats.compaction_read_bytes += read_bytes;
 }
 
 std::vector<ReplRecordPtr> LsmEngine::MergeRuns(
@@ -639,7 +676,7 @@ std::vector<ReplRecordPtr> LsmEngine::MergeRuns(
       first = false;
       last_key = rec->key();
       if (drop_deletes && (rec->IsTombstone() || rec->IsExpiredAt(now))) {
-        stats_.expired_dropped += rec->IsExpiredAt(now) ? 1 : 0;
+        s_->stats.expired_dropped += rec->IsExpiredAt(now) ? 1 : 0;
       } else {
         rows.push_back(rec);
       }
@@ -661,31 +698,34 @@ std::vector<ReplRecordPtr> LsmEngine::MergeRuns(
 // ---------------------------------------------------------------------------
 
 Status LsmEngine::ApplyReplicated(const ReplRecordPtr& rec) {
-  if (rec->seq() != next_seq_) {
+  if (rec->seq() != applied_seq() + 1) {
     return Status::InvalidArgument("replication stream gap");
   }
-  next_seq_ = rec->seq() + 1;
+  State& s = MutableState();
+  s.next_seq = rec->seq() + 1;
   NoteMutation();
   // The shipped record is the primary's materialized copy; this
   // replica's log and memtable retain it as-is (refcount bumps).
-  if (options_.enable_repl_log) repl_log_.Append(rec);
-  mem_.Put(rec);
-  stats_.repl_applied++;
+  if (options_.enable_repl_log) s.repl_log.Append(rec);
+  s.mem.Put(rec);
+  s.stats.repl_applied++;
   MaybeFlush();
   return Status::OK();
 }
 
 void LsmEngine::ResyncFrom(const LsmEngine& src) {
   NoteMutation();
-  mem_ = src.mem_;
-  repl_log_ = src.repl_log_;
+  State& s = MutableState();  // Counts the resync even from a blank src.
+  const State& from = src.state();
+  s.mem = from.mem;
+  s.repl_log = from.repl_log;
   // SSTables are immutable after construction; the runs are shared, so a
   // snapshot resync costs O(runs), not O(bytes) — the tick cost of the
   // transfer is modeled by the caller (catch-up / rebuild ticks).
-  levels_ = src.levels_;
-  next_seq_ = src.next_seq_;
-  next_sst_id_ = src.next_sst_id_;
-  stats_.resyncs++;
+  s.levels = from.levels;
+  s.next_seq = from.next_seq;
+  s.next_sst_id = from.next_sst_id;
+  s.stats.resyncs++;
 }
 
 // ---------------------------------------------------------------------------
@@ -698,12 +738,13 @@ void LsmEngine::CrashAndRecover() {
   // flush empties it along with the memtable, so replaying it rebuilds
   // exactly the memtable a crash discards: with logging on, the
   // memtable is the recovered state as is.
-  if (!options_.enable_wal) mem_.clear();
+  if (!options_.enable_wal && s_) s_->mem.clear();
 }
 
 uint64_t LsmEngine::ApproximateDataBytes() const {
-  uint64_t total = mem_.approximate_bytes();
-  for (const auto& level : levels_) {
+  const State& s = state();
+  uint64_t total = s.mem.approximate_bytes();
+  for (const auto& level : s.levels) {
     for (const auto& run : level) total += run->data_bytes();
   }
   return total;
@@ -711,16 +752,16 @@ uint64_t LsmEngine::ApproximateDataBytes() const {
 
 std::vector<size_t> LsmEngine::LevelRunCounts() const {
   std::vector<size_t> counts;
-  counts.reserve(levels_.size());
-  for (const auto& level : levels_) counts.push_back(level.size());
+  counts.reserve(state().levels.size());
+  for (const auto& level : state().levels) counts.push_back(level.size());
   return counts;
 }
 
 double LsmEngine::WriteAmplification() const {
-  if (stats_.flushed_bytes == 0) return 0;
-  return static_cast<double>(stats_.flushed_bytes +
-                             stats_.compaction_write_bytes) /
-         static_cast<double>(stats_.flushed_bytes);
+  const LsmStats& st = stats();
+  if (st.flushed_bytes == 0) return 0;
+  return static_cast<double>(st.flushed_bytes + st.compaction_write_bytes) /
+         static_cast<double>(st.flushed_bytes);
 }
 
 }  // namespace storage

@@ -15,6 +15,17 @@
 // in full (each replica models its own storage); only host memory is
 // shared.
 //
+// Lazy state: a registered tenant's replicas exist long before (and
+// often without ever) serving a write, so the engine object is a thin
+// handle — options, clock, mutation counter and one pointer — and
+// everything a written engine holds (memtable, replication log, levels,
+// sequence counters, LsmStats, MultiFind/scan scratch) is allocated by
+// its first mutation. A never-written engine answers every query exactly
+// as an empty engine does and allocates nothing doing so: reads find
+// nothing, exports and scans are done at once, and stats() / repl_log()
+// return shared static empties. Reads against it are not counted (there
+// is no LsmStats to count into until the engine is written).
+//
 // Pointer lifetime: a raw pointer the engine hands out — MultiFind's
 // `const ReplRecordPtr*` row slots, FindEntry's records — is valid until
 // the next mutation of the same engine: a write, replicated apply,
@@ -41,14 +52,15 @@
 namespace abase {
 namespace storage {
 
-/// Engine tuning knobs.
+/// Engine tuning knobs. Every engine copies them, so they pack into 16
+/// bytes (an idle replica's engine is little more than this).
 struct LsmOptions {
   /// Memtable flush threshold in bytes.
   uint64_t memtable_flush_bytes = 4ull << 20;
   /// A level holding this many runs triggers a merge into the next level.
-  int runs_per_level_trigger = 4;
+  uint16_t runs_per_level_trigger = 4;
   /// Maximum number of levels (the last level compacts in place).
-  int max_levels = 5;
+  uint16_t max_levels = 5;
   /// Whether unflushed writes survive a crash (CrashAndRecover).
   bool enable_wal = true;
   /// Whether mutations are retained in the replication log so replica
@@ -139,6 +151,8 @@ struct ReadIo {
 class LsmEngine {
  public:
   LsmEngine(LsmOptions options, const Clock* clock);
+  LsmEngine(const LsmEngine&) = delete;
+  LsmEngine& operator=(const LsmEngine&) = delete;
 
   // -- String commands ----------------------------------------------------
 
@@ -155,7 +169,7 @@ class LsmEngine {
   Result<std::string> Get(std::string_view key, ReadIo* io = nullptr);
 
   /// DEL. OK even if the key did not exist (writes a tombstone).
-  Status Delete(const std::string& key);
+  Status Delete(std::string_view key);
 
   // -- Hash commands -------------------------------------------------------
 
@@ -236,10 +250,11 @@ class LsmEngine {
 
   /// One resumable batch of a hash-residue export.
   struct HashRangeExport {
-    /// Newest visible version per exported key, in key order. Tombstoned
-    /// and expired keys are skipped (they simply do not move).
-    std::vector<std::pair<std::string, ValueEntry>> entries;
-    uint64_t bytes = 0;        ///< Payload bytes in `entries`.
+    /// Newest visible version per exported key, in key order: the
+    /// engine's own records, shared by handle (no key or value copy).
+    /// Tombstoned and expired keys are skipped (they simply do not move).
+    std::vector<ReplRecordPtr> entries;
+    uint64_t bytes = 0;        ///< Key + payload bytes in `entries`.
     std::string next_cursor;   ///< Resume point: last key examined.
     bool done = false;         ///< No matching keys remain past the cursor.
   };
@@ -252,12 +267,21 @@ class LsmEngine {
                                   std::string_view start_after,
                                   uint64_t max_bytes) const;
 
-  /// Ingests one externally streamed entry (split / migration data
-  /// movement): applied exactly like a local write — fresh local
-  /// sequence, replication log as configured. Tombstones and
-  /// TTL deadlines are preserved, so a window-delta replay converges the
-  /// target to the source's newest visible state.
-  void Ingest(std::string_view key, ValueEntry entry);
+  /// Ingests one externally streamed version (split data movement),
+  /// applied exactly like a local write: this engine's next sequence,
+  /// replication log as configured. The version keeps `src`'s key, type,
+  /// TTL deadline and payload (tombstones too), so a window-delta replay
+  /// converges the target to the source's newest visible state.
+  ///
+  /// Replicas that ingest one stream from the same state stamp every
+  /// version with the same sequence, so they can share one record per
+  /// version: when `shared` is the version built from `src` at exactly
+  /// this engine's next sequence (a sibling replica's return value), it
+  /// is committed as is. Otherwise — no sibling yet, or this replica's
+  /// sequence diverged — the engine builds its own copy. Returns the
+  /// committed record.
+  ReplRecordPtr Ingest(const ReplRecord& src,
+                       const ReplRecordPtr& shared = nullptr);
 
   // -- TTL ------------------------------------------------------------------
 
@@ -291,7 +315,7 @@ class LsmEngine {
 
   /// Sequence of the last applied mutation (local write or replicated
   /// record). 0 for a pristine engine.
-  uint64_t applied_seq() const { return next_seq_ - 1; }
+  uint64_t applied_seq() const { return state().next_seq - 1; }
 
   /// Applies one record of a primary's replication stream. The stream is
   /// strictly ordered: `rec->seq()` must be exactly applied_seq() + 1,
@@ -312,11 +336,11 @@ class LsmEngine {
   void ResyncFrom(const LsmEngine& src);
 
   /// The retained replication stream (primary side of the shipper).
-  const ReplicationLog& repl_log() const { return repl_log_; }
+  const ReplicationLog& repl_log() const { return state().repl_log; }
 
   /// Drops replication-log records every replica has applied.
   void TruncateReplLogThrough(uint64_t seq) {
-    repl_log_.TruncateThrough(seq);
+    if (s_) s_->repl_log.TruncateThrough(seq);
   }
 
   /// Points the engine at a counter it increments on every change to
@@ -328,8 +352,8 @@ class LsmEngine {
 
   // -- Introspection --------------------------------------------------------
 
-  const LsmStats& stats() const { return stats_; }
-  uint64_t memtable_bytes() const { return mem_.approximate_bytes(); }
+  const LsmStats& stats() const { return state().stats; }
+  uint64_t memtable_bytes() const { return state().mem.approximate_bytes(); }
 
   /// Approximate on-"disk" + in-memory data footprint. Counts duplicate
   /// versions across runs (like physical LSM space usage before GC).
@@ -343,6 +367,50 @@ class LsmEngine {
   double WriteAmplification() const;
 
  private:
+  /// One merge source of a ScanRange call: the memtable's ordered view
+  /// (row ids) or one SSTable run (record handles). Either
+  /// way the cursor reads the shared records in place. `age` orders
+  /// sources newest-first on equal keys (0 = memtable, then level order,
+  /// within a level later runs first).
+  struct ScanCursor {
+    const MemTable::RowId* mem_it = nullptr;
+    const MemTable::RowId* mem_end = nullptr;
+    const ReplRecordPtr* sst_it = nullptr;
+    const ReplRecordPtr* sst_end = nullptr;
+    uint32_t age = 0;
+    uint64_t sst_bytes = 0;  ///< Payload bytes consumed from this run.
+  };
+
+  /// Everything a written engine holds (see "Lazy state" above).
+  struct State {
+    MemTable mem;
+    ReplicationLog repl_log;
+    /// levels[0] is newest; within a level, later index = newer run.
+    /// Empty until the first flush sizes it to `max_levels`.
+    std::vector<std::vector<SsTablePtr>> levels;
+    uint64_t next_seq = 1;
+    uint64_t next_sst_id = 1;
+    LsmStats stats;
+    /// MultiFind scratch (kept across calls to avoid re-allocation).
+    std::vector<uint32_t> mfind_pending;
+    /// Per-key interned (view, hash) handles for the pending misses —
+    /// hashed once per batch, reused by every run's bloom probe.
+    std::vector<KeyRef> mfind_krefs;
+    /// ScanRange scratch (kept across calls to avoid re-allocation).
+    std::vector<ScanCursor> scan_cursors;
+    std::vector<uint32_t> scan_heap;
+  };
+
+  /// The state, allocated on the first call (every mutation's entry).
+  State& MutableState() {
+    if (!s_) s_ = std::make_unique<State>();
+    return *s_;
+  }
+  /// A never-written engine's state: one shared fresh State. Read-only
+  /// (the reads that count or sort return before touching it).
+  static const State& Blank();
+  const State& state() const { return s_ ? *s_ : Blank(); }
+
   /// Merged lookup across memtable and all runs; returns the newest
   /// visible version or nullptr. Fills `io`.
   const ReplRecord* FindEntry(std::string_view key, ReadIo* io);
@@ -350,7 +418,7 @@ class LsmEngine {
   /// The sequence of the next local write (and a mutation note).
   uint64_t NextSeq() {
     NoteMutation();
-    return next_seq_++;
+    return MutableState().next_seq++;
   }
   /// Hands a freshly built local version to the log and the memtable
   /// (and to `*rec_out` when non-null).
@@ -373,39 +441,13 @@ class LsmEngine {
 
   LsmOptions options_;
   const Clock* clock_;
-  MemTable mem_;
-  ReplicationLog repl_log_;
-  /// levels_[0] is newest; within a level, later index = newer run.
-  /// Empty until the first flush sizes it to `max_levels`: an engine
-  /// that never flushed (every idle tenant's) holds no level vectors.
-  std::vector<std::vector<SsTablePtr>> levels_;
-  uint64_t next_seq_ = 1;
-  uint64_t next_sst_id_ = 1;
-  LsmStats stats_;
   uint64_t* mutation_counter_ = nullptr;  ///< See SetMutationCounter().
-  /// MultiFind scratch (kept across calls to avoid re-allocation).
-  std::vector<uint32_t> mfind_pending_;
-  /// Per-key interned (view, hash) handles for the pending misses —
-  /// hashed once per batch, reused by every run's bloom probe.
-  std::vector<KeyRef> mfind_krefs_;
-
-  /// One merge source of a ScanRange call: the memtable's ordered view
-  /// (row ids) or one SSTable run (record handles). Either
-  /// way the cursor reads the shared records in place. `age` orders
-  /// sources newest-first on equal keys (0 = memtable, then level order,
-  /// within a level later runs first).
-  struct ScanCursor {
-    const MemTable::RowId* mem_it = nullptr;
-    const MemTable::RowId* mem_end = nullptr;
-    const ReplRecordPtr* sst_it = nullptr;
-    const ReplRecordPtr* sst_end = nullptr;
-    uint32_t age = 0;
-    uint64_t sst_bytes = 0;  ///< Payload bytes consumed from this run.
-  };
-  /// ScanRange scratch (kept across calls to avoid re-allocation).
-  std::vector<ScanCursor> scan_cursors_;
-  std::vector<uint32_t> scan_heap_;
+  std::unique_ptr<State> s_;  ///< Null until the first mutation.
 };
+
+static_assert(sizeof(LsmOptions) == 16, "engine options pack");
+static_assert(sizeof(LsmEngine) == sizeof(LsmOptions) + 3 * sizeof(void*),
+              "an unwritten engine is a handle");
 
 }  // namespace storage
 }  // namespace abase

@@ -58,10 +58,13 @@ class MemTable {
   uint64_t approximate_bytes() const { return bytes_; }
   bool empty() const { return size_ == 0; }
 
-  /// The newest version stored in row `id` (id < entry_count()).
-  const ReplRecord& record(RowId id) const {
-    return *chunks_[id / kChunkRows][id % kChunkRows];
+  /// The handle of the newest version stored in row `id`
+  /// (id < entry_count()).
+  const ReplRecordPtr& row(RowId id) const {
+    return chunks_[id / kChunkRows][id % kChunkRows];
   }
+  /// The newest version stored in row `id`.
+  const ReplRecord& record(RowId id) const { return *row(id); }
 
   /// Key-ordered view of the rows (as row ids) for scans and exports.
   /// Folds in the keys first seen since the last call; value updates

@@ -122,6 +122,8 @@ class ReplRecord : public SharedBlock {
                                       std::string_view str);
   friend ReplRecordPtr MakeReplRecord(std::string_view key,
                                       const ValueEntry& entry);
+  friend ReplRecordPtr RestampReplRecord(const ReplRecord& src,
+                                         uint64_t seq);
 
   ReplRecord(ValueType type, uint32_t key_len, uint32_t payload_len,
              uint64_t seq, Micros expire_at)
@@ -204,6 +206,19 @@ inline ReplRecordPtr MakeReplRecord(std::string_view key,
     p += f.size();
     std::memcpy(p, v.data(), v.size());
     p += v.size();
+  }
+  return ReplRecordPtr::Adopt(r);
+}
+
+/// A copy of `src` stamped with stream sequence `seq`: same key, type,
+/// TTL deadline and payload bytes (split ingest moves a version into a
+/// child engine under the child's own sequence). One allocation.
+inline ReplRecordPtr RestampReplRecord(const ReplRecord& src, uint64_t seq) {
+  ReplRecord* r = ReplRecord::Build(src.key(), src.type_, seq, src.expire_at_,
+                                    src.payload_len_);
+  const std::string_view payload = src.payload();
+  if (!payload.empty()) {
+    std::memcpy(r->payload_dst(), payload.data(), payload.size());
   }
   return ReplRecordPtr::Adopt(r);
 }

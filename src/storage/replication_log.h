@@ -100,7 +100,17 @@ class ReplicationLog {
 
   /// Drops records with sequence <= `seq` (every replica has applied
   /// them). No-op for sequences below the current floor.
+  ///
+  /// A burst (a preload, a catch-up window) grows the handle array far
+  /// past what steady traffic needs, and erasing records keeps that
+  /// capacity. So when the log, at its fullest since the last
+  /// truncation, filled at most a quarter of an array of more than
+  /// kKeptCapacity handles, the excess is given back. Steady traffic
+  /// refills the array past that quarter between truncations (vector
+  /// growth at most doubles it), and a small array is kept whatever its
+  /// fill, so neither reallocates on every truncation.
   void TruncateThrough(uint64_t seq) {
+    const size_t peak = records_.size();
     size_t keep_from = 0;
     while (keep_from < records_.size() &&
            records_[keep_from]->seq() <= seq) {
@@ -113,12 +123,21 @@ class ReplicationLog {
         std::max(truncated_through_, records_[keep_from - 1]->seq());
     records_.erase(records_.begin(),
                    records_.begin() + static_cast<ptrdiff_t>(keep_from));
+    if (records_.capacity() > kKeptCapacity &&
+        peak <= records_.capacity() / 4) {
+      records_.shrink_to_fit();
+    }
   }
 
   size_t record_count() const { return records_.size(); }
+  /// Handle slots allocated (retained-memory probes).
+  size_t record_capacity() const { return records_.capacity(); }
   uint64_t bytes() const { return bytes_; }
 
  private:
+  /// Handle arrays up to this size (2 KB) are never shrunk.
+  static constexpr size_t kKeptCapacity = 256;
+
   std::vector<ReplRecordPtr> records_;
   uint64_t bytes_ = 0;
   uint64_t truncated_through_ = 0;  ///< Highest seq dropped by truncation.

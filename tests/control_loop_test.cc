@@ -17,6 +17,7 @@
 #include "meta/meta_server.h"
 #include "sim/cluster_sim.h"
 #include "sim/workload.h"
+#include "storage/lsm_engine.h"
 
 namespace abase {
 namespace {
@@ -429,6 +430,142 @@ TEST(ControlLoopTest, OnlineSplitLosesNoAckedWritesAndStaysReadable) {
     SCOPED_TRACE(testing::Message() << replicas << " replicas");
     RunOnlineSplitUnderTraffic(replicas);
   }
+}
+
+// ----------------------------------------- Split child record sharing --
+
+/// The replicas' engines of tenant 1's partition `partition` (staged
+/// or committed), in placement order.
+std::vector<storage::LsmEngine*> ReplicaEngines(
+    sim::ClusterSim& sim, const meta::PartitionPlacement& placement,
+    PartitionId partition) {
+  std::vector<storage::LsmEngine*> out;
+  for (NodeId nid : placement.replicas) {
+    node::DataNode* n = sim::ClusterSimTestPeer::Node(sim, nid);
+    if (n == nullptr) continue;
+    if (storage::LsmEngine* e = n->EngineFor(1, partition)) out.push_back(e);
+  }
+  return out;
+}
+
+/// Every visible record of `engine`, in key order (the engine's own
+/// handles).
+std::vector<storage::ReplRecordPtr> AllRecords(
+    const storage::LsmEngine& engine) {
+  return engine.ExportHashRange(1, 0, "", 1ull << 40).entries;
+}
+
+/// Runs a 4 -> 8 split of 300 preloaded keys without traffic, calling
+/// `mid_stream(sim)` once after the first streaming tick.
+template <typename MidStream>
+void RunQuietSplit(sim::ClusterSim& sim, MidStream&& mid_stream) {
+  PoolId pool = sim.AddPool(6);
+  ASSERT_TRUE(sim.AddTenant(ControlTenant(1, 50000), pool).ok());
+  sim.PreloadKeys(1, 300, 128);
+  ASSERT_TRUE(sim.StartPartitionSplit(1).ok());
+  sim.Tick();
+  ASSERT_TRUE(sim.SplitInProgress(1));
+  ASSERT_EQ(sim.SplitCutovers(), 0u) << "streaming must span ticks";
+  mid_stream(sim);
+  for (int tick = 0; tick < 200 && sim.SplitInProgress(1); tick++) {
+    sim.Tick();
+  }
+  ASSERT_FALSE(sim.SplitInProgress(1));
+  ASSERT_EQ(sim.meta().GetTenant(1)->partitions.size(), 8u);
+}
+
+// The child replicas of a split ingest one stream from empty, so every
+// moved version is one record they all hold: pointer-identical handles,
+// not one copy per replica.
+TEST(ControlLoopTest, SplitChildReplicasShareOneRecordPerMovedVersion) {
+  sim::SimOptions opt;
+  opt.seed = 31;
+  opt.split_bytes_per_tick = 1 << 10;  // About 5 streaming ticks.
+  sim::ClusterSim sim(opt);
+  RunQuietSplit(sim, [](sim::ClusterSim&) {});
+  const meta::TenantMeta* tm = sim.meta().GetTenant(1);
+  size_t moved = 0;
+  for (PartitionId child = 4; child < 8; child++) {
+    auto engines = ReplicaEngines(sim, tm->partitions[child], child);
+    ASSERT_EQ(engines.size(), 3u) << child;
+    const auto first = AllRecords(*engines[0]);
+    ASSERT_FALSE(first.empty()) << child;
+    moved += first.size();
+    for (size_t r = 1; r < engines.size(); r++) {
+      const auto recs = AllRecords(*engines[r]);
+      ASSERT_EQ(recs.size(), first.size()) << child;
+      for (size_t i = 0; i < recs.size(); i++) {
+        EXPECT_EQ(recs[i].get(), first[i].get())
+            << "child " << child << " replica " << r << " key "
+            << first[i]->key();
+      }
+    }
+    // Nothing else holds a child's records: one per replica's memtable
+    // (the staged children truncated their logs), one here, and `recs`
+    // in the loop above is gone.
+    EXPECT_EQ(first.front().use_count(), 4) << child;
+  }
+  EXPECT_GT(moved, 100u);  // About half of the 300 keys moved.
+}
+
+// A child replica that falls off the shared sequence mid-stream — here
+// a stray local write on it — builds its own copy of every version it
+// ingests afterwards and still ends with exactly its siblings' data,
+// while the siblings keep sharing. A crash and recovery of a child
+// replica's node mid-stream does not move its sequence (the WAL keeps
+// its memtable), so that replica keeps sharing.
+TEST(ControlLoopTest, SplitChildReplicaOffSequenceFallsBackToPrivateCopies) {
+  sim::SimOptions opt;
+  opt.seed = 31;
+  opt.split_bytes_per_tick = 1 << 10;  // About 5 streaming ticks.
+  sim::ClusterSim sim(opt);
+  const PartitionId kChild = 4;
+  NodeId crashed = kInvalidNode;
+  RunQuietSplit(sim, [&](sim::ClusterSim& s) {
+    const auto* pending =
+        sim::ClusterSimTestPeer::Meta(s).GetPendingSplit(1);
+    ASSERT_NE(pending, nullptr);
+    const meta::PartitionPlacement& child = pending->children[0];
+    ASSERT_EQ(child.replicas.size(), 3u);
+    // Replica 1's node crashes and comes straight back.
+    crashed = child.replicas[1];
+    s.FailNode(crashed);
+    s.Tick();
+    s.RecoverNode(crashed, 0);
+    s.Tick();
+    // Replica 2 takes two local writes its siblings never see.
+    storage::LsmEngine* stray =
+        ReplicaEngines(s, child, kChild).back();
+    ASSERT_TRUE(stray->Put("stray", "x").ok());
+    ASSERT_TRUE(stray->Delete("stray").ok());
+  });
+  const meta::TenantMeta* tm = sim.meta().GetTenant(1);
+  auto engines = ReplicaEngines(sim, tm->partitions[kChild], kChild);
+  ASSERT_EQ(engines.size(), 3u);
+  ASSERT_EQ(tm->partitions[kChild].replicas[1], crashed);
+  const auto first = AllRecords(*engines[0]);
+  const auto recovered = AllRecords(*engines[1]);
+  const auto diverged = AllRecords(*engines[2]);
+  ASSERT_FALSE(first.empty());
+  ASSERT_EQ(recovered.size(), first.size());
+  ASSERT_EQ(diverged.size(), first.size());
+  size_t private_copies = 0;
+  for (size_t i = 0; i < first.size(); i++) {
+    EXPECT_EQ(recovered[i].get(), first[i].get()) << first[i]->key();
+    // Byte-identical data whether shared or copied.
+    EXPECT_EQ(diverged[i]->key(), first[i]->key());
+    EXPECT_EQ(diverged[i]->type(), first[i]->type());
+    EXPECT_EQ(diverged[i]->expire_at(), first[i]->expire_at());
+    EXPECT_EQ(diverged[i]->str(), first[i]->str());
+    if (diverged[i].get() != first[i].get()) {
+      private_copies++;
+      EXPECT_EQ(diverged[i]->seq(), first[i]->seq() + 2);
+    }
+  }
+  // Versions streamed before the stray writes stay shared; every later
+  // one is the diverged replica's own copy.
+  EXPECT_GT(private_copies, 0u);
+  EXPECT_LT(private_copies, first.size());
 }
 
 // ------------------------------------------------- One quota actuator --

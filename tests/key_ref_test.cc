@@ -1,14 +1,11 @@
-// Unit tests for the interned key handles (common/key_ref.h): hash
-// stability against the canonical FNV-1a implementation, arena lifetime
-// and capacity-retention across Reset, and exact collision handling in
-// the interner's hash index.
+// Unit tests for the key handles (common/key_ref.h): hash stability
+// against the canonical FNV-1a implementation, views over the caller's
+// storage, and exact (byte, not hash) equality.
 #include "common/key_ref.h"
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
-#include <vector>
 
 #include "common/hash.h"
 
@@ -29,15 +26,14 @@ TEST(KeyRefTest, HashMatchesCanonicalFnv1a) {
 }
 
 TEST(KeyRefTest, InternPreservesBytesAndHash) {
-  KeyArena arena;
-  KeyRef ref = arena.Intern("t7:k1001");
+  // A ref views the caller's bytes in place (no copy) and carries their
+  // hash, so it reads whatever that storage holds while it lives.
+  std::string src = "t7:k1001";
+  KeyRef ref = KeyRef::From(src);
+  EXPECT_EQ(ref.data, src.data());
   EXPECT_EQ(ref.view(), "t7:k1001");
   EXPECT_EQ(ref.hash, Fnv1a64("t7:k1001"));
-  // The interned copy is the arena's, not the caller's storage.
-  std::string src = "ephemeral";
-  KeyRef ref2 = arena.Intern(src);
-  src.assign("clobbered");
-  EXPECT_EQ(ref2.view(), "ephemeral");
+  EXPECT_EQ(KeyRef::From(std::string_view(src).substr(0, 2)).view(), "t7");
 }
 
 TEST(KeyRefTest, EqualityComparesBytesNotJustHash) {
@@ -50,114 +46,6 @@ TEST(KeyRefTest, EqualityComparesBytesNotJustHash) {
   KeyRef forged = c;
   forged.hash = a.hash;
   EXPECT_NE(a, forged);
-}
-
-// ---------------------------------------------------------------------------
-// Interning semantics
-// ---------------------------------------------------------------------------
-
-TEST(KeyArenaTest, RepeatedInternReturnsIdenticalStorage) {
-  KeyArena arena;
-  KeyRef first = arena.Intern("t1:k1");
-  KeyRef again = arena.Intern("t1:k1");
-  EXPECT_EQ(first.data, again.data);  // Pointer equality: one copy.
-  EXPECT_EQ(arena.interned_count(), 1u);
-  arena.Intern("t1:k2");
-  EXPECT_EQ(arena.interned_count(), 2u);
-}
-
-TEST(KeyArenaTest, CollisionChainsResolveByByteCompare) {
-  KeyArena arena;
-  // Force a full 64-bit hash collision via InternHashed: two distinct
-  // byte strings deliberately interned under one hash. The chain must
-  // keep both and return each by exact byte compare.
-  const uint64_t h = 0xDEADBEEFCAFEF00Dull;
-  KeyRef a = arena.Intern("left");
-  KeyRef x = arena.InternHashed(h, "collide-x");
-  KeyRef y = arena.InternHashed(h, "collide-y");
-  EXPECT_NE(x.data, y.data);
-  EXPECT_EQ(x.view(), "collide-x");
-  EXPECT_EQ(y.view(), "collide-y");
-  EXPECT_EQ(arena.interned_count(), 3u);
-  // Re-interning under the same hash finds the existing copies.
-  EXPECT_EQ(arena.InternHashed(h, "collide-x").data, x.data);
-  EXPECT_EQ(arena.InternHashed(h, "collide-y").data, y.data);
-  EXPECT_EQ(arena.interned_count(), 3u);
-  (void)a;
-}
-
-// ---------------------------------------------------------------------------
-// Arena lifetime
-// ---------------------------------------------------------------------------
-
-TEST(KeyArenaTest, RefsStayValidUntilReset) {
-  KeyArena arena;
-  std::vector<KeyRef> refs;
-  std::vector<std::string> expect;
-  for (int i = 0; i < 1000; i++) {
-    expect.push_back("tenant" + std::to_string(i % 7) + ":key" +
-                     std::to_string(i));
-    refs.push_back(arena.Intern(expect.back()));
-  }
-  // Every ref readable after all interning completed (no relocation).
-  for (size_t i = 0; i < refs.size(); i++) {
-    ASSERT_EQ(refs[i].view(), expect[i]);
-    ASSERT_EQ(refs[i].hash, Fnv1a64(expect[i]));
-  }
-}
-
-TEST(KeyArenaTest, ResetDropsKeysAndRetainsCapacity) {
-  KeyArena arena(256);  // Small blocks: force multi-block growth.
-  for (int i = 0; i < 200; i++) {
-    arena.Intern("epoch1:key" + std::to_string(i));
-  }
-  EXPECT_EQ(arena.interned_count(), 200u);
-  EXPECT_GT(arena.block_count(), 1u);
-
-  arena.Reset();
-  EXPECT_EQ(arena.interned_count(), 0u);
-  EXPECT_EQ(arena.block_count(), 1u);  // Capacity retained, not freed.
-  EXPECT_EQ(arena.block_bytes_used(), 0u);
-
-  // A dropped key re-interns as a fresh copy (the index was cleared).
-  KeyRef again = arena.Intern("epoch1:key0");
-  EXPECT_EQ(again.view(), "epoch1:key0");
-  EXPECT_EQ(arena.interned_count(), 1u);
-}
-
-TEST(KeyArenaTest, OversizedKeyGetsItsOwnBlock) {
-  KeyArena arena(64);
-  std::string big(4096, 'x');
-  KeyRef ref = arena.Intern(big);
-  EXPECT_EQ(ref.view(), big);
-  EXPECT_EQ(ref.hash, Fnv1a64(big));
-  // The oversized block becomes the growth baseline: a same-sized key
-  // after Reset fits without a new allocation.
-  arena.Reset();
-  EXPECT_EQ(arena.block_count(), 1u);
-  KeyRef ref2 = arena.Intern(big);
-  EXPECT_EQ(ref2.view(), big);
-  EXPECT_EQ(arena.block_count(), 1u);
-}
-
-TEST(KeyArenaTest, SteadyStateInterningDoesNotGrowBlocks) {
-  KeyArena arena;
-  // Simulate the per-tick pattern: same working set interned every
-  // epoch, Reset between epochs. After the first epoch sizes the arena,
-  // later epochs must not allocate new blocks.
-  auto run_epoch = [&arena] {
-    for (int i = 0; i < 500; i++) {
-      arena.Intern("t" + std::to_string(i % 13) + ":k" + std::to_string(i));
-    }
-  };
-  run_epoch();
-  arena.Reset();
-  const size_t blocks_after_warmup = arena.block_count();
-  for (int epoch = 0; epoch < 5; epoch++) {
-    run_epoch();
-    arena.Reset();
-    EXPECT_EQ(arena.block_count(), blocks_after_warmup);
-  }
 }
 
 }  // namespace

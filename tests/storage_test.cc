@@ -289,6 +289,14 @@ TEST(SsTableTest, MinMaxKeys) {
 
 // ------------------------------------------------------------- LsmEngine --
 
+/// Engine options with the replication stream retained (what DataNode
+/// uses for hosted replicas).
+LsmOptions ReplicatedOptions() {
+  LsmOptions opts;
+  opts.enable_repl_log = true;
+  return opts;
+}
+
 class LsmEngineTest : public ::testing::Test {
  protected:
   LsmEngineTest() : clock_(0) {
@@ -335,6 +343,140 @@ TEST_F(LsmEngineTest, OneAllocationPerWriteVersion) {
   EXPECT_EQ(rec.use_count(), 3);  // This test and both memtables.
   EXPECT_EQ(first.use_count(), 1);  // Both overwrites released it.
   EXPECT_EQ(replica.Get("key").value(), value);
+}
+
+// Every read a never-written engine must answer exactly as an empty one.
+struct EmptyReadAnswers {
+  bool get_found = true;
+  bool hget_found = true;
+  bool mfind_found[2] = {true, true};
+  ReadIo mfind_io[2];
+  ScanResult scan;
+  size_t scan_buffered = 0;
+  size_t export_entries[2] = {1, 1};
+  uint64_t export_bytes[2] = {1, 1};
+  bool export_done[2] = {false, false};
+  std::string export_cursor[2];
+  uint64_t applied_seq = 1;
+  uint64_t data_bytes = 1;
+  uint64_t memtable_bytes = 1;
+  size_t log_records = 1;
+  size_t levels = 1;
+};
+
+// Reads `e` without allocating anything itself (the buffer and the
+// strings stay empty unless the engine hands back data).
+void ReadEmptyAnswers(LsmEngine& e, ScanBuffer& buf, EmptyReadAnswers* a) {
+  a->get_found = e.Get("k").ok();
+  a->hget_found = e.HGet("h", "f").ok();
+  const std::string_view keys[2] = {"k", "h"};
+  const ReplRecordPtr* recs[2];
+  e.MultiFind(keys, 2, recs, a->mfind_io);
+  for (int i = 0; i < 2; i++) a->mfind_found[i] = recs[i] != nullptr;
+  a->scan = e.ScanRange("", "", 16, buf);
+  a->scan_buffered = buf.size();
+  for (uint64_t r = 0; r < 2; r++) {
+    auto x = e.ExportHashRange(2, r, "", 1 << 20);
+    a->export_entries[r] = x.entries.size();
+    a->export_bytes[r] = x.bytes;
+    a->export_done[r] = x.done;
+    a->export_cursor[r] = std::move(x.next_cursor);
+  }
+  a->applied_seq = e.applied_seq();
+  a->data_bytes = e.ApproximateDataBytes();
+  a->memtable_bytes = e.memtable_bytes();
+  a->log_records = e.repl_log().record_count();
+  a->levels = e.LevelRunCounts().size();
+}
+
+void ExpectEmptyAnswers(const EmptyReadAnswers& a) {
+  EXPECT_FALSE(a.get_found);
+  EXPECT_FALSE(a.hget_found);
+  for (int i = 0; i < 2; i++) {
+    EXPECT_FALSE(a.mfind_found[i]);
+    EXPECT_FALSE(a.mfind_io[i].memtable_hit);
+    EXPECT_FALSE(a.mfind_io[i].found);
+    EXPECT_EQ(a.mfind_io[i].block_reads, 0);
+    EXPECT_EQ(a.export_entries[i], 0u);
+    EXPECT_EQ(a.export_bytes[i], 0u);
+    EXPECT_TRUE(a.export_done[i]);
+    EXPECT_EQ(a.export_cursor[i], "");
+  }
+  EXPECT_EQ(a.scan.entries, 0u);
+  EXPECT_EQ(a.scan.bytes, 0u);
+  EXPECT_EQ(a.scan.block_reads, 0);
+  EXPECT_TRUE(a.scan.done);
+  EXPECT_EQ(a.scan.next_key, "");
+  EXPECT_EQ(a.scan_buffered, 0u);
+  EXPECT_EQ(a.applied_seq, 0u);
+  EXPECT_EQ(a.data_bytes, 0u);
+  EXPECT_EQ(a.memtable_bytes, 0u);
+  EXPECT_EQ(a.log_records, 0u);
+  EXPECT_EQ(a.levels, 0u);
+}
+
+// A registered tenant's replicas are mostly never written: such an
+// engine allocates nothing to answer any read, and answers each exactly
+// as an empty engine (here, a written one re-seeded from a blank one)
+// does. Resyncing works in both directions.
+TEST_F(LsmEngineTest, NeverWrittenEngineAllocatesNothingAndReadsEmpty) {
+  LsmEngine blank(ReplicatedOptions(), &clock_);
+  ScanBuffer buf;
+  EmptyReadAnswers answers;
+  g_allocs = 0;
+  g_count_allocs = true;
+  ReadEmptyAnswers(blank, buf, &answers);
+  blank.Flush();
+  blank.TruncateReplLogThrough(5);
+  blank.CrashAndRecover();
+  const bool compacted = blank.MaybeCompact();
+  g_count_allocs = false;
+  EXPECT_EQ(g_allocs.load(), 0);
+  EXPECT_FALSE(compacted);
+  ExpectEmptyAnswers(answers);
+  // Counters are one shared all-zero block until the first write.
+  LsmEngine other(LsmOptions{}, &clock_);
+  EXPECT_EQ(&blank.stats(), &other.stats());
+  EXPECT_EQ(&blank.repl_log(), &other.repl_log());
+  EXPECT_EQ(blank.stats().gets, 0u);
+  EXPECT_EQ(blank.WriteAmplification(), 0.0);
+
+  // Blank -> written: the written engine becomes an empty one.
+  LsmEngine emptied(ReplicatedOptions(), &clock_);
+  for (int i = 0; i < 50; i++) {
+    ASSERT_TRUE(emptied.Put("k" + std::to_string(i), "v").ok());
+  }
+  ASSERT_TRUE(emptied.HSet("h", "f", "v").ok());
+  emptied.Flush();
+  ASSERT_TRUE(emptied.Put("k", "v").ok());
+  emptied.ResyncFrom(blank);
+  EmptyReadAnswers emptied_answers;
+  ReadEmptyAnswers(emptied, buf, &emptied_answers);
+  ExpectEmptyAnswers(emptied_answers);
+  EXPECT_EQ(emptied.stats().resyncs, 1u);
+  // Its stream restarts at 1, like a fresh engine's.
+  ASSERT_TRUE(emptied.Put("k", "again").ok());
+  EXPECT_EQ(emptied.applied_seq(), 1u);
+
+  // Written -> blank: the blank engine becomes a full copy.
+  LsmEngine source(ReplicatedOptions(), &clock_);
+  ASSERT_TRUE(source.Put("k", "v1").ok());
+  ASSERT_TRUE(source.HSet("h", "f", "hv").ok());
+  LsmEngine seeded(ReplicatedOptions(), &clock_);
+  seeded.ResyncFrom(source);
+  EXPECT_EQ(seeded.Get("k").value(), "v1");
+  EXPECT_EQ(seeded.HGet("h", "f").value(), "hv");
+  EXPECT_EQ(seeded.applied_seq(), source.applied_seq());
+  EXPECT_EQ(seeded.ApproximateDataBytes(), source.ApproximateDataBytes());
+  EXPECT_EQ(seeded.repl_log().record_count(), 2u);
+  EXPECT_EQ(seeded.stats().resyncs, 1u);
+  // A blank engine re-seeded from a blank one counts the resync only.
+  LsmEngine twice_blank(LsmOptions{}, &clock_);
+  twice_blank.ResyncFrom(blank);
+  EmptyReadAnswers twice_answers;
+  ReadEmptyAnswers(twice_blank, buf, &twice_answers);
+  ExpectEmptyAnswers(twice_answers);
+  EXPECT_EQ(twice_blank.stats().resyncs, 1u);
 }
 
 TEST_F(LsmEngineTest, PutGetRoundTrip) {
@@ -440,9 +582,9 @@ TEST_F(LsmEngineTest, ExportHashRangeStreamsResidueInBoundedBatches) {
   for (;; batches++) {
     ASSERT_LT(batches, 1000u) << "exporter failed to make progress";
     auto batch = engine_->ExportHashRange(2, 1, cursor, /*max_bytes=*/64);
-    for (const auto& [key, entry] : batch.entries) {
-      EXPECT_EQ(Fnv1a64(key) % 2, 1u) << key;
-      child.Ingest(key, entry);
+    for (const ReplRecordPtr& rec : batch.entries) {
+      EXPECT_EQ(Fnv1a64(rec->key()) % 2, 1u) << rec->key();
+      child.Ingest(*rec);
     }
     cursor = batch.next_cursor;
     if (batch.done) break;
@@ -469,7 +611,7 @@ TEST_F(LsmEngineTest, ExportHashRangeSeesNewestVersionAcrossSources) {
   const uint64_t residue = Fnv1a64("k") % 2;
   auto batch = engine_->ExportHashRange(2, residue, "", 1 << 20);
   ASSERT_EQ(batch.entries.size(), 1u);
-  EXPECT_EQ(batch.entries[0].second.str, "new");
+  EXPECT_EQ(batch.entries[0]->str(), "new");
   EXPECT_TRUE(batch.done);
 }
 
@@ -922,12 +1064,39 @@ TEST(ReplicationLogTest, AppendDeltaAndTruncate) {
   EXPECT_EQ(log.bytes(), 0u);
 }
 
-/// Engine options with the replication stream retained (what DataNode
-/// uses for hosted replicas).
-LsmOptions ReplicatedOptions() {
-  LsmOptions opts;
-  opts.enable_repl_log = true;
-  return opts;
+// A preload-sized burst leaves a large handle array behind; once the
+// log's fullest point between truncations fills at most a quarter of
+// it, truncation gives the excess back, and steady traffic then keeps
+// one small array without reallocating.
+TEST(ReplicationLogTest, TruncationReleasesBurstCapacity) {
+  ReplicationLog log;
+  uint64_t seq = 0;
+  auto append = [&](int n) {
+    for (int i = 0; i < n; i++) {
+      seq++;
+      log.Append(MakeReplRecord("key", ValueType::kString, seq, 0, "value"));
+    }
+  };
+  append(4096);
+  log.TruncateThrough(seq);
+  const size_t burst = log.record_capacity();
+  EXPECT_GE(burst, 4096u);  // Full at truncation: kept.
+  append(3);
+  log.TruncateThrough(seq - 1);  // One record retained.
+  EXPECT_LT(log.record_capacity(), burst / 4);
+  EXPECT_EQ(log.record_count(), 1u);
+  EXPECT_EQ(log.first_seq(), seq);
+
+  // Steady state, even with a volume that swings 10x between
+  // truncations, settles on one array.
+  append(100);
+  log.TruncateThrough(seq);
+  const size_t steady = log.record_capacity();
+  for (int round = 0; round < 20; round++) {
+    append(round % 2 == 0 ? 100 : 10);
+    log.TruncateThrough(seq);
+    EXPECT_EQ(log.record_capacity(), steady) << round;
+  }
 }
 
 TEST(LsmEngineReplicationTest, ReplicaAppliesPrimaryStreamExactly) {
