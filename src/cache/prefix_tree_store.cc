@@ -6,27 +6,26 @@
 namespace abase {
 namespace cache {
 
-/// One cached payload. Scan results live at their prefix's tree node
-/// (owned by the node); point entries live only in the flat hash index
-/// (owned by the store, deleted in RemovePayload/DeleteAllPoints). The
-/// LRU and size-class structures hold raw pointers to both kinds.
+/// One cached payload, in the store's slab (96 bytes). Scan results hang
+/// off their prefix's tree node (Node::scans holds their ids); point
+/// entries live only in the flat hash index.
 struct PrefixTreeStore::Payload {
-  Node* node = nullptr;  ///< Scan payloads only; null for points.
-  bool is_scan = false;
-  uint32_t limit = 0;  ///< Scan payloads: the cached scan's limit.
-  SharedValue value;   ///< Shared with the response it was filled from.
+  std::string key;  ///< Point payloads: the key. Empty for scans.
+  SharedValue value;  ///< Shared with the response it was filled from.
+  union {
+    Node* node;  ///< Scan payloads: the prefix's tree node.
+    uint64_t key_hash = 0;  ///< Point payloads: the index key.
+  };
   uint64_t charge = 0;
   Micros expire_at = 0;
+  uint32_t prev = kNil;  ///< LRU neighbour toward the front.
+  uint32_t next = kNil;  ///< Toward the back; the free link while free.
+  uint32_t hash_next = kNil;  ///< Point payloads: same-hash chain.
+  uint32_t limit = 0;  ///< Scan payloads: the cached scan's limit.
   uint32_t hits_this_period = 0;
+  uint8_t size_class = 0;
   bool refresh_flagged = false;
-  int size_class = 0;
-  std::list<Payload*>::iterator lru_it;
-  // Point payloads only: hash-index membership. `key` backs the
-  // collision check and prefix invalidation; `hash_next` chains
-  // same-hash payloads.
-  std::string key;
-  uint64_t key_hash = 0;
-  Payload* hash_next = nullptr;
+  bool is_scan = false;
 };
 
 /// Compressed radix-tree node. `edge` is the label on the edge from the
@@ -37,7 +36,7 @@ struct PrefixTreeStore::Node {
   std::string edge;
   Node* parent = nullptr;
   std::map<unsigned char, std::unique_ptr<Node>> children;
-  std::vector<std::unique_ptr<Payload>> scans;  ///< By scan limit.
+  std::vector<uint32_t> scans;  ///< Payload ids, by scan limit.
   /// Scan payloads in this subtree (self included) — gates the
   /// covering-scan walk and scan invalidation.
   uint32_t subtree_scans = 0;
@@ -45,21 +44,12 @@ struct PrefixTreeStore::Node {
 
 PrefixTreeStore::PrefixTreeStore(AuLruOptions options, const Clock* clock)
     : options_(options), clock_(clock) {
+  static_assert(sizeof(void*) != 8 || sizeof(Payload) <= 96,
+                "a content-store entry is at most 96 bytes on LP64");
   assert(clock_ != nullptr);
 }
 
-PrefixTreeStore::~PrefixTreeStore() { DeleteAllPoints(); }
-
-void PrefixTreeStore::DeleteAllPoints() {
-  point_index_.ForEach([](uint64_t, Payload*& head) {
-    for (Payload* p = head; p != nullptr;) {
-      Payload* next = p->hash_next;
-      delete p;
-      p = next;
-    }
-  });
-  point_index_.Clear();
-}
+PrefixTreeStore::~PrefixTreeStore() = default;
 
 int PrefixTreeStore::ClassFor(uint64_t charge) {
   int c = 0;
@@ -145,39 +135,36 @@ PrefixTreeStore::Node* PrefixTreeStore::InsertPath(const std::string& path) {
   return n;
 }
 
-PrefixTreeStore::Payload* PrefixTreeStore::FindPoint(
-    uint64_t hash, const std::string& key) const {
-  Payload* const* slot = point_index_.Find(hash);
-  if (slot == nullptr) return nullptr;
-  for (Payload* p = *slot; p != nullptr; p = p->hash_next) {
-    if (p->key == key) return p;
+uint32_t PrefixTreeStore::FindPoint(uint64_t hash,
+                                    const std::string& key) const {
+  const uint32_t* slot = point_index_.Find(hash);
+  if (slot == nullptr) return kNil;
+  for (uint32_t id = *slot; id != kNil; id = slab_[id].hash_next) {
+    if (slab_[id].key == key) return id;
   }
-  return nullptr;
+  return kNil;
 }
 
-void PrefixTreeStore::IndexPoint(uint64_t hash, Payload* p) {
-  p->key_hash = hash;
-  Payload*& head = point_index_[hash];
-  p->hash_next = head;
-  head = p;
+void PrefixTreeStore::IndexPoint(uint64_t hash, uint32_t id) {
+  Payload& p = slab_[id];
+  p.key_hash = hash;
+  if (uint32_t* head = point_index_.Find(hash)) {
+    p.hash_next = *head;
+    *head = id;
+  } else {
+    p.hash_next = kNil;
+    point_index_.Insert(hash, id);
+  }
 }
 
-void PrefixTreeStore::UnindexPoint(Payload* p) {
-  Payload** slot = point_index_.Find(p->key_hash);
+void PrefixTreeStore::UnindexPoint(uint32_t id) {
+  const Payload& p = slab_[id];
+  uint32_t* slot = point_index_.Find(p.key_hash);
   assert(slot != nullptr);
-  Payload** link = slot;
-  while (*link != p) link = &(*link)->hash_next;
-  *link = p->hash_next;
-  if (*slot == nullptr) point_index_.Erase(p->key_hash);
-}
-
-void PrefixTreeStore::TouchLru(Payload* p) {
-  lru_.splice(lru_.begin(), lru_, p->lru_it);
-}
-
-void PrefixTreeStore::InsertLru(Payload* p) {
-  lru_.push_front(p);
-  p->lru_it = lru_.begin();
+  uint32_t* link = slot;
+  while (*link != id) link = &slab_[*link].hash_next;
+  *link = p.hash_next;
+  if (*slot == kNil) point_index_.Erase(p.key_hash);
 }
 
 void PrefixTreeStore::BumpSubtreeScans(Node* n, int delta) {
@@ -211,32 +198,36 @@ void PrefixTreeStore::PruneFrom(Node* n) {
   }
 }
 
-void PrefixTreeStore::RemovePayload(Payload* p, bool count_as_invalidation) {
-  used_ -= p->charge;
-  classes_[p->size_class].bytes -= p->charge;
-  lru_.erase(p->lru_it);
+void PrefixTreeStore::RemovePayload(uint32_t id,
+                                    bool count_as_invalidation) {
+  Payload& p = slab_[id];
+  used_ -= p.charge;
+  classes_[p.size_class].bytes -= p.charge;
+  slab_.Unlink(lru_, id);
   if (count_as_invalidation) tree_stats_.invalidated_payloads++;
-  if (p->is_scan) {
-    Node* n = p->node;
+  p.value = nullptr;
+  if (p.is_scan) {
+    Node* n = p.node;
     cached_scans_--;
     BumpSubtreeScans(n, -1);
     for (auto it = n->scans.begin(); it != n->scans.end(); ++it) {
-      if (it->get() == p) {
-        n->scans.erase(it);  // Destroys p.
+      if (*it == id) {
+        n->scans.erase(it);
         break;
       }
     }
+    slab_.Free(id);
     PruneFrom(n);
   } else {
-    UnindexPoint(p);
-    delete p;
+    UnindexPoint(id);
+    slab_.Free(id);
   }
 }
 
 void PrefixTreeStore::EvictUntilFits(uint64_t incoming) {
-  while (used_ + incoming > options_.capacity_bytes && !lru_.empty()) {
+  while (used_ + incoming > options_.capacity_bytes && lru_.tail != kNil) {
     stats_.evictions++;
-    RemovePayload(lru_.back(), /*count_as_invalidation=*/false);
+    RemovePayload(lru_.tail, /*count_as_invalidation=*/false);
   }
 }
 
@@ -263,26 +254,30 @@ bool PrefixTreeStore::PutHashed(uint64_t hash, const std::string& key,
   // entry, and the detached payload can never be picked as a victim.
   // The hash-index entry is untouched: same key, same hash, same
   // payload object. Fresh refresh bookkeeping, like the AU-LRU cache.
-  Payload* p = FindPoint(hash, key);
-  if (p != nullptr) {
-    used_ -= p->charge;
-    classes_[p->size_class].bytes -= p->charge;
-    lru_.erase(p->lru_it);
+  uint32_t id = FindPoint(hash, key);
+  if (id != kNil) {
+    const Payload& old = slab_[id];
+    used_ -= old.charge;
+    classes_[old.size_class].bytes -= old.charge;
+    slab_.Unlink(lru_, id);
     EvictUntilFits(charge);
   } else {
     EvictUntilFits(charge);
-    p = new Payload();
-    p->key = key;
-    IndexPoint(hash, p);
+    id = slab_.Allocate();
+    Payload& fresh = slab_[id];
+    fresh.key = key;
+    fresh.is_scan = false;
+    IndexPoint(hash, id);
   }
-  p->value = std::move(value);
-  p->charge = charge;
-  p->expire_at = clock_->NowMicros() + ttl;
-  p->hits_this_period = 0;
-  p->refresh_flagged = false;
-  p->size_class = ClassFor(charge);
-  InsertLru(p);
-  classes_[p->size_class].bytes += charge;
+  Payload& p = slab_[id];
+  p.value = std::move(value);
+  p.charge = charge;
+  p.expire_at = clock_->NowMicros() + ttl;
+  p.hits_this_period = 0;
+  p.refresh_flagged = false;
+  p.size_class = static_cast<uint8_t>(ClassFor(charge));
+  slab_.PushFront(lru_, id);
+  classes_[p.size_class].bytes += charge;
   for (SizeClass& sc : classes_) sc.recent_hits *= kHitDecay;
   used_ += charge;
   stats_.inserts++;
@@ -295,18 +290,18 @@ AuLookup PrefixTreeStore::Get(const std::string& key) {
 
 AuLookup PrefixTreeStore::GetHashed(uint64_t hash, const std::string& key) {
   AuLookup out;
-  Payload* pe = FindPoint(hash, key);
-  if (pe == nullptr) {
+  const uint32_t id = FindPoint(hash, key);
+  if (id == kNil) {
     stats_.misses++;
     return out;
   }
-  Payload& e = *pe;
+  Payload& e = slab_[id];
   const Micros now = clock_->NowMicros();
   if (now >= e.expire_at) {
     // Lazy expiry, AU-LRU style: count it, drop it, report a miss.
     stats_.expired++;
     stats_.misses++;
-    RemovePayload(&e, /*count_as_invalidation=*/false);
+    RemovePayload(id, /*count_as_invalidation=*/false);
     return out;
   }
   out.hit = true;
@@ -321,7 +316,7 @@ AuLookup PrefixTreeStore::GetHashed(uint64_t hash, const std::string& key) {
     refresh_queue_.push_back(key);
     refresh_requests_++;
   }
-  TouchLru(&e);
+  slab_.MoveToFront(lru_, id);
   return out;
 }
 
@@ -336,11 +331,11 @@ bool PrefixTreeStore::EraseHashed(uint64_t hash, const std::string& key) {
   // index. Removal is deferred past the walk because pruning
   // restructures the path being walked.
   if (root_ != nullptr && root_->subtree_scans > 0) {
-    std::vector<Payload*> covering;
+    std::vector<uint32_t> covering;
     Node* n = root_.get();
     size_t i = 0;
     while (true) {
-      for (auto& sp : n->scans) covering.push_back(sp.get());
+      covering.insert(covering.end(), n->scans.begin(), n->scans.end());
       if (i == key.size()) break;
       auto it = n->children.find(static_cast<unsigned char>(key[i]));
       if (it == n->children.end()) break;
@@ -350,19 +345,19 @@ bool PrefixTreeStore::EraseHashed(uint64_t hash, const std::string& key) {
       i += e.size();
       n = c;
     }
-    for (Payload* p : covering) {
+    for (uint32_t id : covering) {
       tree_stats_.scans_dropped_by_write++;
-      RemovePayload(p, /*count_as_invalidation=*/false);
+      RemovePayload(id, /*count_as_invalidation=*/false);
     }
   }
-  Payload* point = FindPoint(hash, key);
-  if (point == nullptr) return false;
+  const uint32_t point = FindPoint(hash, key);
+  if (point == kNil) return false;
   RemovePayload(point, /*count_as_invalidation=*/false);
   return true;
 }
 
 bool PrefixTreeStore::Contains(const std::string& key) const {
-  return FindPoint(HashString(key), key) != nullptr;
+  return FindPoint(HashString(key), key) != kNil;
 }
 
 std::vector<std::string> PrefixTreeStore::TakeRefreshQueue() {
@@ -384,73 +379,78 @@ bool PrefixTreeStore::PutScan(const std::string& prefix, uint32_t limit,
   if (charge > options_.capacity_bytes) return false;
   if (ttl <= 0) ttl = options_.default_ttl;
   if (const Node* en = FindExact(prefix); en != nullptr) {
-    for (auto& sp : en->scans) {
-      if (sp->limit == limit) {
-        RemovePayload(sp.get(), /*count_as_invalidation=*/false);
+    for (uint32_t id : en->scans) {
+      if (slab_[id].limit == limit) {
+        RemovePayload(id, /*count_as_invalidation=*/false);
         break;
       }
     }
   }
   EvictUntilFits(charge);
   Node* n = InsertPath(prefix);
-  auto p = std::make_unique<Payload>();
-  p->node = n;
-  p->is_scan = true;
-  p->limit = limit;
-  p->value = std::move(payload);
-  p->charge = charge;
-  p->expire_at = clock_->NowMicros() + ttl;
-  p->size_class = ClassFor(charge);
-  InsertLru(p.get());
-  classes_[p->size_class].bytes += charge;
+  const uint32_t id = slab_.Allocate();
+  Payload& p = slab_[id];
+  p.key.clear();
+  p.node = n;
+  p.is_scan = true;
+  p.limit = limit;
+  p.value = std::move(payload);
+  p.charge = charge;
+  p.expire_at = clock_->NowMicros() + ttl;
+  p.hits_this_period = 0;
+  p.refresh_flagged = false;
+  p.size_class = static_cast<uint8_t>(ClassFor(charge));
+  slab_.PushFront(lru_, id);
+  classes_[p.size_class].bytes += charge;
   for (SizeClass& sc : classes_) sc.recent_hits *= kHitDecay;
   used_ += charge;
   stats_.inserts++;
   tree_stats_.scan_inserts++;
   cached_scans_++;
   BumpSubtreeScans(n, +1);
-  n->scans.push_back(std::move(p));
+  n->scans.push_back(id);
   return true;
 }
 
 AuLookup PrefixTreeStore::GetScan(const std::string& prefix, uint32_t limit) {
   AuLookup out;
   const Node* n = FindExact(prefix);
-  Payload* e = nullptr;
+  uint32_t id = kNil;
   if (n != nullptr) {
-    for (auto& sp : n->scans) {
-      if (sp->limit == limit) {
-        e = sp.get();
+    for (uint32_t sid : n->scans) {
+      if (slab_[sid].limit == limit) {
+        id = sid;
         break;
       }
     }
   }
-  if (e == nullptr) {
+  if (id == kNil) {
     stats_.misses++;
     tree_stats_.scan_misses++;
     return out;
   }
+  const Payload& e = slab_[id];
   const Micros now = clock_->NowMicros();
-  if (now >= e->expire_at) {
+  if (now >= e.expire_at) {
     stats_.expired++;
     stats_.misses++;
     tree_stats_.scan_misses++;
-    RemovePayload(e, /*count_as_invalidation=*/false);
+    RemovePayload(id, /*count_as_invalidation=*/false);
     return out;
   }
   out.hit = true;
-  out.value = e->value.view();
+  out.value = e.value.view();
   stats_.hits++;
   tree_stats_.scan_hits++;
-  classes_[e->size_class].recent_hits += 1.0;
-  TouchLru(e);
+  classes_[e.size_class].recent_hits += 1.0;
+  slab_.MoveToFront(lru_, id);
   return out;
 }
 
-void PrefixTreeStore::CollectSubtree(Node* n,
-                                     std::vector<Payload*>& out) const {
+void PrefixTreeStore::CollectSubtree(const Node* n,
+                                     std::vector<uint32_t>& out) const {
   if (n->subtree_scans == 0) return;
-  for (auto& sp : n->scans) out.push_back(sp.get());
+  out.insert(out.end(), n->scans.begin(), n->scans.end());
   for (auto& [byte, child] : n->children) {
     (void)byte;
     CollectSubtree(child.get(), out);
@@ -459,17 +459,18 @@ void PrefixTreeStore::CollectSubtree(Node* n,
 
 size_t PrefixTreeStore::InvalidatePrefix(const std::string& prefix) {
   tree_stats_.prefix_invalidations++;
-  std::vector<Payload*> drop;
+  std::vector<uint32_t> drop;
   // Point entries under the prefix come from the flat index by key
   // compare. The tree would give O(subtree), but points no longer
   // reside there: prefix invalidation is the rare cutover/migration
   // path while point lookups run per request — the trade goes to the
   // lookups. Collect first, remove after: removal mutates the index.
-  point_index_.ForEach([&](uint64_t, Payload*& head) {
-    for (Payload* p = head; p != nullptr; p = p->hash_next) {
-      if (p->key.size() >= prefix.size() &&
-          p->key.compare(0, prefix.size(), prefix) == 0) {
-        drop.push_back(p);
+  point_index_.ForEach([&](uint64_t, uint32_t head) {
+    for (uint32_t id = head; id != kNil; id = slab_[id].hash_next) {
+      const std::string& key = slab_[id].key;
+      if (key.size() >= prefix.size() &&
+          key.compare(0, prefix.size(), prefix) == 0) {
+        drop.push_back(id);
       }
     }
   });
@@ -484,7 +485,7 @@ size_t PrefixTreeStore::InvalidatePrefix(const std::string& prefix) {
       }
       // Scans cached on strict-ancestor nodes span the invalidated
       // prefix — conservatively stale, drop them too.
-      for (auto& sp : n->scans) drop.push_back(sp.get());
+      drop.insert(drop.end(), n->scans.begin(), n->scans.end());
       auto it = n->children.find(static_cast<unsigned char>(prefix[i]));
       if (it == n->children.end()) break;
       Node* c = it->second.get();
@@ -503,23 +504,24 @@ size_t PrefixTreeStore::InvalidatePrefix(const std::string& prefix) {
     }
     if (subtree != nullptr) CollectSubtree(subtree, drop);
   }
-  for (Payload* p : drop) RemovePayload(p, /*count_as_invalidation=*/true);
+  for (uint32_t id : drop) RemovePayload(id, /*count_as_invalidation=*/true);
   return drop.size();
 }
 
 size_t PrefixTreeStore::InvalidateScans() {
   tree_stats_.prefix_invalidations++;
   if (!root_ || root_->subtree_scans == 0) return 0;
-  std::vector<Payload*> drop;
+  std::vector<uint32_t> drop;
   CollectSubtree(root_.get(), drop);
-  for (Payload* p : drop) RemovePayload(p, /*count_as_invalidation=*/true);
+  for (uint32_t id : drop) RemovePayload(id, /*count_as_invalidation=*/true);
   return drop.size();
 }
 
 void PrefixTreeStore::Clear() {
   root_.reset();
-  DeleteAllPoints();
-  lru_.clear();
+  point_index_.Clear();
+  slab_.Clear();
+  lru_ = {};
   refresh_queue_.clear();
   used_ = 0;
   node_count_ = 0;

@@ -35,7 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <string>
@@ -47,6 +46,7 @@
 #include "common/clock.h"
 #include "common/flat_map.h"
 #include "common/shared_value.h"
+#include "common/slab.h"
 #include "common/types.h"
 
 namespace abase {
@@ -167,7 +167,7 @@ class PrefixTreeStore {
 
   uint64_t used_bytes() const { return used_; }
   uint64_t capacity_bytes() const { return options_.capacity_bytes; }
-  size_t entry_count() const { return lru_.size(); }
+  size_t entry_count() const { return slab_.size(); }
   const CacheStats& stats() const { return stats_; }
   uint64_t refresh_requests() const { return refresh_requests_; }
 
@@ -187,6 +187,7 @@ class PrefixTreeStore {
  private:
   struct Node;
   struct Payload;
+  static constexpr uint32_t kNil = Slab<Payload>::kNil;
 
   static int ClassFor(uint64_t charge);
 
@@ -195,19 +196,15 @@ class PrefixTreeStore {
   /// Finds or creates (splitting edges as needed) the node for `path`.
   Node* InsertPath(const std::string& path);
 
-  /// Point payload for `key` via the hash index (chained on collision,
-  /// resolved by full-key compare), or null.
-  Payload* FindPoint(uint64_t hash, const std::string& key) const;
-  void IndexPoint(uint64_t hash, Payload* p);
-  void UnindexPoint(Payload* p);
-  /// Destroys every point payload and empties the index (Clear/dtor).
-  void DeleteAllPoints();
+  /// Id of the point payload for `key` via the hash index (chained on
+  /// collision, resolved by full-key compare), or kNil.
+  uint32_t FindPoint(uint64_t hash, const std::string& key) const;
+  void IndexPoint(uint64_t hash, uint32_t id);
+  void UnindexPoint(uint32_t id);
 
-  void TouchLru(Payload* p);
-  void InsertLru(Payload* p);
-  /// Detaches `p` from the LRU, size-class and subtree accounting and
-  /// destroys it; prunes the now-possibly-empty node chain.
-  void RemovePayload(Payload* p, bool count_as_invalidation);
+  /// Detaches payload `id` from the LRU, size-class and subtree
+  /// accounting and frees it; prunes the now-possibly-empty node chain.
+  void RemovePayload(uint32_t id, bool count_as_invalidation);
   void EvictUntilFits(uint64_t incoming);
   /// Removes payload-less leaf nodes and merges payload-less
   /// single-child nodes upward from `n`.
@@ -215,23 +212,26 @@ class PrefixTreeStore {
   /// Adds `delta` to the subtree scan counters on `n` and its ancestors.
   void BumpSubtreeScans(Node* n, int delta);
   /// Collects every scan payload in `n`'s subtree (subtree counters
-  /// skip scan-free branches). Collected pointers stay valid while
-  /// their siblings are removed: pruning only destroys payload-less
-  /// nodes.
-  void CollectSubtree(Node* n, std::vector<Payload*>& out) const;
+  /// skip scan-free branches). Collected ids stay valid while their
+  /// siblings are removed: ids are never reused before the next
+  /// insert, and pruning only destroys payload-less nodes.
+  void CollectSubtree(const Node* n, std::vector<uint32_t>& out) const;
 
   AuLruOptions options_;
   const Clock* clock_;
   /// Scan tree, lazily allocated on the first scan insert. Point-only
   /// workloads never touch it.
   std::unique_ptr<Node> root_;
-  /// Home of every point payload: HashString(key) → head of a (nearly
+  /// Home of every payload, point and scan alike (common/slab.h). The
+  /// LRU, the hash chains and the tree's scan lists link slab ids.
+  Slab<Payload> slab_;
+  /// Point payloads: HashString(key) → id of the head of a (nearly
   /// always length-1) collision chain threaded through
   /// Payload::hash_next. Chains make the index exact — a probe miss is
   /// an authoritative miss, never a fallback — so point behavior is
   /// identical to the tree-resident layout, just O(1).
-  FlatMap64<Payload*> point_index_;
-  std::list<Payload*> lru_;  ///< Front = most recently used.
+  FlatMap64<uint32_t> point_index_;
+  Slab<Payload>::List lru_;  ///< Its tail is the next victim.
   uint64_t used_ = 0;
   size_t node_count_ = 0;
   size_t cached_scans_ = 0;

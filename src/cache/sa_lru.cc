@@ -9,8 +9,9 @@ namespace cache {
 
 SaLruCache::SaLruCache(SaLruOptions options, const Clock* clock)
     : options_(options), clock_(clock) {
+  static_assert(sizeof(void*) != 8 || sizeof(Entry) <= 80,
+                "a node-cache entry is at most 80 bytes on LP64");
   assert(options_.num_classes >= 1);
-  classes_.resize(static_cast<size_t>(options_.num_classes));
 }
 
 int SaLruCache::ClassFor(uint64_t charge) const {
@@ -38,38 +39,51 @@ bool SaLruCache::PutHashed(uint64_t h, const std::string& key,
                            Micros expire_at) {
   assert(value != nullptr);
   if (charge > options_.capacity_bytes) return false;
+  if (classes_.empty()) {
+    classes_.resize(static_cast<size_t>(options_.num_classes));
+  }
   // Same key or a hash-collided victim: either way the slot's current
   // entry goes, keeping the index bijective with the class lists. The
-  // detached node is parked in spare_ — out of every class list, so it
-  // can't be picked as an eviction victim — and reused below with its
-  // key capacity intact.
-  if (auto* slot = map_.Find(h)) {
-    auto old = *slot;
-    SizeClass& osc = classes_[static_cast<size_t>(old->size_class)];
-    osc.bytes -= old->charge;
-    used_ -= old->charge;
-    spare_.splice(spare_.begin(), osc.lru, old);
+  // detached entry is out of every class list, so it can't be picked as
+  // an eviction victim, and is refilled below with its key capacity
+  // intact.
+  uint32_t id = kNil;
+  if (const uint32_t* slot = map_.Find(h)) {
+    id = *slot;
+    Detach(id);
     map_.Erase(h);
   }
   EvictUntilFits(charge);
-  int cls = ClassFor(charge);
-  SizeClass& sc = classes_[static_cast<size_t>(cls)];
-  if (!spare_.empty()) {
-    sc.lru.splice(sc.lru.begin(), spare_, spare_.begin());
-    Entry& e = sc.lru.front();
-    e.key = key;
-    e.value = std::move(value);
-    e.charge = charge;
-    e.size_class = cls;
-    e.expire_at = expire_at;
-  } else {
-    sc.lru.push_front(Entry{key, std::move(value), charge, cls, expire_at});
-  }
-  map_.Insert(h, sc.lru.begin());
+  if (id == kNil) id = slab_.Allocate();
+  Entry& e = slab_[id];
+  e.key = key;
+  e.value = std::move(value);
+  e.hash = h;
+  e.charge = charge;
+  e.expire_at = expire_at;
+  SizeClass& sc = classes_[static_cast<size_t>(ClassFor(charge))];
+  slab_.PushFront(sc.lru, id);
+  map_.Insert(h, id);
   sc.bytes += charge;
   used_ += charge;
   stats_.inserts++;
   return true;
+}
+
+void SaLruCache::Detach(uint32_t id) {
+  const Entry& e = slab_[id];
+  SizeClass& sc = classes_[static_cast<size_t>(ClassFor(e.charge))];
+  sc.bytes -= e.charge;
+  used_ -= e.charge;
+  slab_.Unlink(sc.lru, id);
+}
+
+void SaLruCache::Remove(uint32_t id) {
+  Detach(id);
+  Entry& e = slab_[id];
+  map_.Erase(e.hash);
+  e.value = nullptr;
+  slab_.Free(id);
 }
 
 std::optional<std::string> SaLruCache::Get(const std::string& key) {
@@ -93,25 +107,26 @@ const SharedValue* SaLruCache::GetRefHashed(uint64_t h,
                                             const std::string& key,
                                             Micros* expire_at) {
   *expire_at = 0;
-  auto* slot = map_.Find(h);
-  if (slot == nullptr || (*slot)->key != key) {
+  const uint32_t* slot = map_.Find(h);
+  if (slot == nullptr || slab_[*slot].key != key) {
     stats_.misses++;
     return nullptr;
   }
-  auto it = *slot;
-  if (it->expire_at != 0 && clock_ != nullptr &&
-      clock_->NowMicros() >= it->expire_at) {
+  const uint32_t id = *slot;
+  Entry& e = slab_[id];
+  if (e.expire_at != 0 && clock_ != nullptr &&
+      clock_->NowMicros() >= e.expire_at) {
     stats_.expired++;
     stats_.misses++;
-    EraseHashed(h, key);
+    Remove(id);
     return nullptr;
   }
   stats_.hits++;
-  *expire_at = it->expire_at;
-  SizeClass& sc = classes_[static_cast<size_t>(it->size_class)];
+  *expire_at = e.expire_at;
+  SizeClass& sc = classes_[static_cast<size_t>(ClassFor(e.charge))];
   sc.recent_hits += 1.0;
-  sc.lru.splice(sc.lru.begin(), sc.lru, it);
-  return &it->value;
+  slab_.MoveToFront(sc.lru, id);
+  return &e.value;
 }
 
 bool SaLruCache::Erase(const std::string& key) {
@@ -119,30 +134,22 @@ bool SaLruCache::Erase(const std::string& key) {
 }
 
 bool SaLruCache::EraseHashed(uint64_t h, const std::string& key) {
-  auto* slot = map_.Find(h);
-  if (slot == nullptr || (*slot)->key != key) return false;
-  auto it = *slot;
-  SizeClass& sc = classes_[static_cast<size_t>(it->size_class)];
-  sc.bytes -= it->charge;
-  used_ -= it->charge;
-  sc.lru.erase(it);
-  map_.Erase(h);
+  const uint32_t* slot = map_.Find(h);
+  if (slot == nullptr || slab_[*slot].key != key) return false;
+  Remove(*slot);
   return true;
 }
 
 void SaLruCache::Clear() {
   map_.Clear();
-  for (SizeClass& sc : classes_) {
-    sc.lru.clear();
-    sc.bytes = 0;
-    sc.recent_hits = 0;
-  }
+  slab_.Clear();
+  for (SizeClass& sc : classes_) sc = SizeClass{};
   used_ = 0;
 }
 
 bool SaLruCache::Contains(const std::string& key) const {
-  const auto* slot = map_.Find(HashString(key));
-  return slot != nullptr && (*slot)->key == key;
+  const uint32_t* slot = map_.Find(HashString(key));
+  return slot != nullptr && slab_[*slot].key == key;
 }
 
 int SaLruCache::VictimClass() const {
@@ -167,12 +174,7 @@ void SaLruCache::EvictUntilFits(uint64_t incoming) {
   while (used_ + incoming > options_.capacity_bytes) {
     int victim_class = VictimClass();
     if (victim_class < 0) break;  // Cache empty.
-    SizeClass& sc = classes_[static_cast<size_t>(victim_class)];
-    const Entry& victim = sc.lru.back();
-    used_ -= victim.charge;
-    sc.bytes -= victim.charge;
-    map_.Erase(HashString(victim.key));
-    sc.lru.pop_back();
+    Remove(classes_[static_cast<size_t>(victim_class)].lru.tail);
     stats_.evictions++;
     DecayHits();
   }
@@ -183,19 +185,18 @@ void SaLruCache::DecayHits() {
 }
 
 std::vector<uint64_t> SaLruCache::ClassBytes() const {
-  std::vector<uint64_t> out;
-  out.reserve(classes_.size());
-  for (const SizeClass& sc : classes_) out.push_back(sc.bytes);
+  std::vector<uint64_t> out(static_cast<size_t>(options_.num_classes), 0);
+  for (size_t c = 0; c < classes_.size(); c++) out[c] = classes_[c].bytes;
   return out;
 }
 
 std::vector<double> SaLruCache::ClassDensity() const {
-  std::vector<double> out;
-  out.reserve(classes_.size());
-  for (const SizeClass& sc : classes_) {
-    out.push_back(sc.bytes == 0
-                      ? 0.0
-                      : sc.recent_hits / static_cast<double>(sc.bytes));
+  std::vector<double> out(static_cast<size_t>(options_.num_classes), 0.0);
+  for (size_t c = 0; c < classes_.size(); c++) {
+    const SizeClass& sc = classes_[c];
+    if (sc.bytes != 0) {
+      out[c] = sc.recent_hits / static_cast<double>(sc.bytes);
+    }
   }
   return out;
 }

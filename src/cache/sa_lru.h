@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -21,6 +20,7 @@
 #include "common/clock.h"
 #include "common/flat_map.h"
 #include "common/shared_value.h"
+#include "common/slab.h"
 
 namespace abase {
 namespace cache {
@@ -109,15 +109,19 @@ class SaLruCache {
   std::vector<double> ClassDensity() const;
 
  private:
+  /// One cached entry, in slab_ (80 bytes).
   struct Entry {
     std::string key;
     SharedValue value;
-    uint64_t charge;
-    int size_class;
-    Micros expire_at;  ///< 0 = never.
+    uint64_t hash = 0;  ///< The caller's HashString(key): its index key.
+    uint64_t charge = 0;  ///< Its size class is ClassFor(charge).
+    Micros expire_at = 0;  ///< 0 = never.
+    uint32_t prev = kNil;  ///< Toward the class list's front.
+    uint32_t next = kNil;  ///< Toward the back; the free link while free.
   };
+  static constexpr uint32_t kNil = Slab<Entry>::kNil;
   struct SizeClass {
-    std::list<Entry> lru;  ///< Front = most recent.
+    Slab<Entry>::List lru;  ///< Its tail is the class's next victim.
     uint64_t bytes = 0;
     double recent_hits = 0;  ///< Decayed hit counter.
   };
@@ -127,19 +131,21 @@ class SaLruCache {
   int VictimClass() const;
   void EvictUntilFits(uint64_t incoming);
   void DecayHits();
+  /// Takes entry `id` off its class list and out of the byte counts.
+  void Detach(uint32_t id);
+  /// Detaches `id`, drops it from the index and frees its slab entry.
+  void Remove(uint32_t id);
 
   SaLruOptions options_;
   const Clock* clock_;
+  /// Sized to num_classes by the first Put: an empty cache (a node that
+  /// never served a read) allocates nothing.
   std::vector<SizeClass> classes_;
-  /// Key-hash index (FNV-1a of the key string); entries hold the full
-  /// key, so a hash collision is detected by comparing it and treated
-  /// as a miss (Get/Erase) or evicts the collided entry (Put).
-  FlatMap64<std::list<Entry>::iterator> map_;
-  /// At most one detached entry, parked here between the overwrite
-  /// detach and the reinsert in the same Put call. Splicing through it
-  /// keeps the list node and the key buffer alive across the eviction
-  /// pass, so overwriting a resident key allocates nothing.
-  std::list<Entry> spare_;
+  Slab<Entry> slab_;
+  /// Key-hash index (FNV-1a of the key string) → slab id; entries hold
+  /// the full key, so a hash collision is detected by comparing it and
+  /// treated as a miss (Get/Erase) or evicts the collided entry (Put).
+  FlatMap64<uint32_t> map_;
   uint64_t used_ = 0;
   CacheStats stats_;
 };

@@ -11,12 +11,12 @@ namespace proxy {
 
 Proxy::Proxy(ProxyId id, TenantId tenant, double proxy_quota_ru,
              ProxyOptions options, const Clock* clock,
-             std::function<PartitionId(const std::string&)> partition_of)
+             std::function<PartitionId(uint64_t)> partition_of_hashed)
     : id_(id),
       tenant_(tenant),
       options_(options),
       clock_(clock),
-      partition_of_(std::move(partition_of)),
+      partition_of_hashed_(std::move(partition_of_hashed)),
       quota_(proxy_quota_ru, clock),
       cache_enabled_(options.cache_enabled),
       quota_enabled_(options.quota_enabled) {
@@ -122,8 +122,7 @@ ProxyHandleResult::Action Proxy::HandleInto(const ClientRequest& req,
   stats_.forwarded++;
   fwd.req_id = req.req_id;
   fwd.tenant = req.tenant;
-  fwd.partition = partition_of_hashed_ ? partition_of_hashed_(key_hash)
-                                       : partition_of_(req.key);
+  fwd.partition = partition_of_hashed_(key_hash);
   fwd.op = req.op;
   fwd.key = req.key;
   fwd.field = req.field;
@@ -215,7 +214,7 @@ std::vector<NodeRequest> Proxy::TakeRefreshFetches() {
     NodeRequest req;
     req.req_id = refresh_id_alloc_ ? refresh_id_alloc_() : refresh_req_id_++;
     req.tenant = tenant_;
-    req.partition = partition_of_(key);
+    req.partition = partition_of_hashed_(Fnv1a64(key));
     req.op = OpType::kGet;
     req.key = std::move(key);
     req.issued_at = clock_->NowMicros();

@@ -72,11 +72,13 @@ struct ProxyHandleResult {
 /// One proxy instance.
 class Proxy {
  public:
-  /// `partition_of` maps a key to its partition (routing metadata pulled
-  /// from the MetaServer).
+  /// `partition_of_hashed` maps Fnv1a64(key) to the key's partition
+  /// (routing metadata pulled from the MetaServer). Requests carry that
+  /// hash from generation, so forwards route without re-hashing the key;
+  /// refresh fetches hash their key once.
   Proxy(ProxyId id, TenantId tenant, double proxy_quota_ru,
         ProxyOptions options, const Clock* clock,
-        std::function<PartitionId(const std::string&)> partition_of);
+        std::function<PartitionId(uint64_t)> partition_of_hashed);
 
   /// Handles one client request: cache → quota → forward.
   ProxyHandleResult Handle(const ClientRequest& req);
@@ -161,15 +163,6 @@ class Proxy {
   /// RU admitted since the last report (the MetaServer polls this).
   double ReportAndResetAdmittedRu();
 
-  /// Installs the hashed partition-routing callback (key_hash ->
-  /// partition). When set, Handle/HandleInto route forwards through it
-  /// with the precomputed key hash instead of re-hashing the key string
-  /// via `partition_of`. The two must agree: partition_of(key) ==
-  /// partition_of_hashed(Fnv1a64(key)).
-  void set_partition_of_hashed(std::function<PartitionId(uint64_t)> fn) {
-    partition_of_hashed_ = std::move(fn);
-  }
-
   /// Installs the id source for background refresh fetches. The cluster
   /// simulator wires this to its sim-wide counter: refresh ids key the
   /// shared in-flight table, so per-proxy counters would collide across
@@ -221,7 +214,6 @@ class Proxy {
   uint32_t az_ = 0;
   ProxyOptions options_;
   const Clock* clock_;
-  std::function<PartitionId(const std::string&)> partition_of_;
   std::function<PartitionId(uint64_t)> partition_of_hashed_;
   quota::ProxyQuota quota_;
   bool cache_enabled_;

@@ -84,16 +84,12 @@ Status ClusterSim::AddTenant(const meta::TenantConfig& config, PoolId pool,
   for (uint32_t p = 0; p < config.num_proxies; p++) {
     proxy::ProxyOptions popt = options_.proxy;
     popt.replicas = config.replicas;
+    // Requests carry Fnv1a64(key) computed once at generate / inject
+    // time; partition routing reuses it instead of re-hashing.
     rt.proxies.push_back(std::make_unique<proxy::Proxy>(
-        p, tid, proxy_quota, popt, &clock_,
-        [this, tid](const std::string& key) {
-          return meta_->PartitionFor(tid, key);
+        p, tid, proxy_quota, popt, &clock_, [this, tid](uint64_t h) {
+          return meta_->PartitionForHashed(tid, h);
         }));
-    // Hot path: requests carry Fnv1a64(key) computed once at generate /
-    // inject time; partition routing reuses it instead of re-hashing.
-    rt.proxies.back()->set_partition_of_hashed([this, tid](uint64_t h) {
-      return meta_->PartitionForHashed(tid, h);
-    });
     // Refresh-fetch ids must be unique across every proxy of every
     // tenant (they key the sim-wide in-flight table).
     rt.proxies.back()->set_refresh_id_allocator(

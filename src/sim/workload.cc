@@ -12,12 +12,7 @@ namespace sim {
 
 WorkloadGenerator::WorkloadGenerator(TenantId tenant, WorkloadProfile profile,
                                      uint64_t seed)
-    : tenant_(tenant), profile_(profile), seed_(seed) {
-  if (profile_.key_dist == KeyDist::kZipfian && profile_.num_keys > 1) {
-    zipf_ = std::make_unique<ZipfianGenerator>(profile_.num_keys,
-                                               profile_.zipf_theta);
-  }
-}
+    : tenant_(tenant), profile_(profile), seed_(seed) {}
 
 double WorkloadGenerator::ExpectedQps(Micros now) const {
   double qps = profile_.base_qps;

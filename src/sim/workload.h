@@ -132,6 +132,8 @@ class WorkloadGenerator {
   /// flat-zero profile parks first) keeps no 2.5 KB engine resident.
   uint64_t seed_;
   std::unique_ptr<Rng> rng_;
+  /// Built on the first Zipfian draw, so a generator that never draws
+  /// (a parked tenant) never pays its O(num_keys) Zeta sum.
   std::unique_ptr<ZipfianGenerator> zipf_;
   uint64_t next_req_id_ = 1;
 };

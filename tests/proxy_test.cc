@@ -144,7 +144,7 @@ class ProxyTest : public ::testing::Test {
   ProxyTest()
       : clock_(0),
         proxy_(0, 1, /*proxy_quota_ru=*/100, SmallProxyOptions(), &clock_,
-               [](const std::string&) { return PartitionId{0}; }) {}
+               [](uint64_t) { return PartitionId{0}; }) {}
   SimClock clock_;
   Proxy proxy_;
 };
@@ -223,7 +223,7 @@ TEST_F(ProxyTest, RefreshFetchesGeneratedForHotExpiringKeys) {
   o.cache.refresh_window = 20 * kMicrosPerSecond;
   o.cache.refresh_min_hits = 2;
   Proxy p(0, 1, 1000, o, &clock_,
-          [](const std::string&) { return PartitionId{3}; });
+          [](uint64_t) { return PartitionId{3}; });
 
   p.Handle(MakeGet(1, "hot"));
   p.OnResponse(OkReadResponse(1, "hot", "v", ServedBy::kDisk));

@@ -3,10 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <map>
-#include <new>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -16,51 +13,12 @@
 #include "common/keyspace.h"
 #include "common/rng.h"
 #include "common/shared_value.h"
+#include "counting_allocator.h"
 #include "storage/bloom.h"
 #include "storage/disk_model.h"
 #include "storage/lsm_engine.h"
 #include "storage/memtable.h"
 #include "storage/sstable.h"
-
-// Counting global allocator: while `g_count_allocs` is set, every
-// operator new in this binary bumps `g_allocs`. Only
-// OneAllocationPerWriteVersion turns it on.
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<long> g_allocs{0};
-}  // namespace
-
-// GCC pairs its builtin operator new with free() when it inlines these
-// replacements and warns; the pairing is the replacement's intent.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t n) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  try {
-    return ::operator new(n);
-  } catch (const std::bad_alloc&) {
-    return nullptr;
-  }
-}
-void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
-  return ::operator new(n, tag);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-#pragma GCC diagnostic pop
 
 namespace abase {
 namespace storage {
