@@ -189,10 +189,10 @@ SplitResult RunSplitCutover() {
       req.tenant = kTenant;
       req.op = OpType::kSet;
       req.key = "t1:kw" + std::to_string(writes);
-      req.value = "payload-" + std::to_string(writes);
+      req.value = MakeSharedValue("payload-" + std::to_string(writes));
       writes++;
       req.track_outcome = true;
-      pending_writes[req.req_id] = {req.key, req.value};
+      pending_writes[req.req_id] = {req.key, std::string(req.value.view())};
       sim.InjectRequest(req);
     }
     sim.Tick();

@@ -11,11 +11,16 @@
 // ascending append became one `+=` (same 4-hardware-thread host). A
 // third gate bounds what a registered tenant keeps resident: the VmRSS
 // growth over the 1M-tenant registration loop, per tenant (see
-// kMaxBytesPerTenant), so an eager per-tenant allocation fails it.
+// kMaxBytesPerTenant). VmRSS only counts pages that become resident, so
+// a fourth gate bounds the heap the same loop allocates (mallinfo2
+// growth per tenant, kMaxHeapBytesPerTenant), which counts every byte
+// handed out whether or not it is ever written.
 //
 // Emits a human-readable table and writes the run's machine-readable
 // record to BENCH_scale_tenants.json (overwritten per run; CI archives
 // it as an artifact for trend tracking).
+#include <malloc.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -42,7 +47,17 @@ struct RunResult {
   size_t pending_wakes = 0;      ///< Generator wheel entries outstanding.
   /// VmRSS growth over the registration loop, per registered tenant.
   double rss_bytes_per_tenant = 0;
+  /// Heap growth (bytes the allocator handed out, touched or not) over
+  /// the registration loop, per registered tenant.
+  double heap_bytes_per_tenant = 0;
 };
+
+/// Bytes the allocator currently has handed out: in-use arena chunks
+/// plus mmap'd blocks, over every arena.
+double HeapInUseBytes() {
+  const struct mallinfo2 mi = mallinfo2();
+  return static_cast<double>(mi.uordblks) + static_cast<double>(mi.hblkhd);
+}
 
 /// A "<field>: <n> kB" line of /proc/self/status, in bytes (0 if absent).
 double ProcStatusBytes(const char* field) {
@@ -82,7 +97,13 @@ RunResult RunOnce(size_t num_nodes, size_t registered, size_t active,
 
   auto setup_start = std::chrono::steady_clock::now();
   PoolId pool = sim.AddPool(num_nodes);
+  // Hand the previous run's freed memory back to the kernel first: the
+  // registration would otherwise reuse those still-resident pages
+  // without growing VmRSS, and the figure would depend on what ran
+  // before it rather than on what a tenant keeps.
+  malloc_trim(0);
   const double rss_before = ProcStatusBytes("VmRSS");
+  const double heap_before = HeapInUseBytes();
   // Tenants 1..active carry traffic in BOTH runs: striped placement puts
   // them on the same nodes and their RNG streams are per-tenant, so the
   // live workload is bit-identical whether 0 or 999k parked tenants are
@@ -102,6 +123,7 @@ RunResult RunOnce(size_t num_nodes, size_t registered, size_t active,
   }
   auto setup_end = std::chrono::steady_clock::now();
   const double rss_registered = ProcStatusBytes("VmRSS") - rss_before;
+  const double heap_registered = HeapInUseBytes() - heap_before;
 
   // The first ticks park every flat-zero generator and drain the
   // replication walk to its quiescent set — that registration-size cost
@@ -128,6 +150,8 @@ RunResult RunOnce(size_t num_nodes, size_t registered, size_t active,
   r.setup_seconds =
       std::chrono::duration<double>(setup_end - setup_start).count();
   r.rss_bytes_per_tenant = rss_registered / static_cast<double>(registered);
+  r.heap_bytes_per_tenant =
+      heap_registered / static_cast<double>(registered);
   r.active_generators = sim.ActiveGeneratorCount();
   r.repl_active = sim.ReplActiveCount();
   r.pending_wakes = sim.PendingGeneratorWakes();
@@ -175,10 +199,20 @@ int main() {
   /// tenant's metrics-latency-control block and the partition quota
   /// bucket are built on first use as well (same 4-hardware-thread
   /// host), 665 B once the Zipf sampler is built on the first draw.
-  /// ~32% headroom over the 727 B figure; any one of those built
-  /// eagerly again (engine state ~0.4 KB, proxy block ~0.9 KB, tenant
-  /// block ~0.6 KB) fails.
-  constexpr double kMaxBytesPerTenant = 960.0;
+  /// Those figures were read without trimming the heap first, so the
+  /// registration reused pages the 1k run had freed while they were
+  /// still resident: 665 B rose to 1,124 B once the 1k run stopped
+  /// holding a tick of generated requests, with the same registration
+  /// code. Trimmed first, the same code reads 1,803 B. ~33% headroom over
+  /// that; any of the blocks above built eagerly again (engine state
+  /// ~0.4 KB, proxy block ~0.9 KB, tenant block ~0.6 KB) fails.
+  constexpr double kMaxBytesPerTenant = 2400.0;
+  /// Heap bytes per registered tenant over the same loop: 1,805 B (same
+  /// host, glibc 2.36), identical over four runs. The figure is a
+  /// function of the registration code and the allocator's chunk sizes
+  /// alone, so it carries ~11% headroom; an eager 256-byte allocation per
+  /// tenant fails it.
+  constexpr double kMaxHeapBytesPerTenant = 2000.0;
   const std::vector<size_t> registered_counts = {1000, 1000000};
 
   std::printf("%12s %8s %8s %12s %12s %10s %10s %10s\n", "registered",
@@ -204,8 +238,10 @@ int main() {
       "(%zu live generators, %zu repl-active, %zu pending wakes)\n",
       ratio, big.active_generators, big.repl_active, big.pending_wakes);
   const double peak_rss_mb = ProcStatusBytes("VmHWM") / (1024.0 * 1024.0);
-  std::printf("peak RSS %.1f MB; 1M registration kept %.0f B per tenant\n",
-              peak_rss_mb, big.rss_bytes_per_tenant);
+  std::printf(
+      "peak RSS %.1f MB; 1M registration kept %.0f B resident and %.0f B "
+      "of heap per tenant\n",
+      peak_rss_mb, big.rss_bytes_per_tenant, big.heap_bytes_per_tenant);
 
   // Machine-readable trend record, written at the repo root (committed
   // per PR so the perf trajectory has data points). hardware_threads
@@ -230,11 +266,11 @@ int main() {
           "\"ticks_per_sec\":%.3f,\"requests_ok\":%llu,"
           "\"active_generators\":%zu,\"repl_active\":%zu,"
           "\"pending_wakes\":%zu,\"setup_seconds\":%.3f,"
-          "\"rss_bytes_per_tenant\":%.0f}",
+          "\"rss_bytes_per_tenant\":%.0f,\"heap_bytes_per_tenant\":%.0f}",
           i == 0 ? "" : ",", r.registered, r.active, r.nodes, r.ticks_per_sec,
           static_cast<unsigned long long>(r.requests_completed),
           r.active_generators, r.repl_active, r.pending_wakes,
-          r.setup_seconds, r.rss_bytes_per_tenant);
+          r.setup_seconds, r.rss_bytes_per_tenant, r.heap_bytes_per_tenant);
     }
     std::fprintf(f, "]}\n");
     std::fclose(f);
@@ -248,7 +284,8 @@ int main() {
   // most 2x in steady-state tick rate (a walk over every registered
   // tenant each tick fails it). (3) Registering 1M tenants stays within
   // kMaxBigSetupSeconds. (4) It keeps at most kMaxBytesPerTenant
-  // resident per tenant.
+  // resident per tenant, and (5) allocates at most kMaxHeapBytesPerTenant
+  // of heap per tenant.
   int rc = 0;
   if (big.requests_completed != small.requests_completed) {
     std::printf("FAIL: live work diverged (1k run %llu ok, 1M run %llu ok)\n",
@@ -273,6 +310,13 @@ int main() {
         "FAIL: 1M-tenant registration kept %.0f B resident per tenant "
         "(gate: <= %.0f B)\n",
         big.rss_bytes_per_tenant, kMaxBytesPerTenant);
+    rc = 1;
+  }
+  if (big.heap_bytes_per_tenant > kMaxHeapBytesPerTenant) {
+    std::printf(
+        "FAIL: 1M-tenant registration allocated %.0f B of heap per tenant "
+        "(gate: <= %.0f B)\n",
+        big.heap_bytes_per_tenant, kMaxHeapBytesPerTenant);
     rc = 1;
   }
   return rc;

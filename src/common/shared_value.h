@@ -1,5 +1,5 @@
-// Immutable, intrusively refcounted heap blocks, and the point-read
-// path's one payload representation built on them.
+// Immutable, intrusively refcounted heap blocks, and the one payload
+// representation the read path and in-flight writes build on them.
 //
 // A SharedBlock is the 4-byte header of a block allocated once and never
 // written after construction: an atomic reference count. The block's
@@ -18,6 +18,14 @@
 // block (MakeSharedValue). Either way the node cache, the NodeResponse
 // and the proxy content store then share those bytes by refcount
 // instead of each keeping a copy.
+//
+// An in-flight write carries its payload the same way
+// (ClientRequest::value, NodeRequest::value): a generated write aliases
+// a prefix of its generator's immutable block of 'v' bytes (prefix()),
+// and a client command's bytes are copied into one block when it
+// becomes a request. The proxy's forward and the node's pending slot
+// copy the handle, and each holder drops it once the request has moved
+// on, so a settled write pins nothing.
 //
 // Lifetime rule: the bytes are immutable and live as long as any handle
 // does. A holder that outlives an overwrite, flush or compaction keeps
@@ -167,6 +175,16 @@ class SharedValue {
     return owner_ != nullptr
                ? std::string_view(owner_->block_start() + offset_, size_)
                : std::string_view();
+  }
+  /// Length of the bytes (0 for a null handle).
+  size_t size() const { return size_; }
+  /// Aliases the first `n` (<= size()) bytes: one more reference to the
+  /// same block, no copy.
+  SharedValue prefix(size_t n) const {
+    assert(n <= size_);
+    SharedValue v(*this);
+    v.size_ = static_cast<uint32_t>(n);
+    return v;
   }
   /// Holders of the underlying block (0 for a null handle).
   long use_count() const {

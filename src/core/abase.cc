@@ -153,7 +153,9 @@ Client::Pending Client::SubmitPending(Command cmd) {
   req.op = cmd.op;
   req.key = std::move(cmd.key);
   req.field = std::move(cmd.field);
-  req.value = std::move(cmd.value);
+  // The client's bytes are copied once, into the block every later
+  // holder (proxy forward, node slot) shares.
+  if (!cmd.value.empty()) req.value = MakeSharedValue(cmd.value);
   req.ttl = cmd.ttl;
   req.scan_limit = cmd.scan_limit;
   req.consistency = cmd.consistency;

@@ -413,7 +413,8 @@ void DataNode::Submit(const NodeRequest& req) {
   PendingContext& ctx = pending_pool_[slot];
   ctx.active = true;
   // Field-assign into the recycled slot: string copy-assignment reuses
-  // the slot's capacity, and the caller's request keeps its own.
+  // the slot's capacity, and the write payload is one more reference to
+  // the caller's block, not a copy.
   ctx.req.req_id = req.req_id;
   ctx.req.tenant = req.tenant;
   ctx.req.partition = req.partition;
@@ -693,7 +694,7 @@ NodeResponse DataNode::ExecuteOnEngine(PendingContext& ctx,
     }
     case OpType::kSet: {
       storage::ReplRecordPtr rec;
-      resp.status = rep.engine->Put(req.key, req.value, req.ttl, &rec);
+      resp.status = rep.engine->Put(req.key, req.value.view(), req.ttl, &rec);
       resp.value_bytes = req.value.size();
       resp.actual_ru = ru::ActualWriteCharge(resp.value_bytes,
                                              req.replicas,
@@ -720,7 +721,7 @@ NodeResponse DataNode::ExecuteOnEngine(PendingContext& ctx,
       break;
     }
     case OpType::kHSet: {
-      resp.status = rep.engine->HSet(req.key, req.field, req.value);
+      resp.status = rep.engine->HSet(req.key, req.field, req.value.view());
       resp.value_bytes = req.field.size() + req.value.size();
       resp.actual_ru = ru::ActualWriteCharge(resp.value_bytes,
                                              req.replicas,

@@ -333,11 +333,13 @@ class DataNode {
   }
 
   /// Returns a slab slot to the free list. The slot's strings keep their
-  /// capacity for the next request that lands on it; its payload handle
-  /// is dropped, so a request that dies queued (deadline expiry) pins
-  /// no engine record or cache payload while the slot sits free.
+  /// capacity for the next request that lands on it; its payload handles
+  /// are dropped, so a request that dies queued (deadline expiry) pins
+  /// no write payload, engine record or cache payload while the slot
+  /// sits free.
   void ReleasePending(uint32_t slot) {
     pending_pool_[slot].active = false;
+    pending_pool_[slot].req.value = nullptr;
     pending_pool_[slot].probe_value = nullptr;
     pending_free_.push_back(slot);
     pending_live_--;

@@ -26,7 +26,13 @@ struct ClientRequest {
   /// bytes. 0 only for hand-built requests that never enter the sim.
   uint64_t key_hash = 0;
   std::string field;  ///< Hash commands: the field. Scans: exclusive end key.
-  std::string value;  ///< Writes only.
+  /// Writes only: the payload, shared rather than owned. A generated
+  /// write aliases its generator's immutable block of 'v' bytes; a
+  /// client command's bytes are copied into one block when the command
+  /// becomes a request. The proxy's forward and the node's pending slot
+  /// then hold the same handle, and the engine copies the bytes once,
+  /// into its write record (common/shared_value.h).
+  SharedValue value;
   Micros ttl = 0;     ///< SET/EXPIRE.
   /// Scans only: maximum entries returned across the whole range.
   uint32_t scan_limit = 0;
@@ -49,7 +55,7 @@ struct NodeRequest {
   OpType op = OpType::kGet;
   std::string key;
   std::string field;  ///< Hash commands: the field. Scans: exclusive end key.
-  std::string value;
+  SharedValue value;  ///< Writes only: the client request's handle.
   Micros ttl = 0;
   /// Scans only: per-partition entry cap. The Route stage fans a scan
   /// out to every partition; each sub-request carries the client's full

@@ -118,7 +118,8 @@ ProxyHandleResult::Action Proxy::HandleInto(const ClientRequest& req,
 
   // 3. Forward to the data plane. `fwd` may be a recycled slot: every
   //    field is (re)assigned — strings by copy-assignment, which reuses
-  //    the slot's capacity instead of allocating.
+  //    the slot's capacity instead of allocating, and the write payload
+  //    as one more reference to the request's block.
   stats_.forwarded++;
   fwd.req_id = req.req_id;
   fwd.tenant = req.tenant;

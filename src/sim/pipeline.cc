@@ -25,16 +25,16 @@ void GenerateStage::Run(TickContext& ctx) {
   ClusterSim& sim = *sim_;
   // Reconcile the persistent traffic slots against the unparked
   // generators in ascending tenant id (gen_active_ is ordered):
-  // surviving slots keep their request buffers — and the strings inside
-  // them — so steady-state generation reuses capacity instead of
-  // reallocating per tick. Generators then fill the slots concurrently
-  // — each owns a private RNG stream.
+  // surviving slots keep their forward buffers — and the strings inside
+  // them — so steady-state admission reuses capacity instead of
+  // reallocating per tick. The generators themselves run inside
+  // ProxyAdmit's per-tenant morsels, which admit each request as it is
+  // produced instead of holding the whole tick's traffic.
   //
   // A generator whose effective rate cell is exactly 0 emits nothing and
   // consumes no RNG (NextPoisson(0) is draw-free), so parking it — until
   // the next rate-schedule boundary via the wheel, or forever for a flat
   // zero profile — is bit-identical to giving it an empty slot.
-  runtimes_.clear();
   size_t slots = 0;
   const Micros now = sim.clock_.NowMicros();
   parked_scratch_.clear();
@@ -65,20 +65,10 @@ void GenerateStage::Run(TickContext& ctx) {
     sim.TouchTenant(tid, rt);
     if (slots == ctx.traffic.size()) ctx.traffic.emplace_back();
     ctx.traffic[slots].tenant = tid;
-    runtimes_.push_back(&rt);
     slots++;
   }
   for (TenantId tid : parked_scratch_) sim.gen_active_.erase(tid);
   ctx.traffic.resize(slots);
-  const Micros tick_len = sim.options_.tick;
-  auto& runtimes = runtimes_;
-  sim.executor_->MorselFor(
-      "Generate", runtimes.size(), 1,
-      [&runtimes, &ctx, now, tick_len](size_t begin, size_t end, int) {
-        for (size_t i = begin; i < end; i++) {
-          runtimes[i]->workload->Tick(now, tick_len, ctx.traffic[i].requests);
-        }
-      });
 
   // Swap, not move-assign: the sim-side buffer keeps ctx.injected's old
   // (cleared) storage for the next batch of injections.
@@ -143,18 +133,28 @@ void ProxyAdmitStage::AdmitOne(
 void ProxyAdmitStage::Run(TickContext& ctx) {
   ClusterSim& sim = *sim_;
 
-  // Bulk per-tenant traffic, tenants concurrently: every touched piece
-  // of state — proxies, router RNG stream, routing cache (the fused
-  // resolve), scratch metrics — is private to the tenant, and generated
-  // requests never track outcomes, so nothing sim-wide is written. Each
-  // tenant's forwards stay in its traffic slot (recycled in place);
-  // Route walks the slots directly, so there is no merge copy. Metric
-  // increments go through a per-slot scratch folded into the tenant's
-  // current row once — its doubles are still +0.0 here (the settle path
-  // runs later), so the fold is bit-exact against serial accumulation.
+  // Bulk per-tenant traffic, tenants concurrently: each morsel runs the
+  // tenant's generator (a private RNG stream) into its worker's request
+  // scratch and admits the requests in generation order. Every touched
+  // piece of state — generator, proxies, router RNG stream, routing
+  // cache (the fused resolve), scratch metrics — is private to the
+  // tenant, and generated requests never track outcomes, so nothing
+  // sim-wide is written. Each tenant's forwards stay in its traffic slot
+  // (recycled in place); Route walks the slots directly, so there is no
+  // merge copy. Metric increments go through a per-slot scratch folded
+  // into the tenant's current row once — its doubles are still +0.0
+  // here (the settle path runs later), so the fold is bit-exact against
+  // serial accumulation.
+  const size_t workers = static_cast<size_t>(sim.executor_->workers());
+  if (generated_.size() < workers) generated_.resize(workers);
+  const Micros now = sim.clock_.NowMicros();
+  const Micros tick_len = sim.options_.tick;
   sim.executor_->MorselFor(
       "ProxyAdmit", ctx.traffic.size(), 1,
-      [this, &sim, &ctx](size_t begin, size_t end, int) {
+      [this, &sim, &ctx, now, tick_len](size_t begin, size_t end,
+                                        int worker) {
+        std::vector<ClientRequest>& requests =
+            generated_[static_cast<size_t>(worker)];
         for (size_t i = begin; i < end; i++) {
           TickContext::TenantTraffic& tt = ctx.traffic[i];
           auto it = sim.tenants_.find(tt.tenant);
@@ -163,17 +163,21 @@ void ProxyAdmitStage::Run(TickContext& ctx) {
             tt.forwards.clear();
             continue;
           }
+          TenantRuntime& rt = it->second;
+          rt.workload->Tick(now, tick_len, requests);
           std::vector<std::pair<uint64_t, ClientOutcome>> unused;
           TenantTickMetrics scratch;
           size_t fwd_count = 0;
-          for (const ClientRequest& req : tt.requests) {
+          for (ClientRequest& req : requests) {
             // Generated traffic never tracks outcomes; nothing defers.
             assert(!req.track_outcome);
-            AdmitOne(it->second, req, tt.forwards, fwd_count, unused,
-                     scratch);
+            AdmitOne(rt, req, tt.forwards, fwd_count, unused, scratch);
+            // The forward holds its own reference; the recycled scratch
+            // slot must not pin the payload past this tick.
+            req.value = nullptr;
           }
           tt.forwards.resize(fwd_count);
-          sim.Current(it->second).MergeFrom(scratch);
+          sim.Current(rt).MergeFrom(scratch);
         }
       });
 
@@ -360,7 +364,9 @@ void RouteStage::Run(TickContext& ctx) {
     }
     if (fwd.ctx.node == kInvalidNode) {
       // Settlement of a failed resolve (fused or here) happens at the
-      // forward's position in admission order.
+      // forward's position in admission order. The write payload goes
+      // no further.
+      req.value = nullptr;
       if (req.background_refresh) return;  // Refresh silently dropped.
       if (rt != nullptr) {
         TenantTickMetrics& cur = sim.Current(*rt);
@@ -396,7 +402,8 @@ void RouteStage::Run(TickContext& ctx) {
   // its requests in the same order as a serial walk of ctx.forwards.
   // DataNode::Submit copy-assigns each request's fields into a recycled
   // slab slot (reusing the slot's string capacity); the forward keeps
-  // its own buffers for reuse next tick.
+  // its own buffers for reuse next tick but hands its payload reference
+  // on, so a settled write pins nothing.
   sim.executor_->MorselFor(
       "RouteSubmit", batches.size(), 1,
       [&sim, &batches](size_t begin, size_t end, int) {
@@ -405,6 +412,8 @@ void RouteStage::Run(TickContext& ctx) {
           assert(static_cast<size_t>(n->id()) == i);
           for (NodeRequest* req : batches[i]) {
             n->Submit(*req);
+            // The node's pending slot holds the payload now.
+            req->value = nullptr;
           }
         }
       });

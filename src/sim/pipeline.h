@@ -6,12 +6,15 @@
 //
 //   Fault        FailureDomain::Run (serial): node faults land;
 //       |        failover, catch-up + failback, and rebuilds advance
-//   Generate     tenant workload generators (parallel per tenant) +
-//       |        injected client requests
+//   Generate     active-set reconcile: one traffic slot per unparked
+//       |        generator (tenant-id order) + injected client requests
 //       |        -> TickContext::traffic / injected
-//   ProxyAdmit   cache / quota / forward decision per proxy (parallel
-//       |        per tenant — each tenant owns its proxies, router RNG
-//       |        stream, and metrics), plus AU-LRU refresh fetches
+//   ProxyAdmit   per tenant (parallel): run the tenant's generator into
+//       |        a per-worker scratch and admit each request in
+//       |        generation order — cache / quota / forward decision per
+//       |        proxy (each tenant owns its generator, proxies, router
+//       |        RNG stream, and metrics); then injected requests and
+//       |        AU-LRU refresh fetches
 //       |        -> TickContext::forwards (PendingForward)
 //   Route        partition -> DataNode resolution against the tenant's
 //       |        epoch-stamped routing cache (primary for writes and
@@ -75,24 +78,24 @@ struct TenantTickMetrics;
 
 /// Everything produced and consumed within one tick. Owned by the
 /// TickPipeline and REUSED across ticks: Reset() clears the logical
-/// contents but keeps every buffer's capacity (including the request
-/// strings inside the traffic slots), so the steady-state data plane
-/// makes no heap allocations. Stage N's outputs are stage N+1's inputs.
+/// contents but keeps every buffer's capacity (including the key and
+/// field strings inside the forward slots), so the steady-state data
+/// plane makes no heap allocations. Stage N's outputs are stage N+1's
+/// inputs.
 struct TickContext {
-  /// One tenant's generated client traffic for this tick. The per-tenant
-  /// split is what lets ProxyAdmit run tenants concurrently; `forwards`
-  /// is that stage's tenant-private output buffer, merged in tenant-id
-  /// order afterwards.
+  /// One generating tenant's slot for this tick. The per-tenant split is
+  /// what lets ProxyAdmit run tenants concurrently; `forwards` is that
+  /// stage's tenant-private output buffer, walked in tenant-id order by
+  /// Route. The generated requests themselves never land here: ProxyAdmit
+  /// admits each one straight out of its worker's scratch.
   struct TenantTraffic {
     TenantId tenant = 0;
-    std::vector<ClientRequest> requests;   ///< Generate -> ProxyAdmit.
-    std::vector<PendingForward> forwards;  ///< ProxyAdmit scratch.
+    std::vector<PendingForward> forwards;  ///< ProxyAdmit -> Route.
   };
 
-  /// Generate -> ProxyAdmit. Tenants in id order; each tenant's stream
-  /// in generation order. Slots are reconciled (not rebuilt) by the
-  /// Generate stage each tick so the request buffers keep their
-  /// capacity.
+  /// Generate -> ProxyAdmit. Tenants in id order. Slots are reconciled
+  /// (not rebuilt) by the Generate stage each tick so the forward
+  /// buffers keep their capacity.
   std::vector<TenantTraffic> traffic;
   /// Generate -> ProxyAdmit. Externally injected requests (tests, the
   /// synchronous abase::Client facade), in injection order. Handled
@@ -116,7 +119,7 @@ struct TickContext {
   /// Clears the tick's logical contents while keeping every buffer
   /// (and nested string) capacity for the next tick.
   void Reset() {
-    // traffic slots are reconciled by GenerateStage; their request
+    // traffic slots are reconciled by GenerateStage; their forward
     // buffers must survive so string capacity is reused.
     injected.clear();
     forwards.clear();
@@ -147,9 +150,10 @@ class FaultStage final : public Stage {
   FailureDomain* faults_;
 };
 
-/// Emits this tick's client traffic: every tenant's workload generator
-/// (concurrently — each generator owns a private RNG stream) plus
-/// externally injected requests.
+/// Decides which tenants generate this tick: reconciles the traffic slots
+/// against the active generator set (parking tenants whose rate cell is
+/// 0), touches each generating tenant, and takes the externally injected
+/// requests. The generators run inside ProxyAdmit.
 class GenerateStage final : public Stage {
  public:
   explicit GenerateStage(ClusterSim* sim) : sim_(sim) {}
@@ -158,17 +162,16 @@ class GenerateStage final : public Stage {
 
  private:
   ClusterSim* sim_;
-  /// Tick-scoped scratch (cleared, not freed, every tick): the runtimes
-  /// whose generators fill the traffic slots, in tenant-id order.
-  std::vector<TenantRuntime*> runtimes_;
   /// Active-set mode: tenants whose rate-schedule cell hit exactly 0
   /// this tick, parked and removed from the active set after the walk.
   std::vector<TenantId> parked_scratch_;
 };
 
-/// Runs every client request through its tenant's proxy plane: write
-/// invalidation broadcast, limited fan-out routing, then the proxy's
-/// cache -> quota -> forward decision. Local outcomes (cache hits,
+/// Generates each traffic slot's requests (the tenant's workload
+/// generator, into a per-worker scratch) and runs every client request
+/// through its tenant's proxy plane: write invalidation broadcast,
+/// limited fan-out routing, then the proxy's cache -> quota -> forward
+/// decision. Local outcomes (cache hits,
 /// throttles) settle into tenant metrics immediately; forwards — plus
 /// the proxies' background refresh fetches — move on as
 /// PendingForwards. Tenant traffic is processed concurrently (tenants
@@ -222,6 +225,11 @@ class ProxyAdmitStage final : public Stage {
   };
 
   ClusterSim* sim_;
+  /// Per-worker generation scratch (index = executor worker): one
+  /// tenant's tick of requests at a time, recycled so key and field
+  /// strings keep their capacity. Payload handles are dropped as each
+  /// request is admitted.
+  std::vector<std::vector<ClientRequest>> generated_;
   /// Tick-scoped scratch for injected-request grouping (async clients
   /// keep this path hot every tick): tenant -> batch slot, the arena
   /// behind the request-pointer arrays, and the recycled outputs.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstring>
 
 #include "common/hash.h"
 #include "common/keyspace.h"
@@ -80,7 +81,7 @@ void WorkloadGenerator::ScanPrefixInto(uint64_t index, std::string& out) const {
 uint64_t WorkloadGenerator::SampleKeyIndex() {
   switch (profile_.key_dist) {
     case KeyDist::kUniform:
-      return rng_->NextUint64(std::max<uint64_t>(1, profile_.num_keys));
+      return stream_->rng.NextUint64(std::max<uint64_t>(1, profile_.num_keys));
     case KeyDist::kZipfian:
       // Scenario scripts mutate the profile mid-run (Figure 5): rebuild
       // the sampler lazily whenever its parameters drift.
@@ -90,31 +91,38 @@ uint64_t WorkloadGenerator::SampleKeyIndex() {
         zipf_ = std::make_unique<ZipfianGenerator>(profile_.num_keys,
                                                    profile_.zipf_theta);
       }
-      return zipf_ != nullptr ? zipf_->Next(*rng_) : 0;
+      return zipf_ != nullptr ? zipf_->Next(stream_->rng) : 0;
     case KeyDist::kHotSpot: {
       uint64_t hot_keys = std::max<uint64_t>(
           1, static_cast<uint64_t>(static_cast<double>(profile_.num_keys) *
                                    profile_.hot_fraction));
-      if (rng_->NextBool(profile_.hot_share)) {
-        return rng_->NextUint64(hot_keys);
+      if (stream_->rng.NextBool(profile_.hot_share)) {
+        return stream_->rng.NextUint64(hot_keys);
       }
       uint64_t cold = profile_.num_keys > hot_keys
                           ? profile_.num_keys - hot_keys
                           : 1;
-      return hot_keys + rng_->NextUint64(cold);
+      return hot_keys + stream_->rng.NextUint64(cold);
     }
   }
   return 0;
 }
 
-void WorkloadGenerator::MakeValueInto(std::string& out) {
+void WorkloadGenerator::MakeValueInto(SharedValue& out) {
   double bytes = profile_.value_bytes > 0
-                     ? rng_->NextLogNormal(
+                     ? stream_->rng.NextLogNormal(
                            std::log(static_cast<double>(profile_.value_bytes)),
                            profile_.value_sigma)
                      : 0;
   size_t n = static_cast<size_t>(std::clamp(bytes, 1.0, 8.0 * 1024 * 1024));
-  out.assign(n, 'v');
+  SharedValue& block = stream_->value_block;
+  if (n > block.size()) {
+    // Doubling bounds the block allocations by log2 of the largest size.
+    const size_t len = std::max(n, 2 * block.size());
+    block =
+        MakeSharedValue(len, [len](char* dst) { std::memset(dst, 'v', len); });
+  }
+  out = block.prefix(n);
 }
 
 std::vector<ClientRequest> WorkloadGenerator::Tick(Micros now,
@@ -128,10 +136,10 @@ void WorkloadGenerator::Tick(Micros now, Micros tick_len,
                              std::vector<ClientRequest>& out) {
   double expected = ExpectedQps(now) * static_cast<double>(tick_len) /
                     static_cast<double>(kMicrosPerSecond);
-  if (rng_ == nullptr) rng_ = std::make_unique<Rng>(seed_);
-  int64_t count = rng_->NextPoisson(expected);
+  if (stream_ == nullptr) stream_ = std::make_unique<Stream>(seed_);
+  int64_t count = stream_->rng.NextPoisson(expected);
 
-  // Recycle the caller's slots: surviving entries keep their key/value
+  // Recycle the caller's slots: surviving entries keep their key/field
   // string capacity, so every field below must be written (or reset)
   // explicitly — a stale field from the previous tick would corrupt the
   // stream.
@@ -141,7 +149,7 @@ void WorkloadGenerator::Tick(Micros now, Micros tick_len,
     req.tenant = tenant_;
     req.issued_at = now;
     req.field.clear();
-    req.value.clear();
+    req.value = nullptr;
     req.ttl = 0;
     req.scan_limit = 0;
     req.consistency = Consistency::kPrimary;
@@ -150,14 +158,14 @@ void WorkloadGenerator::Tick(Micros now, Micros tick_len,
     KeyInto(key_index, req.key);
     req.key_hash = Fnv1a64(req.key);
 
-    bool is_hash = rng_->NextBool(profile_.hash_op_fraction);
-    bool is_read = rng_->NextBool(profile_.read_ratio);
+    bool is_hash = stream_->rng.NextBool(profile_.hash_op_fraction);
+    bool is_read = stream_->rng.NextBool(profile_.read_ratio);
     if (is_read && profile_.eventual_read_fraction > 0 &&
-        rng_->NextBool(profile_.eventual_read_fraction)) {
+        stream_->rng.NextBool(profile_.eventual_read_fraction)) {
       req.consistency = Consistency::kEventual;
     }
     if (is_read && !is_hash && profile_.scan_fraction > 0 &&
-        rng_->NextBool(profile_.scan_fraction)) {
+        stream_->rng.NextBool(profile_.scan_fraction)) {
       // Prefix scan over the sampled key's locality group. Cross-
       // partition merges of mixed-staleness replicas are not a
       // consistent range view, so scans always pin to the primaries.
@@ -173,12 +181,12 @@ void WorkloadGenerator::Tick(Micros now, Micros tick_len,
       char fbuf[24];
       fbuf[0] = 'f';
       char* fp = std::to_chars(fbuf + 1, fbuf + sizeof(fbuf),
-                               rng_->NextUint64(profile_.hash_fields))
+                               stream_->rng.NextUint64(profile_.hash_fields))
                      .ptr;
       req.field.assign(fbuf, static_cast<size_t>(fp - fbuf));
       if (is_read) {
         // Mix of field reads and whole-hash scans / length queries.
-        double pick = rng_->NextDouble();
+        double pick = stream_->rng.NextDouble();
         req.op = pick < 0.6 ? OpType::kHGet
                             : (pick < 0.85 ? OpType::kHGetAll : OpType::kHLen);
       } else {

@@ -12,6 +12,7 @@
 
 #include "common/clock.h"
 #include "common/rng.h"
+#include "common/shared_value.h"
 #include "common/time_series.h"
 #include "common/types.h"
 #include "node/request.h"
@@ -101,7 +102,7 @@ class WorkloadGenerator {
   std::vector<ClientRequest> Tick(Micros now, Micros tick_len);
 
   /// In-place variant: overwrites `out` with this tick's requests,
-  /// recycling its slots (and the key/value string capacity inside
+  /// recycling its slots (and the key/field string capacity inside
   /// them) so steady-state generation allocates nothing. The produced
   /// stream — including the RNG draw order — is identical to the
   /// returning overload.
@@ -117,21 +118,40 @@ class WorkloadGenerator {
 
   uint64_t requests_generated() const { return next_req_id_; }
 
+  /// The immutable block of 'v' bytes every generated write aliases a
+  /// prefix of (null before the first write). Requests hold extra
+  /// references only while they are in flight.
+  const SharedValue& value_block() const {
+    static const SharedValue kNone;
+    return stream_ != nullptr ? stream_->value_block : kNone;
+  }
+
  private:
   void KeyInto(uint64_t index, std::string& out) const;
   /// Scan target for the group owning `index`: "t<T>:g<G>:" when
   /// scan_prefix_groups > 0, else the tenant-wide prefix "t<T>:".
   void ScanPrefixInto(uint64_t index, std::string& out) const;
   uint64_t SampleKeyIndex();
-  void MakeValueInto(std::string& out);
+  /// Draws a write's size from the log-normal value model and points
+  /// `out` at that many bytes of the stream's value block.
+  void MakeValueInto(SharedValue& out);
 
   TenantId tenant_;
   WorkloadProfile profile_;
-  /// Built from seed_ on the first Tick: nothing draws before it, so the
-  /// stream is unchanged, and a generator that is never ticked (a
-  /// flat-zero profile parks first) keeps no 2.5 KB engine resident.
+  /// What only a ticking generator needs. Built from seed_ on the first
+  /// Tick: nothing draws before it, so the stream is unchanged, and a
+  /// generator that is never ticked (a flat-zero profile parks first)
+  /// keeps neither the 2.5 KB engine nor a value block resident.
+  struct Stream {
+    explicit Stream(uint64_t seed) : rng(seed) {}
+    Rng rng;
+    /// Never written after it is filled; a write larger than it is
+    /// served by a fresh block at least twice the size, and in-flight
+    /// requests keep the old one alive until they settle.
+    SharedValue value_block;
+  };
   uint64_t seed_;
-  std::unique_ptr<Rng> rng_;
+  std::unique_ptr<Stream> stream_;
   /// Built on the first Zipfian draw, so a generator that never draws
   /// (a parked tenant) never pays its O(num_keys) Zeta sum.
   std::unique_ptr<ZipfianGenerator> zipf_;

@@ -57,7 +57,7 @@ Status LsmEngine::Delete(std::string_view key) {
 }
 
 Status LsmEngine::HSet(const std::string& key, const std::string& field,
-                       std::string value) {
+                       std::string_view value) {
   if (key.empty()) return Status::InvalidArgument("empty key");
   // Read-modify-write on the merged view: the memtable stores whole-hash
   // versions, so an HSET rewrites the hash with one field changed. A
@@ -71,7 +71,7 @@ Status LsmEngine::HSet(const std::string& key, const std::string& field,
     next.hash = cur->DecodeHash();
     next.expire_at = cur->expire_at();
   }
-  SetField(next.hash, field, std::move(value));
+  SetField(next.hash, field, value);
   WriteEntry(key, std::move(next));
   return Status::OK();
 }

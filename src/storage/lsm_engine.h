@@ -176,7 +176,7 @@ class LsmEngine {
   /// HSET: sets one field of the hash at `key`, creating the hash if
   /// needed. Read-modify-write through the merged view.
   Status HSet(const std::string& key, const std::string& field,
-              std::string value);
+              std::string_view value);
 
   /// HGET one field. NotFound if key or field absent.
   Result<std::string> HGet(std::string_view key, std::string_view field,

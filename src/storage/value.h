@@ -24,16 +24,16 @@ using HashFields = std::vector<std::pair<std::string, std::string>>;
 
 /// Inserts or overwrites `field`, keeping the vector sorted.
 inline void SetField(HashFields& h, std::string_view field,
-                     std::string value) {
+                     std::string_view value) {
   auto it = std::lower_bound(
       h.begin(), h.end(), field,
       [](const std::pair<std::string, std::string>& p, std::string_view f) {
         return p.first < f;
       });
   if (it != h.end() && it->first == field) {
-    it->second = std::move(value);
+    it->second.assign(value);
   } else {
-    h.emplace(it, std::string(field), std::move(value));
+    h.emplace(it, std::string(field), std::string(value));
   }
 }
 

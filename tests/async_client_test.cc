@@ -123,6 +123,43 @@ TEST(AsyncClientTest, MSetAndMDelBatchRoundTrip) {
   }
 }
 
+// A command's value is copied once, into a block that the proxy forward,
+// the node's pending slot and the engine's write then share, so the bytes
+// must come back exactly as sent: embedded NULs, every byte value, and
+// a 1 MiB payload, through Set and the batched MSet.
+TEST(AsyncClientTest, ArbitraryValueBytesRoundTripExactly) {
+  Cluster cluster;
+  PoolId pool = cluster.CreatePool(3);
+  ASSERT_TRUE(cluster.CreateTenant(AsyncTenant(1), pool).ok());
+  Client client = cluster.OpenClient(1);
+
+  const std::string with_nul("a\0b\0\0c\0", 7);
+  std::string every_byte;
+  for (int b = 255; b >= 0; b--) every_byte.push_back(static_cast<char>(b));
+  std::string mib(1 << 20, '\0');
+  for (size_t i = 0; i < mib.size(); i++) {
+    mib[i] = static_cast<char>((i * 131 + i / 4096) & 0xff);
+  }
+  const std::vector<std::pair<std::string, std::string>> values = {
+      {"nul", with_nul}, {"bytes", every_byte}, {"mib", mib}};
+
+  std::vector<std::pair<std::string, std::string>> batch;
+  for (const auto& [key, value] : values) {
+    ASSERT_TRUE(client.Set("set:" + key, value).ok()) << key;
+    batch.emplace_back("mset:" + key, value);
+  }
+  for (const Status& st : client.MSet(batch)) ASSERT_TRUE(st.ok());
+
+  for (const auto& [key, value] : values) {
+    for (const char* prefix : {"set:", "mset:"}) {
+      Result<std::string> got = client.Get(prefix + key);
+      ASSERT_TRUE(got.ok()) << prefix << key;
+      EXPECT_EQ(got->size(), value.size()) << prefix << key;
+      EXPECT_TRUE(*got == value) << prefix << key << " bytes differ";
+    }
+  }
+}
+
 TEST(AsyncClientTest, ConcurrentSessionsUseDisjointIdSubSpaces) {
   // Historically both OpenClient(tenant) sessions started their request
   // ids at the same value, so two sessions with commands in flight
@@ -246,7 +283,7 @@ TEST(OutcomeSweepTest, AbandonedOutcomesAreSweptAfterTtl) {
   req.tenant = 1;
   req.op = OpType::kSet;
   req.key = "leak";
-  req.value = "v";
+  req.value = MakeSharedValue("v");
   req.track_outcome = true;
   sim.InjectRequest(req);
   sim.RunTicks(2);
@@ -275,7 +312,7 @@ TEST(OutcomeSweepTest, CollectedBeforeTtlStillWorks) {
   req.tenant = 1;
   req.op = OpType::kSet;
   req.key = "kept";
-  req.value = "v";
+  req.value = MakeSharedValue("v");
   req.track_outcome = true;
   sim.InjectRequest(req);
   sim.RunTicks(3);
@@ -297,7 +334,7 @@ TEST(OutcomeSweepTest, ZeroTtlKeepsOutcomesForever) {
   req.tenant = 1;
   req.op = OpType::kSet;
   req.key = "pinned";
-  req.value = "v";
+  req.value = MakeSharedValue("v");
   req.track_outcome = true;
   sim.InjectRequest(req);
   sim.RunTicks(40);

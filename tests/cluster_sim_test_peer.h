@@ -22,6 +22,11 @@ class ClusterSimTestPeer {
   static uint64_t CatchUpBytes(ClusterSim& sim, NodeId id) {
     return sim.faults_.CatchUp(id, /*resync=*/false);
   }
+  /// Tenant `t`'s workload generator (nullptr if none is attached).
+  static const WorkloadGenerator* Generator(ClusterSim& sim, TenantId t) {
+    const TenantRuntime* rt = sim.MutableTenant(t);
+    return rt != nullptr ? rt->workload.get() : nullptr;
+  }
 };
 
 }  // namespace sim

@@ -326,10 +326,10 @@ void RunOnlineSplitUnderTraffic(int replicas) {
     req.tenant = 1;
     req.op = OpType::kSet;
     req.key = "t1:kw" + std::to_string(write_counter);
-    req.value = "v" + std::to_string(write_counter);
+    req.value = MakeSharedValue("v" + std::to_string(write_counter));
     write_counter++;
     req.track_outcome = true;
-    pending_writes[req.req_id] = {req.key, req.value};
+    pending_writes[req.req_id] = {req.key, std::string(req.value.view())};
     sim.InjectRequest(req);
   };
   auto harvest = [&]() {
@@ -600,7 +600,7 @@ TEST(ControlLoopTest, QuotaRaiseSplitsOnlineWithoutLosingKeys) {
     req.tenant = 1;
     req.op = OpType::kSet;
     req.key = "pre:" + std::to_string(i);
-    req.value = "v" + std::to_string(i);
+    req.value = MakeSharedValue("v" + std::to_string(i));
     auto outcome = RunTracked(sim, req);
     ASSERT_TRUE(outcome.has_value() && outcome->status.ok()) << req.key;
   }

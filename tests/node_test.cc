@@ -34,7 +34,7 @@ NodeRequest MakeSet(uint64_t id, TenantId t, PartitionId p,
   r.partition = p;
   r.op = OpType::kSet;
   r.key = key;
-  r.value = value;
+  r.value = MakeSharedValue(value);
   r.estimated_ru = 1.0;
   r.value_size_hint = value.size();
   return r;

@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "cluster_sim_test_peer.h"
 #include "common/executor.h"
 #include "core/abase.h"
 #include "sim/cluster_sim.h"
@@ -171,6 +173,88 @@ TEST(TickPipelineTest, OneRequestCrossesEveryStageBoundary) {
   EXPECT_EQ(sim.History(1)[0].issued, 1u);
   EXPECT_EQ(sim.History(1)[0].ok, 1u);
   EXPECT_EQ(sim.clock().NowMicros(), kMicrosPerSecond);
+}
+
+// --------------------------------------------------------- Payload release --
+
+// A generated write aliases its generator's immutable value block. The
+// worker's request scratch, the forward slot and the node's pending slot
+// each drop their reference once the request has moved on, so when
+// nothing is in flight the generator's own handle is the only one left —
+// whether the writes completed, expired queued, or died with their node.
+
+/// A write-only tenant (30% HSET) across two data-plane workers whose
+/// traffic stops at `stop_at` (a zero-multiplier burst); later ticks
+/// only drain what is still in flight.
+std::unique_ptr<sim::ClusterSim> WriteOnlySim(size_t nodes, int replicas,
+                                              double cpu_budget_ru,
+                                              Micros stop_at) {
+  sim::SimOptions opt;
+  opt.seed = 21;
+  opt.data_plane_workers = 2;
+  opt.node.wfq.cpu_budget_ru = cpu_budget_ru;
+  auto s = std::make_unique<sim::ClusterSim>(opt);
+  PoolId pool = s->AddPool(nodes);
+  meta::TenantConfig c = PipelineTenant(1);
+  c.replicas = replicas;
+  EXPECT_TRUE(s->AddTenant(c, pool).ok());
+  sim::WorkloadProfile profile;
+  profile.base_qps = 2000;
+  profile.read_ratio = 0;
+  profile.hash_op_fraction = 0.3;
+  profile.num_keys = 500;
+  profile.value_bytes = 256;
+  profile.bursts.push_back({stop_at, 1000 * kMicrosPerSecond, 0.0});
+  s->SetWorkload(1, profile);
+  return s;
+}
+
+/// Ticks until nothing is in flight (at most `max_ticks`).
+void Drain(sim::ClusterSim& s, int max_ticks) {
+  for (int i = 0; i < max_ticks && s.InflightCount() > 0; i++) s.Tick();
+  ASSERT_EQ(s.InflightCount(), 0u);
+}
+
+long BlockRefs(sim::ClusterSim& s) {
+  const sim::WorkloadGenerator* gen = sim::ClusterSimTestPeer::Generator(s, 1);
+  return gen != nullptr ? gen->value_block().use_count() : -1;
+}
+
+TEST(PayloadReleaseTest, SettledWritesLeaveOnlyTheGeneratorsReference) {
+  auto s = WriteOnlySim(3, 3, 12000, kMicrosPerSecond);
+  s->Tick();
+  ASSERT_GT(s->History(1)[0].ok, 1000u);
+  Drain(*s, 8);
+  EXPECT_EQ(BlockRefs(*s), 1);
+}
+
+TEST(PayloadReleaseTest, WriteExpiredAtQueueDeadlineDropsItsPayload) {
+  // A 40-RU tick budget serves a handful of writes; the rest wait past
+  // queue_timeout_ticks in the WFQ and fail with a deadline error.
+  auto s = WriteOnlySim(3, 3, 40, kMicrosPerSecond);
+  s->Tick();
+  ASSERT_GT(s->InflightCount(), 0u);
+  Drain(*s, 8);
+  uint64_t deadline_errors = 0;
+  for (const sim::TenantTickMetrics& m : s->History(1)) {
+    deadline_errors += m.errors - m.throttled - m.unavailable;
+  }
+  EXPECT_GT(deadline_errors, 0u);
+  EXPECT_EQ(BlockRefs(*s), 1);
+}
+
+TEST(PayloadReleaseTest, NodeFailureWithWritesInFlightDropsTheirPayloads) {
+  // One node hosts the whole tenant. Writes queue behind a small budget;
+  // the node then fails with them in flight, and the writes generated
+  // while it is down fail to route.
+  auto s = WriteOnlySim(1, 1, 40, 3 * kMicrosPerSecond);
+  s->RunTicks(2);
+  ASSERT_GT(s->InflightCount(), 0u);
+  s->FailNode(0);
+  s->Tick();
+  EXPECT_GT(s->History(1)[2].unavailable, 0u);
+  Drain(*s, 8);
+  EXPECT_EQ(BlockRefs(*s), 1);
 }
 
 // ------------------------------------------------------------- Determinism --

@@ -120,7 +120,7 @@ ClientRequest MakeSet(uint64_t id, const std::string& key,
   r.tenant = 1;
   r.op = OpType::kSet;
   r.key = key;
-  r.value = value;
+  r.value = MakeSharedValue(value);
   return r;
 }
 

@@ -2,9 +2,14 @@
 // public abase::Cluster / abase::Client API.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
+#include <string_view>
+#include <vector>
 
 #include "core/abase.h"
+#include "counting_allocator.h"
 #include "sim/cluster_sim.h"
 #include "sim/workload.h"
 
@@ -90,6 +95,71 @@ TEST(WorkloadGeneratorTest, HashOpsGenerated) {
   }
 }
 
+// A generated write aliases a prefix of its generator's one immutable
+// block of 'v' bytes: N writes cost the block's doublings, not N
+// allocations. The sizes are the log-normal draws the per-request string
+// fill made (figures recorded from that fill, same profile and seed).
+TEST(WorkloadGeneratorTest, WritesAliasOneValueBlock) {
+  sim::WorkloadProfile profile;
+  profile.base_qps = 2000;
+  profile.read_ratio = 0.5;
+  profile.hash_op_fraction = 0.25;
+  profile.value_bytes = 1024;
+  sim::WorkloadGenerator gen(1, profile, 42);
+  std::vector<ClientRequest> batch;
+  batch.reserve(4096);  // Slot growth is not what this counts.
+
+  uint64_t writes = 0;
+  uint64_t bytes = 0;
+  uint64_t fold = 14695981039346656037ull;  // FNV-1a over the sizes.
+  size_t max_size = 0;
+  std::vector<size_t> first;
+  const char* block = nullptr;
+  long blocks = 0;        // Distinct blocks the writes aliased.
+  long later_blocks = 0;  // ... first seen after the first tick.
+  long later_allocs = 0;
+  for (int t = 0; t < 10; t++) {
+    const long allocs = CountAllocs(
+        [&] { gen.Tick(t * kMicrosPerSecond, kMicrosPerSecond, batch); });
+    if (t > 0) later_allocs += allocs;
+    for (const ClientRequest& r : batch) {
+      if (IsReadOp(r.op)) {
+        EXPECT_TRUE(r.value == nullptr);
+        continue;
+      }
+      const std::string_view v = r.value.view();
+      ASSERT_EQ(v.size(), r.value.size());
+      ASSERT_EQ(v.find_first_not_of('v'), std::string_view::npos);
+      // A prefix starts at its block's first byte, and a replaced block
+      // is never aliased again, so a new start is a new block.
+      if (v.data() != block) {
+        block = v.data();
+        blocks++;
+        if (t > 0) later_blocks++;
+      }
+      writes++;
+      bytes += v.size();
+      fold = (fold ^ v.size()) * 1099511628211ull;
+      max_size = std::max(max_size, v.size());
+      if (first.size() < 8) first.push_back(v.size());
+    }
+  }
+  EXPECT_EQ(writes, 10021u);
+  EXPECT_EQ(bytes, 10743371u);
+  EXPECT_EQ(fold, 3983460612057503810ull);
+  EXPECT_EQ(max_size, 3195u);
+  EXPECT_EQ(first,
+            (std::vector<size_t>{1010, 869, 1088, 1393, 1089, 1283, 1037, 1971}));
+  // After the first tick (which also builds the RNG engine and the Zipf
+  // sampler) the only allocations are block replacements, and doubling
+  // bounds those by log2 of the largest write.
+  EXPECT_EQ(later_allocs, later_blocks);
+  EXPECT_LE(blocks, 1 + static_cast<long>(std::ceil(std::log2(max_size))));
+  // Once the requests are gone, the generator holds the only reference.
+  batch.clear();
+  EXPECT_EQ(gen.value_block().use_count(), 1);
+}
+
 // ------------------------------------------------------------- ClusterSim --
 
 meta::TenantConfig SimTenant(TenantId id, double quota = 20000,
@@ -173,7 +243,7 @@ TEST(ClusterSimTest, InjectAndTrackOutcome) {
   set.tenant = 1;
   set.op = OpType::kSet;
   set.key = "mykey";
-  set.value = "myvalue";
+  set.value = MakeSharedValue("myvalue");
   set.track_outcome = true;
   cluster.InjectRequest(set);
   cluster.RunTicks(3);
@@ -184,7 +254,7 @@ TEST(ClusterSimTest, InjectAndTrackOutcome) {
   ClientRequest get = set;
   get.req_id = 1002;
   get.op = OpType::kGet;
-  get.value.clear();
+  get.value = nullptr;
   cluster.InjectRequest(get);
   cluster.RunTicks(3);
   auto out2 = cluster.TakeOutcome(1002);
